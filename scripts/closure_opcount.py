@@ -1,9 +1,10 @@
 """Measure how many semiring multiplications a block closure performs.
 
-The recursion splits the matrix into four blocks and assembles the
-closure from six half-size products plus two half-size closures. Solving
-that recurrence gives exactly n^3 - n multiplications on a padded
-power-of-two size, and this script confirms the formula on live counts.
+The recursion splits the matrix into four blocks at h = n // 2 and
+assembles the closure from six block products, 3 h (n - h) n
+multiplications, plus the closures of an h x h and an (n - h) x (n - h)
+block. Solving that recurrence gives exactly n^3 - n multiplications at
+every size, and this script confirms the formula on live counts.
 The often-quoted 5/6 n^3 figure would need a five-product assembly,
 which returns wrong closures on easy instances; the sixth product is
 what correctness costs, and it pushes the ratio count/n^3 to 1.

@@ -39,7 +39,3 @@ class NoPath(TropalgError):
 
 class IndexOutOfRange(TropalgError, IndexError):
     """A vertex index lies outside the graph."""
-
-
-class UnsupportedDegree(TropalgError):
-    """An inequality has degree above one in the unknown."""

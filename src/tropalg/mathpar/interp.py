@@ -222,12 +222,17 @@ class _Evaluator:
         if isinstance(node, ListLit):
             values = [self.entry(e) for e in node.items]
             return self.wrap(lambda: TropMatrix.column(values, self.session.algebra), node)
-        if isinstance(node, UnaryNeg):
-            return self.negate(self.eval(node.operand), node)
-        if isinstance(node, BinOp):
-            return self.binop(node)
+        if isinstance(node, (UnaryNeg, BinOp)):
+            leaf, ops = _unwind(node)
+            value = self.eval(leaf)
+            for op in ops:
+                if isinstance(op, UnaryNeg):
+                    value = self.negate(value, op)
+                else:
+                    value = self.binop(op, value, self.eval(op.right))
+            return value
         if isinstance(node, Call):
-            return self.call(node)
+            return self.handler(node)(node)
         if isinstance(node, Ineq):
             raise EvalError(
                 "inequalities are only meaningful inside \\solve", node.line, node.col
@@ -310,9 +315,7 @@ class _Evaluator:
             return TropMatrix.from_rows(entries, alg)
         raise EvalError("cannot negate this value", node.line, node.col)
 
-    def binop(self, node: BinOp):
-        left = self.eval(node.left)
-        right = self.eval(node.right)
+    def binop(self, node: BinOp, left, right):
         alg = self.session.algebra
         scalar_l = isinstance(left, ExtScalar)
         scalar_r = isinstance(right, ExtScalar)
@@ -365,7 +368,10 @@ class _Evaluator:
 
     # ---- commands ----
 
-    def call(self, node: Call):
+    def handler(self, node: Call):
+        """The method that runs a command call, once its name and arity
+        check out. eval calls it directly, so a command nested in an
+        argument costs one stack frame less per level."""
         cmd = node.command
         if cmd not in _SPACE_ARITIES:
             raise UnknownCommand(f"unknown command \\{cmd}", node.line, node.col)
@@ -376,10 +382,9 @@ class _Evaluator:
                 node.line,
                 node.col,
             )
-        if cmd == "solve":
-            return self.cmd_solve(node)
-        handler = getattr(self, "cmd_" + cmd.lower())
-        return handler(node)
+        if cmd in ("SimplexMax", "SimplexMin"):
+            return self.simplex
+        return getattr(self, "cmd_" + cmd.lower())
 
     def require_tropical(self, node, cmd):
         if not self.session.algebra.is_tropical:
@@ -472,17 +477,16 @@ class _Evaluator:
                 return int(v)
         raise EvalError(f"{what} must be an integer", node.line, node.col)
 
-    def cmd_simplexmax(self, node: Call):
-        return self.simplex(node, "max")
-
-    def cmd_simplexmin(self, node: Call):
-        return self.simplex(node, "min")
-
-    def simplex(self, node: Call, sense: str):
-        self.require_classical(node, "SimplexMax" if sense == "max" else "SimplexMin")
+    def simplex(self, node: Call):
+        self.require_classical(node, node.command)
+        sense = "max" if node.command == "SimplexMax" else "min"
         k = (len(node.args) - 1) // 2
-        mats = [self.group_arg(arg) for arg in node.args[:k]]
-        rhss = [self.group_arg(arg) for arg in node.args[k : 2 * k]]
+        # A loop rather than a comprehension, which would add a stack frame
+        # per nesting level of the arguments.
+        args = []
+        for arg in node.args[: 2 * k]:
+            args.append(self.group_arg(arg))
+        mats, rhss = args[:k], args[k:]
         c = self.column_arg(node.args[-1], "the objective")
         groups = []
         for pos, (a, b) in enumerate(zip(mats, rhss)):
@@ -629,30 +633,50 @@ class _Evaluator:
             if self.session.poly_var is None or node.name == self.session.poly_var:
                 return Fraction(1), zero, node.name
             raise EvalError(f"undefined variable {node.name!r}", node.line, node.col)
-        if isinstance(node, UnaryNeg):
-            a, b, v = self.linear_form(node.operand)
-            return -a, -b, v
-        if isinstance(node, BinOp):
-            la, lb, lv = self.linear_form(node.left)
-            ra, rb, rv = self.linear_form(node.right)
-            v = self.merge_unknowns(lv, rv, node)
-            if node.op == "+":
-                return la + ra, lb + rb, v
-            if node.op == "-":
-                return la - ra, lb - rb, v
-            if la != 0 and ra != 0:
-                raise EvalError(
-                    "\\solve handles linear inequalities only; this one has "
-                    "degree 2",
-                    node.line,
-                    node.col,
-                )
-            return la * rb + ra * lb, lb * rb, v
+        if isinstance(node, (UnaryNeg, BinOp)):
+            leaf, ops = _unwind(node)
+            a, b, v = self.linear_form(leaf)
+            for op in ops:
+                if isinstance(op, UnaryNeg):
+                    a, b = -a, -b
+                    continue
+                ra, rb, rv = self.linear_form(op.right)
+                v = self.merge_unknowns(v, rv, op)
+                if op.op == "+":
+                    a, b = a + ra, b + rb
+                elif op.op == "-":
+                    a, b = a - ra, b - rb
+                elif a != 0 and ra != 0:
+                    raise EvalError(
+                        "\\solve handles linear inequalities only; this one has "
+                        "degree 2",
+                        op.line,
+                        op.col,
+                    )
+                else:
+                    a, b = a * rb + ra * b, b * rb
+            return a, b, v
         raise EvalError(
             "inequalities may contain numbers, the unknown, +, - and * only",
             node.line,
             node.col,
         )
+
+
+def _unwind(node):
+    """Split an operator chain into its leftmost operand and the operators
+    above it, innermost first.
+
+    `a + b - c` and `- - x` parse to left-leaning trees as deep as the chain
+    is long; folding over this list evaluates them in a loop instead of one
+    recursive call per operator.
+    """
+    ops = []
+    while isinstance(node, (BinOp, UnaryNeg)):
+        ops.append(node)
+        node = node.left if isinstance(node, BinOp) else node.operand
+    ops.reverse()
+    return node, ops
 
 
 # ---- rendering ----

@@ -6,6 +6,9 @@ rational in Q and an error in Z. Unary minus applied directly to a number
 or infinity literal folds into the literal, which keeps `-3` a single
 node everywhere. Source positions ride along on every node for error
 messages but never take part in equality, so ASTs compare structurally.
+Chains of `+`, `-` and `*` and runs of prefix minus signs are folded in
+loops, so only parentheses and brackets cost stack depth, and those may
+nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ __all__ = [
     "unparse",
     "unparse_expr",
 ]
+
+
+# Parentheses and brackets (a command's argument list included) may nest
+# this deep. Parsing and evaluation each take at most four stack frames per
+# level, so the bound keeps any script well inside the interpreter's
+# default recursion limit of 1000; CPython's own parser stops at 200 too.
+MAX_NESTING = 200
 
 
 def _pos():
@@ -150,6 +160,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -169,6 +180,20 @@ class _Parser:
                 tok.col,
             )
         return self.next()
+
+    def open_group(self, kind: TokenKind, what: str) -> Token:
+        """Consume an opening parenthesis or bracket, one level deeper."""
+        tok = self.expect(kind, what)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col
+            )
+        return tok
+
+    def close_group(self, kind: TokenKind, what: str) -> None:
+        self.expect(kind, what)
+        self.depth -= 1
 
     def parse_script(self) -> list[Stmt]:
         stmts: list[Stmt] = []
@@ -206,46 +231,49 @@ class _Parser:
         return SpaceDecl(name.value, tuple(vars_), line=tok.line, col=tok.col)
 
     def parse_expr(self) -> Expr:
-        left = self.parse_additive()
+        left = self.parse_sum()
         tok = self.peek()
         if tok.kind is TokenKind.RELOP:
             self.next()
-            right = self.parse_additive()
+            right = self.parse_sum()
             return Ineq(left, tok.value, right, line=tok.line, col=tok.col)
         return left
 
-    def parse_additive(self) -> Expr:
-        node = self.parse_multiplicative()
-        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            tok = self.next()
-            rhs = self.parse_multiplicative()
-            op = "+" if tok.kind is TokenKind.PLUS else "-"
-            node = BinOp(op, node, rhs, line=tok.line, col=tok.col)
-        return node
+    def parse_sum(self) -> Expr:
+        """A sum of products, both folded to the left in one loop.
 
-    def parse_multiplicative(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind is TokenKind.STAR:
-            tok = self.next()
-            rhs = self.parse_unary()
-            node = BinOp("*", node, rhs, line=tok.line, col=tok.col)
-        return node
-
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind is TokenKind.MINUS:
+        `*` binds tighter than `+` and `-`: the product being built is
+        `node`, and the sum to its left waits in `total` until that product
+        ends. One function for both precedence levels keeps a level of
+        nesting to three stack frames (see MAX_NESTING).
+        """
+        total = op = None
+        node = self.parse_operand()
+        while True:
+            tok = self.peek()
+            if tok.kind is TokenKind.STAR:
+                self.next()
+                node = BinOp("*", node, self.parse_operand(), line=tok.line, col=tok.col)
+                continue
+            if total is not None:
+                sign = "+" if op.kind is TokenKind.PLUS else "-"
+                node = BinOp(sign, total, node, line=op.line, col=op.col)
+            if tok.kind not in (TokenKind.PLUS, TokenKind.MINUS):
+                return node
             self.next()
-            operand = self.parse_unary()
-            if isinstance(operand, ScalarLit) and not operand.value.startswith("-"):
-                return ScalarLit(
-                    "-" + operand.value, operand.kind, line=tok.line, col=tok.col
-                )
-            if isinstance(operand, InfinityLit):
-                return InfinityLit(-operand.sign, line=tok.line, col=tok.col)
-            return UnaryNeg(operand, line=tok.line, col=tok.col)
-        return self.parse_atom()
+            total, op = node, tok
+            node = self.parse_operand()
 
-    def parse_atom(self) -> Expr:
+    def parse_operand(self) -> Expr:
+        """An atom after any number of prefix minus signs.
+
+        The signs are collected in a loop and applied innermost first. A
+        sign applied directly to a number or infinity literal folds into
+        the literal.
+        """
+        signs = []
+        while self.peek().kind is TokenKind.MINUS:
+            signs.append(self.next())
         tok = self.peek()
         if tok.kind in (TokenKind.INTEGER, TokenKind.RATIONAL, TokenKind.DECIMAL):
             self.next()
@@ -254,42 +282,50 @@ class _Parser:
                 TokenKind.RATIONAL: "rat",
                 TokenKind.DECIMAL: "dec",
             }[tok.kind]
-            return ScalarLit(tok.value.replace(" ", ""), kind, line=tok.line, col=tok.col)
-        if tok.kind is TokenKind.INFINITY:
+            node = ScalarLit(tok.value.replace(" ", ""), kind, line=tok.line, col=tok.col)
+        elif tok.kind is TokenKind.INFINITY:
             self.next()
-            return InfinityLit(1, line=tok.line, col=tok.col)
-        if tok.kind is TokenKind.IDENT:
+            node = InfinityLit(1, line=tok.line, col=tok.col)
+        elif tok.kind is TokenKind.IDENT:
             self.next()
-            return Var(tok.value, line=tok.line, col=tok.col)
-        if tok.kind is TokenKind.COMMAND:
-            return self.parse_call()
-        if tok.kind is TokenKind.LPAREN:
-            self.next()
+            node = Var(tok.value, line=tok.line, col=tok.col)
+        elif tok.kind is TokenKind.COMMAND:
+            node = self.parse_call()
+        elif tok.kind is TokenKind.LPAREN:
+            self.open_group(TokenKind.LPAREN, "'('")
             if self.peek().kind is TokenKind.RPAREN:
-                self.next()
-                return EmptyLit(line=tok.line, col=tok.col)
-            inner = self.parse_expr()
-            self.expect(TokenKind.RPAREN, "')'")
-            return inner
-        if tok.kind is TokenKind.LBRACKET:
-            return self.parse_bracket()
-        raise ParseError(
-            f"expected an expression, found {tok.lexeme or 'end of input'!r}",
-            tok.line,
-            tok.col,
-        )
+                node = EmptyLit(line=tok.line, col=tok.col)
+            else:
+                node = self.parse_expr()
+            self.close_group(TokenKind.RPAREN, "')'")
+        elif tok.kind is TokenKind.LBRACKET:
+            node = self.parse_bracket()
+        else:
+            raise ParseError(
+                f"expected an expression, found {tok.lexeme or 'end of input'!r}",
+                tok.line,
+                tok.col,
+            )
+        for sign in reversed(signs):
+            if isinstance(node, ScalarLit) and not node.value.startswith("-"):
+                node = ScalarLit("-" + node.value, node.kind, line=sign.line, col=sign.col)
+            elif isinstance(node, InfinityLit):
+                node = InfinityLit(-node.sign, line=sign.line, col=sign.col)
+            else:
+                node = UnaryNeg(node, line=sign.line, col=sign.col)
+        return node
 
     def parse_bracket(self) -> Expr:
-        tok = self.next()  # [
+        tok = self.open_group(TokenKind.LBRACKET, "'['")
         if self.peek().kind is TokenKind.RBRACKET:
-            self.next()
+            self.close_group(TokenKind.RBRACKET, "']'")
             return EmptyLit(line=tok.line, col=tok.col)
         if self.peek().kind is TokenKind.LBRACKET:
             rows = [self.parse_row()]
             while self.peek().kind is TokenKind.COMMA:
                 self.next()
                 rows.append(self.parse_row())
-            self.expect(TokenKind.RBRACKET, "']'")
+            self.close_group(TokenKind.RBRACKET, "']'")
             w = len(rows[0])
             for row in rows:
                 if len(row) != w:
@@ -303,28 +339,28 @@ class _Parser:
         while self.peek().kind is TokenKind.COMMA:
             self.next()
             items.append(self.parse_expr())
-        self.expect(TokenKind.RBRACKET, "']'")
+        self.close_group(TokenKind.RBRACKET, "']'")
         return ListLit(tuple(items), line=tok.line, col=tok.col)
 
     def parse_row(self) -> tuple:
-        self.expect(TokenKind.LBRACKET, "'['")
+        self.open_group(TokenKind.LBRACKET, "'['")
         items = [self.parse_expr()]
         while self.peek().kind is TokenKind.COMMA:
             self.next()
             items.append(self.parse_expr())
-        self.expect(TokenKind.RBRACKET, "']'")
+        self.close_group(TokenKind.RBRACKET, "']'")
         return tuple(items)
 
     def parse_call(self) -> Call:
         tok = self.next()  # COMMAND
-        self.expect(TokenKind.LPAREN, "'(' after command")
+        self.open_group(TokenKind.LPAREN, "'(' after command")
         args: list[Expr] = []
         if self.peek().kind is not TokenKind.RPAREN:
             args.append(self.parse_expr())
             while self.peek().kind is TokenKind.COMMA:
                 self.next()
                 args.append(self.parse_expr())
-        self.expect(TokenKind.RPAREN, "')'")
+        self.close_group(TokenKind.RPAREN, "')'")
         return Call(tok.value, tuple(args), line=tok.line, col=tok.col)
 
 

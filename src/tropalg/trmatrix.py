@@ -4,23 +4,24 @@ A TropMatrix stores its entries row-major as an immutable tuple together
 with its algebra, so matrices are plain values and safe to share between
 threads. The operations are the semiring matrix product, entrywise
 semiring addition, the pseudo-inverse (negated transpose, infinities
-fixed), and two implementations of the closure
+fixed), and the closure
 
     A^x = I + A + A^2 + ... + A^(n-1)
 
-namely the defining power expansion (closure_iterative, which doubles as
-the reference oracle in tests) and a block-recursive divide and conquer
-scheme (closure_block). Both verify or guarantee the fixed-point
-equations I + A A^x = A^x = I + A^x A and raise ClosureUndefined when no
-closure exists, which over max-plus happens exactly when some cycle
-weight is positive.
+computed by block-recursive divide and conquer (closure_block). Each
+level splits the matrix at half its size, unequal halves included, so
+no size is padded and an n x n closure costs exactly n^3 - n semiring
+multiplications. The result satisfies the fixed-point equations
+I + A A^x = A^x = I + A^x A; ClosureUndefined is raised when no closure
+exists, which over max-plus happens exactly when some cycle weight is
+positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgebraMismatch, ClosureUndefined, DimensionMismatch
+from .errors import AlgebraMismatch, DimensionMismatch
 from .semiring import Algebra, ExtScalar, trop_add, trop_closure_scalar, trop_mul
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "diag",
     "identity",
     "zero_matrix",
-    "pad_to_power_of_two",
-    "closure_iterative",
     "closure_block",
 ]
 
@@ -181,86 +180,40 @@ def zero_matrix(rows: int, cols: int, alg: Algebra) -> TropMatrix:
     return TropMatrix(rows, cols, (alg.zero(),) * (rows * cols), alg)
 
 
-def pad_to_power_of_two(a: TropMatrix) -> TropMatrix:
-    """Embed a square matrix in the next power-of-two size.
-
-    The border is filled with the algebra's zero, so the closure of the
-    padded matrix restricts to the closure of the original in its leading
-    block.
-    """
-    if not a.is_square:
-        raise DimensionMismatch("only square matrices are padded")
-    n = a.rows
-    m = 1
-    while m < n:
-        m *= 2
-    if m == n:
-        return a
-    zero = a.alg.zero()
-    out = []
-    for j in range(m):
-        for k in range(m):
-            out.append(a.entries[j * n + k] if j < n and k < n else zero)
-    return TropMatrix(m, m, tuple(out), a.alg)
-
-
-def closure_iterative(a: TropMatrix) -> TropMatrix:
-    """Closure by the defining power expansion I + A + ... + A^(n-1).
-
-    The result is checked against the fixed-point equation
-    I + A B = B; if it fails, no closure exists. This implementation is
-    the reference oracle for closure_block.
-    """
-    _require_tropical(a, "the closure")
-    if not a.is_square:
-        raise DimensionMismatch("the closure is defined for square matrices only")
-    n = a.rows
-    alg = a.alg
-    ident = identity(n, alg)
-    acc = ident
-    power = ident
-    for _ in range(1, n):
-        power = mat_mul(power, a)
-        acc = mat_oplus(acc, power)
-    if mat_oplus(ident, mat_mul(a, acc)) != acc:
-        raise ClosureUndefined("the closure of the matrix does not exist")
-    return acc
-
-
 def _split(a: TropMatrix):
+    """The quadrants E, F / G, H of a square matrix, split after row and
+    column h = n // 2, so E is h x h and H is (n - h) x (n - h)."""
     n = a.rows
     h = n // 2
     ent = a.entries
     quads = []
-    for rs, cs in ((0, 0), (0, h), (h, 0), (h, h)):
-        block = []
-        for j in range(h):
-            off = (rs + j) * n + cs
-            block.extend(ent[off : off + h])
-        quads.append(TropMatrix(h, h, tuple(block), a.alg))
+    for r0, r1 in ((0, h), (h, n)):
+        for c0, c1 in ((0, h), (h, n)):
+            block = []
+            for j in range(r0, r1):
+                block.extend(ent[j * n + c0 : j * n + c1])
+            quads.append(TropMatrix(r1 - r0, c1 - c0, tuple(block), a.alg))
     return quads
 
 
 def _join(r1: TropMatrix, r2: TropMatrix, r3: TropMatrix, r4: TropMatrix) -> TropMatrix:
-    h = r1.rows
-    n = 2 * h
+    """Reassemble the quadrants R1, R2 / R3, R4 into one square matrix."""
     out = []
-    for j in range(h):
-        out.extend(r1.entries[j * h : (j + 1) * h])
-        out.extend(r2.entries[j * h : (j + 1) * h])
-    for j in range(h):
-        out.extend(r3.entries[j * h : (j + 1) * h])
-        out.extend(r4.entries[j * h : (j + 1) * h])
+    for left, right in ((r1, r2), (r3, r4)):
+        for j in range(left.rows):
+            out.extend(left.entries[j * left.cols : (j + 1) * left.cols])
+            out.extend(right.entries[j * right.cols : (j + 1) * right.cols])
+    n = r1.rows + r3.rows
     return TropMatrix(n, n, tuple(out), r1.alg)
 
 
-def _closure_pow2(a: TropMatrix) -> TropMatrix:
+def _closure(a: TropMatrix) -> TropMatrix:
     if a.rows == 1:
         return TropMatrix(1, 1, (trop_closure_scalar(a.entries[0], a.alg),), a.alg)
     e, f, g, h = _split(a)
-    s = _closure_pow2(e)
+    s = _closure(e)
     b = mat_mul(g, s)
-    r4 = _closure_pow2(mat_oplus(h, mat_mul(b, f)))
+    r4 = _closure(mat_oplus(h, mat_mul(b, f)))
     r3 = mat_mul(r4, b)
     v = mat_mul(s, f)
     r2 = mat_mul(v, r4)
@@ -269,25 +222,18 @@ def _closure_pow2(a: TropMatrix) -> TropMatrix:
 
 
 def closure_block(a: TropMatrix) -> TropMatrix:
-    """Closure by block recursion on half-size quadrants.
+    """Closure by block recursion on the quadrants of a split at h = n // 2.
 
-    Splitting A into quadrants E, F / G, H, the result is assembled from
-    S = E^x, B = G S, R4 = (H + B F)^x, R3 = R4 B, V = S F, R2 = V R4 and
-    R1 = S + V R3. Sizes that are not a power of two are padded with an
-    all-zero border first, which leaves the leading block unchanged.
-    Produces exactly the entries of closure_iterative or raises
-    ClosureUndefined, which surfaces from a scalar base case.
+    Splitting A after row and column h into quadrants E, F / G, H, where E
+    is h x h and H is (n-h) x (n-h), the result is assembled from S = E^x,
+    B = G S, R4 = (H + B F)^x, R3 = R4 B, V = S F, R2 = V R4 and
+    R1 = S + V R3. The quadrants need not be equal, so every size is split
+    directly, and the six products cost 3 h (n-h) n multiplications; over
+    the whole recursion that sums to exactly n^3 - n at every n. Raises
+    ClosureUndefined, which surfaces from a scalar base case, exactly when
+    the power sums I + A + A^2 + ... diverge.
     """
     _require_tropical(a, "the closure")
     if not a.is_square:
         raise DimensionMismatch("the closure is defined for square matrices only")
-    n = a.rows
-    padded = pad_to_power_of_two(a)
-    closed = _closure_pow2(padded)
-    if padded.rows == n:
-        return closed
-    ent = []
-    for j in range(n):
-        off = j * padded.cols
-        ent.extend(closed.entries[off : off + n])
-    return TropMatrix(n, n, tuple(ent), a.alg)
+    return _closure(a)

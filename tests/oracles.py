@@ -1,9 +1,10 @@
 """Reference implementations and random-instance generators for the tests.
 
 Everything here recomputes answers by a route different from the library:
-plain triple-loop relaxation for distances, Gaussian elimination plus
-brute-force vertex enumeration for linear programs, and direct negation
-for the max-plus/min-plus mirror. Slow and obvious on purpose.
+the defining power expansion for the Kleene closure, plain triple-loop
+relaxation for distances, Gaussian elimination plus brute-force vertex
+enumeration for linear programs, and direct negation for the
+max-plus/min-plus mirror. Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from tropalg import (
+    ClosureUndefined,
     ExtScalar,
     LpProblem,
     Q_MAX_PLUS,
@@ -22,9 +24,35 @@ from tropalg import (
     TropMatrix,
     Z_MAX_PLUS,
     Z_MIN_PLUS,
+    identity,
+    mat_mul,
+    mat_oplus,
 )
 
 INF = float("inf")
+
+
+# ---- closure oracle ----
+
+
+def closure_iterative(a: TropMatrix) -> TropMatrix:
+    """Closure by the defining power expansion I + A + ... + A^(n-1).
+
+    The result is checked against the fixed-point equation
+    I + A B = B; if it fails, no closure exists. Takes a square matrix
+    over a tropical algebra; O(n^4), so keep n small.
+    """
+    n = a.rows
+    alg = a.alg
+    ident = identity(n, alg)
+    acc = ident
+    power = ident
+    for _ in range(1, n):
+        power = mat_mul(power, a)
+        acc = mat_oplus(acc, power)
+    if mat_oplus(ident, mat_mul(a, acc)) != acc:
+        raise ClosureUndefined("the closure of the matrix does not exist")
+    return acc
 
 
 # ---- shortest-path oracle ----

@@ -29,7 +29,6 @@ from tropalg import (
     bellman_homogeneous,
     bellman_solve,
     closure_block,
-    closure_iterative,
     count_ops,
     diag,
     find_shortest_path,
@@ -50,6 +49,7 @@ from tropalg.mathpar.cli import run_cli
 import conftest
 from oracles import (
     INF,
+    closure_iterative,
     floyd_warshall,
     lp_oracle,
     minplus_matrix_to_grid,

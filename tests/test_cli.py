@@ -1,11 +1,14 @@
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import tropalg
 from tropalg.mathpar.cli import run_cli
+from tropalg.mathpar.parser import MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -114,3 +117,75 @@ def test_installed_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout == "3\n"
+
+
+def test_module_entry_point_runs():
+    src = str(Path(tropalg.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "tropalg.mathpar", "eval", "SPACE = ZMaxPlus[]; 2 + 3;"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "3\n", "")
+
+
+# ---- deep and long expressions ----
+
+DEEP = 5000
+
+
+def test_long_sum_evaluates(capsys):
+    code, out, err = invoke(["eval", "+".join(["1"] * DEEP) + ";"], capsys)
+    assert (code, out, err) == (0, f"{DEEP}\n", "")
+
+
+def test_long_product_evaluates(capsys):
+    script = "SPACE = ZMaxPlus[]; " + " * ".join(["1"] * DEEP) + ";"
+    code, out, err = invoke(["eval", script], capsys)
+    assert (code, out, err) == (0, f"{DEEP}\n", "")
+
+
+def test_long_sum_inside_solve_evaluates(capsys):
+    terms = " + ".join(["x"] + ["1"] * (DEEP - 1))
+    code, out, err = invoke(["eval", f"SPACE = Q[x]; \\solve([{terms} <= 0]);"], capsys)
+    assert (code, out, err) == (0, f"(-\\infty, {1 - DEEP}]\n", "")
+
+
+def test_long_run_of_unary_minus_evaluates(capsys):
+    script = "SPACE = ZMaxPlus[]; " + "-" * DEEP + "1; " + "-" * (DEEP + 1) + "1;"
+    code, out, err = invoke(["eval", script], capsys)
+    assert (code, out, err) == (0, "1\n-1\n", "")
+
+
+@pytest.mark.parametrize(
+    "opening, closing",
+    [("(", ")"), ("-(", ")"), ("\\closure(", ")"), ("[", "]")],
+    ids=["parentheses", "negations", "closures", "brackets"],
+)
+def test_nesting_past_the_limit_is_a_positioned_error(opening, closing, capsys):
+    prefix = "SPACE = ZMaxPlus[]; "
+    script = prefix + opening * DEEP + "1" + closing * DEEP + ";"
+    code, out, err = invoke(["eval", script], capsys)
+    col = len(prefix) + len(opening) * (MAX_NESTING + 1)
+    assert (code, out) == (1, "")
+    assert err == f"error: 1:{col}: nesting deeper than {MAX_NESTING} levels\n"
+
+
+@pytest.mark.parametrize(
+    "opening, leaf, closing, want",
+    [
+        ("(", "1", ")", "1"),
+        ("-(", "1", ")", "1"),
+        ("\\closure(", "A", ")", "[0]"),
+        ("\\closure(A + ", "A", ")", "[0]"),
+        ("\\solveLAETropic(A + ", "A", ", b)", "[0]"),
+    ],
+    ids=["parentheses", "negations", "closures", "closure-sums", "equations"],
+)
+def test_nesting_at_the_limit_evaluates(opening, leaf, closing, want, capsys):
+    script = "SPACE = ZMaxPlus[]; A = [[0]]; b = [0]; "
+    script += opening * MAX_NESTING + leaf + closing * MAX_NESTING + ";"
+    code, out, err = invoke(["eval", script], capsys)
+    assert (code, out, err) == (0, want + "\n", "")

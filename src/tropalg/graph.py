@@ -55,11 +55,12 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
     """A minimum-weight vertex sequence from start to goal.
 
     An edge (u, v) is tight when w(u, v) + dist(v, goal) = dist(u, goal);
-    every simple path made of tight edges has total weight exactly
-    dist(start, goal). The search walks tight edges depth-first trying
-    successors in index order with backtracking, so the returned witness
-    is the lexicographically smallest simple shortest path. Vertices are
-    0-based.
+    the simple paths made of tight edges are exactly the simple shortest
+    paths. The walk steps, each time, to the smallest tight successor from
+    which a search over tight edges reaches the goal without touching the
+    path, so the witness is the lexicographically smallest simple shortest
+    path. It never backtracks and makes O(n^3) tight tests at most.
+    Vertices are 0-based.
     """
     n = g.order
     for idx in (start, goal):
@@ -71,30 +72,43 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
     if dist.get(start, goal).inf_sign:
         raise NoPath(f"no path from {start} to {goal}")
     adj = g.adjacency
-    alg = adj.alg
+    to_goal = [dist.get(v, goal) for v in range(n)]
+
+    def tight(u: int, v: int) -> bool:
+        w = adj.get(u, v)
+        return not w.inf_sign and trop_mul(w, to_goal[v], adj.alg) == to_goal[u]
+
+    # The path's vertices, and every vertex found unable to reach the goal
+    # around the path; the path only grows, so such a vertex stays unable.
+    barred = {start}
+
+    def leads_to_goal(v: int, level) -> bool:
+        """Whether tight edges lead from v to the goal around the barred vertices.
+
+        Tight edges never move away from the goal and no barred vertex is
+        nearer to it than `level`, so reaching the goal or any vertex
+        nearer than `level` settles the question.
+        """
+        seen, stack = {v}, [v]
+        while stack:
+            x = stack.pop()
+            if x == goal or to_goal[x] != level:
+                return True
+            for y in range(n):
+                if y not in seen and y not in barred and tight(x, y):
+                    seen.add(y)
+                    stack.append(y)
+        barred.update(seen)
+        return False
+
     path = [start]
-    on_path = [False] * n
-    on_path[start] = True
-    pending = [iter(range(n))]
-    while pending:
+    while path[-1] != goal:
         u = path[-1]
-        stepped = False
-        for v in pending[-1]:
-            if on_path[v]:
-                continue
-            w = adj.get(u, v)
-            if w.inf_sign:
-                continue
-            if trop_mul(w, dist.get(v, goal), alg) != dist.get(u, goal):
-                continue
-            path.append(v)
-            if v == goal:
-                return path
-            on_path[v] = True
-            pending.append(iter(range(n)))
-            stepped = True
-            break
-        if not stepped:
-            pending.pop()
-            on_path[path.pop()] = False
-    raise AssertionError("a tight path must exist when the distance is finite")
+        for v in range(n):
+            if v not in barred and tight(u, v) and leads_to_goal(v, to_goal[u]):
+                break
+        else:
+            raise AssertionError("a tight path must exist when the distance is finite")
+        path.append(v)
+        barred.add(v)
+    return path

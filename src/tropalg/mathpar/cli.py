@@ -3,7 +3,9 @@
 Three ways to feed it a script: `mathpar run file`, `mathpar eval "code"`,
 or a bare `mathpar` that reads stdin to end of file. Results stream to
 stdout one line per printed statement. Script errors go to stderr with a
-line:column prefix and exit status 1; unreadable files exit 2.
+line:column prefix and exit status 1; unreadable files exit 2. Any other
+failure, such as a solver's self-check, is a fault of the program: it is
+reported on one line as an internal error and exits 3.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ def run_cli(argv=None) -> int:
     except MathparError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     if args.trace_ops:
         print(
             f"semiring ops: adds={counts.adds} muls={counts.muls}", file=sys.stderr

@@ -17,7 +17,9 @@ ExtScalar.of.
 
 All functions here are pure. count_ops() installs a thread-local counter
 that tallies semiring additions and multiplications; the complexity
-assertions in the test suite measure work through it.
+assertions in the test suite measure work through it. The matrix kernel
+in trmatrix computes on plain numbers, tallies a whole product or sum
+at once through _tally and lifts its results through _finite_result.
 """
 
 from __future__ import annotations
@@ -275,52 +277,43 @@ def count_ops():
         stack.pop()
 
 
-def _tally_add():
+def _tally(adds: int, muls: int):
+    """Add a batch of operations to the innermost active counter."""
     stack = getattr(_ACTIVE, "stack", None)
     if stack:
-        stack[-1].adds += 1
-
-
-def _tally_mul():
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack:
-        stack[-1].muls += 1
+        stack[-1].adds += adds
+        stack[-1].muls += muls
 
 
 def _finite_result(value, alg: Algebra) -> ExtScalar:
     """Normalise a freshly computed finite-domain result.
 
-    Rationals are reduced (Fraction does this) and demoted to int when
-    integral. A float that overflowed to the algebra's own infinity is
-    folded onto the absorbing element; any other infinite float is
-    illegal.
+    Rationals are demoted to int when integral, as ExtScalar.of does. A
+    float that overflowed to the algebra's own infinity is folded onto
+    the absorbing element; any other infinite float, and the NaN left
+    where overflows of both signs meet in a classical sum, is illegal.
     """
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return ExtScalar(int(value))
+    if type(value) is int:
         return ExtScalar(value)
-    if isinstance(value, float) and math.isinf(value):
+    if isinstance(value, float) and not math.isfinite(value):
         z = alg.zero()
-        if z.inf_sign == (1 if value > 0 else -1):
+        if z.inf_sign and value == z.inf_sign * math.inf:
             return z
         raise IllegalElement("float overflow produced an illegal infinity")
-    return ExtScalar(value)
+    return ExtScalar.of(value)
 
 
 def trop_add(a: ExtScalar, b: ExtScalar, alg: Algebra) -> ExtScalar:
     """Semiring addition: max (max-plus), min (min-plus), or ordinary +."""
     alg.require_legal(a)
     alg.require_legal(b)
-    _tally_add()
+    _tally(1, 0)
     k = alg.kind
     if k is SemiringKind.MAX_PLUS:
         return b if a < b else a
     if k is SemiringKind.MIN_PLUS:
         return b if b < a else a
-    res = a.finite + b.finite
-    if type(res) is int:
-        return ExtScalar(res)
-    return _finite_result(res, alg)
+    return _finite_result(a.finite + b.finite, alg)
 
 
 def trop_mul(a: ExtScalar, b: ExtScalar, alg: Algebra) -> ExtScalar:
@@ -330,18 +323,12 @@ def trop_mul(a: ExtScalar, b: ExtScalar, alg: Algebra) -> ExtScalar:
     """
     alg.require_legal(a)
     alg.require_legal(b)
-    _tally_mul()
+    _tally(0, 1)
     if alg.kind is SemiringKind.CLASSICAL:
-        res = a.finite * b.finite
-        if type(res) is int:
-            return ExtScalar(res)
-        return _finite_result(res, alg)
+        return _finite_result(a.finite * b.finite, alg)
     if a.inf_sign or b.inf_sign:
         return alg.zero()
-    res = a.finite + b.finite
-    if type(res) is int:
-        return ExtScalar(res)
-    return _finite_result(res, alg)
+    return _finite_result(a.finite + b.finite, alg)
 
 
 def trop_neg(a: ExtScalar) -> ExtScalar:

@@ -144,19 +144,13 @@ def bellman_homogeneous(a: TropMatrix) -> TropMatrix:
     if not a.alg.is_tropical:
         raise AlgebraMismatch("bellman_homogeneous requires a tropical algebra")
     closed = closure_block(a)
-    kept = []
-    for k in range(closed.cols):
-        c = closed.col(k)
-        if mat_mul(a, c) == c:
-            kept.append(c)
+    moved = mat_mul(a, closed)
+    n = a.rows
+    kept = [k for k in range(n) if all(moved.get(j, k) == closed.get(j, k) for j in range(n))]
     if not kept:
         raise NoSolution("no column of the closure solves A x = x")
-    n = a.rows
-    ent = []
-    for j in range(n):
-        for c in kept:
-            ent.append(c.entries[j])
-    return TropMatrix(n, len(kept), tuple(ent), a.alg)
+    ent = tuple(closed.get(j, k) for j in range(n) for k in kept)
+    return TropMatrix(n, len(kept), ent, a.alg)
 
 
 def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix:

@@ -1,28 +1,33 @@
 """Dense matrices over a scalar algebra, with the Kleene closure.
 
-A TropMatrix stores its entries row-major as an immutable tuple together
-with its algebra, so matrices are plain values and safe to share between
-threads. The operations are the semiring matrix product, entrywise
-semiring addition, the pseudo-inverse (negated transpose, infinities
-fixed), and the closure
+A TropMatrix stores its entries row-major as an immutable tuple of
+ExtScalar values together with its algebra, so matrices are plain values
+and safe to share between threads; membership is checked once, when a
+matrix is built. The operations are the semiring matrix product,
+entrywise semiring addition, the pseudo-inverse (negated transpose,
+infinities fixed), and the closure A^x = I + A + A^2 + ... + A^(n-1),
+the solution of I + A A^x = A^x = I + A^x A, which closure_block
+computes by block recursion in exactly n^3 - n multiplications.
 
-    A^x = I + A + A^2 + ... + A^(n-1)
-
-computed by block-recursive divide and conquer (closure_block). Each
-level splits the matrix at half its size, unequal halves included, so
-no size is padded and an n x n closure costs exactly n^3 - n semiring
-multiplications. The result satisfies the fixed-point equations
-I + A A^x = A^x = I + A^x A; ClosureUndefined is raised when no closure
-exists, which over max-plus happens exactly when some cycle weight is
-positive.
+All of them run on raw rows, which never leave this module: lists of
+plain numbers with None for the algebra's infinite element. Each
+operation checks its operands, lowers them to raw rows, runs the kernel
+(_product, _oplus, _closure) and lifts the result back through
+semiring._finite_result. Counts are tallied in bulk: an n x m by m x p
+product is n m p additions and n m p multiplications.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 from .errors import AlgebraMismatch, DimensionMismatch
-from .semiring import Algebra, ExtScalar, trop_add, trop_closure_scalar, trop_mul
+from .semiring import (
+    Algebra, Domain, ExtScalar, SemiringKind, _finite_result, _tally, trop_closure_scalar,
+)
 
 __all__ = [
     "TropMatrix",
@@ -109,6 +114,59 @@ def _require_tropical(a: TropMatrix, what: str):
         raise AlgebraMismatch(f"{what} is defined over tropical algebras only")
 
 
+def _lower(a: TropMatrix) -> list:
+    """The raw rows of a matrix."""
+    flat = [None if e.inf_sign else e.finite for e in a.entries]
+    return [flat[j : j + a.cols] for j in range(0, len(flat), a.cols)]
+
+
+def _lift(rows: list, alg: Algebra) -> TropMatrix:
+    """A matrix from raw rows, normalising each entry as _finite_result does."""
+    zero = alg.zero()
+    ent = tuple([zero if x is None else _finite_result(x, alg) for r in rows for x in r])
+    return TropMatrix(len(rows), len(rows[0]), ent, alg)
+
+
+def _settle(rows: list, alg: Algebra) -> list:
+    """Fold float overflow onto the infinite element, or raise; left to a
+    later step, it could turn into a NaN or a ClosureUndefined."""
+    if alg.domain is not Domain.F64:
+        return rows
+    return [[x if x is None or math.isfinite(x) else _finite_result(x, alg).finite for x in r]
+            for r in rows]
+
+
+def _product(a: list, b: list, alg: Algebra) -> list:
+    """Raw rows of the semiring product of n x m and m x p raw rows.
+
+    Ties keep the first of equals, and classical sums add left to right
+    (reduce, not sum, which may compensate rounding), as a scalar fold does.
+    """
+    cols = list(zip(*b))
+    if alg.is_tropical:
+        pick = max if alg.kind is SemiringKind.MAX_PLUS else min
+        out = [[pick([x + y for x, y in zip(r, c) if x is not None and y is not None], default=None)
+                for c in cols] for r in a]
+    else:
+        zero = alg.zero().finite
+        out = [[reduce(add, map(mul, r, c), zero) for c in cols] for r in a]
+    work = len(a) * len(b) * len(cols)
+    _tally(work, work)
+    return _settle(out, alg)
+
+
+def _oplus(a: list, b: list, alg: Algebra) -> list:
+    """Raw rows of the entrywise semiring sum of equal-shape raw rows."""
+    if alg.is_tropical:
+        pick = max if alg.kind is SemiringKind.MAX_PLUS else min
+        out = [[y if x is None else x if y is None else pick(x, y) for x, y in zip(r, s)]
+               for r, s in zip(a, b)]
+    else:
+        out = [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+    _tally(len(a) * len(a[0]), 0)
+    return _settle(out, alg)
+
+
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """The semiring matrix product."""
     _require_same_algebra(a, b)
@@ -116,19 +174,7 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         raise DimensionMismatch(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    alg = a.alg
-    zero = alg.zero()
-    ae, be = a.entries, b.entries
-    n, m, p = a.rows, a.cols, b.cols
-    out = []
-    for j in range(n):
-        off = j * m
-        for k in range(p):
-            acc = zero
-            for i in range(m):
-                acc = trop_add(acc, trop_mul(ae[off + i], be[i * p + k], alg), alg)
-            out.append(acc)
-    return TropMatrix(n, p, tuple(out), alg)
+    return _lift(_product(_lower(a), _lower(b), a.alg), a.alg)
 
 
 def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -138,9 +184,7 @@ def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         raise DimensionMismatch(
             f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}"
         )
-    alg = a.alg
-    out = tuple(trop_add(x, y, alg) for x, y in zip(a.entries, b.entries))
-    return TropMatrix(a.rows, a.cols, out, alg)
+    return _lift(_oplus(_lower(a), _lower(b), a.alg), a.alg)
 
 
 def mat_le(a: TropMatrix, b: TropMatrix) -> bool:
@@ -151,12 +195,8 @@ def mat_le(a: TropMatrix, b: TropMatrix) -> bool:
 def pseudo_inverse(a: TropMatrix) -> TropMatrix:
     """The negated transpose; the infinite element maps to itself."""
     _require_tropical(a, "the pseudo-inverse")
-    out = []
-    for k in range(a.cols):
-        for j in range(a.rows):
-            e = a.entries[j * a.cols + k]
-            out.append(e if e.inf_sign else ExtScalar.of(-e.finite))
-    return TropMatrix(a.cols, a.rows, tuple(out), a.alg)
+    cols = zip(*_lower(a))
+    return _lift([[None if x is None else -x for x in c] for c in cols], a.alg)
 
 
 def diag(values, alg: Algebra) -> TropMatrix:
@@ -180,45 +220,22 @@ def zero_matrix(rows: int, cols: int, alg: Algebra) -> TropMatrix:
     return TropMatrix(rows, cols, (alg.zero(),) * (rows * cols), alg)
 
 
-def _split(a: TropMatrix):
-    """The quadrants E, F / G, H of a square matrix, split after row and
-    column h = n // 2, so E is h x h and H is (n - h) x (n - h)."""
-    n = a.rows
+def _closure(rows: list, alg: Algebra) -> list:
+    """Raw rows of the closure of square raw rows, by the block recursion."""
+    n = len(rows)
+    if n == 1:
+        return [[trop_closure_scalar(_lift(rows, alg).entries[0], alg).finite]]
     h = n // 2
-    ent = a.entries
-    quads = []
-    for r0, r1 in ((0, h), (h, n)):
-        for c0, c1 in ((0, h), (h, n)):
-            block = []
-            for j in range(r0, r1):
-                block.extend(ent[j * n + c0 : j * n + c1])
-            quads.append(TropMatrix(r1 - r0, c1 - c0, tuple(block), a.alg))
-    return quads
-
-
-def _join(r1: TropMatrix, r2: TropMatrix, r3: TropMatrix, r4: TropMatrix) -> TropMatrix:
-    """Reassemble the quadrants R1, R2 / R3, R4 into one square matrix."""
-    out = []
-    for left, right in ((r1, r2), (r3, r4)):
-        for j in range(left.rows):
-            out.extend(left.entries[j * left.cols : (j + 1) * left.cols])
-            out.extend(right.entries[j * right.cols : (j + 1) * right.cols])
-    n = r1.rows + r3.rows
-    return TropMatrix(n, n, tuple(out), r1.alg)
-
-
-def _closure(a: TropMatrix) -> TropMatrix:
-    if a.rows == 1:
-        return TropMatrix(1, 1, (trop_closure_scalar(a.entries[0], a.alg),), a.alg)
-    e, f, g, h = _split(a)
-    s = _closure(e)
-    b = mat_mul(g, s)
-    r4 = _closure(mat_oplus(h, mat_mul(b, f)))
-    r3 = mat_mul(r4, b)
-    v = mat_mul(s, f)
-    r2 = mat_mul(v, r4)
-    r1 = mat_oplus(s, mat_mul(v, r3))
-    return _join(r1, r2, r3, r4)
+    top, bottom = rows[:h], rows[h:]
+    s = _closure([r[:h] for r in top], alg)
+    f = [r[h:] for r in top]
+    b = _product([r[:h] for r in bottom], s, alg)
+    r4 = _closure(_oplus([r[h:] for r in bottom], _product(b, f, alg), alg), alg)
+    r3 = _product(r4, b, alg)
+    v = _product(s, f, alg)
+    r2 = _product(v, r4, alg)
+    r1 = _oplus(s, _product(v, r3, alg), alg)
+    return [x + y for x, y in zip(r1, r2)] + [x + y for x, y in zip(r3, r4)]
 
 
 def closure_block(a: TropMatrix) -> TropMatrix:
@@ -236,4 +253,4 @@ def closure_block(a: TropMatrix) -> TropMatrix:
     _require_tropical(a, "the closure")
     if not a.is_square:
         raise DimensionMismatch("the closure is defined for square matrices only")
-    return _closure(a)
+    return _lift(_closure(_lower(a), a.alg), a.alg)

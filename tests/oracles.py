@@ -1,10 +1,12 @@
 """Reference implementations and random-instance generators for the tests.
 
 Everything here recomputes answers by a route different from the library:
-the defining power expansion for the Kleene closure, plain triple-loop
-relaxation for distances, Gaussian elimination plus brute-force vertex
-enumeration for linear programs, and direct negation for the
-max-plus/min-plus mirror. Slow and obvious on purpose.
+matrix arithmetic folded entry by entry from the scalar trop_add and
+trop_mul, the defining power expansion for the Kleene closure, plain
+triple-loop relaxation for distances, depth-first search with
+backtracking for shortest-path witnesses, Gaussian elimination plus
+brute-force vertex enumeration for linear programs, and direct negation
+for the max-plus/min-plus mirror. Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from tropalg import (
     ClosureUndefined,
     ExtScalar,
     LpProblem,
+    NoSolution,
     Q_MAX_PLUS,
     Q_MIN_PLUS,
     R64_MAX_PLUS,
@@ -25,11 +28,86 @@ from tropalg import (
     Z_MAX_PLUS,
     Z_MIN_PLUS,
     identity,
-    mat_mul,
-    mat_oplus,
+    search_least_distances,
+    trop_add,
+    trop_closure_scalar,
+    trop_mul,
 )
 
 INF = float("inf")
+
+
+# ---- per-entry matrix arithmetic ----
+#
+# Every entry is a left fold of the scalar operations, so these share no
+# arithmetic with the library's matrix kernel. Operands are assumed to
+# have matching algebras and shapes.
+
+
+def ref_mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    alg = a.alg
+    out = []
+    for j in range(a.rows):
+        for k in range(b.cols):
+            acc = alg.zero()
+            for i in range(a.cols):
+                acc = trop_add(acc, trop_mul(a.get(j, i), b.get(i, k), alg), alg)
+            out.append(acc)
+    return TropMatrix(a.rows, b.cols, tuple(out), alg)
+
+
+def ref_mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    out = tuple(trop_add(x, y, a.alg) for x, y in zip(a.entries, b.entries))
+    return TropMatrix(a.rows, a.cols, out, a.alg)
+
+
+def ref_pseudo_inverse(a: TropMatrix) -> TropMatrix:
+    out = []
+    for k in range(a.cols):
+        for j in range(a.rows):
+            e = a.get(j, k)
+            out.append(e if e.inf_sign else ExtScalar.of(-e.finite))
+    return TropMatrix(a.cols, a.rows, tuple(out), a.alg)
+
+
+def _block(a: TropMatrix, r0, r1, c0, c1) -> TropMatrix:
+    ent = tuple(a.get(j, k) for j in range(r0, r1) for k in range(c0, c1))
+    return TropMatrix(r1 - r0, c1 - c0, ent, a.alg)
+
+
+def ref_closure_block(a: TropMatrix) -> TropMatrix:
+    """The block recursion of closure_block, on per-entry products.
+
+    Same split, same six products in the same order, so the operation
+    counts and the scalar base case that raises ClosureUndefined match
+    the library's exactly.
+    """
+    n = a.rows
+    if n == 1:
+        return TropMatrix(1, 1, (trop_closure_scalar(a.entries[0], a.alg),), a.alg)
+    h = n // 2
+    e, f = _block(a, 0, h, 0, h), _block(a, 0, h, h, n)
+    g, hh = _block(a, h, n, 0, h), _block(a, h, n, h, n)
+    s = ref_closure_block(e)
+    b = ref_mat_mul(g, s)
+    r4 = ref_closure_block(ref_mat_oplus(hh, ref_mat_mul(b, f)))
+    r3 = ref_mat_mul(r4, b)
+    v = ref_mat_mul(s, f)
+    r2 = ref_mat_mul(v, r4)
+    r1 = ref_mat_oplus(s, ref_mat_mul(v, r3))
+    rows = [x + y for x, y in zip(r1.to_lists(), r2.to_lists())]
+    rows += [x + y for x, y in zip(r3.to_lists(), r4.to_lists())]
+    return TropMatrix(n, n, tuple(e for row in rows for e in row), a.alg)
+
+
+def ref_bellman_homogeneous(a: TropMatrix) -> TropMatrix:
+    """Columns of the closure kept one column product at a time."""
+    closed = ref_closure_block(a)
+    kept = [c for c in (closed.col(k) for k in range(a.cols)) if ref_mat_mul(a, c) == c]
+    if not kept:
+        raise NoSolution("no column of the closure solves A x = x")
+    ent = tuple(c.entries[j] for j in range(a.rows) for c in kept)
+    return TropMatrix(a.rows, len(kept), ent, a.alg)
 
 
 # ---- closure oracle ----
@@ -48,9 +126,9 @@ def closure_iterative(a: TropMatrix) -> TropMatrix:
     acc = ident
     power = ident
     for _ in range(1, n):
-        power = mat_mul(power, a)
-        acc = mat_oplus(acc, power)
-    if mat_oplus(ident, mat_mul(a, acc)) != acc:
+        power = ref_mat_mul(power, a)
+        acc = ref_mat_oplus(acc, power)
+    if ref_mat_oplus(ident, ref_mat_mul(a, acc)) != acc:
         raise ClosureUndefined("the closure of the matrix does not exist")
     return acc
 
@@ -69,6 +147,46 @@ def floyd_warshall(weights):
                 if via < d[i][j]:
                     d[i][j] = via
     return d
+
+
+def shortest_path_dfs(g, start: int, goal: int) -> list[int]:
+    """The lexicographically smallest simple shortest path, by backtracking.
+
+    Walks tight edges (w(u, v) + dist(v, goal) = dist(u, goal)) depth
+    first, trying successors in index order. Exponential on zero-weight
+    plateaus, so keep graphs small. Takes in-range vertices with a
+    finite distance between them.
+    """
+    dist = search_least_distances(g)
+    adj = g.adjacency
+    alg = adj.alg
+    n = g.order
+    path = [start]
+    on_path = [False] * n
+    on_path[start] = True
+    pending = [iter(range(n))]
+    while pending:
+        u = path[-1]
+        stepped = False
+        for v in pending[-1]:
+            if on_path[v]:
+                continue
+            w = adj.get(u, v)
+            if w.inf_sign:
+                continue
+            if trop_mul(w, dist.get(v, goal), alg) != dist.get(u, goal):
+                continue
+            path.append(v)
+            if v == goal:
+                return path
+            on_path[v] = True
+            pending.append(iter(range(n)))
+            stepped = True
+            break
+        if not stepped:
+            pending.pop()
+            on_path[path.pop()] = False
+    raise AssertionError("a tight path must exist when the distance is finite")
 
 
 def minplus_matrix_to_grid(m: TropMatrix):

@@ -109,6 +109,40 @@ def test_trace_ops_counts_matrix_work(capsys):
     assert err == "semiring ops: adds=4 muls=4\n"
 
 
+# The --trace-ops counts of each golden script. Counts are behaviour: a
+# faster kernel must do the same semiring work, not less or more.
+GOLDEN_OP_COUNTS = {
+    "01_scalar_add_mul_maxplus": (1, 1),
+    "02_linear_equations_maxplus": (6, 8),
+    "03_linear_inequalities_maxplus": (8, 8),
+    "04_scalar_closure_maxplus": (0, 0),
+    "05_matrix_closure_minplus": (8, 6),
+    "06_matrix_closure_maxplus": (8, 6),
+    "07_shortest_paths_minplus": (62, 49),
+    "08_univariate_inequalities": (0, 0),
+    "09_simplex_max_r64": (0, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "script", sorted(GOLDEN.glob("*.mp")), ids=lambda p: p.stem
+)
+def test_golden_scripts_keep_their_operation_counts(script, capsys):
+    code, _, err = invoke(["run", str(script), "--trace-ops"], capsys)
+    adds, muls = GOLDEN_OP_COUNTS[script.stem]
+    assert code == 0
+    assert err == f"semiring ops: adds={adds} muls={muls}\n"
+
+
+def test_internal_failure_is_one_line_with_its_own_status(capsys):
+    # Float rounding makes the residuation self-check fail here.
+    code, out, err = invoke(
+        ["eval", "SPACE = R64MaxPlus[]; \\solveLAITropic([[3.3]], [0.2]);"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: internal error: AssertionError: residuation produced a non-solution\n"
+
+
 def test_installed_entry_point_runs():
     result = subprocess.run(
         ["mathpar", "eval", "SPACE = ZMaxPlus[]; 2 + 3;"],

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from tropalg import (
     search_least_distances,
 )
 
-from oracles import INF, floyd_warshall, minplus_matrix_to_grid
+from oracles import INF, floyd_warshall, minplus_matrix_to_grid, shortest_path_dfs
 
 
 def s(v):
@@ -198,3 +199,30 @@ def test_zero_weight_cycle_through_the_start_is_avoided():
         ]
     )
     assert find_shortest_path(g, 0, 2) == [0, 1, 2]
+
+
+def test_walk_matches_the_backtracking_search_on_random_graphs():
+    # Weights of 0 or 1 make many ties and zero-weight plateaus, where the
+    # walk must pick the same lexicographically smallest path.
+    rng = random.Random(34)
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        g = graph(rand_graph(rng, n, density=rng.choice([0.3, 0.6]), hi=rng.choice([1, 3])))
+        d = minplus_matrix_to_grid(search_least_distances(g))
+        for start in range(n):
+            for goal in range(n):
+                if start != goal and d[start][goal] != INF:
+                    assert find_shortest_path(g, start, goal) == shortest_path_dfs(g, start, goal)
+
+
+def test_zero_weight_clique_with_one_exit_is_walked_in_polynomial_time():
+    # Backtracking tries every simple path through the clique before the
+    # exit from vertex 1; at k = 12 that took minutes.
+    k = 12
+    rows = [[0 if j < k else None for j in range(k + 1)] for _ in range(k)]
+    rows[1][k] = 1
+    rows.append([None] * k + [0])
+    g = graph(rows)
+    t0 = time.perf_counter()
+    assert find_shortest_path(g, 0, k) == [0, 1, k]
+    assert time.perf_counter() - t0 < 2.0

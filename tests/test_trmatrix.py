@@ -1,17 +1,23 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropalg import (
+    ALGEBRAS_BY_NAME,
     ClosureUndefined,
+    Domain,
     DimensionMismatch,
     ExtScalar,
     NEG_INF,
     POS_INF,
+    SemiringKind,
     TropMatrix,
+    TropalgError,
     Z_MAX_PLUS,
     Z_MIN_PLUS,
+    bellman_homogeneous,
     closure_block,
     count_ops,
     diag,
@@ -23,7 +29,17 @@ from tropalg import (
     zero_matrix,
 )
 
-from oracles import closure_iterative, mirror_matrix, rand_closure_friendly, rand_matrix
+from oracles import (
+    closure_iterative,
+    mirror_matrix,
+    rand_closure_friendly,
+    rand_matrix,
+    ref_bellman_homogeneous,
+    ref_closure_block,
+    ref_mat_mul,
+    ref_mat_oplus,
+    ref_pseudo_inverse,
+)
 
 
 def s(v):
@@ -260,6 +276,73 @@ def test_matrix_product_multiplication_count_is_exact():
     with count_ops() as c:
         mat_mul(a, b)
     assert c.muls == 3 * 4 * 5
+
+
+# ---- the kernel against the per-entry reference ----
+
+# Values that test the kernel's number handling: signed float zeros,
+# floats whose sums overflow either way, integers far beyond float range
+# next to the infinite element, and halves that add up to integers.
+EDGE_VALUES = {
+    Domain.Z: (0, 1, -2, 5, 10**400, -(10**400)),
+    Domain.Q: (0, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), 10**400),
+    Domain.F64: (0.0, -0.0, 0.1, 1.5, -2.0, 1e308, -1e308),
+}
+
+
+def _edge_matrix(rng, alg, rows, cols, closable=False):
+    """A matrix of edge values; closable keeps cycle weights from improving."""
+    pool = EDGE_VALUES[alg.domain]
+    if closable:
+        good = (lambda v: v <= 0) if alg.kind is SemiringKind.MAX_PLUS else (lambda v: v >= 0)
+        pool = [v for v in pool if good(v)]
+    p_inf = 0.25 if alg.is_tropical else 0.0
+    return TropMatrix.from_rows(
+        [[alg.zero() if rng.random() < p_inf else rng.choice(pool) for _ in range(cols)]
+         for _ in range(rows)],
+        alg,
+    )
+
+
+def _outcome(fn, *args):
+    """Shape, entries with their exact types, and operation counts; or the error."""
+    with count_ops() as c:
+        try:
+            m = fn(*args)
+        except TropalgError as e:
+            return type(e).__name__, str(e)
+    entries = tuple((type(e.finite).__name__, repr(e.finite), e.inf_sign) for e in m.entries)
+    return m.rows, m.cols, entries, c.adds, c.muls
+
+
+@pytest.mark.parametrize("alg", list(ALGEBRAS_BY_NAME.values()), ids=lambda a: a.name)
+def test_matrix_operations_match_the_per_entry_reference(alg):
+    rng = random.Random(f"kernel {alg.name}")
+    errors = set()
+    for _ in range(200):
+        n, m, p = (rng.randint(1, 4) for _ in range(3))
+        a = _edge_matrix(rng, alg, n, m)
+        cases = [
+            (mat_mul, ref_mat_mul, a, _edge_matrix(rng, alg, m, p)),
+            (mat_oplus, ref_mat_oplus, a, _edge_matrix(rng, alg, n, m)),
+        ]
+        if alg.is_tropical:
+            k = rng.randint(2, 6)
+            sq = _edge_matrix(rng, alg, k, k, closable=rng.random() < 0.3)
+            cases += [
+                (pseudo_inverse, ref_pseudo_inverse, a),
+                (closure_block, ref_closure_block, sq),
+                (bellman_homogeneous, ref_bellman_homogeneous, sq),
+            ]
+        for fn, ref, *args in cases:
+            got = _outcome(fn, *args)
+            assert got == _outcome(ref, *args), (fn.__name__, args)
+            if len(got) == 2:
+                errors.add(got[0])
+    if alg.domain is Domain.F64:
+        assert "IllegalElement" in errors
+    if alg.is_tropical:
+        assert "ClosureUndefined" in errors
 
 
 # ---- randomized laws ----

@@ -390,15 +390,28 @@ def unparse_expr(node: Expr, parent_prec: int = 0) -> str:
     if isinstance(node, ListLit):
         return "[" + ", ".join(unparse_expr(e) for e in node.items) + "]"
     if isinstance(node, UnaryNeg):
-        return "-" + unparse_expr(node.operand, 3)
+        signs = 0
+        while isinstance(node, UnaryNeg):
+            signs += 1
+            node = node.operand
+        return "-" * signs + unparse_expr(node, 3)
     if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        left = unparse_expr(node.left, prec)
-        # +, - and * all associate to the left here, so a right child at
-        # equal precedence needs parentheses to survive a round trip.
-        right = unparse_expr(node.right, prec + 1)
-        s = f"{left} {node.op} {right}"
-        return f"({s})" if prec < parent_prec else s
+        # Operator chains lean left as deep as they are long, so the left
+        # spine is walked in a loop and the text built from its bottom up.
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append((node, parent_prec))
+            parent_prec = _PREC[node.op]
+            node = node.left
+        s = unparse_expr(node, parent_prec)
+        for op, outer in reversed(spine):
+            prec = _PREC[op.op]
+            # +, - and * all associate to the left here, so a right child at
+            # equal precedence needs parentheses to survive a round trip.
+            s = f"{s} {op.op} {unparse_expr(op.right, prec + 1)}"
+            if prec < outer:
+                s = f"({s})"
+        return s
     if isinstance(node, Call):
         return f"\\{node.command}(" + ", ".join(unparse_expr(a) for a in node.args) + ")"
     if isinstance(node, Ineq):

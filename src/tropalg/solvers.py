@@ -3,10 +3,24 @@
 For A x <= b residuation gives a principal solution: on a finite right
 hand side it is (b- A)- where minus denotes the pseudo-inverse, and in
 general each coordinate takes the tightest cap any row imposes on it.
-Every column below the principal solution in the natural order of the
-semiring is a solution, which makes the solution set of each coordinate a
-half-line. For A x = b the same column is the greatest sub-solution, so
-the system is solvable iff the principal solution satisfies it exactly.
+Each row with a finite a_jk caps x_k at b_j - a_jk; the cap least in the
+natural order wins, the last of equal caps in row order. Rows whose a_jk
+is the zero element never constrain x_k, and a coordinate no row touches
+is pinned at the zero element, the one value that keeps every product
+harmless. On a finite b this agrees with the negated-transpose product
+(b- A)-, but a zero entry of b forces its row's coordinates down to
+zero, which that product formula would silently drop. Every column below
+the principal solution in the natural order of the semiring is a
+solution, which makes the solution set of each coordinate a half-line.
+For A x = b the same column is the greatest sub-solution, so the system
+is solvable iff the principal solution satisfies it exactly.
+
+Residuation runs in trmatrix's raw-row kernel, on integers for tropical
+Q as the products do. Over R64 the difference b_j - a_jk can round so
+that a_jk plus it passes b_j (0.2 - 3.3 + 3.3 > 0.2); such a cap is
+moved one float at a time, down over max-plus and up over min-plus,
+until it no longer does, so the principal solution stays a solution.
+
 The Bellman equation X = A X + B has the least solution A^x B, and the
 columns of A^x generate solutions of the homogeneous system A x = x.
 
@@ -19,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, DimensionMismatch, NoSolution
-from .semiring import ExtScalar, NEG_INF, POS_INF, SemiringKind, semiring_le, trop_mul, trop_neg
-from .trmatrix import TropMatrix, closure_block, mat_le, mat_mul, mat_oplus
+from .semiring import ExtScalar, NEG_INF, POS_INF, SemiringKind
+from .trmatrix import TropMatrix, _residuate, closure_block, mat_le, mat_mul, mat_oplus
 
 __all__ = [
     "IntervalBound",
@@ -55,33 +69,6 @@ def _require_system(a: TropMatrix, b: TropMatrix, what: str):
         )
 
 
-def _principal(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    """Residuation bound for A x <= b, coordinate by coordinate.
-
-    Each row with a finite a_jk caps x_k at b_j (-a_jk); the cap that is
-    least in the natural order wins. Rows whose a_jk is the zero element
-    never constrain x_k, and a coordinate no row touches is pinned at the
-    zero element, the one value that keeps every product harmless. On a
-    finite b this agrees with the negated-transpose product (b- A)-, but
-    a zero entry of b forces its row's coordinates down to zero, which
-    that product formula would silently drop.
-    """
-    alg = a.alg
-    zero = alg.zero()
-    out = []
-    for k in range(a.cols):
-        best = None
-        for j in range(a.rows):
-            ajk = a.get(j, k)
-            if ajk == zero:
-                continue
-            cap = trop_mul(b.get(j, 0), trop_neg(ajk), alg)
-            if best is None or semiring_le(cap, best, alg):
-                best = cap
-        out.append(zero if best is None else best)
-    return TropMatrix.column(out, alg)
-
-
 def solve_lai_tropic(a: TropMatrix, b: TropMatrix):
     """Solve A x <= b; returns (principal solution, per-coordinate intervals).
 
@@ -92,7 +79,7 @@ def solve_lai_tropic(a: TropMatrix, b: TropMatrix):
     O(m n) semiring operations.
     """
     _require_system(a, b, "solve_lai_tropic")
-    x = _principal(a, b)
+    x = _residuate(a, b)
     if not mat_le(mat_mul(a, x), b):
         raise AssertionError("residuation produced a non-solution")
     maxplus = a.alg.kind is SemiringKind.MAX_PLUS
@@ -113,7 +100,7 @@ def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     sub-solution, so the equation is solvable iff it attains b.
     """
     _require_system(a, b, "solve_lae_tropic")
-    x = _principal(a, b)
+    x = _residuate(a, b)
     if mat_mul(a, x) != b:
         raise NoSolution("the system A x = b has no solution")
     return x

@@ -12,15 +12,27 @@ computes by block recursion in exactly n^3 - n multiplications.
 All of them run on raw rows, which never leave this module: lists of
 plain numbers with None for the algebra's infinite element. Each
 operation checks its operands, lowers them to raw rows, runs the kernel
-(_product, _oplus, _closure) and lifts the result back through
-semiring._finite_result. Counts are tallied in bulk: an n x m by m x p
-product is n m p additions and n m p multiplications.
+(_product, _oplus, _closure, _residual) and lifts the result back
+through semiring._finite_result. Counts are tallied in bulk: an n x m
+by m x p product is n m p additions and n m p multiplications.
+
+Tropical Q is computed on integers. For L > 0 the map x -> L x is a
+semiring automorphism of max-plus and of min-plus, so products, closures
+and residuals commute with it: mat_mul, closure_block and the solvers'
+residuation take L, the least common multiple of their operands'
+denominators, lower every finite entry to the exact integer L x, and
+divide by L once per distinct value when lifting. Fraction arithmetic
+never runs between the two. Entrywise sums (mat_oplus, mat_le) and the
+pseudo-inverse stay unscaled: their work is linear in the entries, so
+scaling would only add cost. Classical Q is never scaled, since
+x -> L x does not preserve products, and Z and R64 have L = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
@@ -114,16 +126,34 @@ def _require_tropical(a: TropMatrix, what: str):
         raise AlgebraMismatch(f"{what} is defined over tropical algebras only")
 
 
-def _lower(a: TropMatrix) -> list:
-    """The raw rows of a matrix."""
-    flat = [None if e.inf_sign else e.finite for e in a.entries]
+def _scale(alg: Algebra, *mats: TropMatrix) -> int:
+    """L for the operands of a tropical-Q product, closure or residual; else 1."""
+    if alg.domain is not Domain.Q or not alg.is_tropical:
+        return 1
+    return math.lcm(*{e.finite.denominator for m in mats for e in m.entries if not e.inf_sign})
+
+
+def _lower(a: TropMatrix, scale: int = 1) -> list:
+    """The raw rows of a matrix, each finite entry multiplied by scale."""
+    if scale == 1:
+        flat = [None if e.inf_sign else e.finite for e in a.entries]
+    else:
+        flat = [None if e.inf_sign else e.finite.numerator * (scale // e.finite.denominator)
+                for e in a.entries]
     return [flat[j : j + a.cols] for j in range(0, len(flat), a.cols)]
 
 
-def _lift(rows: list, alg: Algebra) -> TropMatrix:
-    """A matrix from raw rows, normalising each entry as _finite_result does."""
+def _lift(rows: list, alg: Algebra, scale: int = 1) -> TropMatrix:
+    """A matrix from raw rows divided by scale, normalising each entry as
+    _finite_result does; a scaled value is divided once however often it
+    occurs."""
     zero = alg.zero()
-    ent = tuple([zero if x is None else _finite_result(x, alg) for r in rows for x in r])
+    if scale == 1:
+        ent = tuple([zero if x is None else _finite_result(x, alg) for r in rows for x in r])
+    else:
+        lifted = {x: zero if x is None else ExtScalar.of(Fraction(x, scale))
+                  for x in set().union(*rows)}
+        ent = tuple([lifted[x] for r in rows for x in r])
     return TropMatrix(len(rows), len(rows[0]), ent, alg)
 
 
@@ -167,6 +197,46 @@ def _oplus(a: list, b: list, alg: Algebra) -> list:
     return _settle(out, alg)
 
 
+def _residual(a: list, b: list, alg: Algebra) -> list:
+    """Raw column of the principal solution of A x <= b (see solvers).
+
+    Ties keep the last of equal caps, as a fold that replaces its best on
+    a tie does. Each finite a_jk costs one multiplication and, after the
+    first in its column, one addition.
+    """
+    maxplus = alg.kind is SemiringKind.MAX_PLUS
+    pick = min if maxplus else max
+    floats = alg.domain is Domain.F64
+    rhs = [r[0] for r in b]
+    out = []
+    muls = adds = 0
+    for col in zip(*a):
+        rows = [(x, y) for x, y in zip(col, rhs) if x is not None]
+        caps = [None if y is None else y - x for x, y in rows]
+        if floats:
+            caps = _settle([[_float_cap(x, y, c, maxplus) for (x, y), c in zip(rows, caps)]],
+                           alg)[0]
+        out.append([None if None in caps else pick(reversed(caps), default=None)])
+        muls += len(caps)
+        adds += max(len(caps) - 1, 0)
+    _tally(adds, muls)
+    return out
+
+
+def _float_cap(x: float, y: float | None, cap: float | None, maxplus: bool):
+    """The cap y - x, moved one float at a time until x + cap no longer
+    passes y; infinite caps are left to _settle."""
+    if cap is None or not math.isfinite(cap):
+        return cap
+    if maxplus:
+        while x + cap > y:
+            cap = math.nextafter(cap, -math.inf)
+    else:
+        while x + cap < y:
+            cap = math.nextafter(cap, math.inf)
+    return cap
+
+
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """The semiring matrix product."""
     _require_same_algebra(a, b)
@@ -174,7 +244,9 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         raise DimensionMismatch(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    return _lift(_product(_lower(a), _lower(b), a.alg), a.alg)
+    alg = a.alg
+    scale = _scale(alg, a, b)
+    return _lift(_product(_lower(a, scale), _lower(b, scale), alg), alg, scale)
 
 
 def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -199,6 +271,13 @@ def pseudo_inverse(a: TropMatrix) -> TropMatrix:
     return _lift([[None if x is None else -x for x in c] for c in cols], a.alg)
 
 
+def _residuate(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    """The principal solution of A x <= b, for a system the caller has checked."""
+    alg = a.alg
+    scale = _scale(alg, a, b)
+    return _lift(_residual(_lower(a, scale), _lower(b, scale), alg), alg, scale)
+
+
 def diag(values, alg: Algebra) -> TropMatrix:
     """Square matrix with the given diagonal, zero elsewhere."""
     values = [ExtScalar.of(v) for v in values]
@@ -220,17 +299,22 @@ def zero_matrix(rows: int, cols: int, alg: Algebra) -> TropMatrix:
     return TropMatrix(rows, cols, (alg.zero(),) * (rows * cols), alg)
 
 
-def _closure(rows: list, alg: Algebra) -> list:
-    """Raw rows of the closure of square raw rows, by the block recursion."""
+def _closure(rows: list, alg: Algebra, scale: int) -> list:
+    """Raw rows of the closure of square raw rows, by the block recursion;
+    the rows are scaled by scale."""
     n = len(rows)
     if n == 1:
-        return [[trop_closure_scalar(_lift(rows, alg).entries[0], alg).finite]]
+        x = rows[0][0]
+        if x is None or (x <= 0 if alg.kind is SemiringKind.MAX_PLUS else x >= 0):
+            return [[alg.one().finite]]
+        # Divergent: the scalar closure raises, naming the unscaled entry.
+        return [[trop_closure_scalar(_lift(rows, alg, scale).entries[0], alg).finite]]
     h = n // 2
     top, bottom = rows[:h], rows[h:]
-    s = _closure([r[:h] for r in top], alg)
+    s = _closure([r[:h] for r in top], alg, scale)
     f = [r[h:] for r in top]
     b = _product([r[:h] for r in bottom], s, alg)
-    r4 = _closure(_oplus([r[h:] for r in bottom], _product(b, f, alg), alg), alg)
+    r4 = _closure(_oplus([r[h:] for r in bottom], _product(b, f, alg), alg), alg, scale)
     r3 = _product(r4, b, alg)
     v = _product(s, f, alg)
     r2 = _product(v, r4, alg)
@@ -253,4 +337,5 @@ def closure_block(a: TropMatrix) -> TropMatrix:
     _require_tropical(a, "the closure")
     if not a.is_square:
         raise DimensionMismatch("the closure is defined for square matrices only")
-    return _lift(_closure(_lower(a), a.alg), a.alg)
+    scale = _scale(a.alg, a)
+    return _lift(_closure(_lower(a, scale), a.alg, scale), a.alg, scale)

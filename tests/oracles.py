@@ -1,10 +1,10 @@
 """Reference implementations and random-instance generators for the tests.
 
 Everything here recomputes answers by a route different from the library:
-matrix arithmetic folded entry by entry from the scalar trop_add and
-trop_mul, the defining power expansion for the Kleene closure, plain
-triple-loop relaxation for distances, depth-first search with
-backtracking for shortest-path witnesses, Gaussian elimination plus
+matrix arithmetic and residuation folded entry by entry from the scalar
+trop_add and trop_mul, the defining power expansion for the Kleene
+closure, plain triple-loop relaxation for distances, depth-first search
+with backtracking for shortest-path witnesses, Gaussian elimination plus
 brute-force vertex enumeration for linear programs, and direct negation
 for the max-plus/min-plus mirror. Slow and obvious on purpose.
 """
@@ -29,9 +29,11 @@ from tropalg import (
     Z_MIN_PLUS,
     identity,
     search_least_distances,
+    semiring_le,
     trop_add,
     trop_closure_scalar,
     trop_mul,
+    trop_neg,
 )
 
 INF = float("inf")
@@ -108,6 +110,44 @@ def ref_bellman_homogeneous(a: TropMatrix) -> TropMatrix:
         raise NoSolution("no column of the closure solves A x = x")
     ent = tuple(c.entries[j] for j in range(a.rows) for c in kept)
     return TropMatrix(a.rows, len(kept), ent, a.alg)
+
+
+def ref_principal(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    """Residuation bound for A x <= b, one scalar cap at a time.
+
+    Each row with a finite a_jk caps x_k at b_j (-a_jk); a cap at or
+    below the best so far in the natural order replaces it, so the last
+    of equals wins. A coordinate no row caps is the zero element.
+    """
+    alg = a.alg
+    zero = alg.zero()
+    out = []
+    for k in range(a.cols):
+        best = None
+        for j in range(a.rows):
+            ajk = a.get(j, k)
+            if ajk == zero:
+                continue
+            cap = trop_mul(b.get(j, 0), trop_neg(ajk), alg)
+            if best is None or semiring_le(cap, best, alg):
+                best = cap
+        out.append(zero if best is None else best)
+    return TropMatrix.column(out, alg)
+
+
+def ref_solve_lai_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    """The principal solution of A x <= b, checked as solve_lai_tropic checks it."""
+    x = ref_principal(a, b)
+    if ref_mat_oplus(ref_mat_mul(a, x), b) != b:
+        raise AssertionError("residuation produced a non-solution")
+    return x
+
+
+def ref_solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    x = ref_principal(a, b)
+    if ref_mat_mul(a, x) != b:
+        raise NoSolution("the system A x = b has no solution")
+    return x
 
 
 # ---- closure oracle ----

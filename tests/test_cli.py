@@ -8,6 +8,7 @@ import pytest
 
 import tropalg
 from tropalg.mathpar.cli import run_cli
+from tropalg.mathpar.interp import _Evaluator
 from tropalg.mathpar.parser import MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -134,13 +135,33 @@ def test_golden_scripts_keep_their_operation_counts(script, capsys):
     assert err == f"semiring ops: adds={adds} muls={muls}\n"
 
 
-def test_internal_failure_is_one_line_with_its_own_status(capsys):
-    # Float rounding makes the residuation self-check fail here.
-    code, out, err = invoke(
-        ["eval", "SPACE = R64MaxPlus[]; \\solveLAITropic([[3.3]], [0.2]);"], capsys
-    )
+def test_internal_failure_is_one_line_with_its_own_status(capsys, monkeypatch):
+    def broken(self, node):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(_Evaluator, "cmd_closure", broken)
+    code, out, err = invoke(["eval", "SPACE = ZMaxPlus[]; \\closure([[0]]);"], capsys)
     assert (code, out) == (3, "")
-    assert err == "error: internal error: AssertionError: residuation produced a non-solution\n"
+    assert err == "error: internal error: RuntimeError: handler broke\n"
+
+
+@pytest.mark.parametrize(
+    "space, a, b, want",
+    [
+        # 0.2 - 3.3 rounds to -3.0999999999999996, and 3.3 plus that is
+        # above 0.2: a max-plus cap, so it moves down one float.
+        ("R64MaxPlus", "3.3", "0.2", "[[-\\infty, -3.1]]"),
+        ("R64MinPlus", "3.3", "0.2", "[[-3.0999999999999996, \\infty]]"),
+        # 0.1 - 0.7 rounds to -0.6, and 0.7 plus that is below 0.1: a
+        # min-plus cap, so it moves up one float.
+        ("R64MaxPlus", "0.7", "0.1", "[[-\\infty, -0.6]]"),
+        ("R64MinPlus", "0.7", "0.1", "[[-0.5999999999999999, \\infty]]"),
+    ],
+)
+def test_float_residuation_answers_where_rounding_passes_b(space, a, b, want, capsys):
+    script = f"SPACE = {space}[]; \\solveLAITropic([[{a}]], [{b}]);"
+    code, out, err = invoke(["eval", script], capsys)
+    assert (code, out, err) == (0, want + "\n", "")
 
 
 def test_installed_entry_point_runs():

@@ -242,6 +242,17 @@ def test_random_statements_round_trip_through_unparse():
         assert again == stmt, unparse(stmt)
 
 
+@pytest.mark.parametrize(
+    "source",
+    [" + ".join(["1"] * 5000) + ";", " - ".join(["x * 2"] * 2500) + ";", "-" * 5000 + "x;"],
+    ids=["sum", "sum-of-products", "negations"],
+)
+def test_long_chains_unparse_to_their_source(source):
+    # Compared as text: the generated == of the nodes recurses once per operator.
+    (stmt,) = parse(source)
+    assert unparse(stmt) == source
+
+
 # ---- evaluation ----
 
 

@@ -11,7 +11,12 @@ from tropalg import (
     DimensionMismatch,
     ExtScalar,
     NEG_INF,
+    NoSolution,
     POS_INF,
+    Q_MAX_PLUS,
+    Q_MIN_PLUS,
+    R64_MAX_PLUS,
+    R64_MIN_PLUS,
     SemiringKind,
     TropMatrix,
     TropalgError,
@@ -26,6 +31,8 @@ from tropalg import (
     mat_mul,
     mat_oplus,
     pseudo_inverse,
+    solve_lae_tropic,
+    solve_lai_tropic,
     zero_matrix,
 )
 
@@ -38,7 +45,10 @@ from oracles import (
     ref_closure_block,
     ref_mat_mul,
     ref_mat_oplus,
+    ref_principal,
     ref_pseudo_inverse,
+    ref_solve_lae_tropic,
+    ref_solve_lai_tropic,
 )
 
 
@@ -176,6 +186,16 @@ def test_closure_of_a_positive_scalar_matrix_diverges():
         closure_block(mk([[1]]))
 
 
+@pytest.mark.parametrize("alg, entry", [(Q_MAX_PLUS, Fraction(1, 2)), (Q_MIN_PLUS, Fraction(-2, 7))],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_divergent_rational_closure_names_the_entry_as_given(alg, entry):
+    # The other entries make the common denominator a proper multiple of the entry's.
+    a = TropMatrix.from_rows([[alg.one(), alg.zero()], [Fraction(1, 3), entry]], alg)
+    with pytest.raises(ClosureUndefined) as e:
+        closure_block(a)
+    assert str(e.value) == f"closure of {entry} does not exist over {alg.name}"
+
+
 def test_closure_of_the_zero_matrix_is_identity():
     for alg in (Z_MAX_PLUS, Z_MIN_PLUS):
         for n in (1, 2, 3, 5):
@@ -282,10 +302,13 @@ def test_matrix_product_multiplication_count_is_exact():
 
 # Values that test the kernel's number handling: signed float zeros,
 # floats whose sums overflow either way, integers far beyond float range
-# next to the infinite element, and halves that add up to integers.
+# next to the infinite element, halves that add up to integers, and
+# coprime denominators, which the integer scaling of tropical Q must
+# divide out again.
 EDGE_VALUES = {
     Domain.Z: (0, 1, -2, 5, 10**400, -(10**400)),
-    Domain.Q: (0, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), 10**400),
+    Domain.Q: (0, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), 10**400,
+               Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)),
     Domain.F64: (0.0, -0.0, 0.1, 1.5, -2.0, 1e308, -1e308),
 }
 
@@ -315,6 +338,22 @@ def _outcome(fn, *args):
     return m.rows, m.cols, entries, c.adds, c.muls
 
 
+def _lai(a, b):
+    return solve_lai_tropic(a, b)[0]
+
+
+def _rounds_past_b(a, b):
+    """Whether the per-entry principal solution of A x <= b fails it,
+    which float rounding of b - a can cause over R64."""
+    try:
+        ref_solve_lai_tropic(a, b)
+    except AssertionError:
+        return True
+    except TropalgError:
+        pass
+    return False
+
+
 @pytest.mark.parametrize("alg", list(ALGEBRAS_BY_NAME.values()), ids=lambda a: a.name)
 def test_matrix_operations_match_the_per_entry_reference(alg):
     rng = random.Random(f"kernel {alg.name}")
@@ -334,6 +373,13 @@ def test_matrix_operations_match_the_per_entry_reference(alg):
                 (closure_block, ref_closure_block, sq),
                 (bellman_homogeneous, ref_bellman_homogeneous, sq),
             ]
+            rhs = _edge_matrix(rng, alg, n, 1)
+            # The cases where float rounding applies have their own test.
+            if not _rounds_past_b(a, rhs):
+                cases += [
+                    (_lai, ref_solve_lai_tropic, a, rhs),
+                    (solve_lae_tropic, ref_solve_lae_tropic, a, rhs),
+                ]
         for fn, ref, *args in cases:
             got = _outcome(fn, *args)
             assert got == _outcome(ref, *args), (fn.__name__, args)
@@ -343,6 +389,32 @@ def test_matrix_operations_match_the_per_entry_reference(alg):
         assert "IllegalElement" in errors
     if alg.is_tropical:
         assert "ClosureUndefined" in errors
+
+
+@pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
+def test_float_residuation_never_rounds_past_b(alg):
+    rng = random.Random(f"rounding {alg.name}")
+    rounded = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = (
+            TropMatrix.from_rows([[rng.randint(-50, 50) / 10 for _ in range(cols)]
+                                  for _ in range(n)], alg)
+            for cols in (m, 1)
+        )
+        if not _rounds_past_b(a, b):
+            continue
+        rounded += 1
+        x = _lai(a, b)
+        assert mat_le(mat_mul(a, x), b)
+        assert mat_le(x, ref_principal(a, b))
+        try:
+            y = solve_lae_tropic(a, b)
+        except NoSolution:
+            pass
+        else:
+            assert mat_mul(a, y) == b
+    assert rounded > 10
 
 
 # ---- randomized laws ----

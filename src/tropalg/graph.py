@@ -1,19 +1,22 @@
-"""Shortest paths on weighted digraphs via the min-plus closure.
+"""Shortest paths on weighted digraphs.
 
 A graph is an n x n min-plus adjacency matrix whose diagonal is exactly 0
 and whose finite entries are nonnegative edge weights; +infinity marks a
 missing edge. Under those invariants every cycle has nonnegative weight,
 so the closure always exists and equals the matrix of all-pairs least
-distances.
+distances, which search_least_distances returns. A single path needs only
+the goal's column of it: find_shortest_path computes that column by
+Dijkstra's method on the reversed graph, in O(n^2) on raw numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, IndexOutOfRange, InvalidGraph, NoPath
-from .semiring import SemiringKind, trop_mul
-from .trmatrix import TropMatrix, closure_block
+from .semiring import Algebra, SemiringKind, _tally, trop_mul
+from .trmatrix import TropMatrix, _lift, _lower, _scale, closure_block
 
 __all__ = ["WeightedGraph", "search_least_distances", "find_shortest_path"]
 
@@ -51,16 +54,57 @@ def search_least_distances(g: WeightedGraph) -> TropMatrix:
     return closure_block(g.adjacency)
 
 
+def _distances_to(rows: list, goal: int, alg: Algebra) -> list:
+    """Raw least distances from every vertex to goal, None where there is no path.
+
+    Dijkstra's method on the reversed graph, in the dense O(n^2) form: it
+    settles the nearest unsettled vertex, found by a linear scan, and
+    relaxes every finite edge into it. Weights are nonnegative, so a
+    settled distance is final and a relaxation never improves a settled
+    vertex; each distance is therefore the least w(u, v) + d(v) over the
+    edges out of u, summed exactly as the tight test sums it, also over
+    R64, where a sum that overflows is the infinite element. Each
+    relaxation costs one addition and one multiplication, so the count is
+    the number of finite off-diagonal edges into vertices that reach the
+    goal, whatever order they are settled in.
+    """
+    into = list(zip(*rows))
+    dist = [None] * len(rows)
+    dist[goal] = alg.one().finite
+    unsettled = set(range(len(rows))) - {goal}
+    relaxed = 0
+    u = goal
+    while u is not None:
+        du = dist[u]
+        for v, w in enumerate(into[u]):
+            if w is None or v == u:
+                continue
+            relaxed += 1
+            if v in unsettled:
+                d = w + du
+                if d != math.inf and (dist[v] is None or d < dist[v]):
+                    dist[v] = d
+        u = min((v for v in unsettled if dist[v] is not None), key=dist.__getitem__, default=None)
+        unsettled.discard(u)
+    _tally(relaxed, relaxed)
+    return dist
+
+
 def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
     """A minimum-weight vertex sequence from start to goal.
 
-    An edge (u, v) is tight when w(u, v) + dist(v, goal) = dist(u, goal);
-    the simple paths made of tight edges are exactly the simple shortest
-    paths. The walk steps, each time, to the smallest tight successor from
-    which a search over tight edges reaches the goal without touching the
-    path, so the witness is the lexicographically smallest simple shortest
-    path. It never backtracks and makes O(n^3) tight tests at most.
-    Vertices are 0-based.
+    The distances to the goal come from _distances_to, one column of the
+    closure, exact over Z and Q (computed on integers, scaled as the
+    matrix kernel scales). An edge (u, v) is tight when
+    w(u, v) + dist(v, goal) = dist(u, goal); the simple paths made of
+    tight edges are exactly the simple shortest paths, and over R64,
+    where the distances are the float sums the tight test repeats, some
+    edge out of every vertex with a finite distance is tight. The walk
+    steps, each time, to the smallest tight successor from which a search
+    over tight edges reaches the goal without touching the path, so the
+    witness is the lexicographically smallest simple shortest path. It
+    never backtracks and makes O(n^3) tight tests at most, each one
+    multiplication. Vertices are 0-based.
     """
     n = g.order
     for idx in (start, goal):
@@ -68,11 +112,12 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
             raise IndexOutOfRange(f"vertex {idx!r} is outside 0..{n - 1}")
     if start == goal:
         return [start]
-    dist = search_least_distances(g)
-    if dist.get(start, goal).inf_sign:
-        raise NoPath(f"no path from {start} to {goal}")
     adj = g.adjacency
-    to_goal = [dist.get(v, goal) for v in range(n)]
+    scale = _scale(adj.alg, adj)
+    column = _distances_to(_lower(adj, scale), goal, adj.alg)
+    to_goal = _lift([[d] for d in column], adj.alg, scale).entries
+    if to_goal[start].inf_sign:
+        raise NoPath(f"no path from {start} to {goal}")
 
     def tight(u: int, v: int) -> bool:
         w = adj.get(u, v)

@@ -4,10 +4,11 @@ Scripts are plain text: statements end with semicolons, `#` starts a
 comment running to end of line, and backslash words such as \\closure name
 commands. Numbers come in three shapes (integer, a/b rational, decimal)
 and stay unevaluated strings until the interpreter knows the active
-domain. A few input conveniences are normalised here: the words `inf` and
-`∞` and the command `\\infty` all become one INFINITY token, the Unicode
-minus sign U+2212 becomes MINUS, and `≤` / `≥` become the two-character
-relation operators.
+domain. Names and numbers are ASCII: any other letter or digit, such as
+`é` or `٣`, is an unexpected character. A few input conveniences are
+normalised here: the words `inf` and `∞` and the command `\\infty` all
+become one INFINITY token, the Unicode minus sign U+2212 becomes MINUS,
+and `≤` / `≥` become the two-character relation operators.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class Token:
     offset: int
 
 
-_NUMBER = re.compile(r"\d+\.\d+|\d+\s*/\s*\d+|\d+")
+_NUMBER = re.compile(r"\d+\.\d+|\d+\s*/\s*\d+|\d+", re.ASCII)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 _SINGLE = {
@@ -105,7 +106,7 @@ def tokenize(text: str) -> list[Token]:
                 emit(TokenKind.COMMAND, "\\" + word, word, i)
             i = m.end()
             continue
-        if ch.isdigit():
+        if ch.isascii() and ch.isdigit():
             m = _NUMBER.match(text, i)
             lexeme = m.group(0)
             if "." in lexeme:
@@ -120,7 +121,7 @@ def tokenize(text: str) -> list[Token]:
             emit(kind, lexeme, lexeme, i)
             i = m.end()
             continue
-        if ch.isalpha() or ch == "_":
+        if ch.isascii() and ch.isalpha() or ch == "_":
             m = _IDENT.match(text, i)
             word = m.group(0)
             if word == "inf":

@@ -109,10 +109,6 @@ class ExtScalar:
         return self.inf_sign == 0
 
     @property
-    def is_neg_inf(self) -> bool:
-        return self.inf_sign < 0
-
-    @property
     def is_pos_inf(self) -> bool:
         return self.inf_sign > 0
 

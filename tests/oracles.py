@@ -4,9 +4,10 @@ Everything here recomputes answers by a route different from the library:
 matrix arithmetic and residuation folded entry by entry from the scalar
 trop_add and trop_mul, the defining power expansion for the Kleene
 closure, plain triple-loop relaxation for distances, depth-first search
-with backtracking for shortest-path witnesses, Gaussian elimination plus
-brute-force vertex enumeration for linear programs, and direct negation
-for the max-plus/min-plus mirror. Slow and obvious on purpose.
+with backtracking and the tight-edge walk over the full closure for
+shortest-path witnesses, Gaussian elimination plus brute-force vertex
+enumeration for linear programs, and direct negation for the
+max-plus/min-plus mirror. Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from itertools import combinations
 from tropalg import (
     ClosureUndefined,
     ExtScalar,
+    IndexOutOfRange,
     LpProblem,
+    NoPath,
     NoSolution,
     Q_MAX_PLUS,
     Q_MIN_PLUS,
@@ -227,6 +230,53 @@ def shortest_path_dfs(g, start: int, goal: int) -> list[int]:
             pending.pop()
             on_path[path.pop()] = False
     raise AssertionError("a tight path must exist when the distance is finite")
+
+
+def ref_find_shortest_path_closure(g, start: int, goal: int) -> list[int]:
+    """find_shortest_path as it was before the one-column distances: the
+    same tight-edge walk, read off the full closure's goal column."""
+    n = g.order
+    for idx in (start, goal):
+        if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < n:
+            raise IndexOutOfRange(f"vertex {idx!r} is outside 0..{n - 1}")
+    if start == goal:
+        return [start]
+    dist = search_least_distances(g)
+    if dist.get(start, goal).inf_sign:
+        raise NoPath(f"no path from {start} to {goal}")
+    adj = g.adjacency
+    to_goal = [dist.get(v, goal) for v in range(n)]
+
+    def tight(u: int, v: int) -> bool:
+        w = adj.get(u, v)
+        return not w.inf_sign and trop_mul(w, to_goal[v], adj.alg) == to_goal[u]
+
+    barred = {start}
+
+    def leads_to_goal(v: int, level) -> bool:
+        seen, stack = {v}, [v]
+        while stack:
+            x = stack.pop()
+            if x == goal or to_goal[x] != level:
+                return True
+            for y in range(n):
+                if y not in seen and y not in barred and tight(x, y):
+                    seen.add(y)
+                    stack.append(y)
+        barred.update(seen)
+        return False
+
+    path = [start]
+    while path[-1] != goal:
+        u = path[-1]
+        for v in range(n):
+            if v not in barred and tight(u, v) and leads_to_goal(v, to_goal[u]):
+                break
+        else:
+            raise AssertionError("a tight path must exist when the distance is finite")
+        path.append(v)
+        barred.add(v)
+    return path
 
 
 def minplus_matrix_to_grid(m: TropMatrix):

@@ -1,10 +1,13 @@
 import io
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import tropalg
 from tropalg.mathpar.cli import run_cli
@@ -119,7 +122,10 @@ GOLDEN_OP_COUNTS = {
     "04_scalar_closure_maxplus": (0, 0),
     "05_matrix_closure_minplus": (8, 6),
     "06_matrix_closure_maxplus": (8, 6),
-    "07_shortest_paths_minplus": (62, 49),
+    # The closure of \searchLeastDistances costs (31, 24); the path's
+    # one-column distances cost one add and one mul per finite edge into a
+    # vertex that reaches the goal, (4, 4), and its one tight test one mul.
+    "07_shortest_paths_minplus": (35, 29),
     "08_univariate_inequalities": (0, 0),
     "09_simplex_max_r64": (0, 0),
 }
@@ -162,6 +168,22 @@ def test_float_residuation_answers_where_rounding_passes_b(space, a, b, want, ca
     script = f"SPACE = {space}[]; \\solveLAITropic([[{a}]], [{b}]);"
     code, out, err = invoke(["eval", script], capsys)
     assert (code, out, err) == (0, want + "\n", "")
+
+
+def test_float_shortest_path_walks_the_distances_it_was_given(capsys):
+    # Read off the closure, whose float sums round in another order, no
+    # edge out of vertex 0 was tight and the walk failed an internal check.
+    script = (
+        "SPACE = R64MinPlus[]; A = [[0, 0.3, 0.7, \\infty], [0.2, 0, 0.3, \\infty], "
+        "[0.1, \\infty, 0, 0.7], [0.3, \\infty, 0.7, 0]]; \\findTheShortestPath(A, 0, 3);"
+    )
+    code, out, err = invoke(["eval", script], capsys)
+    assert (code, out, err) == (0, "[0, 1, 2, 3]\n", "")
+
+
+def test_non_ascii_letter_is_a_positioned_error(capsys):
+    code, out, err = invoke(["eval", "x = é;"], capsys)
+    assert (code, out, err) == (1, "", "error: 1:5: unexpected character 'é'\n")
 
 
 def test_installed_entry_point_runs():
@@ -244,3 +266,81 @@ def test_nesting_at_the_limit_evaluates(opening, leaf, closing, want, capsys):
     script += opening * MAX_NESTING + leaf + closing * MAX_NESTING + ";"
     code, out, err = invoke(["eval", script], capsys)
     assert (code, out, err) == (0, want + "\n", "")
+
+
+# ---- fuzzing ----
+
+
+def run_quietly(script):
+    """run_cli on a script read from stdin, which no argument parsing sees."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(script)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli([])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_answered_or_positioned(script):
+    code, _, err = run_quietly(script)
+    assert code in (0, 1), (script, err)
+    if code == 0:
+        assert err == ""
+    else:
+        assert re.fullmatch(r"error: \d+:\d+: [^\n]+\n", err), (script, err)
+
+
+FRAGMENTS = [
+    "SPACE = ZMinPlus[]; ", "SPACE = QMinPlus[]; ", "SPACE = R64MinPlus[]; ", "SPACE = Q[x]; ",
+    "x", "A", "=", ";", ",", "(", ")", "[", "]", "[[", "]]", "+", "-", "*", "<=", "≥", "−", "∞",
+    "0", "1", "7", "1/2", "3/0", "0.3", "\\infty", "inf", "\\closure(", "\\solve(",
+    "\\findTheShortestPath(", "\\searchLeastDistances(", "\\SimplexMax(", "\\", "#",
+    "\n", " ", "é", "ß", "Ω", "٣", "²", "۷", "x٣", "_", "$", "\"",
+]
+
+
+@seed(6)
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="0123456789 ;,.=+-*/()[]<>_#\\\nAxé٣²ΩßSPACE∞≤−", max_size=30),
+        st.lists(st.sampled_from(FRAGMENTS), max_size=14).map("".join),
+    )
+)
+def test_any_text_is_answered_or_a_positioned_error(text):
+    assert_answered_or_positioned(text)
+
+
+WEIGHTS = {
+    "ZMinPlus": ["0", "1", "5", "\\infty", "-1", "0.5"],
+    "QMinPlus": ["0", "1/2", "3", "7/3", "\\infty", "-1/2"],
+    "R64MinPlus": ["0.1", "0.2", "0.3", "0.7", "1" + "0" * 308 + ".0", "\\infty", "-0.2"],
+}  # the first four of each are valid off-diagonal entries
+
+
+@st.composite
+def path_scripts(draw):
+    """A small min-plus matrix, each entry a valid graph entry or any weight,
+    and a query between vertices that may lie outside it."""
+    space = draw(st.sampled_from(sorted(WEIGHTS)))
+    weights = WEIGHTS[space]
+    n = draw(st.integers(1, 5))
+
+    def entry(i, j):
+        if draw(st.booleans()):
+            return "0" if i == j else draw(st.sampled_from(weights[:4]))
+        return draw(st.sampled_from(weights))
+
+    rows = ", ".join("[" + ", ".join(entry(i, j) for j in range(n)) + "]" for i in range(n))
+    start, goal = draw(st.integers(-1, n)), draw(st.integers(-1, n))
+    return (f"SPACE = {space}[]; A = [{rows}]; "
+            f"\\findTheShortestPath(A, {start}, {goal}); \\searchLeastDistances(A);")
+
+
+@seed(7)
+@settings(max_examples=400, deadline=None)
+@given(path_scripts())
+def test_path_commands_on_small_matrices_answer_or_report_a_position(script):
+    assert_answered_or_positioned(script)

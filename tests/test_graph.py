@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -10,28 +11,40 @@ from tropalg import (
     InvalidGraph,
     NoPath,
     POS_INF,
+    Q_MIN_PLUS,
+    R64_MIN_PLUS,
     TropMatrix,
     WeightedGraph,
     Z_MAX_PLUS,
     Z_MIN_PLUS,
+    closure_block,
+    count_ops,
     find_shortest_path,
     search_least_distances,
 )
+from tropalg.graph import _distances_to
+from tropalg.trmatrix import _lower, _scale
 
-from oracles import INF, floyd_warshall, minplus_matrix_to_grid, shortest_path_dfs
+from oracles import (
+    INF,
+    floyd_warshall,
+    minplus_matrix_to_grid,
+    ref_find_shortest_path_closure,
+    shortest_path_dfs,
+)
 
 
 def s(v):
     return ExtScalar.of(v)
 
 
-def adj(rows):
+def adj(rows, alg=Z_MIN_PLUS):
     cells = [[POS_INF if v is None else s(v) for v in row] for row in rows]
-    return TropMatrix.from_rows(cells, Z_MIN_PLUS)
+    return TropMatrix.from_rows(cells, alg)
 
 
-def graph(rows):
-    return WeightedGraph(adj(rows))
+def graph(rows, alg=Z_MIN_PLUS):
+    return WeightedGraph(adj(rows, alg))
 
 
 PATH3 = [[0, 1, None], [1, 0, 1], [None, 1, 0]]
@@ -226,3 +239,130 @@ def test_zero_weight_clique_with_one_exit_is_walked_in_polynomial_time():
     t0 = time.perf_counter()
     assert find_shortest_path(g, 0, k) == [0, 1, k]
     assert time.perf_counter() - t0 < 2.0
+
+
+# ---- one column of distances ----
+
+
+def plateau_graph(rng, k):
+    """A zero-weight k-clique whose only exit leaves vertex 0, then a chain."""
+    n = k + rng.randint(2, 4)
+    rows = [[0 if i == j or (i < k and j < k) else None for j in range(n)] for i in range(n)]
+    rows[0][k] = rng.randint(1, 9)
+    for v in range(k, n - 1):
+        rows[v][v + 1] = rng.randint(1, 9)
+        for u in range(v + 2, n):
+            if rng.random() < 0.3:
+                rows[v][u] = rng.randint(0, 9)
+    return rows
+
+
+def exact_graphs(seed, count):
+    """Random ZMinPlus and QMinPlus graphs: sparse and dense ones, plateaus,
+    vertices that cannot reach others, and goals without in-edges."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alg = (Z_MIN_PLUS, Q_MIN_PLUS)[i % 2]
+        if i % 5 == 4:
+            rows = plateau_graph(rng, rng.randint(2, 6))
+        else:
+            n = rng.randint(1, 9)
+            rows = rand_graph(rng, n, density=rng.choice([0.1, 0.3, 0.6]), hi=rng.choice([1, 3, 9]))
+            if i % 7 == 3:
+                for row in rows:
+                    row[n - 1] = None
+                rows[n - 1][n - 1] = 0
+        if alg is Q_MIN_PLUS:
+            rows = [[v if v is None else Fraction(v, rng.choice([1, 2, 3, 7])) for v in row]
+                    for row in rows]
+        yield graph(rows, alg), rows
+
+
+def relaxations(rows, goal):
+    """Finite off-diagonal edges into the vertices that reach the goal."""
+    grid = [[INF if v is None else v for v in row] for row in rows]
+    reach = [d[goal] != INF for d in floyd_warshall(grid)]
+    n = len(rows)
+    return sum(1 for v in range(n) for u in range(n)
+               if v != u and reach[u] and rows[v][u] is not None)
+
+
+def test_goal_column_is_the_closure_column():
+    for g, rows in exact_graphs(40, 200):
+        a = g.adjacency
+        scale = _scale(a.alg, a)
+        closure = _lower(closure_block(a), scale)
+        for goal in range(g.order):
+            with count_ops() as c:
+                column = _distances_to(_lower(a, scale), goal, a.alg)
+            assert column == [r[goal] for r in closure]
+            assert c.adds == c.muls == relaxations(rows, goal)
+
+
+def test_walk_matches_the_closure_walk_on_exact_graphs():
+    def outcome(f, g, start, goal):
+        try:
+            return f(g, start, goal)
+        except NoPath as e:
+            return str(e)
+
+    for g, _ in exact_graphs(41, 200):
+        for start in range(g.order):
+            for goal in range(g.order):
+                want = outcome(ref_find_shortest_path_closure, g, start, goal)
+                assert outcome(find_shortest_path, g, start, goal) == want
+
+
+def test_path_query_costs_one_column_and_its_tight_tests():
+    # Vertex 4 cannot reach the goal 2, so the edge 2 -> 4 is never
+    # relaxed; the edges into 2, 1 and 0 are: 1 -> 2, 0 -> 2, 0 -> 1 and
+    # 3 -> 0, one add and one mul each. The walk 3, 0, 1, 2 then tests
+    # one finite edge at each step, one mul each.
+    g = graph(
+        [
+            [0, 3, 5, None, None],
+            [None, 0, 1, None, None],
+            [None, None, 0, None, 1],
+            [1, None, None, 0, None],
+            [None, None, None, None, 0],
+        ]
+    )
+    with count_ops() as c:
+        assert find_shortest_path(g, 3, 2) == [3, 0, 1, 2]
+    assert (c.adds, c.muls) == (4, 4 + 3)
+
+
+def test_float_paths_fold_to_their_distance():
+    rng = random.Random(42)
+    for _ in range(400):
+        n = rng.randint(3, 9)
+        rows = [[0.0 if i == j else rng.randint(0, 9) / 10 if rng.random() < 0.6 else None
+                 for j in range(n)] for i in range(n)]
+        g = graph(rows, R64_MIN_PLUS)
+        for goal in range(n):
+            column = _distances_to(_lower(g.adjacency), goal, R64_MIN_PLUS)
+            for start in range(n):
+                if column[start] is None:
+                    with pytest.raises(NoPath):
+                        find_shortest_path(g, start, goal)
+                    continue
+                path = find_shortest_path(g, start, goal)
+                assert path[0] == start and path[-1] == goal and len(set(path)) == len(path)
+                total = 0.0
+                for u, v in reversed(list(zip(path, path[1:]))):
+                    total = rows[u][v] + total
+                assert total == column[start]
+
+
+def test_float_sum_that_overflows_is_no_path():
+    big = 1.5e308
+    rows = [[0.0, big, None, 1.0], [None, 0.0, big, None], [None, None, 0.0, None],
+            [None, None, 3.0, 0.0]]
+    g = graph(rows, R64_MIN_PLUS)
+    assert find_shortest_path(g, 0, 2) == [0, 3, 2]
+    assert find_shortest_path(g, 1, 2) == [1, 2]
+    rows[0][3] = None
+    g = graph(rows, R64_MIN_PLUS)
+    with pytest.raises(NoPath):
+        find_shortest_path(g, 0, 2)
+    assert _distances_to(_lower(g.adjacency), 2, R64_MIN_PLUS) == [None, big, 0.0, 3.0]

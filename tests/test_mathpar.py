@@ -94,6 +94,24 @@ def test_illegal_character_reports_its_position():
     assert e.value.line == 1 and e.value.col == 5
 
 
+@pytest.mark.parametrize(
+    "text, col, ch",
+    [
+        ("x = é;", 5, "é"),
+        ("x = ٣;", 5, "٣"),
+        ("x = 1٣;", 6, "٣"),
+        ("x = ²;", 5, "²"),
+        ("x٣ = 1;", 2, "٣"),
+        ("\\clösure(A);", 4, "ö"),
+    ],
+)
+def test_names_and_numbers_are_ascii(text, col, ch):
+    # Unicode letters and digits are not read as names or numbers.
+    with pytest.raises(LexError) as e:
+        tokenize(text)
+    assert (e.value.line, e.value.col, e.value.message) == (1, col, f"unexpected character {ch!r}")
+
+
 def test_comments_vanish():
     toks = tokenize("# heading\n2; # trailing\n")
     assert [t.kind for t in toks] == [

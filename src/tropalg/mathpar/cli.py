@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Three ways to feed it a script: `mathpar run file`, `mathpar eval "code"`,
-or a bare `mathpar` that reads stdin to end of file. Results stream to
-stdout one line per printed statement. Script errors go to stderr with a
-line:column prefix and exit status 1; unreadable files exit 2. Any other
-failure, such as a solver's self-check, is a fault of the program: it is
-reported on one line as an internal error and exits 3.
+or a bare `mathpar` that reads stdin to end of file. The argument after
+`run` or `eval` (or after `run --` / `eval --`) is always the path or the
+code, even when it starts with `-`; flags may come before the mode or
+after the path or code. Results stream to stdout one line per printed
+statement. Script errors go to stderr with a line:column prefix and exit
+status 1; unreadable files exit 2. Any other failure, such as a solver's
+self-check, is a fault of the program: it is reported on one line as an
+internal error and exits 3.
 """
 
 from __future__ import annotations
@@ -20,19 +23,22 @@ from .parser import parse
 
 __all__ = ["run_cli", "main"]
 
+_MODES = ("run", "eval")
+
 
 def build_arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mathpar",
+        usage="mathpar [run PATH | eval CODE] [options]",
         description="Run calculator scripts over tropical and classical algebras.",
     )
     p.add_argument(
         "mode",
         nargs="?",
-        choices=["run", "eval"],
-        help="run a script file or evaluate inline code; omit to read stdin",
+        choices=_MODES,
+        help="`run PATH` runs a script file, `eval CODE` evaluates inline code; "
+        "omit to read stdin",
     )
-    p.add_argument("target", nargs="?", help="script path (run) or code (eval)")
     p.add_argument(
         "--format",
         choices=["plain", "latex"],
@@ -52,27 +58,43 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _take_target(argv):
+    """Split the argument that follows the mode out of argv.
+
+    argparse reads a string starting with `-`, such as the code `-1;`, as
+    an option, so the target never reaches it. Returns the other arguments
+    and the target, None when there is none.
+    """
+    for i, word in enumerate(argv):
+        if word == "--":
+            break
+        if word in _MODES:
+            j = i + 2 if argv[i + 1 : i + 2] == ["--"] else i + 1
+            if j < len(argv):
+                return argv[: i + 1] + argv[j + 1 :], argv[j]
+            break
+    return argv, None
+
+
 def run_cli(argv=None) -> int:
+    argv, target = _take_target(sys.argv[1:] if argv is None else list(argv))
     args = build_arg_parser().parse_args(argv)
     if args.mode == "run":
-        if args.target is None:
+        if target is None:
             print("error: run needs a script path", file=sys.stderr)
             return 2
         try:
-            with open(args.target, encoding="utf-8") as fh:
+            with open(target, encoding="utf-8") as fh:
                 source = fh.read()
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
     elif args.mode == "eval":
-        if args.target is None:
+        if target is None:
             print("error: eval needs code to run", file=sys.stderr)
             return 2
-        source = args.target
+        source = target
     else:
-        if args.target is not None:
-            print("error: unexpected argument without a mode", file=sys.stderr)
-            return 2
         source = sys.stdin.read()
 
     options = RenderOptions(fmt=args.format, show_objective=args.show_objective)

@@ -7,6 +7,13 @@ statements always print. An assignment prints exactly when its right-hand
 side is a command call, so `x = \\SimplexMax(A, b, c);` shows the answer
 while plain data bindings like `A = [[1, 2], [3, 0]];` stay quiet.
 
+Operators use the library's scalar and matrix operations in every space:
+negation is trop_neg, entry by entry for a matrix, and `a - b` is
+a * (-b) tropically; a classical scalar difference is settled like every
+classical sum, so a float overflow is an error there too. Library errors
+become script errors in one place, the single try of _Evaluator.eval,
+positioned at the node being evaluated or at the operator of a chain.
+
 Printed forms: scalars as integers, reduced fractions or trimmed floats;
 the two infinities as -\\infty and \\infty; a one-column matrix as a flat
 list [4, 3]; every other matrix as nested rows [[0, 1], [2, 0]]; solution
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .. import lp as _lp
-from ..errors import ClosureUndefined, NoSolution, TropalgError
+from ..errors import ClosureUndefined, TropalgError
 from ..graph import WeightedGraph, find_shortest_path, search_least_distances
 from ..semiring import (
     ALGEBRAS_BY_NAME,
@@ -32,6 +39,7 @@ from ..semiring import (
     ExtScalar,
     Q_CLASSICAL,
     SemiringKind,
+    _finite_result,
     trop_add,
     trop_closure_scalar,
     trop_mul,
@@ -45,7 +53,7 @@ from ..solvers import (
     solve_lai_tropic,
 )
 from ..trmatrix import TropMatrix, closure_block, mat_mul, mat_oplus
-from .errors import ArityError, EvalError, UnknownCommand, UnknownSpace
+from .errors import ArityError, EvalError, MathparError, UnknownCommand, UnknownSpace
 from .parser import (
     Assign,
     BinOp,
@@ -208,45 +216,45 @@ class _Evaluator:
     # ---- expressions ----
 
     def eval(self, node):
-        if isinstance(node, ScalarLit):
-            return self.scalar_literal(node)
-        if isinstance(node, InfinityLit):
-            return self.infinity_literal(node)
-        if isinstance(node, Var):
-            return self.lookup(node)
-        if isinstance(node, EmptyLit):
-            return EmptyMatrix()
-        if isinstance(node, MatrixLit):
-            rows = [[self.entry(e) for e in row] for row in node.rows]
-            return self.wrap(lambda: TropMatrix.from_rows(rows, self.session.algebra), node)
-        if isinstance(node, ListLit):
-            values = [self.entry(e) for e in node.items]
-            return self.wrap(lambda: TropMatrix.column(values, self.session.algebra), node)
-        if isinstance(node, (UnaryNeg, BinOp)):
-            leaf, ops = _unwind(node)
-            value = self.eval(leaf)
-            for op in ops:
-                if isinstance(op, UnaryNeg):
-                    value = self.negate(value, op)
-                else:
-                    value = self.binop(op, value, self.eval(op.right))
-            return value
-        if isinstance(node, Call):
-            return self.handler(node)(node)
-        if isinstance(node, Ineq):
-            raise EvalError(
-                "inequalities are only meaningful inside \\solve", node.line, node.col
-            )
-        raise TypeError(f"not an expression node: {node!r}")
-
-    def wrap(self, thunk, node):
-        """Turn library errors into positioned script errors."""
+        at = node
         try:
-            return thunk()
-        except EvalError:
+            if isinstance(node, ScalarLit):
+                return self.scalar_literal(node)
+            if isinstance(node, InfinityLit):
+                return self.infinity_literal(node)
+            if isinstance(node, Var):
+                binding = self.binding(node)
+                if binding is None:
+                    raise EvalError(f"undefined variable {node.name!r}", node.line, node.col)
+                return binding.value
+            if isinstance(node, EmptyLit):
+                return EmptyMatrix()
+            if isinstance(node, MatrixLit):
+                rows = [[self.entry(e) for e in row] for row in node.rows]
+                return TropMatrix.from_rows(rows, self.session.algebra)
+            if isinstance(node, ListLit):
+                values = [self.entry(e) for e in node.items]
+                return TropMatrix.column(values, self.session.algebra)
+            if isinstance(node, (UnaryNeg, BinOp)):
+                leaf, ops = _unwind(node)
+                value = self.eval(leaf)
+                for at in ops:
+                    if isinstance(at, UnaryNeg):
+                        value = self.negate(value, at)
+                    else:
+                        value = self.binop(at, value, self.eval(at.right))
+                return value
+            if isinstance(node, Call):
+                return self.handler(node)(node)
+            if isinstance(node, Ineq):
+                raise EvalError(
+                    "inequalities are only meaningful inside \\solve", node.line, node.col
+                )
+        except MathparError:
             raise
         except TropalgError as e:
-            raise EvalError(str(e), node.line, node.col) from e
+            raise EvalError(str(e), at.line, at.col) from e
+        raise TypeError(f"not an expression node: {node!r}")
 
     def entry(self, node) -> ExtScalar:
         value = self.eval(node)
@@ -280,39 +288,27 @@ class _Evaluator:
                 node.line,
                 node.col,
             )
-        value = POS_INF if node.sign > 0 else NEG_INF
-        return self.wrap(lambda: alg.require_legal(value), node)
+        return alg.require_legal(POS_INF if node.sign > 0 else NEG_INF)
 
-    def lookup(self, node: Var):
+    def binding(self, node: Var) -> Binding | None:
+        """The binding of a variable, None when it has none; a binding made
+        under another space is an error."""
         binding = self.session.bindings.get(node.name)
-        if binding is None:
-            raise EvalError(f"undefined variable {node.name!r}", node.line, node.col)
-        if binding.space != self.session.space_name:
+        if binding is not None and binding.space != self.session.space_name:
             raise EvalError(
                 f"variable {node.name!r} belongs to space {binding.space}, "
                 f"the current space is {self.session.space_name}",
                 node.line,
                 node.col,
             )
-        return binding.value
+        return binding
 
     def negate(self, value, node):
-        alg = self.session.algebra
         if isinstance(value, ExtScalar):
-            if alg.is_tropical:
-                return self.wrap(lambda: trop_neg(value), node)
-            return ExtScalar.of(-value.finite)
+            return trop_neg(value)
         if isinstance(value, TropMatrix):
-            if alg.is_tropical:
-                entries = [
-                    [self.wrap(lambda e=e: trop_neg(e), node) for e in row]
-                    for row in value.to_lists()
-                ]
-            else:
-                entries = [
-                    [ExtScalar.of(-e.finite) for e in row] for row in value.to_lists()
-                ]
-            return TropMatrix.from_rows(entries, alg)
+            entries = tuple(trop_neg(e) for e in value.entries)
+            return TropMatrix(value.rows, value.cols, entries, value.alg)
         raise EvalError("cannot negate this value", node.line, node.col)
 
     def binop(self, node: BinOp, left, right):
@@ -323,25 +319,23 @@ class _Evaluator:
         matrix_r = isinstance(right, TropMatrix)
         if node.op == "+":
             if scalar_l and scalar_r:
-                return self.wrap(lambda: trop_add(left, right, alg), node)
+                return trop_add(left, right, alg)
             if matrix_l and matrix_r:
-                return self.wrap(lambda: mat_oplus(left, right), node)
+                return mat_oplus(left, right)
         elif node.op == "*":
             if scalar_l and scalar_r:
-                return self.wrap(lambda: trop_mul(left, right, alg), node)
+                return trop_mul(left, right, alg)
             if matrix_l and matrix_r:
-                return self.wrap(lambda: mat_mul(left, right), node)
+                return mat_mul(left, right)
             if scalar_l and matrix_r:
-                return self.scale(left, right, node)
+                return self.scale(left, right)
             if matrix_l and scalar_r:
-                return self.scale(right, left, node)
+                return self.scale(right, left)
         elif node.op == "-":
             if scalar_l and scalar_r:
                 if alg.is_tropical:
-                    return self.wrap(
-                        lambda: trop_mul(left, trop_neg(right), alg), node
-                    )
-                return ExtScalar.of(left.finite - right.finite)
+                    return trop_mul(left, trop_neg(right), alg)
+                return _finite_result(left.finite - right.finite, alg)
             if matrix_l and matrix_r:
                 if alg.is_tropical:
                     raise EvalError(
@@ -349,22 +343,17 @@ class _Evaluator:
                         node.line,
                         node.col,
                     )
-                return self.wrap(
-                    lambda: mat_oplus(left, self.negate(right, node)), node
-                )
+                return mat_oplus(left, self.negate(right, node))
         raise EvalError(
             f"operator {node.op!r} does not apply to these operands",
             node.line,
             node.col,
         )
 
-    def scale(self, scalar: ExtScalar, matrix: TropMatrix, node) -> TropMatrix:
+    def scale(self, scalar: ExtScalar, matrix: TropMatrix) -> TropMatrix:
         alg = self.session.algebra
-        entries = [
-            [self.wrap(lambda e=e: trop_mul(scalar, e, alg), node) for e in row]
-            for row in matrix.to_lists()
-        ]
-        return TropMatrix.from_rows(entries, alg)
+        entries = tuple(trop_mul(scalar, e, alg) for e in matrix.entries)
+        return TropMatrix(matrix.rows, matrix.cols, entries, alg)
 
     # ---- commands ----
 
@@ -420,7 +409,7 @@ class _Evaluator:
             except ClosureUndefined:
                 return UndefinedClosure(1 if alg.kind is SemiringKind.MAX_PLUS else -1)
         if isinstance(value, TropMatrix):
-            return self.wrap(lambda: closure_block(value), node)
+            return closure_block(value)
         raise EvalError(
             "\\closure needs a scalar or a matrix", node.args[0].line, node.args[0].col
         )
@@ -429,43 +418,40 @@ class _Evaluator:
         self.require_tropical(node, "solveLAETropic")
         a = self.matrix_arg(node.args[0], "the coefficient matrix")
         b = self.matrix_arg(node.args[1], "the right-hand side")
-        return self.wrap(lambda: solve_lae_tropic(a, b), node)
+        return solve_lae_tropic(a, b)
 
     def cmd_solvelaitropic(self, node: Call):
         self.require_tropical(node, "solveLAITropic")
         a = self.matrix_arg(node.args[0], "the coefficient matrix")
         b = self.matrix_arg(node.args[1], "the right-hand side")
-        _, bounds = self.wrap(lambda: solve_lai_tropic(a, b), node)
+        _, bounds = solve_lai_tropic(a, b)
         return IntervalList(tuple((ib.lower, ib.upper) for ib in bounds))
 
     def cmd_bellmanequation(self, node: Call):
         self.require_tropical(node, "BellmanEquation")
         a = self.matrix_arg(node.args[0], "the coefficient matrix")
         if len(node.args) == 1:
-            return self.wrap(lambda: bellman_homogeneous(a), node)
+            return bellman_homogeneous(a)
         b = self.matrix_arg(node.args[1], "the right-hand side")
-        return self.wrap(lambda: bellman_solve(a, b), node)
+        return bellman_solve(a, b)
 
     def cmd_bellmaninequality(self, node: Call):
         self.require_tropical(node, "BellmanInequality")
         a = self.matrix_arg(node.args[0], "the coefficient matrix")
         if len(node.args) == 1:
-            return self.wrap(lambda: bellman_inequality(a), node)
+            return bellman_inequality(a)
         b = self.matrix_arg(node.args[1], "the right-hand side")
-        return self.wrap(lambda: bellman_inequality(a, b), node)
+        return bellman_inequality(a, b)
 
     def cmd_findtheshortestpath(self, node: Call):
         a = self.matrix_arg(node.args[0], "the adjacency matrix")
         start = self.index_arg(node.args[1], "the start vertex")
         goal = self.index_arg(node.args[2], "the end vertex")
-        g = self.wrap(lambda: WeightedGraph(a), node)
-        path = self.wrap(lambda: find_shortest_path(g, start, goal), node)
-        return VertexPath(tuple(path))
+        return VertexPath(tuple(find_shortest_path(WeightedGraph(a), start, goal)))
 
     def cmd_searchleastdistances(self, node: Call):
         a = self.matrix_arg(node.args[0], "the adjacency matrix")
-        g = self.wrap(lambda: WeightedGraph(a), node)
-        return self.wrap(lambda: search_least_distances(g), node)
+        return search_least_distances(WeightedGraph(a))
 
     def index_arg(self, node, what) -> int:
         value = self.eval(node)
@@ -489,7 +475,7 @@ class _Evaluator:
         mats, rhss = args[:k], args[k:]
         c = self.column_arg(node.args[-1], "the objective")
         groups = []
-        for pos, (a, b) in enumerate(zip(mats, rhss)):
+        for a, b in zip(mats, rhss):
             if a is None or b is None:
                 if (a is None) != (b is None):
                     raise EvalError(
@@ -501,29 +487,18 @@ class _Evaluator:
                 groups.append(((), ()))
             else:
                 groups.append((self.rational_rows(a, node), self.rational_column(b, node)))
-        while len(groups) < 3:
-            groups.append(((), ()))
-        if k == 1:
-            a_le, b_le = groups[0]
-            a_eq = b_eq = a_ge = b_ge = ()
-        else:
-            (a_le, b_le), (a_eq, b_eq) = groups[0], groups[1]
-            a_ge, b_ge = groups[2]
-        problem = self.wrap(
-            lambda: _lp.LpProblem(
-                c=self.rational_column(c, node),
-                a_le=a_le,
-                b_le=b_le,
-                a_eq=a_eq,
-                b_eq=b_eq,
-                a_ge=a_ge,
-                b_ge=b_ge,
-                sense=sense,
-            ),
-            node,
+        (a_le, b_le), (a_eq, b_eq), (a_ge, b_ge) = groups + [((), ())] * (3 - k)
+        problem = _lp.LpProblem(
+            c=self.rational_column(c, node),
+            a_le=a_le,
+            b_le=b_le,
+            a_eq=a_eq,
+            b_eq=b_eq,
+            a_ge=a_ge,
+            b_ge=b_ge,
+            sense=sense,
         )
-        outcome = self.wrap(lambda: _lp.simplex_solve(problem), node)
-        return LpResult(outcome, self.session.algebra.domain)
+        return LpResult(_lp.simplex_solve(problem), self.session.algebra.domain)
 
     def group_arg(self, node) -> TropMatrix | None:
         value = self.eval(node)
@@ -613,15 +588,8 @@ class _Evaluator:
             except ValueError as e:
                 raise EvalError(str(e), node.line, node.col) from e
         if isinstance(node, Var):
-            binding = self.session.bindings.get(node.name)
+            binding = self.binding(node)
             if binding is not None:
-                if binding.space != self.session.space_name:
-                    raise EvalError(
-                        f"variable {node.name!r} belongs to space {binding.space}, "
-                        f"the current space is {self.session.space_name}",
-                        node.line,
-                        node.col,
-                    )
                 value = binding.value
                 if isinstance(value, ExtScalar) and value.is_finite:
                     return zero, Fraction(value.finite), None

@@ -2,8 +2,9 @@
 
 Scripts are plain text: statements end with semicolons, `#` starts a
 comment running to end of line, and backslash words such as \\closure name
-commands. Numbers come in three shapes (integer, a/b rational, decimal)
-and stay unevaluated strings until the interpreter knows the active
+commands. Numbers come in three shapes (integer, a/b rational, decimal;
+the slash of a rational may have spaces around it, but no tab or line
+break) and stay unevaluated strings until the interpreter knows the active
 domain. Names and numbers are ASCII: any other letter or digit, such as
 `é` or `٣`, is an unexpected character. A few input conveniences are
 normalised here: the words `inf` and `∞` and the command `\\infty` all
@@ -53,7 +54,7 @@ class Token:
     offset: int
 
 
-_NUMBER = re.compile(r"\d+\.\d+|\d+\s*/\s*\d+|\d+", re.ASCII)
+_NUMBER = re.compile(r"\d+\.\d+|\d+ */ *\d+|\d+", re.ASCII)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 _SINGLE = {

@@ -110,9 +110,6 @@ class TropMatrix:
             for j in range(self.rows)
         ]
 
-    def __matmul__(self, other):
-        return mat_mul(self, other)
-
 
 def _require_same_algebra(a: TropMatrix, b: TropMatrix):
     if a.alg != b.alg:

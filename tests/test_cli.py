@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 import tropalg
 from tropalg.mathpar.cli import run_cli
-from tropalg.mathpar.interp import _Evaluator
+from tropalg.mathpar.interp import _SPACE_ARITIES, _Evaluator
 from tropalg.mathpar.parser import MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,6 +74,25 @@ def test_run_without_a_path_exits_two(capsys):
 def test_eval_without_code_exits_two(capsys):
     code, _, err = invoke(["eval"], capsys)
     assert code == 2 and "code" in err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["eval", "-1;"], ""),
+        (["eval", "--", "-1;"], ""),
+        (["--trace-ops", "eval", "-1;"], "semiring ops: adds=0 muls=0\n"),
+        (["eval", "-1;", "--trace-ops"], "semiring ops: adds=0 muls=0\n"),
+    ],
+)
+def test_eval_takes_code_that_starts_with_a_minus(argv, err, capsys):
+    assert invoke(argv, capsys) == (0, "-1\n", err)
+
+
+def test_eval_of_a_lone_minus_is_a_positioned_error(capsys):
+    code, out, err = invoke(["eval", "-;"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: 1:2: expected an expression, found ';'\n"
 
 
 def test_unknown_mode_is_rejected_by_the_argument_parser(capsys):
@@ -344,3 +364,125 @@ def path_scripts(draw):
 @given(path_scripts())
 def test_path_commands_on_small_matrices_answer_or_report_a_position(script):
     assert_answered_or_positioned(script)
+
+
+SPACE_FORMS = [
+    "ZMaxPlus[]", "ZMinPlus[]", "QMaxPlus[]", "QMinPlus[]", "R64MaxPlus[]", "R64MinPlus[]",
+    "Q[]", "R64[]", "Q[x]",
+]
+NEAR_MAX = "1" + "0" * 308 + ".0"  # 1e308
+MAX_FLOAT = "17976931348623157" + "0" * 292 + ".0"  # the largest float
+SCALARS = ["0", "1", "-2", "3", "1/2", "-7/3", "0.5", "-0.3", NEAR_MAX, "-" + NEAR_MAX,
+           "\\infty", "-\\infty"]
+INEQUALITIES = ["x <= 1", "2*x - 1 > x", "1/2 >= -x", "x * x < 0", "1 <= 2"]
+
+
+# The operands each command expects, argument by argument; the simplex
+# commands take k constraint matrices, k right-hand sides and an objective.
+EXPECTED = {
+    "closure": ["square"],
+    "solveLAETropic": ["matrix", "list"],
+    "solveLAITropic": ["matrix", "list"],
+    "BellmanEquation": ["square", "list"],
+    "BellmanInequality": ["square", "list"],
+    "findTheShortestPath": ["square", "index", "index"],
+    "searchLeastDistances": ["square"],
+    "solve": ["inequalities"],
+}
+
+
+@st.composite
+def command_scripts(draw):
+    """One command, at one of its arities or one past them, in a space of
+    its kind or any space. Each operand has the expected shape or any
+    shape: a scalar, a matrix, a list, (), or a list of inequalities;
+    entries are small or any scalar."""
+    command = draw(st.sampled_from(sorted(_SPACE_ARITIES)))
+    classical = command in ("SimplexMax", "SimplexMin", "solve")
+    kind = [s for s in SPACE_FORMS if ("Plus" not in s) == classical]
+    space = draw(st.sampled_from(kind if draw(st.booleans()) else SPACE_FORMS))
+    arities = _SPACE_ARITIES[command]
+    k = draw(st.sampled_from(arities)) if draw(st.integers(0, 9)) else max(arities) + 1
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    small = ["0", "1", "-2", "3"]
+    if "MaxPlus" in space:
+        small.append("-\\infty")
+    elif "MinPlus" in space:
+        small.append("\\infty")
+
+    def scalar():
+        return draw(st.sampled_from(small if draw(st.booleans()) else SCALARS))
+
+    def matrix(rows, cols, diagonal=None):
+        return "[" + ", ".join(
+            "[" + ", ".join(
+                diagonal if i == j and diagonal else scalar() for j in range(cols)
+            ) + "]"
+            for i in range(rows)
+        ) + "]"
+
+    def column(length):
+        return "[" + ", ".join(scalar() for _ in range(length)) + "]"
+
+    def operand(shape):
+        if shape == "any":
+            shape = draw(st.sampled_from(["scalar", "matrix", "list", "empty", "inequalities"]))
+        if shape == "scalar":
+            return scalar()
+        if shape == "index":
+            return str(draw(st.integers(-1, n)))
+        if shape == "matrix":
+            return matrix(n, m)
+        if shape == "square":
+            return matrix(n, n, draw(st.sampled_from(["0", None])))
+        if shape in ("list", "objective"):
+            return column(m if shape == "objective" else n)
+        if shape == "empty":
+            return "()"
+        items = draw(st.lists(st.sampled_from(INEQUALITIES), min_size=1, max_size=3))
+        return "[" + ", ".join(items) + "]"
+
+    if command in ("SimplexMax", "SimplexMin"):
+        g = (k - 1) // 2
+        expected = ["matrix"] * g + ["list"] * g + ["objective"] * (k - 2 * g)
+    else:
+        expected = EXPECTED[command] + ["any"] * k
+    args = ", ".join(operand(expected[i] if draw(st.booleans()) else "any") for i in range(k))
+    return f"SPACE = {space}; \\{command}({args});"
+
+
+@seed(8)
+@settings(max_examples=600, deadline=None)
+@given(command_scripts())
+def test_every_command_answers_or_reports_a_position(script):
+    assert_answered_or_positioned(script)
+
+
+def without_positions(result):
+    code, out, err = result
+    return code, out, re.sub(r"^error: \d+:\d+: ", "error: ", err)
+
+
+@pytest.mark.parametrize("space", SPACE_FORMS)
+def test_subtraction_is_the_operator_on_the_negated_operand(space):
+    # a - b is a * (-b) tropically and a + (-b) classically, overflow and
+    # illegal infinities included.
+    op = "*" if "Plus" in space else "+"
+    operands = ["0", "3", "-2", "1/2", "-7/3", "0.1", "2.5", NEAR_MAX, "-" + NEAR_MAX,
+                MAX_FLOAT, "-" + MAX_FLOAT, "\\infty", "-\\infty"]
+    for a, b in itertools.product(operands, repeat=2):
+        # Bound to names, so that no minus folds into a literal.
+        prefix = f"SPACE = {space}; p = {a}; q = {b}; "
+        difference = run_quietly(prefix + "p - q;")
+        expected = run_quietly(prefix + f"p {op} (-q);")
+        assert without_positions(difference) == without_positions(expected), (a, b)
+
+
+@pytest.mark.parametrize(
+    "statement, col", [("a - (-a);", 3), ("a + a;", 3), ("[[a]] - [[-a]];", 7)]
+)
+def test_classical_float_overflow_is_an_error_at_the_operator(statement, col, capsys):
+    prefix = f"SPACE = R64[]; a = {NEAR_MAX};\n"
+    code, out, err = invoke(["eval", prefix + statement], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: 2:{col}: float overflow produced an illegal infinity\n"

@@ -88,6 +88,22 @@ def test_zero_denominator_is_a_lex_error():
         tokenize("1/0")
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("SPACE = Q[]; x = 1\n/2;\nx; y = é;", 2, 1),
+        ("SPACE = Q[]; x = 1\t/ 2;", 1, 20),
+    ],
+)
+def test_rational_literals_stay_on_one_line(text, line, col):
+    # Spaces may surround the slash; a tab or line break ends the number
+    # before it, and a lone slash is no token.
+    assert tokenize("x = 1 /  2;")[2].lexeme == "1 /  2"
+    with pytest.raises(LexError) as e:
+        tokenize(text)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, "unexpected character '/'")
+
+
 def test_illegal_character_reports_its_position():
     with pytest.raises(LexError) as e:
         tokenize("2 + $")

@@ -96,7 +96,7 @@ def test_column_constructor():
 def test_product_takes_row_maxima_of_sums():
     a = mk([[1, 2], [3, 0]])
     x = TropMatrix.column([s(4), s(3)], Z_MAX_PLUS)
-    assert grid(a @ x) == [[5], [7]]
+    assert grid(mat_mul(a, x)) == [[5], [7]]
 
 
 def test_identity_is_neutral_for_the_product():

@@ -9,7 +9,8 @@ The often-quoted 5/6 n^3 figure would need a five-product assembly,
 which returns wrong closures on easy instances; the sixth product is
 what correctness costs, and it pushes the ratio count/n^3 to 1.
 
-Usage: python3 scripts/closure_opcount.py [--sizes 8,16,32,64] [--seed 7]
+Usage, from the root of a checkout:
+    PYTHONPATH=src python3 scripts/closure_opcount.py [--sizes 8,16,32,64] [--seed 7]
 """
 
 import argparse

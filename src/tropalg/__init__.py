@@ -7,132 +7,21 @@ rational linear programming, and a small script interpreter that ties
 them to a command-line calculator.
 """
 
-from .errors import (
-    AlgebraMismatch,
-    ClosureUndefined,
-    DimensionMismatch,
-    IllegalElement,
-    IndexOutOfRange,
-    InvalidGraph,
-    NoInverse,
-    NoPath,
-    NoSolution,
-    TropalgError,
-)
-from .graph import WeightedGraph, find_shortest_path, search_least_distances
-from .lp import (
-    Infeasible,
-    Interval,
-    LpProblem,
-    Optimal,
-    SimplexStats,
-    Unbounded,
-    simplex_solve,
-    solve_univariate_linear,
-)
-from .semiring import (
-    ALGEBRAS_BY_NAME,
-    NEG_INF,
-    POS_INF,
-    Algebra,
-    Domain,
-    ExtScalar,
-    OpCounts,
-    Q_CLASSICAL,
-    Q_MAX_PLUS,
-    Q_MIN_PLUS,
-    R64_CLASSICAL,
-    R64_MAX_PLUS,
-    R64_MIN_PLUS,
-    SemiringKind,
-    Z_MAX_PLUS,
-    Z_MIN_PLUS,
-    count_ops,
-    semiring_le,
-    trop_add,
-    trop_closure_scalar,
-    trop_mul,
-    trop_neg,
-)
-from .solvers import (
-    IntervalBound,
-    bellman_homogeneous,
-    bellman_inequality,
-    bellman_solve,
-    solve_lae_tropic,
-    solve_lai_tropic,
-)
-from .trmatrix import (
-    TropMatrix,
-    closure_block,
-    diag,
-    identity,
-    mat_le,
-    mat_mul,
-    mat_oplus,
-    pseudo_inverse,
-    zero_matrix,
-)
+from . import errors, graph, lp, semiring, solvers, trmatrix
+from .errors import *
+from .graph import *
+from .lp import *
+from .semiring import *
+from .solvers import *
+from .trmatrix import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TropalgError",
-    "IllegalElement",
-    "AlgebraMismatch",
-    "NoInverse",
-    "ClosureUndefined",
-    "DimensionMismatch",
-    "NoSolution",
-    "InvalidGraph",
-    "NoPath",
-    "IndexOutOfRange",
-    "SemiringKind",
-    "Domain",
-    "ExtScalar",
-    "NEG_INF",
-    "POS_INF",
-    "Algebra",
-    "ALGEBRAS_BY_NAME",
-    "Z_MAX_PLUS",
-    "Z_MIN_PLUS",
-    "Q_MAX_PLUS",
-    "Q_MIN_PLUS",
-    "R64_MAX_PLUS",
-    "R64_MIN_PLUS",
-    "Q_CLASSICAL",
-    "R64_CLASSICAL",
-    "OpCounts",
-    "count_ops",
-    "trop_add",
-    "trop_mul",
-    "trop_neg",
-    "trop_closure_scalar",
-    "semiring_le",
-    "TropMatrix",
-    "mat_mul",
-    "mat_oplus",
-    "mat_le",
-    "pseudo_inverse",
-    "diag",
-    "identity",
-    "zero_matrix",
-    "closure_block",
-    "IntervalBound",
-    "solve_lae_tropic",
-    "solve_lai_tropic",
-    "bellman_solve",
-    "bellman_homogeneous",
-    "bellman_inequality",
-    "WeightedGraph",
-    "search_least_distances",
-    "find_shortest_path",
-    "LpProblem",
-    "Optimal",
-    "Infeasible",
-    "Unbounded",
-    "SimplexStats",
-    "simplex_solve",
-    "solve_univariate_linear",
-    "Interval",
+    *errors.__all__,
+    *semiring.__all__,
+    *trmatrix.__all__,
+    *solvers.__all__,
+    *graph.__all__,
+    *lp.__all__,
 ]

@@ -1,5 +1,18 @@
 """Exception types shared by every module of the library."""
 
+__all__ = [
+    "TropalgError",
+    "IllegalElement",
+    "AlgebraMismatch",
+    "NoInverse",
+    "ClosureUndefined",
+    "DimensionMismatch",
+    "NoSolution",
+    "InvalidGraph",
+    "NoPath",
+    "IndexOutOfRange",
+]
+
 
 class TropalgError(Exception):
     """Base class for all library errors."""

@@ -84,7 +84,7 @@ def run_cli(argv=None) -> int:
             print("error: run needs a script path", file=sys.stderr)
             return 2
         try:
-            with open(target, encoding="utf-8") as fh:
+            with open(target, encoding="utf-8", errors="surrogateescape") as fh:
                 source = fh.read()
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)

@@ -15,8 +15,8 @@ and `≤` / `≥` become the two-character relation operators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -44,8 +44,7 @@ class TokenKind(Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     value: object

@@ -6,6 +6,8 @@ rational in Q and an error in Z. Unary minus applied directly to a number
 or infinity literal folds into the literal, which keeps `-3` a single
 node everywhere. Source positions ride along on every node for error
 messages but never take part in equality, so ASTs compare structurally.
+Every node class derives from `Node`, whose `__eq__` is the only one; it
+walks both trees with an explicit stack, so trees of any depth compare.
 Chains of `+`, `-` and `*` and runs of prefix minus signs are folded in
 loops, so only parentheses and brackets cost stack depth, and those may
 nest at most MAX_NESTING deep.
@@ -13,13 +15,13 @@ nest at most MAX_NESTING deep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import ParseError
 from .lexer import Token, TokenKind, tokenize
 
 __all__ = [
+    "Node",
     "SpaceDecl",
     "Assign",
     "ExprStmt",
@@ -46,83 +48,81 @@ __all__ = [
 MAX_NESTING = 200
 
 
-def _pos():
-    return field(default=0, compare=False)
+class Node:
+    """Base of every AST node.
+
+    A subclass lists its fields in `__slots__`, and the constructor takes
+    them positionally in that order; the source position is keyword-only.
+    """
+
+    __slots__ = ("line", "col")
+
+    def __init__(self, *fields, line=0, col=0):
+        for name, value in zip(self.__slots__, fields):
+            setattr(self, name, value)
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other):
+        """Same node types and field values all the way down, positions aside."""
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, Node):
+                stack.extend((getattr(a, f), getattr(b, f)) for f in a.__slots__)
+            elif isinstance(a, tuple):
+                if len(a) != len(b):
+                    return False
+                stack.extend(zip(a, b))
+            elif a != b:
+                return False
+        return True
+
+    def __repr__(self):
+        fields = ", ".join(repr(getattr(self, f)) for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class ScalarLit:
-    value: str
-    kind: str  # "int" | "rat" | "dec"
-    line: int = _pos()
-    col: int = _pos()
+class ScalarLit(Node):
+    __slots__ = ("value", "kind")  # kind: "int" | "rat" | "dec"
 
 
-@dataclass(frozen=True)
-class InfinityLit:
-    sign: int
-    line: int = _pos()
-    col: int = _pos()
+class InfinityLit(Node):
+    __slots__ = ("sign",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    line: int = _pos()
-    col: int = _pos()
+class Var(Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class EmptyLit:
-    line: int = _pos()
-    col: int = _pos()
+class EmptyLit(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MatrixLit:
-    rows: tuple
-    line: int = _pos()
-    col: int = _pos()
+class MatrixLit(Node):
+    __slots__ = ("rows",)
 
 
-@dataclass(frozen=True)
-class ListLit:
-    items: tuple
-    line: int = _pos()
-    col: int = _pos()
+class ListLit(Node):
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+" | "-" | "*"
-    left: "Expr"
-    right: "Expr"
-    line: int = _pos()
-    col: int = _pos()
+class BinOp(Node):
+    __slots__ = ("op", "left", "right")  # op: "+" | "-" | "*"
 
 
-@dataclass(frozen=True)
-class UnaryNeg:
-    operand: "Expr"
-    line: int = _pos()
-    col: int = _pos()
+class UnaryNeg(Node):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Call:
-    command: str
-    args: tuple
-    line: int = _pos()
-    col: int = _pos()
+class Call(Node):
+    __slots__ = ("command", "args")
 
 
-@dataclass(frozen=True)
-class Ineq:
-    left: "Expr"
-    op: str  # "<" | "<=" | ">" | ">="
-    right: "Expr"
-    line: int = _pos()
-    col: int = _pos()
+class Ineq(Node):
+    __slots__ = ("left", "op", "right")  # op: "<" | "<=" | ">" | ">="
 
 
 Expr = Union[
@@ -130,27 +130,16 @@ Expr = Union[
 ]
 
 
-@dataclass(frozen=True)
-class SpaceDecl:
-    name: str
-    vars: tuple
-    line: int = _pos()
-    col: int = _pos()
+class SpaceDecl(Node):
+    __slots__ = ("name", "vars")
 
 
-@dataclass(frozen=True)
-class Assign:
-    name: str
-    expr: Expr
-    line: int = _pos()
-    col: int = _pos()
+class Assign(Node):
+    __slots__ = ("name", "expr")
 
 
-@dataclass(frozen=True)
-class ExprStmt:
-    expr: Expr
-    line: int = _pos()
-    col: int = _pos()
+class ExprStmt(Node):
+    __slots__ = ("expr",)
 
 
 Stmt = Union[SpaceDecl, Assign, ExprStmt]

@@ -108,10 +108,6 @@ class ExtScalar:
     def is_finite(self) -> bool:
         return self.inf_sign == 0
 
-    @property
-    def is_pos_inf(self) -> bool:
-        return self.inf_sign > 0
-
     def __lt__(self, other):
         if not isinstance(other, ExtScalar):
             return NotImplemented

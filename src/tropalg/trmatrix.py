@@ -99,11 +99,6 @@ class TropMatrix:
     def get(self, j: int, k: int) -> ExtScalar:
         return self.entries[j * self.cols + k]
 
-    def col(self, k: int) -> "TropMatrix":
-        """The k-th column as an n x 1 matrix."""
-        ent = tuple(self.entries[j * self.cols + k] for j in range(self.rows))
-        return TropMatrix(self.rows, 1, ent, self.alg)
-
     def to_lists(self) -> list[list[ExtScalar]]:
         return [
             list(self.entries[j * self.cols : (j + 1) * self.cols])

@@ -108,7 +108,8 @@ def ref_closure_block(a: TropMatrix) -> TropMatrix:
 def ref_bellman_homogeneous(a: TropMatrix) -> TropMatrix:
     """Columns of the closure kept one column product at a time."""
     closed = ref_closure_block(a)
-    kept = [c for c in (closed.col(k) for k in range(a.cols)) if ref_mat_mul(a, c) == c]
+    columns = (TropMatrix.column(closed.entries[k :: a.cols], a.alg) for k in range(a.cols))
+    kept = [c for c in columns if ref_mat_mul(a, c) == c]
     if not kept:
         raise NoSolution("no column of the closure solves A x = x")
     ent = tuple(c.entries[j] for j in range(a.rows) for c in kept)
@@ -281,7 +282,7 @@ def ref_find_shortest_path_closure(g, start: int, goal: int) -> list[int]:
 
 def minplus_matrix_to_grid(m: TropMatrix):
     return [
-        [INF if e.is_pos_inf else e.finite for e in row] for row in m.to_lists()
+        [INF if e.inf_sign > 0 else e.finite for e in row] for row in m.to_lists()
     ]
 
 

@@ -66,6 +66,13 @@ def test_missing_file_exits_two(capsys):
     assert err.startswith("error:")
 
 
+def test_file_that_is_not_utf8_is_a_positioned_error(tmp_path, capsys):
+    script = tmp_path / "latin1.mp"
+    script.write_bytes(b"x = 1;\xff")
+    code, out, err = invoke(["run", str(script)], capsys)
+    assert (code, out, err) == (1, "", "error: 1:7: unexpected character '\\udcff'\n")
+
+
 def test_run_without_a_path_exits_two(capsys):
     code, _, err = invoke(["run"], capsys)
     assert code == 2 and "script path" in err
@@ -226,6 +233,23 @@ def test_module_entry_point_runs():
         timeout=60,
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "3\n", "")
+
+
+def test_closure_opcount_script_runs_as_its_usage_line_says():
+    root = Path(__file__).resolve().parents[1]
+    script = "scripts/closure_opcount.py"
+    assert f"PYTHONPATH=src python3 {script}" in (root / script).read_text()
+    result = subprocess.run(
+        [sys.executable, script, "--sizes", "8,9"],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src"),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()[2:]]
+    assert [(n, muls) for n, muls, *_ in rows] == [("8", "504"), ("9", "720")]
 
 
 # ---- deep and long expressions ----

@@ -282,9 +282,25 @@ def test_random_statements_round_trip_through_unparse():
     ids=["sum", "sum-of-products", "negations"],
 )
 def test_long_chains_unparse_to_their_source(source):
-    # Compared as text: the generated == of the nodes recurses once per operator.
     (stmt,) = parse(source)
     assert unparse(stmt) == source
+    assert parse(unparse(stmt)) == [stmt]
+
+
+def test_equality_ignores_positions_and_compares_every_field():
+    one = ScalarLit("1", "int")
+    assert BinOp("+", one, Var("x"), line=1, col=3) == BinOp("+", one, Var("x"), line=7, col=9)
+    assert parse("x = 1;") == parse("\n\n   x   =\n1 ;")
+    assert Var("x") != ScalarLit("x", "int")
+    assert Var("x") != Var("y")
+    assert BinOp("+", one, one) != BinOp("*", one, one)
+    assert ScalarLit("1", "int") != ScalarLit("1", "dec")
+    assert Call("closure", (one,)) != Call("closure", (one, one))
+    assert MatrixLit(((one,),)) != MatrixLit(((one, one),))
+    assert ListLit(()) != ListLit((one,))
+    deep = " + ".join(["1"] * 4999)
+    assert parse(deep + " + 1;") != parse(deep + " + 2;")
+    assert parse("1 + " + deep + ";") != parse("2 + " + deep + ";")
 
 
 # ---- evaluation ----

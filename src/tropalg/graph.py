@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, IndexOutOfRange, InvalidGraph, NoPath
-from .semiring import Algebra, SemiringKind, _tally, trop_mul
+from .semiring import Algebra, SemiringKind, _number_text, _tally, trop_mul
 from .trmatrix import TropMatrix, _lift, _lower, _scale, closure_block
 
 __all__ = ["WeightedGraph", "search_least_distances", "find_shortest_path"]
@@ -109,7 +109,8 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
     n = g.order
     for idx in (start, goal):
         if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < n:
-            raise IndexOutOfRange(f"vertex {idx!r} is outside 0..{n - 1}")
+            shown = _number_text(idx) if isinstance(idx, int) else repr(idx)
+            raise IndexOutOfRange(f"vertex {shown} is outside 0..{n - 1}")
     if start == goal:
         return [start]
     adj = g.adjacency

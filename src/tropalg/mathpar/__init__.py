@@ -11,7 +11,7 @@ from .errors import (
 )
 from .interp import RenderOptions, Session, evaluate, render
 from .lexer import Token, TokenKind, tokenize
-from .parser import parse, unparse, unparse_expr
+from .parser import parse
 
 __all__ = [
     "MathparError",
@@ -25,8 +25,6 @@ __all__ = [
     "TokenKind",
     "tokenize",
     "parse",
-    "unparse",
-    "unparse_expr",
     "Session",
     "RenderOptions",
     "evaluate",

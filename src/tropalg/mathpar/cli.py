@@ -4,11 +4,12 @@ Three ways to feed it a script: `mathpar run file`, `mathpar eval "code"`,
 or a bare `mathpar` that reads stdin to end of file. The argument after
 `run` or `eval` (or after `run --` / `eval --`) is always the path or the
 code, even when it starts with `-`; flags may come before the mode or
-after the path or code. Results stream to stdout one line per printed
-statement. Script errors go to stderr with a line:column prefix and exit
-status 1; unreadable files exit 2. Any other failure, such as a solver's
-self-check, is a fault of the program: it is reported on one line as an
-internal error and exits 3.
+after the path or code. A file and stdin are both read as UTF-8 whatever
+the locale, each byte that is not UTF-8 kept as a lone surrogate. Results
+stream to stdout one line per printed statement. Script errors go to
+stderr with a line:column prefix and exit status 1; unreadable files exit
+2. Any other failure, such as a solver's self-check, is a fault of the
+program: it is reported on one line as an internal error and exits 3.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def run_cli(argv=None) -> int:
             return 2
         source = target
     else:
-        source = sys.stdin.read()
+        source = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
 
     options = RenderOptions(fmt=args.format, show_objective=args.show_objective)
     session = Session()

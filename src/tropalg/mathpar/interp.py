@@ -14,12 +14,19 @@ classical sum, so a float overflow is an error there too. Library errors
 become script errors in one place, the single try of _Evaluator.eval,
 positioned at the node being evaluated or at the operator of a chain.
 
-Printed forms: scalars as integers, reduced fractions or trimmed floats;
-the two infinities as -\\infty and \\infty; a one-column matrix as a flat
-list [4, 3]; every other matrix as nested rows [[0, 1], [2, 0]]; solution
-intervals with ( ) for open and [ ] for closed ends and \\emptyset when
-empty. The latex format differs only for matrices, which become pmatrix
-blocks.
+Commands answer with library values: a shortest path is the vertex list,
+\\solveLAITropic's answer its tuple of bounds, and a simplex optimum the
+library's Optimal, its point converted to a column and its objective to a
+scalar of the space at the command, so over R64 a value that overflows a
+float is an error there, as in every R64 operator.
+
+Printed forms: scalars as integers, reduced fractions or trimmed floats,
+of any length; the two infinities as -\\infty and \\infty; a one-column
+matrix, a simplex optimum included, as a flat list [4, 3]; every other
+matrix, and the bounds as [lower, upper] rows, as nested rows
+[[0, 1], [2, 0]]; solution intervals with ( ) for open and [ ] for closed
+ends and \\emptyset when empty. The latex format differs only for
+matrices, which become pmatrix blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .. import lp as _lp
-from ..errors import ClosureUndefined, TropalgError
+from ..errors import ClosureUndefined, IllegalElement, TropalgError
 from ..graph import WeightedGraph, find_shortest_path, search_least_distances
 from ..semiring import (
     ALGEBRAS_BY_NAME,
@@ -40,6 +47,7 @@ from ..semiring import (
     Q_CLASSICAL,
     SemiringKind,
     _finite_result,
+    _number_text,
     trop_add,
     trop_closure_scalar,
     trop_mul,
@@ -59,7 +67,6 @@ from .parser import (
     BinOp,
     Call,
     EmptyLit,
-    ExprStmt,
     Ineq,
     InfinityLit,
     ListLit,
@@ -76,9 +83,6 @@ __all__ = [
     "Binding",
     "UndefinedClosure",
     "EmptyMatrix",
-    "VertexPath",
-    "IntervalList",
-    "LpResult",
     "evaluate",
     "render",
 ]
@@ -94,24 +98,6 @@ class UndefinedClosure:
 @dataclass(frozen=True)
 class EmptyMatrix:
     """The empty literal () or [], used for absent constraint groups."""
-
-
-@dataclass(frozen=True)
-class VertexPath:
-    vertices: tuple
-
-
-@dataclass(frozen=True)
-class IntervalList:
-    """Per-coordinate solution bounds; one (lower, upper) row per unknown."""
-
-    rows: tuple
-
-
-@dataclass(frozen=True)
-class LpResult:
-    outcome: object
-    domain: Domain
 
 
 @dataclass(frozen=True)
@@ -151,29 +137,15 @@ def evaluate(stmts, session: Session, options: RenderOptions | None = None, emit
         if isinstance(stmt, SpaceDecl):
             ev.set_space(stmt)
             continue
+        value = ev.eval(stmt.expr)
         if isinstance(stmt, Assign):
-            value = ev.eval(stmt.expr)
             session.bindings[stmt.name] = Binding(value, session.space_name)
-            if isinstance(stmt.expr, Call):
-                out(render(value, options))
-                _maybe_objective(value, options, out)
-            continue
-        if isinstance(stmt, ExprStmt):
-            value = ev.eval(stmt.expr)
-            out(render(value, options))
-            _maybe_objective(value, options, out)
-            continue
-        raise TypeError(f"not a statement node: {stmt!r}")
+            if not isinstance(stmt.expr, Call):
+                continue
+        out(render(value, options))
+        if options.show_objective and isinstance(value, _lp.Optimal):
+            out("objective: " + _render_scalar(value.objective))
     return lines
-
-
-def _maybe_objective(value, options, out):
-    if (
-        options.show_objective
-        and isinstance(value, LpResult)
-        and isinstance(value.outcome, _lp.Optimal)
-    ):
-        out("objective: " + _render_rational(value.outcome.objective, value.domain))
 
 
 _SPACE_ARITIES = {
@@ -375,19 +347,11 @@ class _Evaluator:
             return self.simplex
         return getattr(self, "cmd_" + cmd.lower())
 
-    def require_tropical(self, node, cmd):
-        if not self.session.algebra.is_tropical:
+    def require_space(self, node: Call, kind: str):
+        """Reject a command whose space is not of the kind it needs."""
+        if self.session.algebra.is_tropical != (kind == "tropical"):
             raise EvalError(
-                f"\\{cmd} needs a tropical space, the current space is "
-                f"{self.session.space_name}",
-                node.line,
-                node.col,
-            )
-
-    def require_classical(self, node, cmd):
-        if self.session.algebra.is_tropical:
-            raise EvalError(
-                f"\\{cmd} needs a classical space, the current space is "
+                f"\\{node.command} needs a {kind} space, the current space is "
                 f"{self.session.space_name}",
                 node.line,
                 node.col,
@@ -400,7 +364,7 @@ class _Evaluator:
         return value
 
     def cmd_closure(self, node: Call):
-        self.require_tropical(node, "closure")
+        self.require_space(node, "tropical")
         value = self.eval(node.args[0])
         alg = self.session.algebra
         if isinstance(value, ExtScalar):
@@ -415,20 +379,19 @@ class _Evaluator:
         )
 
     def cmd_solvelaetropic(self, node: Call):
-        self.require_tropical(node, "solveLAETropic")
+        self.require_space(node, "tropical")
         a = self.matrix_arg(node.args[0], "the coefficient matrix")
         b = self.matrix_arg(node.args[1], "the right-hand side")
         return solve_lae_tropic(a, b)
 
     def cmd_solvelaitropic(self, node: Call):
-        self.require_tropical(node, "solveLAITropic")
+        self.require_space(node, "tropical")
         a = self.matrix_arg(node.args[0], "the coefficient matrix")
         b = self.matrix_arg(node.args[1], "the right-hand side")
-        _, bounds = solve_lai_tropic(a, b)
-        return IntervalList(tuple((ib.lower, ib.upper) for ib in bounds))
+        return solve_lai_tropic(a, b)[1]
 
     def cmd_bellmanequation(self, node: Call):
-        self.require_tropical(node, "BellmanEquation")
+        self.require_space(node, "tropical")
         a = self.matrix_arg(node.args[0], "the coefficient matrix")
         if len(node.args) == 1:
             return bellman_homogeneous(a)
@@ -436,7 +399,7 @@ class _Evaluator:
         return bellman_solve(a, b)
 
     def cmd_bellmaninequality(self, node: Call):
-        self.require_tropical(node, "BellmanInequality")
+        self.require_space(node, "tropical")
         a = self.matrix_arg(node.args[0], "the coefficient matrix")
         if len(node.args) == 1:
             return bellman_inequality(a)
@@ -447,7 +410,7 @@ class _Evaluator:
         a = self.matrix_arg(node.args[0], "the adjacency matrix")
         start = self.index_arg(node.args[1], "the start vertex")
         goal = self.index_arg(node.args[2], "the end vertex")
-        return VertexPath(tuple(find_shortest_path(WeightedGraph(a), start, goal)))
+        return find_shortest_path(WeightedGraph(a), start, goal)
 
     def cmd_searchleastdistances(self, node: Call):
         a = self.matrix_arg(node.args[0], "the adjacency matrix")
@@ -464,7 +427,7 @@ class _Evaluator:
         raise EvalError(f"{what} must be an integer", node.line, node.col)
 
     def simplex(self, node: Call):
-        self.require_classical(node, node.command)
+        self.require_space(node, "classical")
         sense = "max" if node.command == "SimplexMax" else "min"
         k = (len(node.args) - 1) // 2
         # A loop rather than a comprehension, which would add a stack frame
@@ -498,7 +461,22 @@ class _Evaluator:
             b_ge=b_ge,
             sense=sense,
         )
-        return LpResult(_lp.simplex_solve(problem), self.session.algebra.domain)
+        outcome = _lp.simplex_solve(problem)
+        if not isinstance(outcome, _lp.Optimal):
+            return outcome
+        x = [self.space_scalar(q) for q in outcome.x]
+        return _lp.Optimal(
+            TropMatrix.column(x, self.session.algebra), self.space_scalar(outcome.objective)
+        )
+
+    def space_scalar(self, q: Fraction) -> ExtScalar:
+        """An exact simplex value as a scalar of the current classical space."""
+        if self.session.algebra.domain is Domain.F64:
+            try:
+                q = float(q)
+            except OverflowError:
+                raise IllegalElement("float overflow produced an illegal infinity") from None
+        return ExtScalar.of(q)
 
     def group_arg(self, node) -> TropMatrix | None:
         value = self.eval(node)
@@ -656,9 +634,7 @@ def _render_scalar(e: ExtScalar) -> str:
     if e.inf_sign > 0:
         return "\\infty"
     v = e.finite
-    if isinstance(v, float):
-        return str(int(v)) if v.is_integer() else repr(v)
-    return str(v)
+    return _number_text(int(v) if isinstance(v, float) and v.is_integer() else v)
 
 
 def render(value, options: RenderOptions | None = None) -> str:
@@ -669,12 +645,14 @@ def render(value, options: RenderOptions | None = None) -> str:
         return "\\infty" if value.sign > 0 else "-\\infty"
     if isinstance(value, TropMatrix):
         return _render_matrix(value.to_lists(), value.cols == 1, options)
-    if isinstance(value, IntervalList):
-        return _render_matrix([list(row) for row in value.rows], False, options)
-    if isinstance(value, VertexPath):
-        return "[" + ", ".join(str(v) for v in value.vertices) + "]"
-    if isinstance(value, LpResult):
-        return _render_lp(value, options)
+    if isinstance(value, tuple):  # solve_lai_tropic's bounds
+        return _render_matrix([(b.lower, b.upper) for b in value], False, options)
+    if isinstance(value, list):  # a shortest path
+        return "[" + ", ".join(map(str, value)) + "]"
+    if isinstance(value, _lp.Optimal):
+        return render(value.x, options)
+    if isinstance(value, (_lp.Infeasible, _lp.Unbounded)):
+        return type(value).__name__
     if isinstance(value, _lp.Interval):
         return _render_interval(value)
     if isinstance(value, EmptyMatrix):
@@ -690,24 +668,6 @@ def _render_matrix(rows, flat: bool, options: RenderOptions) -> str:
     if flat:
         return "[" + ", ".join(row[0] for row in cells) + "]"
     return "[" + ", ".join("[" + ", ".join(row) + "]" for row in cells) + "]"
-
-
-def _render_rational(q: Fraction, domain: Domain) -> str:
-    if domain is Domain.F64:
-        return _render_scalar(ExtScalar.of(float(q)))
-    return _render_scalar(ExtScalar.of(q))
-
-
-def _render_lp(value: LpResult, options: RenderOptions) -> str:
-    out = value.outcome
-    if isinstance(out, _lp.Infeasible):
-        return "Infeasible"
-    if isinstance(out, _lp.Unbounded):
-        return "Unbounded"
-    cells = [_render_rational(x, value.domain) for x in out.x]
-    if options.fmt == "latex":
-        return "\\begin{pmatrix} " + " \\\\ ".join(cells) + " \\end{pmatrix}"
-    return "[" + ", ".join(cells) + "]"
 
 
 def _render_interval(v: _lp.Interval) -> str:

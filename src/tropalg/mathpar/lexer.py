@@ -113,8 +113,8 @@ def tokenize(text: str) -> list[Token]:
                 kind = TokenKind.DECIMAL
             elif "/" in lexeme:
                 kind = TokenKind.RATIONAL
-                den = lexeme.split("/")[1].strip()
-                if int(den) == 0:
+                # The digits are tested as text: int() refuses very long ones.
+                if not lexeme.split("/")[1].strip(" 0"):
                     raise LexError("rational literal with zero denominator", line, col)
             else:
                 kind = TokenKind.INTEGER

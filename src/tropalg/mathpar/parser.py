@@ -36,8 +36,6 @@ __all__ = [
     "Call",
     "Ineq",
     "parse",
-    "unparse",
-    "unparse_expr",
 ]
 
 
@@ -151,8 +149,8 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
@@ -192,7 +190,7 @@ class _Parser:
 
     def parse_statement(self) -> Stmt:
         tok = self.peek()
-        if tok.kind is TokenKind.IDENT and self.peek(1).kind is TokenKind.EQUALS:
+        if tok.kind is TokenKind.IDENT and self.tokens[self.i + 1].kind is TokenKind.EQUALS:
             if tok.value == "SPACE":
                 return self.parse_space_decl()
             self.next()
@@ -355,64 +353,3 @@ class _Parser:
 
 def parse(text: str) -> list[Stmt]:
     return _Parser(tokenize(text)).parse_script()
-
-
-_PREC = {"+": 1, "-": 1, "*": 2}
-
-
-def unparse_expr(node: Expr, parent_prec: int = 0) -> str:
-    if isinstance(node, ScalarLit):
-        s = node.value
-        return s if parent_prec < 3 or not s.startswith("-") else f"({s})"
-    if isinstance(node, InfinityLit):
-        s = "\\infty" if node.sign > 0 else "-\\infty"
-        return s if parent_prec < 3 or node.sign > 0 else f"({s})"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, EmptyLit):
-        return "[]"
-    if isinstance(node, MatrixLit):
-        rows = ", ".join(
-            "[" + ", ".join(unparse_expr(e) for e in row) + "]" for row in node.rows
-        )
-        return f"[{rows}]"
-    if isinstance(node, ListLit):
-        return "[" + ", ".join(unparse_expr(e) for e in node.items) + "]"
-    if isinstance(node, UnaryNeg):
-        signs = 0
-        while isinstance(node, UnaryNeg):
-            signs += 1
-            node = node.operand
-        return "-" * signs + unparse_expr(node, 3)
-    if isinstance(node, BinOp):
-        # Operator chains lean left as deep as they are long, so the left
-        # spine is walked in a loop and the text built from its bottom up.
-        spine = []
-        while isinstance(node, BinOp):
-            spine.append((node, parent_prec))
-            parent_prec = _PREC[node.op]
-            node = node.left
-        s = unparse_expr(node, parent_prec)
-        for op, outer in reversed(spine):
-            prec = _PREC[op.op]
-            # +, - and * all associate to the left here, so a right child at
-            # equal precedence needs parentheses to survive a round trip.
-            s = f"{s} {op.op} {unparse_expr(op.right, prec + 1)}"
-            if prec < outer:
-                s = f"({s})"
-        return s
-    if isinstance(node, Call):
-        return f"\\{node.command}(" + ", ".join(unparse_expr(a) for a in node.args) + ")"
-    if isinstance(node, Ineq):
-        return f"{unparse_expr(node.left)} {node.op} {unparse_expr(node.right)}"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def unparse(stmt: Stmt) -> str:
-    if isinstance(stmt, SpaceDecl):
-        return f"SPACE = {stmt.name}[{', '.join(stmt.vars)}];"
-    if isinstance(stmt, Assign):
-        return f"{stmt.name} = {unparse_expr(stmt.expr)};"
-    if isinstance(stmt, ExprStmt):
-        return f"{unparse_expr(stmt.expr)};"
-    raise TypeError(f"not a statement node: {stmt!r}")

@@ -28,6 +28,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -137,7 +138,23 @@ class ExtScalar:
             return "-inf"
         if self.inf_sign > 0:
             return "inf"
-        return str(self.finite)
+        return _number_text(self.finite)
+
+
+def _number_text(v) -> str:
+    """str(v), for a number of any length.
+
+    Python refuses to write an int of more digits than
+    sys.get_int_max_str_digits() allows; such an int goes through
+    Decimal, whose conversion has no limit, and a Fraction is written as
+    its two terms. The limit is left alone, since it is process-wide.
+    """
+    try:
+        return str(v)
+    except ValueError:
+        if isinstance(v, Fraction):
+            return f"{_number_text(v.numerator)}/{_number_text(v.denominator)}"
+        return str(Decimal(v))
 
 
 NEG_INF = ExtScalar(None, -1)

@@ -7,7 +7,8 @@ closure, plain triple-loop relaxation for distances, depth-first search
 with backtracking and the tight-edge walk over the full closure for
 shortest-path witnesses, Gaussian elimination plus brute-force vertex
 enumeration for linear programs, and direct negation for the
-max-plus/min-plus mirror. Slow and obvious on purpose.
+max-plus/min-plus mirror. Slow and obvious on purpose. A printer from the
+script AST back to source text lets the parser tests round-trip.
 """
 
 from __future__ import annotations
@@ -37,6 +38,21 @@ from tropalg import (
     trop_closure_scalar,
     trop_mul,
     trop_neg,
+)
+from tropalg.mathpar.parser import (
+    Assign,
+    BinOp,
+    Call,
+    EmptyLit,
+    ExprStmt,
+    Ineq,
+    InfinityLit,
+    ListLit,
+    MatrixLit,
+    ScalarLit,
+    SpaceDecl,
+    UnaryNeg,
+    Var,
 )
 
 INF = float("inf")
@@ -457,3 +473,67 @@ def mirror_matrix(m: TropMatrix) -> TropMatrix:
     """Negate every entry and move the matrix to the dual semiring."""
     rows = [[mirror_scalar(e) for e in row] for row in m.to_lists()]
     return TropMatrix.from_rows(rows, _SISTER[m.alg])
+
+
+# ---- script printer ----
+
+_PREC = {"+": 1, "-": 1, "*": 2}
+
+
+def unparse_expr(node, parent_prec: int = 0) -> str:
+    if isinstance(node, ScalarLit):
+        s = node.value
+        return s if parent_prec < 3 or not s.startswith("-") else f"({s})"
+    if isinstance(node, InfinityLit):
+        s = "\\infty" if node.sign > 0 else "-\\infty"
+        return s if parent_prec < 3 or node.sign > 0 else f"({s})"
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, EmptyLit):
+        return "[]"
+    if isinstance(node, MatrixLit):
+        rows = ", ".join(
+            "[" + ", ".join(unparse_expr(e) for e in row) + "]" for row in node.rows
+        )
+        return f"[{rows}]"
+    if isinstance(node, ListLit):
+        return "[" + ", ".join(unparse_expr(e) for e in node.items) + "]"
+    if isinstance(node, UnaryNeg):
+        signs = 0
+        while isinstance(node, UnaryNeg):
+            signs += 1
+            node = node.operand
+        return "-" * signs + unparse_expr(node, 3)
+    if isinstance(node, BinOp):
+        # Operator chains lean left as deep as they are long, so the left
+        # spine is walked in a loop and the text built from its bottom up.
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append((node, parent_prec))
+            parent_prec = _PREC[node.op]
+            node = node.left
+        s = unparse_expr(node, parent_prec)
+        for op, outer in reversed(spine):
+            prec = _PREC[op.op]
+            # +, - and * all associate to the left here, so a right child at
+            # equal precedence needs parentheses to survive a round trip.
+            s = f"{s} {op.op} {unparse_expr(op.right, prec + 1)}"
+            if prec < outer:
+                s = f"({s})"
+        return s
+    if isinstance(node, Call):
+        return f"\\{node.command}(" + ", ".join(unparse_expr(a) for a in node.args) + ")"
+    if isinstance(node, Ineq):
+        return f"{unparse_expr(node.left)} {node.op} {unparse_expr(node.right)}"
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def unparse(stmt) -> str:
+    """Source text that parses back to stmt."""
+    if isinstance(stmt, SpaceDecl):
+        return f"SPACE = {stmt.name}[{', '.join(stmt.vars)}];"
+    if isinstance(stmt, Assign):
+        return f"{stmt.name} = {unparse_expr(stmt.expr)};"
+    if isinstance(stmt, ExprStmt):
+        return f"{unparse_expr(stmt.expr)};"
+    raise TypeError(f"not a statement node: {stmt!r}")

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,8 @@ def test_eval_mode(capsys):
 
 
 def test_stdin_mode(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("SPACE = ZMaxPlus[]; 2 + 3;\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"SPACE = ZMaxPlus[]; 2 + 3;\n"))
+    monkeypatch.setattr(sys, "stdin", stdin)
     code, out, err = invoke([], capsys)
     assert (code, out, err) == (0, "3\n", "")
 
@@ -213,6 +215,31 @@ def test_non_ascii_letter_is_a_positioned_error(capsys):
     assert (code, out, err) == (1, "", "error: 1:5: unexpected character 'é'\n")
 
 
+@pytest.mark.parametrize("script", [b"x = \xc3\xa9;", b"x = 1;\xff"], ids=["utf8", "not-utf8"])
+def test_stdin_is_read_as_run_reads_a_file(script, tmp_path):
+    # Under the C locale without UTF-8 mode, sys.stdin decodes ASCII, so a
+    # text read of stdin would see the first byte of the é as '\udcc3'.
+    src = str(Path(tropalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0", LC_ALL="C")
+    env.pop("PYTHONIOENCODING", None)
+    path = tmp_path / "script.mp"
+    path.write_bytes(script)
+
+    def mathpar(*args, stdin=b""):
+        result = subprocess.run(
+            [sys.executable, "-m", "tropalg.mathpar", *args],
+            input=stdin,
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        return result.returncode, result.stdout, result.stderr
+
+    from_stdin = mathpar(stdin=script)
+    assert from_stdin == mathpar("run", str(path))
+    assert from_stdin[:2] == (1, b"")
+
+
 def test_installed_entry_point_runs():
     result = subprocess.run(
         ["mathpar", "eval", "SPACE = ZMaxPlus[]; 2 + 3;"],
@@ -312,13 +339,43 @@ def test_nesting_at_the_limit_evaluates(opening, leaf, closing, want, capsys):
     assert (code, out, err) == (0, want + "\n", "")
 
 
+# ---- numbers of any length ----
+
+
+NINES = "9" * 4300  # the longest int Python converts to text by default
+SEVENS = "7" * 3000
+TWICE_NINES = "1" + "9" * 4299 + "8"  # NINES + NINES
+
+
+@pytest.mark.parametrize(
+    "script, want",
+    [
+        (f"SPACE = ZMaxPlus[]; x = {NINES}; x * x;", (0, TWICE_NINES + "\n", "")),
+        (f"x = {SEVENS}; x * x;", (0, str(Decimal(int(SEVENS) ** 2)) + "\n", "")),
+        (f"SPACE = ZMaxPlus[]; x = {NINES}; \\closure(x * x);", (0, "\\infty\n", "")),
+        (
+            f"SPACE = ZMinPlus[]; x = {NINES}; "
+            "\\findTheShortestPath([[0, 1], [1, 0]], 0, x * x);",
+            (1, "", f"error: 1:{len(NINES) + 27}: vertex {TWICE_NINES} is outside 0..1\n"),
+        ),
+        (
+            "x = 1/" + "0" * 4400 + ";",
+            (1, "", "error: 1:5: rational literal with zero denominator\n"),
+        ),
+    ],
+    ids=["tropical-product", "rational-square", "closure", "path-vertex", "zero-denominator"],
+)
+def test_numbers_of_any_length_print(script, want, capsys):
+    assert invoke(["eval", script], capsys) == want
+
+
 # ---- fuzzing ----
 
 
 def run_quietly(script):
     """run_cli on a script read from stdin, which no argument parsing sees."""
     out, err = io.StringIO(), io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(script)
+    stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(script.encode()))
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = run_cli([])
@@ -397,7 +454,7 @@ SPACE_FORMS = [
 NEAR_MAX = "1" + "0" * 308 + ".0"  # 1e308
 MAX_FLOAT = "17976931348623157" + "0" * 292 + ".0"  # the largest float
 SCALARS = ["0", "1", "-2", "3", "1/2", "-7/3", "0.5", "-0.3", NEAR_MAX, "-" + NEAR_MAX,
-           "\\infty", "-\\infty"]
+           MAX_FLOAT, f"{NINES} * {NINES}", "\\infty", "-\\infty"]
 INEQUALITIES = ["x <= 1", "2*x - 1 > x", "1/2 >= -x", "x * x < 0", "1 <= 2"]
 
 
@@ -510,3 +567,14 @@ def test_classical_float_overflow_is_an_error_at_the_operator(statement, col, ca
     code, out, err = invoke(["eval", prefix + statement], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: 2:{col}: float overflow produced an illegal infinity\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--show-objective"]])
+@pytest.mark.parametrize(
+    "a, c", [("0.5", "1"), ("1", "2")], ids=["optimum", "objective-only"]
+)
+def test_simplex_answer_that_overflows_a_float_is_an_error_at_the_command(a, c, flags, capsys):
+    script = f"SPACE = R64[]; \\SimplexMax([[{a}]], [{MAX_FLOAT}], [{c}]);"
+    code, out, err = invoke(["eval", script, *flags], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: 1:16: float overflow produced an illegal infinity\n"

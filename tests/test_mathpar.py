@@ -19,7 +19,6 @@ from tropalg.mathpar import (
     parse,
     render,
     tokenize,
-    unparse,
 )
 from tropalg.mathpar.parser import (
     Assign,
@@ -35,6 +34,8 @@ from tropalg.mathpar.parser import (
     UnaryNeg,
     Var,
 )
+
+from oracles import unparse
 
 GOLDEN = Path(__file__).parent / "golden"
 

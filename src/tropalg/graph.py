@@ -12,8 +12,8 @@ Dijkstra's method on the reversed graph, in O(n^2) on raw numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import AlgebraMismatch, IndexOutOfRange, InvalidGraph, NoPath
 from .semiring import Algebra, SemiringKind, _number_text, _tally, trop_mul
 from .trmatrix import TropMatrix, _lift, _lower, _scale, closure_block
@@ -21,13 +21,13 @@ from .trmatrix import TropMatrix, _lift, _lower, _scale, closure_block
 __all__ = ["WeightedGraph", "search_least_distances", "find_shortest_path"]
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedGraph:
+class WeightedGraph(Record):
     """A digraph given by its min-plus adjacency matrix."""
 
-    adjacency: TropMatrix
+    __slots__ = ("adjacency",)
 
-    def __post_init__(self):
+    def __init__(self, adjacency: TropMatrix):
+        super().__init__(adjacency)
         a = self.adjacency
         if a.alg.kind is not SemiringKind.MIN_PLUS:
             raise AlgebraMismatch("graphs are weighted over a min-plus algebra")

@@ -13,9 +13,9 @@ interval with open or closed endpoints, or reports the empty set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import MutableRecord, Record
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -45,20 +45,15 @@ def _frac_vec(values) -> tuple[Fraction, ...]:
     return tuple(_frac(v) for v in values)
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(Record):
     """max or min of c.x over {x >= 0, A_le x <= b_le, A_eq x = b_eq, A_ge x >= b_ge}."""
 
-    c: tuple[Fraction, ...]
-    a_le: tuple[tuple[Fraction, ...], ...] = ()
-    b_le: tuple[Fraction, ...] = ()
-    a_eq: tuple[tuple[Fraction, ...], ...] = ()
-    b_eq: tuple[Fraction, ...] = ()
-    a_ge: tuple[tuple[Fraction, ...], ...] = ()
-    b_ge: tuple[Fraction, ...] = ()
-    sense: str = "max"
+    __slots__ = ("c", "a_le", "b_le", "a_eq", "b_eq", "a_ge", "b_ge", "sense")
+    _defaults = {"a_le": (), "b_le": (), "a_eq": (), "b_eq": (), "a_ge": (), "b_ge": (),
+                 "sense": "max"}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "c", _frac_vec(self.c))
         for name in ("a_le", "a_eq", "a_ge"):
             object.__setattr__(self, name, _frac_rows(getattr(self, name)))
@@ -85,28 +80,23 @@ class LpProblem:
                     )
 
 
-@dataclass(frozen=True)
-class Optimal:
-    x: tuple[Fraction, ...]
-    objective: Fraction
+class Optimal(Record):
+    __slots__ = ("x", "objective")
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    pass
+class Infeasible(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    pass
+class Unbounded(Record):
+    __slots__ = ()
 
 
-@dataclass
-class SimplexStats:
+class SimplexStats(MutableRecord):
     """Optional instrumentation collected by simplex_solve."""
 
-    pivots: int = 0
-    reduced_costs: tuple[Fraction, ...] = field(default_factory=tuple)
+    __slots__ = ("pivots", "reduced_costs")
+    _defaults = {"pivots": 0, "reduced_costs": ()}
 
 
 _PIVOT_LIMIT = 200_000
@@ -267,19 +257,15 @@ def _check_solution(p: LpProblem, x):
             raise RuntimeError("simplex violated a >= constraint")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A subset of the rational line: empty, a point, or an interval.
 
     lo is None for minus infinity and hi is None for plus infinity;
     infinite ends are always open.
     """
 
-    lo: Fraction | None
-    hi: Fraction | None
-    lo_closed: bool
-    hi_closed: bool
-    is_empty: bool = False
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed", "is_empty")
+    _defaults = {"is_empty": False}
 
     @classmethod
     def empty(cls) -> "Interval":

@@ -31,17 +31,17 @@ matrices, which become pmatrix blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .. import lp as _lp
+from .._record import MutableRecord, Record
 from ..errors import ClosureUndefined, IllegalElement, TropalgError
 from ..graph import WeightedGraph, find_shortest_path, search_least_distances
 from ..semiring import (
     ALGEBRAS_BY_NAME,
     NEG_INF,
     POS_INF,
-    Algebra,
     Domain,
     ExtScalar,
     Q_CLASSICAL,
@@ -88,37 +88,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UndefinedClosure:
+class UndefinedClosure(Record):
     """Scalar closure that diverges; prints as the missing infinity."""
 
-    sign: int
+    __slots__ = ("sign",)
 
 
-@dataclass(frozen=True)
-class EmptyMatrix:
+class EmptyMatrix(Record):
     """The empty literal () or [], used for absent constraint groups."""
 
-
-@dataclass(frozen=True)
-class Binding:
-    value: object
-    space: str
+    __slots__ = ()
 
 
-@dataclass
-class Session:
-    space_name: str = "Q"
-    algebra: Algebra = Q_CLASSICAL
-    poly_var: str | None = None
-    bindings: dict = field(default_factory=dict)
-    output: list = field(default_factory=list)
+class Binding(Record):
+    __slots__ = ("value", "space")
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    fmt: str = "plain"
-    show_objective: bool = False
+class Session(MutableRecord):
+    __slots__ = ("space_name", "algebra", "poly_var", "bindings", "output")
+    _defaults = {"space_name": "Q", "algebra": Q_CLASSICAL, "poly_var": None}
+    _factories = {"bindings": dict, "output": list}
+
+
+class RenderOptions(Record):
+    __slots__ = ("fmt", "show_objective")
+    _defaults = {"fmt": "plain", "show_objective": False}
 
 
 def evaluate(stmts, session: Session, options: RenderOptions | None = None, emit=None):
@@ -238,19 +232,17 @@ class _Evaluator:
 
     def scalar_literal(self, node: ScalarLit) -> ExtScalar:
         domain = self.session.algebra.domain
-        text = node.value
-        try:
-            if domain is Domain.F64:
-                return ExtScalar.of(float(Fraction(text)))
-            if node.kind == "int":
-                return ExtScalar.of(int(text))
-            if domain is Domain.Z:
-                raise EvalError(
-                    f"{text} is not an element of an integer space", node.line, node.col
-                )
-            return ExtScalar.of(Fraction(text))
-        except (ValueError, OverflowError) as e:
-            raise EvalError(str(e), node.line, node.col) from e
+        if domain is Domain.Z and node.kind != "int":
+            raise EvalError(
+                f"{node.value} is not an element of an integer space", node.line, node.col
+            )
+        value = _exact(node.value)
+        if domain is Domain.F64:
+            try:
+                value = float(Fraction(value))
+            except OverflowError as e:
+                raise EvalError(str(e), node.line, node.col) from e
+        return ExtScalar.of(value)
 
     def infinity_literal(self, node: InfinityLit) -> ExtScalar:
         alg = self.session.algebra
@@ -561,10 +553,7 @@ class _Evaluator:
         """Reduce an expression to (a, b, var) meaning a*var + b."""
         zero = Fraction(0)
         if isinstance(node, ScalarLit):
-            try:
-                return zero, Fraction(node.value), None
-            except ValueError as e:
-                raise EvalError(str(e), node.line, node.col) from e
+            return zero, Fraction(_exact(node.value)), None
         if isinstance(node, Var):
             binding = self.binding(node)
             if binding is not None:
@@ -607,6 +596,22 @@ class _Evaluator:
             node.line,
             node.col,
         )
+
+
+def _exact(text: str) -> int | Fraction:
+    """The exact value of a number literal's text, of any length.
+
+    int() and Fraction() refuse text of more digits than
+    sys.get_int_max_str_digits() allows, a process-wide limit left alone
+    here; Decimal reads any length, as it writes any length in
+    semiring._number_text.
+    """
+    num, _, den = text.partition("/")
+    if den:
+        return Fraction(int(Decimal(num)), int(Decimal(den)))
+    if "." in num:
+        return Fraction(Decimal(num))
+    return int(Decimal(num))
 
 
 def _unwind(node):

@@ -15,11 +15,16 @@ Infinities are tagged states of ExtScalar, never sentinel numeric values;
 IEEE infinities are converted to the tagged state at the boundary by
 ExtScalar.of.
 
-All functions here are pure. count_ops() installs a thread-local counter
-that tallies semiring additions and multiplications; the complexity
-assertions in the test suite measure work through it. The matrix kernel
-in trmatrix computes on plain numbers, tallies a whole product or sum
-at once through _tally and lifts its results through _finite_result.
+The operations here are pure apart from counting. Each thread keeps a
+stack of counters: count_ops() pushes one for the length of a with
+block, and every semiring addition and multiplication is tallied into
+the innermost counter open in the calling thread. An outer counter
+misses what a counter nested in it receives, and no counter sees
+another thread's work. With no counter open, a tally costs one
+attribute read. The complexity assertions in the test suite measure
+work through it. The matrix kernel in trmatrix computes on plain
+numbers, tallies a whole product or sum at once through _tally and lifts
+its results through _finite_result.
 """
 
 from __future__ import annotations
@@ -27,11 +32,11 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
+from ._record import MutableRecord, Record
 from .errors import AlgebraMismatch, ClosureUndefined, IllegalElement, NoInverse
 
 __all__ = [
@@ -72,8 +77,7 @@ class Domain(Enum):
     F64 = "F64"
 
 
-@dataclass(frozen=True, slots=True)
-class ExtScalar:
+class ExtScalar(Record):
     """A finite number or the single infinite element of an algebra.
 
     finite holds an int, a Fraction (lowest terms, positive denominator,
@@ -81,8 +85,13 @@ class ExtScalar:
     inf_sign is -1 (minus infinity) or +1 (plus infinity).
     """
 
-    finite: int | Fraction | float | None
-    inf_sign: int = 0
+    __slots__ = ("finite", "inf_sign")
+
+    def __init__(self, finite: int | Fraction | float | None, inf_sign: int = 0):
+        # Every lifted matrix entry is built here, so the slots are written
+        # through their descriptors rather than the generic constructor.
+        _set_finite(self, finite)
+        _set_inf_sign(self, inf_sign)
 
     @staticmethod
     def of(value) -> "ExtScalar":
@@ -157,12 +166,14 @@ def _number_text(v) -> str:
         return str(Decimal(v))
 
 
+_set_finite = ExtScalar.finite.__set__
+_set_inf_sign = ExtScalar.inf_sign.__set__
+
 NEG_INF = ExtScalar(None, -1)
 POS_INF = ExtScalar(None, +1)
 
 
-@dataclass(frozen=True, slots=True)
-class Algebra:
+class Algebra(Record):
     """A semiring kind crossed with a number domain.
 
     The tropical algebras are ZMaxPlus, ZMinPlus, QMaxPlus, QMinPlus,
@@ -171,8 +182,7 @@ class Algebra:
     +infinity only, and classical algebras contain no infinite element.
     """
 
-    kind: SemiringKind
-    domain: Domain
+    __slots__ = ("kind", "domain")
 
     @property
     def name(self) -> str:
@@ -254,19 +264,25 @@ ALGEBRAS_BY_NAME = {
 _NAMES = {alg: name for name, alg in ALGEBRAS_BY_NAME.items()}
 
 
-@dataclass
-class OpCounts:
+class OpCounts(MutableRecord):
     """Running totals of semiring additions and multiplications."""
 
-    adds: int = 0
-    muls: int = 0
+    __slots__ = ("adds", "muls")
+    _defaults = {"adds": 0, "muls": 0}
 
     @property
     def total(self) -> int:
         return self.adds + self.muls
 
 
-_ACTIVE = threading.local()
+class _Counters(threading.local):
+    """Each thread's stack of active counters, innermost last."""
+
+    def __init__(self):
+        self.stack = []
+
+
+_ACTIVE = _Counters()
 
 
 @contextmanager
@@ -276,9 +292,7 @@ def count_ops():
     Counters nest; only the innermost active counter receives tallies.
     """
     counts = OpCounts()
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = _ACTIVE.stack = []
+    stack = _ACTIVE.stack
     stack.append(counts)
     try:
         yield counts
@@ -288,7 +302,7 @@ def count_ops():
 
 def _tally(adds: int, muls: int):
     """Add a batch of operations to the innermost active counter."""
-    stack = getattr(_ACTIVE, "stack", None)
+    stack = _ACTIVE.stack
     if stack:
         stack[-1].adds += adds
         stack[-1].muls += muls

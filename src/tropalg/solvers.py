@@ -30,10 +30,9 @@ multiplication before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import AlgebraMismatch, DimensionMismatch, NoSolution
-from .semiring import ExtScalar, NEG_INF, POS_INF, SemiringKind
+from .semiring import NEG_INF, POS_INF, SemiringKind
 from .trmatrix import TropMatrix, _residuate, closure_block, mat_le, mat_mul, mat_oplus
 
 __all__ = [
@@ -46,14 +45,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalBound:
+class IntervalBound(Record):
     """One coordinate's solution interval for a system A x <= b."""
 
-    lower: ExtScalar
-    upper: ExtScalar
-    lower_closed: bool
-    upper_closed: bool
+    __slots__ = ("lower", "upper", "lower_closed", "upper_closed")
 
 
 def _require_system(a: TropMatrix, b: TropMatrix, what: str):

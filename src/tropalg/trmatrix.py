@@ -31,11 +31,11 @@ x -> L x does not preserve products, and Z and R64 have L = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
+from ._record import Record
 from .errors import AlgebraMismatch, DimensionMismatch
 from .semiring import (
     Algebra, Domain, ExtScalar, SemiringKind, _finite_result, _tally, trop_closure_scalar,
@@ -54,24 +54,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TropMatrix:
+class TropMatrix(Record):
     """An immutable rows x cols matrix over one algebra."""
 
-    rows: int
-    cols: int
-    entries: tuple[ExtScalar, ...]
-    alg: Algebra
+    __slots__ = ("rows", "cols", "entries", "alg")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries: tuple[ExtScalar, ...], alg: Algebra):
+        # Every result of the kernel is built here, so the slots are
+        # written through their descriptors.
+        if rows < 1 or cols < 1:
             raise DimensionMismatch("matrices need at least one row and one column")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
-            self.alg.require_member(e)
+        if len(entries) != rows * cols:
+            raise DimensionMismatch(f"expected {rows * cols} entries, got {len(entries)}")
+        for e in entries:
+            alg.require_member(e)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
+        _set_alg(self, alg)
 
     @classmethod
     def from_rows(cls, rows, alg: Algebra) -> "TropMatrix":
@@ -104,6 +104,12 @@ class TropMatrix:
             list(self.entries[j * self.cols : (j + 1) * self.cols])
             for j in range(self.rows)
         ]
+
+
+_set_rows = TropMatrix.rows.__set__
+_set_cols = TropMatrix.cols.__set__
+_set_entries = TropMatrix.entries.__set__
+_set_alg = TropMatrix.alg.__set__
 
 
 def _require_same_algebra(a: TropMatrix, b: TropMatrix):

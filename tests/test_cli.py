@@ -262,6 +262,23 @@ def test_module_entry_point_runs():
     assert (result.returncode, result.stdout, result.stderr) == (0, "3\n", "")
 
 
+def test_cli_import_loads_no_code_generation_machinery():
+    # Every script is answered by a fresh process, which pays for each
+    # module the CLI imports: dataclasses and the modules it pulls in cost
+    # more than tropalg's own.
+    src = str(Path(tropalg.__file__).resolve().parents[1])
+    heavy = ["dataclasses", "inspect", "ast", "dis"]
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys, tropalg.mathpar.cli; "
+         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 def test_closure_opcount_script_runs_as_its_usage_line_says():
     root = Path(__file__).resolve().parents[1]
     script = "scripts/closure_opcount.py"
@@ -367,6 +384,40 @@ TWICE_NINES = "1" + "9" * 4299 + "8"  # NINES + NINES
 )
 def test_numbers_of_any_length_print(script, want, capsys):
     assert invoke(["eval", script], capsys) == want
+
+
+ONES = "1" * 5000  # past the 4300 digits Python converts from text by default
+TOO_LARGE = "integer division result too large for a float"
+
+
+@pytest.mark.parametrize(
+    "space, literal, want",
+    [
+        ("Q", ONES, ONES),
+        ("Q", f"{ONES}/3", f"{ONES}/3"),
+        ("Q", f"1.{ONES}", f"1{ONES}/1{'0' * 5000}"),
+        ("ZMaxPlus", ONES, ONES),
+        ("ZMaxPlus", f"{ONES}/3", f"{ONES}/3 is not an element of an integer space"),
+        ("ZMaxPlus", f"1.{ONES}", f"1.{ONES} is not an element of an integer space"),
+        ("R64", ONES, TOO_LARGE),
+        ("R64", f"{ONES}/3", TOO_LARGE),
+        ("R64", f"1.{ONES}", "1.1111111111111112"),
+    ],
+    ids=[f"{space}-{kind}" for space in ("Q", "ZMaxPlus", "R64") for kind in ("int", "rat", "dec")],
+)
+def test_literals_of_any_length_are_read_exactly(space, literal, want, capsys):
+    prefix = f"SPACE = {space}[]; "
+    code, out, err = invoke(["eval", f"{prefix}{literal};"], capsys)
+    if code == 0:
+        assert (out, err) == (want + "\n", "")
+    else:
+        assert (code, out, err) == (1, "", f"error: 1:{len(prefix) + 1}: {want}\n")
+    assert "set_int_max_str_digits" not in err
+
+
+def test_long_literal_inside_solve_is_read_exactly(capsys):
+    code, out, err = invoke(["eval", f"SPACE = Q[x]; \\solve([3 * x <= {ONES}]);"], capsys)
+    assert (code, out, err) == (0, f"(-\\infty, {ONES}/3]\n", "")
 
 
 # ---- fuzzing ----

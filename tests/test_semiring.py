@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,26 @@ def test_op_counting_is_scoped_and_nested():
     assert (outer.adds, outer.muls) == (2, 0)
     assert (inner.adds, inner.muls) == (0, 1)
     assert inner.total == 1
+
+
+def test_a_counter_sees_none_of_another_threads_operations():
+    seen = {}
+
+    def other_thread():
+        trop_add(s(1), s(2), Z_MAX_PLUS)
+        with count_ops() as own:
+            trop_mul(s(1), s(2), Z_MAX_PLUS)
+            trop_mul(s(1), s(2), Z_MAX_PLUS)
+        seen["own"] = (own.adds, own.muls)
+
+    with count_ops() as here:
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        worker.join(timeout=30)
+        trop_add(s(1), s(2), Z_MAX_PLUS)
+    assert not worker.is_alive()
+    assert seen["own"] == (0, 2)
+    assert (here.adds, here.muls) == (1, 0)
 
 
 # ---- laws ----

@@ -14,6 +14,12 @@ classical sum, so a float overflow is an error there too. Library errors
 become script errors in one place, the single try of _Evaluator.eval,
 positioned at the node being evaluated or at the operator of a chain.
 
+Each command is one row of the table _COMMANDS: the space it needs, a
+reader for each argument at each arity it takes, and the call that
+answers it. One dispatch in eval checks a call's name, its arity and its
+space, in that order, then evaluates the arguments left to right, each
+checked by its reader, which positions its error at the argument, and
+runs the call; an error of the call as a whole is positioned at the call.
 Commands answer with library values: a shortest path is the vertex list,
 \\solveLAITropic's answer its tuple of bounds, and a simplex optimum the
 library's Optimal, its point converted to a column and its objective to a
@@ -142,20 +148,6 @@ def evaluate(stmts, session: Session, options: RenderOptions | None = None, emit
     return lines
 
 
-_SPACE_ARITIES = {
-    "closure": (1,),
-    "solveLAETropic": (2,),
-    "solveLAITropic": (2,),
-    "BellmanEquation": (1, 2),
-    "BellmanInequality": (1, 2),
-    "findTheShortestPath": (3,),
-    "searchLeastDistances": (1,),
-    "SimplexMax": (3, 5, 7),
-    "SimplexMin": (3, 5, 7),
-    "solve": (1,),
-}
-
-
 class _Evaluator:
     def __init__(self, session: Session):
         self.session = session
@@ -211,7 +203,23 @@ class _Evaluator:
                         value = self.binop(at, value, self.eval(at.right))
                 return value
             if isinstance(node, Call):
-                return self.handler(node)(node)
+                cmd, n = node.command, len(node.args)
+                if cmd not in _COMMANDS:
+                    raise UnknownCommand(f"unknown command \\{cmd}", node.line, node.col)
+                space, readers, call = _COMMANDS[cmd]
+                if n not in readers:
+                    counts = " or ".join(map(str, readers))
+                    raise ArityError(
+                        f"\\{cmd} takes {counts} argument(s), got {n}", node.line, node.col
+                    )
+                if space and not _SPACES[space](self.session.algebra):
+                    raise TropalgError(
+                        f"\\{cmd} needs {space}, the current space is {self.session.space_name}"
+                    )
+                args = []
+                for read, arg in zip(readers[n], node.args):
+                    args.append(arg if read is None else read(self.eval(arg), arg))
+                return call(self, *args)
             if isinstance(node, Ineq):
                 raise EvalError(
                     "inequalities are only meaningful inside \\solve", node.line, node.col
@@ -321,139 +329,32 @@ class _Evaluator:
 
     # ---- commands ----
 
-    def handler(self, node: Call):
-        """The method that runs a command call, once its name and arity
-        check out. eval calls it directly, so a command nested in an
-        argument costs one stack frame less per level."""
-        cmd = node.command
-        if cmd not in _SPACE_ARITIES:
-            raise UnknownCommand(f"unknown command \\{cmd}", node.line, node.col)
-        if len(node.args) not in _SPACE_ARITIES[cmd]:
-            counts = " or ".join(str(k) for k in _SPACE_ARITIES[cmd])
-            raise ArityError(
-                f"\\{cmd} takes {counts} argument(s), got {len(node.args)}",
-                node.line,
-                node.col,
-            )
-        if cmd in ("SimplexMax", "SimplexMin"):
-            return self.simplex
-        return getattr(self, "cmd_" + cmd.lower())
-
-    def require_space(self, node: Call, kind: str):
-        """Reject a command whose space is not of the kind it needs."""
-        if self.session.algebra.is_tropical != (kind == "tropical"):
-            raise EvalError(
-                f"\\{node.command} needs a {kind} space, the current space is "
-                f"{self.session.space_name}",
-                node.line,
-                node.col,
-            )
-
-    def matrix_arg(self, node, what) -> TropMatrix:
-        value = self.eval(node)
-        if not isinstance(value, TropMatrix):
-            raise EvalError(f"{what} must be a matrix", node.line, node.col)
-        return value
-
-    def cmd_closure(self, node: Call):
-        self.require_space(node, "tropical")
-        value = self.eval(node.args[0])
-        alg = self.session.algebra
-        if isinstance(value, ExtScalar):
-            try:
-                return trop_closure_scalar(value, alg)
-            except ClosureUndefined:
-                return UndefinedClosure(1 if alg.kind is SemiringKind.MAX_PLUS else -1)
+    def closure(self, value):
         if isinstance(value, TropMatrix):
             return closure_block(value)
-        raise EvalError(
-            "\\closure needs a scalar or a matrix", node.args[0].line, node.args[0].col
-        )
+        alg = self.session.algebra
+        try:
+            return trop_closure_scalar(value, alg)
+        except ClosureUndefined:
+            return UndefinedClosure(1 if alg.kind is SemiringKind.MAX_PLUS else -1)
 
-    def cmd_solvelaetropic(self, node: Call):
-        self.require_space(node, "tropical")
-        a = self.matrix_arg(node.args[0], "the coefficient matrix")
-        b = self.matrix_arg(node.args[1], "the right-hand side")
-        return solve_lae_tropic(a, b)
-
-    def cmd_solvelaitropic(self, node: Call):
-        self.require_space(node, "tropical")
-        a = self.matrix_arg(node.args[0], "the coefficient matrix")
-        b = self.matrix_arg(node.args[1], "the right-hand side")
-        return solve_lai_tropic(a, b)[1]
-
-    def cmd_bellmanequation(self, node: Call):
-        self.require_space(node, "tropical")
-        a = self.matrix_arg(node.args[0], "the coefficient matrix")
-        if len(node.args) == 1:
-            return bellman_homogeneous(a)
-        b = self.matrix_arg(node.args[1], "the right-hand side")
-        return bellman_solve(a, b)
-
-    def cmd_bellmaninequality(self, node: Call):
-        self.require_space(node, "tropical")
-        a = self.matrix_arg(node.args[0], "the coefficient matrix")
-        if len(node.args) == 1:
-            return bellman_inequality(a)
-        b = self.matrix_arg(node.args[1], "the right-hand side")
-        return bellman_inequality(a, b)
-
-    def cmd_findtheshortestpath(self, node: Call):
-        a = self.matrix_arg(node.args[0], "the adjacency matrix")
-        start = self.index_arg(node.args[1], "the start vertex")
-        goal = self.index_arg(node.args[2], "the end vertex")
-        return find_shortest_path(WeightedGraph(a), start, goal)
-
-    def cmd_searchleastdistances(self, node: Call):
-        a = self.matrix_arg(node.args[0], "the adjacency matrix")
-        return search_least_distances(WeightedGraph(a))
-
-    def index_arg(self, node, what) -> int:
-        value = self.eval(node)
-        if isinstance(value, ExtScalar) and value.is_finite:
-            v = value.finite
-            if isinstance(v, int):
-                return v
-            if isinstance(v, float) and v.is_integer():
-                return int(v)
-        raise EvalError(f"{what} must be an integer", node.line, node.col)
-
-    def simplex(self, node: Call):
-        self.require_space(node, "classical")
-        sense = "max" if node.command == "SimplexMax" else "min"
-        k = (len(node.args) - 1) // 2
-        # A loop rather than a comprehension, which would add a stack frame
-        # per nesting level of the arguments.
-        args = []
-        for arg in node.args[: 2 * k]:
-            args.append(self.group_arg(arg))
-        mats, rhss = args[:k], args[k:]
-        c = self.column_arg(node.args[-1], "the objective")
+    def simplex(self, sense: str, args):
+        """A linear program from k constraint matrices, their k right-hand
+        sides and the objective; the groups are <=, = and >= in turn."""
+        k = len(args) // 2
         groups = []
-        for a, b in zip(mats, rhss):
-            if a is None or b is None:
-                if (a is None) != (b is None):
-                    raise EvalError(
-                        "a constraint matrix and its right-hand side must be "
-                        "empty together",
-                        node.line,
-                        node.col,
+        for a, b in zip(args[:k], args[k : 2 * k]):
+            if isinstance(a, EmptyMatrix) or isinstance(b, EmptyMatrix):
+                if type(a) is not type(b):
+                    raise TropalgError(
+                        "a constraint matrix and its right-hand side must be empty together"
                     )
                 groups.append(((), ()))
             else:
-                groups.append((self.rational_rows(a, node), self.rational_column(b, node)))
-        (a_le, b_le), (a_eq, b_eq), (a_ge, b_ge) = groups + [((), ())] * (3 - k)
-        problem = _lp.LpProblem(
-            c=self.rational_column(c, node),
-            a_le=a_le,
-            b_le=b_le,
-            a_eq=a_eq,
-            b_eq=b_eq,
-            a_ge=a_ge,
-            b_ge=b_ge,
-            sense=sense,
-        )
-        outcome = _lp.simplex_solve(problem)
+                groups.append((_rational_rows(a), _rational_column(b)))
+        le, eq, ge = groups + [((), ())] * (3 - k)
+        c = _rational_column(args[-1])
+        outcome = _lp.simplex_solve(_lp.LpProblem(c, *le, *eq, *ge, sense=sense))
         if not isinstance(outcome, _lp.Optimal):
             return outcome
         x = [self.space_scalar(q) for q in outcome.x]
@@ -470,71 +371,20 @@ class _Evaluator:
                 raise IllegalElement("float overflow produced an illegal infinity") from None
         return ExtScalar.of(q)
 
-    def group_arg(self, node) -> TropMatrix | None:
-        value = self.eval(node)
-        if isinstance(value, EmptyMatrix):
-            return None
-        if isinstance(value, TropMatrix):
-            return value
-        raise EvalError(
-            "constraint arguments must be matrices or the empty literal",
-            node.line,
-            node.col,
-        )
-
-    def column_arg(self, node, what) -> TropMatrix:
-        value = self.eval(node)
-        if not isinstance(value, TropMatrix):
-            raise EvalError(f"{what} must be a vector", node.line, node.col)
-        return value
-
-    def rational_rows(self, m: TropMatrix, node):
-        return tuple(
-            tuple(self.rational(e, node) for e in row) for row in m.to_lists()
-        )
-
-    def rational_column(self, m: TropMatrix, node):
-        if m.cols != 1:
-            raise EvalError(
-                f"expected a column vector, got a {m.rows}x{m.cols} matrix",
-                node.line,
-                node.col,
-            )
-        return tuple(self.rational(e, node) for e in (row[0] for row in m.to_lists()))
-
-    def rational(self, e: ExtScalar, node) -> Fraction:
-        if not e.is_finite:
-            raise EvalError(
-                "linear programming data must be finite", node.line, node.col
-            )
-        return Fraction(e.finite)
-
     # ---- univariate inequalities ----
 
-    def cmd_solve(self, node: Call):
-        if self.session.algebra is not Q_CLASSICAL:
-            raise EvalError(
-                "\\solve needs the space Q or Q[x], the current space is "
-                f"{self.session.space_name}",
-                node.line,
-                node.col,
-            )
-        arg = node.args[0]
+    def solve(self, arg):
         if isinstance(arg, ListLit):
             items = arg.items
         elif isinstance(arg, Ineq):
             items = (arg,)
         else:
-            raise EvalError(
-                "\\solve takes a list of inequalities", node.line, node.col
-            )
+            raise TropalgError("\\solve takes a list of inequalities")
         ineqs = []
         unknown = None
         for item in items:
             if not isinstance(item, Ineq):
-                raise EvalError(
-                    "\\solve takes a list of inequalities", item.line, item.col
-                )
+                raise EvalError("\\solve takes a list of inequalities", item.line, item.col)
             la, lb, lv = self.linear_form(item.left)
             ra, rb, rv = self.linear_form(item.right)
             v = self.merge_unknowns(lv, rv, item)
@@ -596,6 +446,101 @@ class _Evaluator:
             node.line,
             node.col,
         )
+
+
+def _rational_rows(m: TropMatrix):
+    if not all(e.is_finite for e in m.entries):
+        raise TropalgError("linear programming data must be finite")
+    return tuple(tuple(Fraction(e.finite) for e in row) for row in m.to_lists())
+
+
+def _rational_column(m: TropMatrix):
+    if m.cols != 1:
+        raise TropalgError(f"expected a column vector, got a {m.rows}x{m.cols} matrix")
+    return tuple(row[0] for row in _rational_rows(m))
+
+
+# ---- the command table ----
+
+
+def _reader(types, message):
+    """A reader that passes an argument's value of the given types and
+    rejects any other with the message, positioned at the argument."""
+
+    def read(value, node):
+        if isinstance(value, types):
+            return value
+        raise EvalError(message, node.line, node.col)
+
+    return read
+
+
+def _vertex(what):
+    """A reader that passes an integral scalar as an int."""
+
+    def read(value, node):
+        if isinstance(value, ExtScalar) and value.is_finite:
+            v = value.finite
+            if isinstance(v, int):
+                return v
+            if isinstance(v, float) and v.is_integer():
+                return int(v)
+        raise EvalError(f"{what} must be an integer", node.line, node.col)
+
+    return read
+
+
+_COEFFICIENTS = _reader(TropMatrix, "the coefficient matrix must be a matrix")
+_RHS = _reader(TropMatrix, "the right-hand side must be a matrix")
+_ADJACENCY = _reader(TropMatrix, "the adjacency matrix must be a matrix")
+_GROUP = _reader(
+    (TropMatrix, EmptyMatrix), "constraint arguments must be matrices or the empty literal"
+)
+_SYSTEM = {2: (_COEFFICIENTS, _RHS)}
+_BELLMAN = {1: (_COEFFICIENTS,), 2: (_COEFFICIENTS, _RHS)}
+_SIMPLEX = {
+    k: (_GROUP,) * (k - 1) + (_reader(TropMatrix, "the objective must be a vector"),)
+    for k in (3, 5, 7)
+}
+
+_SPACES = {
+    "a tropical space": lambda alg: alg.is_tropical,
+    "a classical space": lambda alg: not alg.is_tropical,
+    "the space Q or Q[x]": lambda alg: alg is Q_CLASSICAL,
+}
+
+# A row's space is None for any space. A reader takes an argument's value
+# and node and returns what the call is given; None passes the node as it
+# is. A call names library functions in its body, not in the row, so that
+# a rebinding of this module's names (bench/tracer.py makes one) reaches it.
+_COMMANDS = {
+    "closure": (
+        "a tropical space",
+        {1: (_reader((ExtScalar, TropMatrix), "\\closure needs a scalar or a matrix"),)},
+        _Evaluator.closure,
+    ),
+    "solveLAETropic": ("a tropical space", _SYSTEM, lambda ev, a, b: solve_lae_tropic(a, b)),
+    "solveLAITropic": ("a tropical space", _SYSTEM, lambda ev, a, b: solve_lai_tropic(a, b)[1]),
+    "BellmanEquation": (
+        "a tropical space",
+        _BELLMAN,
+        lambda ev, a, b=None: bellman_homogeneous(a) if b is None else bellman_solve(a, b),
+    ),
+    "BellmanInequality": ("a tropical space", _BELLMAN, lambda ev, *ab: bellman_inequality(*ab)),
+    "findTheShortestPath": (
+        None,
+        {3: (_ADJACENCY, _vertex("the start vertex"), _vertex("the end vertex"))},
+        lambda ev, a, start, goal: find_shortest_path(WeightedGraph(a), start, goal),
+    ),
+    "searchLeastDistances": (
+        None,
+        {1: (_ADJACENCY,)},
+        lambda ev, a: search_least_distances(WeightedGraph(a)),
+    ),
+    "SimplexMax": ("a classical space", _SIMPLEX, lambda ev, *args: ev.simplex("max", args)),
+    "SimplexMin": ("a classical space", _SIMPLEX, lambda ev, *args: ev.simplex("min", args)),
+    "solve": ("the space Q or Q[x]", {1: (None,)}, _Evaluator.solve),
+}
 
 
 def _exact(text: str) -> int | Fraction:

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import itertools
 import os
@@ -13,7 +14,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 import tropalg
 from tropalg.mathpar.cli import run_cli
-from tropalg.mathpar.interp import _SPACE_ARITIES, _Evaluator
+from tropalg.mathpar import interp
+from tropalg.mathpar.interp import _COMMANDS, _Evaluator
 from tropalg.mathpar.parser import MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -170,14 +172,69 @@ def test_golden_scripts_keep_their_operation_counts(script, capsys):
     assert err == f"semiring ops: adds={adds} muls={muls}\n"
 
 
-def test_internal_failure_is_one_line_with_its_own_status(capsys, monkeypatch):
-    def broken(self, node):
-        raise RuntimeError("handler broke")
+@pytest.mark.parametrize(
+    "script, err",
+    [
+        ("\\frobnicate(1);", "1:1: unknown command \\frobnicate"),
+        ("SPACE = ZMaxPlus[]; \\closure(1, 2);", "1:21: \\closure takes 1 argument(s), got 2"),
+        (
+            "SPACE = ZMaxPlus[]; \\BellmanEquation([[0]], [0], [0]);",
+            "1:21: \\BellmanEquation takes 1 or 2 argument(s), got 3",
+        ),
+        ("SPACE = Q[]; \\closure(1);", "1:14: \\closure needs a tropical space, the current space is Q"),
+        (
+            "SPACE = ZMaxPlus[]; \\SimplexMax([[1]], [1], [1]);",
+            "1:21: \\SimplexMax needs a classical space, the current space is ZMaxPlus",
+        ),
+        (
+            "SPACE = R64[]; \\solve([x <= 1]);",
+            "1:16: \\solve needs the space Q or Q[x], the current space is R64",
+        ),
+        ("SPACE = ZMaxPlus[]; \\solveLAETropic(1, [1]);", "1:37: the coefficient matrix must be a matrix"),
+        ("SPACE = ZMaxPlus[]; \\solveLAITropic([[1]], 1);", "1:44: the right-hand side must be a matrix"),
+        ("SPACE = ZMinPlus[]; \\searchLeastDistances(1);", "1:43: the adjacency matrix must be a matrix"),
+        (
+            "SPACE = R64MinPlus[]; \\findTheShortestPath([[0]], 0.5, 0);",
+            "1:51: the start vertex must be an integer",
+        ),
+        (
+            "SPACE = R64MinPlus[]; \\findTheShortestPath([[0]], 0, 0.5);",
+            "1:54: the end vertex must be an integer",
+        ),
+        ("SPACE = ZMaxPlus[]; \\closure(());", "1:30: \\closure needs a scalar or a matrix"),
+        (
+            "SPACE = Q[]; \\SimplexMax(1, [1], [1]);",
+            "1:26: constraint arguments must be matrices or the empty literal",
+        ),
+        ("SPACE = Q[]; \\SimplexMin([[1]], [1], 1);", "1:38: the objective must be a vector"),
+        (
+            "SPACE = Q[]; \\SimplexMax((), [1], [1]);",
+            "1:14: a constraint matrix and its right-hand side must be empty together",
+        ),
+        (
+            "SPACE = Q[]; \\SimplexMax([[1]], [[1, 2]], [1]);",
+            "1:14: expected a column vector, got a 1x2 matrix",
+        ),
+        ("SPACE = Q[x]; \\solve(1);", "1:15: \\solve takes a list of inequalities"),
+        ("SPACE = Q[x]; \\solve([x <= 1, 2]);", "1:31: \\solve takes a list of inequalities"),
+        (
+            "SPACE = ZMaxPlus[]; \\searchLeastDistances([[0]]);",
+            "1:21: graphs are weighted over a min-plus algebra",
+        ),
+    ],
+)
+def test_command_errors_keep_their_messages_and_positions(script, err, capsys):
+    assert invoke(["eval", script], capsys) == (1, "", f"error: {err}\n")
 
-    monkeypatch.setattr(_Evaluator, "cmd_closure", broken)
+
+def test_internal_failure_is_one_line_with_its_own_status(capsys, monkeypatch):
+    def broken(a):
+        raise RuntimeError("closure broke")
+
+    monkeypatch.setattr(interp, "closure_block", broken)
     code, out, err = invoke(["eval", "SPACE = ZMaxPlus[]; \\closure([[0]]);"], capsys)
     assert (code, out) == (3, "")
-    assert err == "error: internal error: RuntimeError: handler broke\n"
+    assert err == "error: internal error: RuntimeError: closure broke\n"
 
 
 @pytest.mark.parametrize(
@@ -296,6 +353,24 @@ def test_closure_opcount_script_runs_as_its_usage_line_says():
     assert [(n, muls) for n, muls, *_ in rows] == [("8", "504"), ("9", "720")]
 
 
+def test_differential_script_runs_generated_scripts_as_the_calculator_answers_them():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "differential.py"
+    spec = importlib.util.spec_from_file_location("differential", path)
+    differential = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(differential)
+    scripts = differential.generate(30, seed=1)
+    assert scripts == differential.generate(30, seed=1)
+    assert {re.search(r"\\(\w+)\(", s).group(1) for s in scripts} <= set(_COMMANDS)
+    with differential.Worker(Path(tropalg.__file__).resolve().parents[1]) as worker:
+        results = [worker.run(s) for s in scripts]
+    assert {code for code, _, _ in results} == {0, 1}
+    for script, result in zip(scripts, results):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(["eval", script, "--trace-ops"])
+        assert result == (code, out.getvalue(), err.getvalue()), script
+
+
 # ---- deep and long expressions ----
 
 DEEP = 5000
@@ -354,6 +429,41 @@ def test_nesting_at_the_limit_evaluates(opening, leaf, closing, want, capsys):
     script += opening * MAX_NESTING + leaf + closing * MAX_NESTING + ";"
     code, out, err = invoke(["eval", script], capsys)
     assert (code, out, err) == (0, want + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "opening, closing",
+    [
+        ("(", ")"),
+        ("-(", ")"),
+        ("\\closure(", ")"),
+        ("\\solveLAETropic(A + ", ", b)"),
+        ("\\BellmanEquation(", ")"),
+        ("[", "]"),
+    ],
+    ids=["parentheses", "negations", "closures", "equations", "bellman", "lists"],
+)
+def test_each_nesting_level_costs_the_evaluator_at_most_four_frames(
+    opening, closing, monkeypatch
+):
+    # Parsing takes at most four frames a level too, which keeps
+    # MAX_NESTING levels inside the default recursion limit.
+    depths = []
+    binding = _Evaluator.binding
+
+    def spy(self, node):
+        if node.name == "z":  # the innermost operand, read once per script
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            depths.append(depth)
+        return binding(self, node)
+
+    monkeypatch.setattr(_Evaluator, "binding", spy)
+    prefix = "SPACE = ZMaxPlus[]; A = [[0]]; b = [0]; z = [[0]]; "
+    for levels in (10, 11):
+        run_quietly(prefix + opening * levels + "z" + closing * levels + ";")
+    assert len(depths) == 2 and depths[1] - depths[0] <= 4
 
 
 # ---- numbers of any length ----
@@ -529,11 +639,11 @@ def command_scripts(draw):
     its kind or any space. Each operand has the expected shape or any
     shape: a scalar, a matrix, a list, (), or a list of inequalities;
     entries are small or any scalar."""
-    command = draw(st.sampled_from(sorted(_SPACE_ARITIES)))
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
     classical = command in ("SimplexMax", "SimplexMin", "solve")
     kind = [s for s in SPACE_FORMS if ("Plus" not in s) == classical]
     space = draw(st.sampled_from(kind if draw(st.booleans()) else SPACE_FORMS))
-    arities = _SPACE_ARITIES[command]
+    arities = tuple(_COMMANDS[command][1])
     k = draw(st.sampled_from(arities)) if draw(st.integers(0, 9)) else max(arities) + 1
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     small = ["0", "1", "-2", "3"]
@@ -588,6 +698,10 @@ def command_scripts(draw):
 @given(command_scripts())
 def test_every_command_answers_or_reports_a_position(script):
     assert_answered_or_positioned(script)
+
+
+def test_the_fuzz_draws_every_command_of_the_table():
+    assert set(EXPECTED) | {"SimplexMax", "SimplexMin"} == set(_COMMANDS)
 
 
 def without_positions(result):

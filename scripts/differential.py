@@ -4,6 +4,7 @@ same generated scripts, and report where their answers differ.
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/differential.py --base REF [--scripts N] [--seed S]
+        [--expect PATTERN ...]
 
 The src/ directory of revision REF is unpacked with `git archive` into a
 temporary directory. N scripts are generated from seed S with the random
@@ -12,10 +13,13 @@ one of its arities or one past them, in one of the nine space forms, on
 small operands of the shape the argument expects or of any shape; the
 (command, arity, space) triples are dealt in a seeded order, so N of 234
 or more covers every one. Each tree answers every script in one
-long-lived worker process, as `mathpar eval SCRIPT --trace-ops`, and the
-two exit statuses, stdouts and stderrs are compared. The count of each
-outcome and the first differences are printed; the exit status is 1 when
-any script is answered differently, else 0.
+long-lived worker process, once per flag set of FLAG_SETS, as
+`mathpar eval SCRIPT FLAGS`, and the two exit statuses, stdouts and
+stderrs are compared. A difference on a script that an --expect regular
+expression matches (re.search over the script text) is an intended one:
+it is counted and shown apart and does not fail the run. The count of
+each outcome and the first differences are printed; the exit status is 1
+when any other script is answered differently, else 0.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tarfile
@@ -61,8 +66,13 @@ SHAPES = {
 }
 OUTCOMES = {0: "answered", 1: "script error", 3: "internal error"}
 
+# Every script runs once per flag set: operation counts with the objective
+# of a linear program, which only --show-objective prints, then LaTeX.
+FLAG_SETS = (("--trace-ops", "--show-objective"), ("--format", "latex"))
+
 # The worker: prints where it imported tropalg from, then answers each
-# JSON-encoded script on stdin with a JSON [status, stdout, stderr] line.
+# JSON-encoded [script, flags] line on stdin with a JSON [status, stdout,
+# stderr] line.
 WORKER = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -70,9 +80,10 @@ import tropalg
 from tropalg.mathpar.cli import run_cli
 print(json.dumps(tropalg.__file__), flush=True)
 for line in sys.stdin:
+    script, flags = json.loads(line)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = run_cli(["eval", json.loads(line), "--trace-ops"])
+        code = run_cli(["eval", script, *flags])
     print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
 """
 
@@ -158,8 +169,8 @@ class Worker:
             raise RuntimeError(f"the worker exited with status {self.proc.wait()}")
         return json.loads(line)
 
-    def run(self, script: str) -> tuple[int, str, str]:
-        self.proc.stdin.write(json.dumps(script) + "\n")
+    def run(self, script: str, flags: tuple[str, ...]) -> tuple[int, str, str]:
+        self.proc.stdin.write(json.dumps([script, list(flags)]) + "\n")
         self.proc.stdin.flush()
         return tuple(self._reply())
 
@@ -180,11 +191,33 @@ def _tally(results) -> str:
     return ", ".join(f"{name} {counts[name]}" for name in sorted(counts))
 
 
+def report(runs, expect) -> int:
+    """Print the outcomes and differences of (script, flags, base answer,
+    working-tree answer) runs; the exit status is 1 when a difference on a
+    script no pattern of expect matches is found, else 0."""
+    expected, unexpected = [], []
+    for run in runs:
+        if run[2] != run[3]:
+            matched = any(re.search(pattern, run[0]) for pattern in expect)
+            (expected if matched else unexpected).append(run)
+    print(f"base:         {_tally(b for _, _, b, _ in runs)}")
+    print(f"working tree: {_tally(w for _, _, _, w in runs)}")
+    print(f"differences:  {len(unexpected)}, and {len(expected)} expected")
+    for title, shown in (("difference", unexpected), ("expected difference", expected)):
+        for script, flags, b, w in shown[:5]:
+            print(f"\n{title}, {' '.join(flags)}: {script}")
+            print(f"  base:         {b!r}\n  working tree: {w!r}")
+    return 1 if unexpected else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="the git revision to compare against")
     p.add_argument("--scripts", type=int, default=1000, help="how many scripts to run")
     p.add_argument("--seed", type=int, default=1, help="the seed of the generated scripts")
+    p.add_argument("--expect", action="append", default=[], metavar="PATTERN",
+                   help="a regular expression over the script text marking an intended "
+                   "difference; may be repeated")
     args = p.parse_args(argv)
 
     scripts = generate(args.scripts, args.seed)
@@ -195,16 +228,11 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         with Worker(Path(tmp) / "src") as base, Worker(ROOT / "src") as work:
-            pairs = [(s, base.run(s), work.run(s)) for s in scripts]
+            runs = [(s, f, base.run(s, f), work.run(s, f)) for s in scripts for f in FLAG_SETS]
 
-    differences = [(s, b, w) for s, b, w in pairs if b != w]
-    print(f"{len(scripts)} scripts, seed {args.seed}, base {args.base}")
-    print(f"base:         {_tally(b for _, b, _ in pairs)}")
-    print(f"working tree: {_tally(w for _, _, w in pairs)}")
-    print(f"differences:  {len(differences)}")
-    for script, b, w in differences[:5]:
-        print(f"\n{script}\n  base:         {b!r}\n  working tree: {w!r}")
-    return 1 if differences else 0
+    print(f"{len(scripts)} scripts x {len(FLAG_SETS)} flag sets, seed {args.seed}, "
+          f"base {args.base}")
+    return report(runs, args.expect)
 
 
 if __name__ == "__main__":

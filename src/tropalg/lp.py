@@ -1,11 +1,16 @@
 """Exact-rational linear programming and univariate linear inequalities.
 
-simplex_solve runs the textbook two-phase primal simplex on tableaux of
-Fractions. Pivot selection follows Bland's rule (smallest eligible index
-entering, smallest basic index leaving on ratio ties), which rules out
-cycling, so no perturbation and no epsilon appear anywhere; every
-comparison is exact. Problems are stated over nonnegative variables with
-three optional constraint groups A x <= b, A x = b and A x >= b.
+simplex_solve runs the textbook two-phase primal simplex on one tableau of
+Fractions. Problems are stated over nonnegative variables with three
+optional constraint groups A x <= b, A x = b and A x >= b. The tableau's
+rows are the <=, = and >= groups in input order, each negated when its
+right-hand side is negative, and the objective row comes last. Its columns
+are the variables, one slack per <= row, one surplus per >= row, the
+artificials (phase 1 only, one per row whose slack does not start basic),
+then the right-hand side. Pivot selection follows Bland's rule (smallest
+eligible index entering, smallest basic index leaving on ratio ties),
+which rules out cycling, so no perturbation and no epsilon appear
+anywhere; every comparison is exact.
 
 solve_univariate_linear intersects half-lines a*x + b REL 0 into a single
 interval with open or closed endpoints, or reports the empty set.
@@ -18,16 +23,8 @@ from fractions import Fraction
 from ._record import MutableRecord, Record
 from .errors import DimensionMismatch
 
-__all__ = [
-    "LpProblem",
-    "Optimal",
-    "Infeasible",
-    "Unbounded",
-    "SimplexStats",
-    "simplex_solve",
-    "Interval",
-    "solve_univariate_linear",
-]
+__all__ = ["LpProblem", "Optimal", "Infeasible", "Unbounded", "SimplexStats", "simplex_solve",
+           "Interval", "solve_univariate_linear"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -37,12 +34,14 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _frac_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(_frac(v) for v in row) for row in rows)
-
-
 def _frac_vec(values) -> tuple[Fraction, ...]:
     return tuple(_frac(v) for v in values)
+
+
+# The constraint groups in tableau order: the fields holding their rows and
+# right-hand sides, the relation, and the sign of each row's slack column
+# (+1 a slack, -1 a surplus, 0 none).
+_GROUPS = (("a_le", "b_le", "<=", 1), ("a_eq", "b_eq", "=", 0), ("a_ge", "b_ge", ">=", -1))
 
 
 class LpProblem(Record):
@@ -55,20 +54,16 @@ class LpProblem(Record):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         object.__setattr__(self, "c", _frac_vec(self.c))
-        for name in ("a_le", "a_eq", "a_ge"):
-            object.__setattr__(self, name, _frac_rows(getattr(self, name)))
-        for name in ("b_le", "b_eq", "b_ge"):
-            object.__setattr__(self, name, _frac_vec(getattr(self, name)))
+        for a, b, _, _ in _GROUPS:
+            object.__setattr__(self, a, tuple(map(_frac_vec, getattr(self, a))))
+            object.__setattr__(self, b, _frac_vec(getattr(self, b)))
         if self.sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', not {self.sense!r}")
         n = len(self.c)
         if n == 0:
             raise DimensionMismatch("the objective needs at least one variable")
-        for a, b, tag in (
-            (self.a_le, self.b_le, "<="),
-            (self.a_eq, self.b_eq, "="),
-            (self.a_ge, self.b_ge, ">="),
-        ):
+        for a, b, tag, _ in _GROUPS:
+            a, b = getattr(self, a), getattr(self, b)
             if len(a) != len(b):
                 raise DimensionMismatch(
                     f"{tag} group has {len(a)} rows but {len(b)} right-hand sides"
@@ -78,6 +73,12 @@ class LpProblem(Record):
                     raise DimensionMismatch(
                         f"a {tag} row has {len(row)} coefficients for {n} variables"
                     )
+
+
+def _constraints(p: LpProblem):
+    """Every constraint of p as a (row, rhs, slack sign) triple, in tableau order."""
+    return [(row, rhs, sign) for a, b, _, sign in _GROUPS
+            for row, rhs in zip(getattr(p, a), getattr(p, b))]
 
 
 class Optimal(Record):
@@ -102,7 +103,7 @@ class SimplexStats(MutableRecord):
 _PIVOT_LIMIT = 200_000
 
 
-def _pivot(tab, zrow, basis, r, j):
+def _pivot(tab, basis, r, j):
     piv = tab[r][j]
     row = [v / piv for v in tab[r]]
     tab[r] = row
@@ -111,38 +112,35 @@ def _pivot(tab, zrow, basis, r, j):
             f = tab[i][j]
             if f:
                 tab[i] = [x - f * y for x, y in zip(tab[i], row)]
-    f = zrow[j]
-    if f:
-        zrow[:] = [x - f * y for x, y in zip(zrow, row)]
     basis[r] = j
 
 
-def _optimize(tab, zrow, basis, width, stats):
-    """Maximize with Bland's rule; zrow holds reduced costs and -z last."""
+def _priced(cost, tab, basis):
+    """The objective row of cost: every basic column priced out by its row."""
+    for r, bv in enumerate(basis):
+        f = cost[bv]
+        if f:
+            cost = [x - f * y for x, y in zip(cost, tab[r])]
+    return cost
+
+
+def _optimize(tab, basis, width, stats):
+    """Maximize with Bland's rule; tab[-1] holds reduced costs and -z last."""
     for _ in range(_PIVOT_LIMIT):
-        enter = None
-        for j in range(width):
-            if zrow[j] > 0:
-                enter = j
-                break
+        zrow = tab[-1]
+        enter = next((j for j in range(width) if zrow[j] > 0), None)
         if enter is None:
             return "optimal"
-        leave = None
-        best = None
-        for r in range(len(tab)):
+        leave = best = None
+        for r in range(len(basis)):
             a = tab[r][enter]
             if a > 0:
                 ratio = tab[r][-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[r] < basis[leave])
-                ):
-                    best = ratio
-                    leave = r
+                if leave is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
         if leave is None:
             return "unbounded"
-        _pivot(tab, zrow, basis, leave, enter)
+        _pivot(tab, basis, leave, enter)
         if stats is not None:
             stats.pivots += 1
     raise RuntimeError("pivot limit exceeded")
@@ -150,111 +148,72 @@ def _optimize(tab, zrow, basis, width, stats):
 
 def simplex_solve(problem: LpProblem, stats: SimplexStats | None = None):
     """Solve an LpProblem exactly; returns Optimal, Infeasible or Unbounded."""
-    p = problem
-    n = len(p.c)
-    m1, m3 = len(p.a_le), len(p.a_ge)
-    width = n + m1 + m3
+    n = len(problem.c)
+    rows = _constraints(problem)
+    slacks = [_ZERO] * sum(1 for _, _, sign in rows if sign)
+    width = n + len(slacks)
 
-    body = []
-    rhs = []
-    for i, (row, b) in enumerate(zip(p.a_le, p.b_le)):
-        r = list(row) + [_ZERO] * (m1 + m3)
-        r[n + i] = _ONE
-        body.append(r)
-        rhs.append(b)
-    for row, b in zip(p.a_eq, p.b_eq):
-        body.append(list(row) + [_ZERO] * (m1 + m3))
-        rhs.append(b)
-    for i, (row, b) in enumerate(zip(p.a_ge, p.b_ge)):
-        r = list(row) + [_ZERO] * (m1 + m3)
-        r[n + m1 + i] = -_ONE
-        body.append(r)
-        rhs.append(b)
-    for r in range(len(body)):
-        if rhs[r] < 0:
-            body[r] = [-v for v in body[r]]
-            rhs[r] = -rhs[r]
-
-    # A row whose slack or surplus column survived normalisation with
-    # coefficient +1 starts basic; every other row gets an artificial.
-    basis = []
-    art_rows = []
-    for r in range(len(body)):
-        ready = None
-        for j in range(n, width):
-            if body[r][j] == 1:
-                ready = j
-                break
-        if ready is None:
-            art_rows.append(r)
-            basis.append(width + len(art_rows) - 1)
+    # Each row gets its slack or surplus column and is negated when its rhs
+    # is negative. Its slack starts basic if that leaves it at +1; every
+    # other row gets an artificial column, numbered in row order.
+    tab, basis = [], []
+    col, arts = n, 0
+    for row, rhs, sign in rows:
+        line = [*row, *slacks, rhs]
+        if sign:
+            line[col] = _ONE if sign > 0 else -_ONE
+            col += 1
+        if rhs < 0:
+            line = [-v for v in line]
+        if sign and line[col - 1] == 1:
+            basis.append(col - 1)
         else:
-            basis.append(ready)
-    n_art = len(art_rows)
+            basis.append(width + arts)
+            arts += 1
+        tab.append(line)
+    for line, bv in zip(tab, basis):
+        line[-1:-1] = [_ONE if j == bv else _ZERO for j in range(width, width + arts)]
 
-    tab = []
-    for r in range(len(body)):
-        art = [_ZERO] * n_art
-        if basis[r] >= width:
-            art[basis[r] - width] = _ONE
-        tab.append(body[r] + art + [rhs[r]])
-
-    if n_art:
-        zrow = [_ZERO] * width + [-_ONE] * n_art + [_ZERO]
-        for r, bv in enumerate(basis):
-            f = zrow[bv]
-            if f:
-                zrow = [x - f * y for x, y in zip(zrow, tab[r])]
-        status = _optimize(tab, zrow, basis, width + n_art, stats)
-        if status != "optimal":
+    if arts:
+        tab.append(_priced([_ZERO] * width + [-_ONE] * arts + [_ZERO], tab, basis))
+        if _optimize(tab, basis, width + arts, stats) != "optimal":
             raise RuntimeError("phase 1 objective is bounded by construction")
-        if zrow[-1] != 0:
+        if tab[-1][-1] != 0:
             return Infeasible()
-        for r in range(len(tab)):
-            if basis[r] >= width:
-                for j in range(width):
-                    if tab[r][j] != 0:
-                        _pivot(tab, zrow, basis, r, j)
-                        break
-        keep = [r for r in range(len(tab)) if basis[r] < width]
-        tab = [tab[r][:width] + [tab[r][-1]] for r in keep]
-        basis = [basis[r] for r in keep]
+        # Drive each artificial left basic at zero out of the basis; a row
+        # with no other nonzero entry is redundant and is dropped, and so
+        # are the artificial columns and the phase-1 objective row.
+        for r, bv in enumerate(basis):
+            if bv >= width:
+                j = next((j for j in range(width) if tab[r][j]), None)
+                if j is not None:
+                    _pivot(tab, basis, r, j)
+        kept = [(line[:width] + line[-1:], bv) for line, bv in zip(tab, basis) if bv < width]
+        tab, basis = [line for line, _ in kept], [bv for _, bv in kept]
 
-    cost = list(p.c) if p.sense == "max" else [-v for v in p.c]
-    zrow = cost + [_ZERO] * (m1 + m3) + [_ZERO]
-    for r, bv in enumerate(basis):
-        f = zrow[bv]
-        if f:
-            zrow = [x - f * y for x, y in zip(zrow, tab[r])]
-    zrow = list(zrow)
-    status = _optimize(tab, zrow, basis, width, stats)
-    if status == "unbounded":
+    cost = list(problem.c) if problem.sense == "max" else [-v for v in problem.c]
+    tab.append(_priced(cost + slacks + [_ZERO], tab, basis))
+    if _optimize(tab, basis, width, stats) == "unbounded":
         return Unbounded()
 
-    x = [_ZERO] * width
-    for r, bv in enumerate(basis):
-        x[bv] = tab[r][-1]
-    xs = tuple(x[:n])
+    values = {bv: line[-1] for bv, line in zip(basis, tab)}
+    xs = tuple(values.get(j, _ZERO) for j in range(n))
     if stats is not None:
-        stats.reduced_costs = tuple(zrow[:width])
-    _check_solution(p, xs)
-    objective = sum((ci * xi for ci, xi in zip(p.c, xs)), _ZERO)
+        stats.reduced_costs = tuple(tab[-1][:width])
+    _check_solution(problem, xs)
+    objective = sum((ci * xi for ci, xi in zip(problem.c, xs)), _ZERO)
     return Optimal(xs, objective)
 
 
 def _check_solution(p: LpProblem, x):
-    for xi in x:
-        if xi < 0:
-            raise RuntimeError("simplex returned a negative coordinate")
-    for row, b in zip(p.a_le, p.b_le):
-        if sum((a * v for a, v in zip(row, x)), _ZERO) > b:
-            raise RuntimeError("simplex violated a <= constraint")
-    for row, b in zip(p.a_eq, p.b_eq):
-        if sum((a * v for a, v in zip(row, x)), _ZERO) != b:
-            raise RuntimeError("simplex violated an = constraint")
-    for row, b in zip(p.a_ge, p.b_ge):
-        if sum((a * v for a, v in zip(row, x)), _ZERO) < b:
-            raise RuntimeError("simplex violated a >= constraint")
+    if any(xi < 0 for xi in x):
+        raise RuntimeError("simplex returned a negative coordinate")
+    for row, rhs, sign in _constraints(p):
+        lhs = sum((a * v for a, v in zip(row, x)), _ZERO)
+        # The slack sign indexes the relation: 0 is =, 1 is <= and -1 is >=.
+        if (lhs != rhs, lhs > rhs, lhs < rhs)[sign]:
+            relation = ("an =", "a <=", "a >=")[sign]
+            raise RuntimeError(f"simplex violated {relation} constraint")
 
 
 class Interval(Record):

@@ -51,12 +51,16 @@ class IntervalBound(Record):
     __slots__ = ("lower", "upper", "lower_closed", "upper_closed")
 
 
-def _require_system(a: TropMatrix, b: TropMatrix, what: str):
+def _require_system(a: TropMatrix, b: TropMatrix | None, what: str, column: bool = True):
+    """Check A and its right-hand side b, when there is one, before any work;
+    b must be a column unless column is False."""
     if not a.alg.is_tropical:
         raise AlgebraMismatch(f"{what} requires a tropical algebra")
+    if b is None:
+        return
     if a.alg != b.alg:
         raise AlgebraMismatch("matrix and right-hand side live in different algebras")
-    if b.cols != 1:
+    if column and b.cols != 1:
         raise DimensionMismatch("the right-hand side must be a column")
     if a.rows != b.rows:
         raise DimensionMismatch(
@@ -103,14 +107,7 @@ def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 
 def bellman_solve(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """The least solution X = A^x B of the equation X = A X + B."""
-    if not a.alg.is_tropical:
-        raise AlgebraMismatch("bellman_solve requires a tropical algebra")
-    if a.alg != b.alg:
-        raise AlgebraMismatch("matrix and right-hand side live in different algebras")
-    if a.rows != b.rows:
-        raise DimensionMismatch(
-            f"matrix has {a.rows} rows but the right-hand side has {b.rows}"
-        )
+    _require_system(a, b, "bellman_solve", column=False)
     x = mat_mul(closure_block(a), b)
     if mat_oplus(mat_mul(a, x), b) != x:
         raise AssertionError("closure produced a non-fixed-point")
@@ -123,8 +120,7 @@ def bellman_homogeneous(a: TropMatrix) -> TropMatrix:
     The qualifying columns are returned side by side; NoSolution is
     raised when none qualifies.
     """
-    if not a.alg.is_tropical:
-        raise AlgebraMismatch("bellman_homogeneous requires a tropical algebra")
+    _require_system(a, None, "bellman_homogeneous")
     closed = closure_block(a)
     moved = mat_mul(a, closed)
     n = a.rows
@@ -142,17 +138,10 @@ def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix
     with b the particular solution A^x b is returned, verified against
     the inequality before being handed back.
     """
-    if not a.alg.is_tropical:
-        raise AlgebraMismatch("bellman_inequality requires a tropical algebra")
+    _require_system(a, b, "bellman_inequality", column=False)
     closed = closure_block(a)
     if b is None:
         return closed
-    if a.alg != b.alg:
-        raise AlgebraMismatch("matrix and right-hand side live in different algebras")
-    if a.rows != b.rows:
-        raise DimensionMismatch(
-            f"matrix has {a.rows} rows but the right-hand side has {b.rows}"
-        )
     x = mat_mul(closed, b)
     if not mat_le(mat_oplus(mat_mul(a, x), b), x):
         raise AssertionError("closure produced a non-solution of the inequality")

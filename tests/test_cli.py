@@ -21,6 +21,23 @@ from tropalg.mathpar.parser import MAX_NESTING
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _load_differential():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "differential.py"
+    spec = importlib.util.spec_from_file_location("differential", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The script generator of the differential tool; the fuzz below draws from
+# its tables.
+differential = _load_differential()
+SPACE_FORMS, NEAR_MAX, MAX_FLOAT, NINES, SCALARS = (
+    differential.SPACE_FORMS, differential.NEAR_MAX, differential.MAX_FLOAT, differential.NINES,
+    differential.SCALARS,
+)
+
+
 def invoke(argv, capsys):
     code = run_cli(argv)
     captured = capsys.readouterr()
@@ -182,6 +199,14 @@ def test_golden_scripts_keep_their_operation_counts(script, capsys):
             "1:21: \\BellmanEquation takes 1 or 2 argument(s), got 3",
         ),
         ("SPACE = Q[]; \\closure(1);", "1:14: \\closure needs a tropical space, the current space is Q"),
+        (
+            "SPACE = ZMaxPlus[]; \\BellmanInequality([[1]], [0, 0]);",
+            "1:21: matrix has 1 rows but the right-hand side has 2",
+        ),
+        (
+            "SPACE = ZMaxPlus[]; \\BellmanEquation([[1]], [0, 0]);",
+            "1:21: matrix has 1 rows but the right-hand side has 2",
+        ),
         (
             "SPACE = ZMaxPlus[]; \\SimplexMax([[1]], [1], [1]);",
             "1:21: \\SimplexMax needs a classical space, the current space is ZMaxPlus",
@@ -354,21 +379,42 @@ def test_closure_opcount_script_runs_as_its_usage_line_says():
 
 
 def test_differential_script_runs_generated_scripts_as_the_calculator_answers_them():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "differential.py"
-    spec = importlib.util.spec_from_file_location("differential", path)
-    differential = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(differential)
     scripts = differential.generate(30, seed=1)
     assert scripts == differential.generate(30, seed=1)
     assert {re.search(r"\\(\w+)\(", s).group(1) for s in scripts} <= set(_COMMANDS)
+    runs = [(s, flags) for s in scripts for flags in differential.FLAG_SETS]
     with differential.Worker(Path(tropalg.__file__).resolve().parents[1]) as worker:
-        results = [worker.run(s) for s in scripts]
+        results = [worker.run(s, flags) for s, flags in runs]
     assert {code for code, _, _ in results} == {0, 1}
-    for script, result in zip(scripts, results):
+    for (script, flags), result in zip(runs, results):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = run_cli(["eval", script, "--trace-ops"])
-        assert result == (code, out.getvalue(), err.getvalue()), script
+            code = run_cli(["eval", script, *flags])
+        assert result == (code, out.getvalue(), err.getvalue()), (script, flags)
+
+
+def test_differential_flag_sets_show_an_objective_and_latex():
+    script = "SPACE = Q[]; \\SimplexMax([[1, 2]], [4], [1, 1]);"
+    with differential.Worker(Path(tropalg.__file__).resolve().parents[1]) as worker:
+        plain, latex = (worker.run(script, flags) for flags in differential.FLAG_SETS)
+    assert plain == (0, "[4, 0]\nobjective: 4\n", "semiring ops: adds=0 muls=0\n")
+    assert latex == (0, "\\begin{pmatrix} 4 \\\\ 0 \\end{pmatrix}\n", "")
+
+
+def test_differential_report_sets_expected_differences_apart(capsys):
+    flags = differential.FLAG_SETS[0]
+    same, other = (0, "1\n", ""), (1, "", "error: 1:1: no\n")
+    runs = [
+        ("\\closure(1);", flags, same, same),
+        ("\\BellmanInequality([[1]], [0, 0]);", flags, same, other),
+        ("\\BellmanEquation([[1]], [0, 0]);", flags, same, other),
+    ]
+    assert differential.report(runs, [r"\\BellmanInequality"]) == 1
+    assert "differences:  1, and 1 expected" in capsys.readouterr().out
+    assert differential.report(runs, [r"\\Bellman"]) == 0
+    out = capsys.readouterr().out
+    assert "differences:  0, and 2 expected" in out
+    assert out.count("expected difference, --trace-ops --show-objective: ") == 2
 
 
 # ---- deep and long expressions ----
@@ -469,7 +515,6 @@ def test_each_nesting_level_costs_the_evaluator_at_most_four_frames(
 # ---- numbers of any length ----
 
 
-NINES = "9" * 4300  # the longest int Python converts to text by default
 SEVENS = "7" * 3000
 TWICE_NINES = "1" + "9" * 4299 + "8"  # NINES + NINES
 
@@ -608,29 +653,7 @@ def test_path_commands_on_small_matrices_answer_or_report_a_position(script):
     assert_answered_or_positioned(script)
 
 
-SPACE_FORMS = [
-    "ZMaxPlus[]", "ZMinPlus[]", "QMaxPlus[]", "QMinPlus[]", "R64MaxPlus[]", "R64MinPlus[]",
-    "Q[]", "R64[]", "Q[x]",
-]
-NEAR_MAX = "1" + "0" * 308 + ".0"  # 1e308
-MAX_FLOAT = "17976931348623157" + "0" * 292 + ".0"  # the largest float
-SCALARS = ["0", "1", "-2", "3", "1/2", "-7/3", "0.5", "-0.3", NEAR_MAX, "-" + NEAR_MAX,
-           MAX_FLOAT, f"{NINES} * {NINES}", "\\infty", "-\\infty"]
 INEQUALITIES = ["x <= 1", "2*x - 1 > x", "1/2 >= -x", "x * x < 0", "1 <= 2"]
-
-
-# The operands each command expects, argument by argument; the simplex
-# commands take k constraint matrices, k right-hand sides and an objective.
-EXPECTED = {
-    "closure": ["square"],
-    "solveLAETropic": ["matrix", "list"],
-    "solveLAITropic": ["matrix", "list"],
-    "BellmanEquation": ["square", "list"],
-    "BellmanInequality": ["square", "list"],
-    "findTheShortestPath": ["square", "index", "index"],
-    "searchLeastDistances": ["square"],
-    "solve": ["inequalities"],
-}
 
 
 @st.composite
@@ -688,7 +711,7 @@ def command_scripts(draw):
         g = (k - 1) // 2
         expected = ["matrix"] * g + ["list"] * g + ["objective"] * (k - 2 * g)
     else:
-        expected = EXPECTED[command] + ["any"] * k
+        expected = differential.SHAPES[command] + ["any"] * k
     args = ", ".join(operand(expected[i] if draw(st.booleans()) else "any") for i in range(k))
     return f"SPACE = {space}; \\{command}({args});"
 
@@ -701,7 +724,7 @@ def test_every_command_answers_or_reports_a_position(script):
 
 
 def test_the_fuzz_draws_every_command_of_the_table():
-    assert set(EXPECTED) | {"SimplexMax", "SimplexMin"} == set(_COMMANDS)
+    assert set(differential.SHAPES) | {"SimplexMax", "SimplexMin"} == set(_COMMANDS)
 
 
 def without_positions(result):

@@ -93,6 +93,80 @@ def test_degenerate_cycling_instance_terminates():
     assert stats.pivots < 1000
 
 
+# One program per branch of simplex_solve, with the answer, the pivot count
+# and the final reduced costs it gave before the tableau became one list of
+# constraint rows. Bland's rule fixes the pivot sequence, and on degenerate
+# programs the vertex returned depends on it, so all three are pinned.
+@pytest.mark.parametrize(
+    "problem, answer, pivots, reduced_costs",
+    [
+        (
+            LpProblem(
+                c=(F(3, 4), -150, F(1, 50), -6),
+                a_le=((F(1, 4), -60, F(-1, 25), 9), (F(1, 2), -90, F(-1, 50), 3), (0, 0, 1, 0)),
+                b_le=(0, 0, 1),
+            ),
+            "Optimal(x=(Fraction(1, 25), Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)),"
+            " objective=Fraction(1, 20))",
+            6,
+            "0 -15 0 -21/2 0 -3/2 -1/20",
+        ),
+        (
+            LpProblem(c=(1, 2), a_eq=((1, 1), (2, 2)), b_eq=(2, 4)),
+            "Optimal(x=(Fraction(0, 1), Fraction(2, 1)), objective=Fraction(4, 1))",
+            2,
+            "-1 0",
+        ),
+        (
+            LpProblem(c=(-4, -9), a_le=((5, 7),), b_le=(5,), a_eq=((-5, -6),), b_eq=(-5,)),
+            "Optimal(x=(Fraction(1, 1), Fraction(0, 1)), objective=Fraction(-4, 1))",
+            2,
+            "0 -21/5 0",
+        ),
+        (
+            LpProblem(c=(1, 2), a_le=((1, 1),), b_le=(4,), a_ge=((1, -1),), b_ge=(-1,)),
+            "Optimal(x=(Fraction(3, 2), Fraction(5, 2)), objective=Fraction(13, 2))",
+            2,
+            "0 0 -3/2 -1/2",
+        ),
+        (
+            LpProblem(c=(-1, -2), a_le=((-1, -1), (1, 0), (0, 1)), b_le=(-2, 3, 3)),
+            "Optimal(x=(Fraction(2, 1), Fraction(0, 1)), objective=Fraction(-2, 1))",
+            1,
+            "0 -1 -1 0 0",
+        ),
+        (
+            LpProblem(c=(1, 1), a_le=((1, 1),), b_le=(1,), a_ge=((1, 1),), b_ge=(3,)),
+            "Infeasible()",
+            1,
+            "",
+        ),
+        (LpProblem(c=(1, 1), a_le=((1, -1),), b_le=(1,)), "Unbounded()", 1, ""),
+        (
+            LpProblem(c=(2, 3), a_ge=((1, 1), (1, -1)), b_ge=(3, 1), sense="min"),
+            "Optimal(x=(Fraction(3, 1), Fraction(0, 1)), objective=Fraction(6, 1))",
+            3,
+            "0 -1 -2 0",
+        ),
+    ],
+    ids=[
+        "cycling",
+        "redundant-equality-row-dropped",
+        "artificial-driven-out",
+        "ge-row-negative-rhs-surplus-starts-basic",
+        "le-row-negative-rhs",
+        "infeasible",
+        "unbounded",
+        "min",
+    ],
+)
+def test_each_branch_keeps_its_pivot_sequence(problem, answer, pivots, reduced_costs):
+    stats = SimplexStats()
+    assert repr(simplex_solve(problem, stats)) == answer
+    assert stats.pivots == pivots
+    assert stats.reduced_costs == tuple(F(v) for v in reduced_costs.split())
+
+
 def test_reduced_costs_certify_optimality():
     p = LpProblem(
         c=(3, 1, 2),

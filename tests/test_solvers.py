@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tropalg import (
+    AlgebraMismatch,
     DimensionMismatch,
     ExtScalar,
     NEG_INF,
@@ -217,6 +218,20 @@ def test_inequality_solutions_dominate_on_random_instances():
         b = TropMatrix.column([s(rng.randint(-9, 9)) for _ in range(n)], Z_MAX_PLUS)
         x = bellman_inequality(a, b)
         assert mat_le(mat_oplus(mat_mul(a, x), b), x)
+
+
+@pytest.mark.parametrize(
+    "b", [col([0] * 33), col([0] * 32, Z_MIN_PLUS)], ids=["too-many-rows", "other-algebra"]
+)
+def test_both_bellman_solvers_reject_b_before_any_closure(b):
+    a = rand_closure_friendly(random.Random(25), Z_MAX_PLUS, 32)
+    errors = []
+    for solve in (bellman_inequality, bellman_solve):
+        with count_ops() as c, pytest.raises((AlgebraMismatch, DimensionMismatch)) as e:
+            solve(a, b)
+        assert c.total == 0
+        errors.append((type(e.value), str(e.value)))
+    assert errors[0] == errors[1]
 
 
 # ---- operation counts ----

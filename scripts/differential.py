@@ -10,12 +10,14 @@ The src/ directory of revision REF is unpacked with `git archive` into a
 temporary directory. N scripts are generated from seed S with the random
 module: each calls one command of the working tree's command table, at
 one of its arities or one past them, in one of the nine space forms, on
-small operands of the shape the argument expects or of any shape; the
-(command, arity, space) triples are dealt in a seeded order, so N of 234
-or more covers every one. Each tree answers every script in one
-long-lived worker process, once per flag set of FLAG_SETS, as
-`mathpar eval SCRIPT FLAGS`, and the two exit statuses, stdouts and
-stderrs are compared. A difference on a script that an --expect regular
+small operands of the shape the argument expects or of any shape. An
+operand may be negated, parenthesised or joined to another by +, - or *,
+and a scalar is at times wrapped in parentheses up to the parser's
+nesting limit or one level past it. The (command, arity, space) triples
+are dealt in a seeded order, so N of 234 or more covers every one. Each
+tree answers every script in one long-lived worker process, once per
+flag set of FLAG_SETS, as `mathpar eval SCRIPT FLAGS`, and the two exit
+statuses, stdouts and stderrs are compared. A difference on a script that an --expect regular
 expression matches (re.search over the script text) is an intended one:
 it is counted and shown apart and does not fail the run. The count of
 each outcome and the first differences are printed; the exit status is 1
@@ -88,22 +90,31 @@ for line in sys.stdin:
 """
 
 
-def generate(count: int, seed: int) -> list[str]:
-    """count scripts from seed, over the commands of tropalg's command table."""
+def cases() -> list[tuple[str, int, str]]:
+    """Every (command, arity, space) triple: each command of tropalg's
+    command table, at each of its arities and one past them, in each space
+    form."""
     from tropalg.mathpar.interp import _COMMANDS
 
-    cases = [
+    return [
         (command, k, space)
         for command, (_, readers, _) in sorted(_COMMANDS.items())
         for k in (*readers, max(readers) + 1)
         for space in SPACE_FORMS
     ]
+
+
+def generate(count: int, seed: int) -> list[str]:
+    """count scripts from seed, dealing the cases in a seeded order."""
     rng = random.Random(seed)
-    rng.shuffle(cases)
-    return [_script(rng, *cases[i % len(cases)]) for i in range(count)]
+    deal = cases()
+    rng.shuffle(deal)
+    return [_script(rng, *deal[i % len(deal)]) for i in range(count)]
 
 
 def _script(rng: random.Random, command: str, k: int, space: str) -> str:
+    from tropalg.mathpar.parser import MAX_NESTING
+
     n, m = rng.randint(1, 3), rng.randint(1, 3)
     small = ["0", "1", "-2", "3"]
     if "MaxPlus" in space:
@@ -111,38 +122,61 @@ def _script(rng: random.Random, command: str, k: int, space: str) -> str:
     elif "MinPlus" in space:
         small.append("\\infty")
 
-    def scalar():
-        return rng.choice(small if rng.random() < 0.7 else SCALARS)
+    def scalar(depth):
+        text = rng.choice(small if rng.random() < 0.7 else SCALARS)
+        if rng.random() < 0.996:
+            return text
+        # Parentheses up to the parser's limit or one level past it.
+        p = MAX_NESTING - depth + rng.randint(0, 1)
+        return "(" * p + text + ")" * p
 
-    def matrix(rows, cols, diagonal=None):
+    def matrix(depth, rows, cols, diagonal=None):
         return "[" + ", ".join(
-            "[" + ", ".join(diagonal if i == j and diagonal else scalar() for j in range(cols)) + "]"
+            "[" + ", ".join(diagonal if i == j and diagonal else term("scalar", depth + 2)
+                            for j in range(cols)) + "]"
             for i in range(rows)
         ) + "]"
 
-    def operand(shape):
+    def operand(shape, depth):
         if shape == "any":
             shape = rng.choice(ANY)
         if shape == "scalar":
-            return scalar()
+            return scalar(depth)
         if shape == "index":
             return str(rng.randint(-1, n))
         if shape == "matrix":
-            return matrix(n, m)
+            return matrix(depth, n, m)
         if shape == "square":
-            return matrix(n, n, rng.choice(["0", None]))
+            return matrix(depth, n, n, rng.choice(["0", None]))
         if shape in ("list", "objective"):
-            return "[" + ", ".join(scalar() for _ in range(m if shape == "objective" else n)) + "]"
+            length = m if shape == "objective" else n
+            return "[" + ", ".join(term("scalar", depth + 1) for _ in range(length)) + "]"
         if shape == "empty":
             return "()"
         return "[" + ", ".join(rng.choices(INEQUALITIES, k=rng.randint(1, 3))) + "]"
+
+    def term(shape, depth):
+        """An operand of shape inside depth open groups, sometimes negated,
+        parenthesised, or joined by +, - or * to a term of its shape or a
+        scalar."""
+        r = rng.random()
+        if r < 0.8:
+            return operand(shape, depth)
+        if r < 0.9:
+            op = rng.choice("+-*")
+            left = "scalar" if op == "*" else shape  # a sum, or a scalar multiple
+            return f"{term(left, depth)} {op} {term(shape, depth)}"
+        if r < 0.95:
+            return "(" + term(shape, depth + 1) + ")"
+        return "-" + term(shape, depth)
 
     if command in ("SimplexMax", "SimplexMin"):
         g = (k - 1) // 2
         expected = ["matrix"] * g + ["list"] * g + ["objective"] * (k - 2 * g)
     else:
         expected = SHAPES.get(command, []) + ["any"] * k
-    args = ", ".join(operand(expected[i] if rng.random() < 0.85 else "any") for i in range(k))
+    # The argument list is the first group open around each argument.
+    args = ", ".join(term(expected[i] if rng.random() < 0.85 else "any", 1) for i in range(k))
     return f"SPACE = {space}; \\{command}({args});"
 
 

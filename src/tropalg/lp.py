@@ -103,7 +103,7 @@ class SimplexStats(MutableRecord):
 _PIVOT_LIMIT = 200_000
 
 
-def _pivot(tab, basis, r, j):
+def _pivot(tab, basis, r, j, stats):
     piv = tab[r][j]
     row = [v / piv for v in tab[r]]
     tab[r] = row
@@ -113,6 +113,8 @@ def _pivot(tab, basis, r, j):
             if f:
                 tab[i] = [x - f * y for x, y in zip(tab[i], row)]
     basis[r] = j
+    if stats is not None:
+        stats.pivots += 1
 
 
 def _priced(cost, tab, basis):
@@ -140,9 +142,7 @@ def _optimize(tab, basis, width, stats):
                     best, leave = ratio, r
         if leave is None:
             return "unbounded"
-        _pivot(tab, basis, leave, enter)
-        if stats is not None:
-            stats.pivots += 1
+        _pivot(tab, basis, leave, enter, stats)
     raise RuntimeError("pivot limit exceeded")
 
 
@@ -187,7 +187,7 @@ def simplex_solve(problem: LpProblem, stats: SimplexStats | None = None):
             if bv >= width:
                 j = next((j for j in range(width) if tab[r][j]), None)
                 if j is not None:
-                    _pivot(tab, basis, r, j)
+                    _pivot(tab, basis, r, j, stats)
         kept = [(line[:width] + line[-1:], bv) for line, bv in zip(tab, basis) if bv < width]
         tab, basis = [line for line, _ in kept], [bv for _, bv in kept]
 

@@ -51,7 +51,6 @@ from ..semiring import (
     Domain,
     ExtScalar,
     Q_CLASSICAL,
-    SemiringKind,
     _finite_result,
     _number_text,
     trop_add,
@@ -336,7 +335,7 @@ class _Evaluator:
         try:
             return trop_closure_scalar(value, alg)
         except ClosureUndefined:
-            return UndefinedClosure(1 if alg.kind is SemiringKind.MAX_PLUS else -1)
+            return UndefinedClosure(alg.sign)
 
     def simplex(self, sense: str, args):
         """A linear program from k constraint matrices, their k right-hand

@@ -3,11 +3,17 @@
 The max-plus semiring extends a number domain (exact integers, exact
 rationals, or IEEE float64) with the single absorbing element -infinity,
 and reads semiring addition as max and semiring multiplication as
-ordinary +. The min-plus semiring is the order dual: it adjoins +infinity
-and reads addition as min. Both are semifields, since every finite x has
-the multiplicative inverse -x. Classical (plus/times) arithmetic over Q
-and float64 sits behind the same entry points so matrix code and the
-interpreter can stay algebra-generic.
+ordinary +. The min-plus semiring is the order dual under x -> -x: it
+adjoins +infinity and reads addition as min. Both are semifields, since
+every finite x has the multiplicative inverse -x. Classical (plus/times)
+arithmetic over Q and float64 sits behind the same entry points so matrix
+code and the interpreter can stay algebra-generic.
+
+The duality is one number, Algebra.sign: +1 for max-plus, -1 for
+min-plus, 0 for classical algebras. Every tropical rule in the library
+is written once, for max-plus, with its comparisons multiplied by sign,
+and the infinite element is the infinity of sign -sign. No result is
+computed on negated values: 0.0 + -0.0 is 0.0, but -((-0.0) + 0.0) is -0.0.
 
 Exact domains never round: max, min and + of ints and Fractions are
 exact, so no epsilon comparisons appear anywhere in the library.
@@ -69,6 +75,10 @@ class SemiringKind(Enum):
     MAX_PLUS = "max-plus"
     MIN_PLUS = "min-plus"
     CLASSICAL = "classical"
+
+
+# The order of each kind: max-plus, its dual min-plus, or none.
+_SIGNS = {SemiringKind.MAX_PLUS: 1, SemiringKind.MIN_PLUS: -1, SemiringKind.CLASSICAL: 0}
 
 
 class Domain(Enum):
@@ -192,12 +202,16 @@ class Algebra(Record):
     def is_tropical(self) -> bool:
         return self.kind is not SemiringKind.CLASSICAL
 
+    @property
+    def sign(self) -> int:
+        """+1 for max-plus, -1 for min-plus, 0 for classical algebras."""
+        return _SIGNS[self.kind]
+
     def zero(self) -> ExtScalar:
-        """The additive identity: -inf, +inf, or the ordinary 0."""
-        if self.kind is SemiringKind.MAX_PLUS:
-            return NEG_INF
-        if self.kind is SemiringKind.MIN_PLUS:
-            return POS_INF
+        """The additive identity: the infinity of sign -sign, or the ordinary 0."""
+        s = self.sign
+        if s:
+            return NEG_INF if s > 0 else POS_INF
         return ExtScalar(0.0) if self.domain is Domain.F64 else ExtScalar(0)
 
     def one(self) -> ExtScalar:
@@ -211,16 +225,14 @@ class Algebra(Record):
         s = a.inf_sign
         if s == 0:
             return a
-        k = self.kind
-        if k is SemiringKind.MAX_PLUS:
-            if s > 0:
-                raise IllegalElement("+infinity is not an element of a max-plus algebra")
-            return a
-        if k is SemiringKind.MIN_PLUS:
-            if s < 0:
-                raise IllegalElement("-infinity is not an element of a min-plus algebra")
-            return a
-        raise AlgebraMismatch("classical algebras contain no infinite element")
+        sign = self.sign
+        if not sign:
+            raise AlgebraMismatch("classical algebras contain no infinite element")
+        if s == sign:
+            raise IllegalElement(
+                f"{'+' if s > 0 else '-'}infinity is not an element of a {self.kind.value} algebra"
+            )
+        return a
 
     def require_member(self, a: ExtScalar) -> ExtScalar:
         """require_legal plus the number-domain check on finite values."""
@@ -319,9 +331,8 @@ def _finite_result(value, alg: Algebra) -> ExtScalar:
     if type(value) is int:
         return ExtScalar(value)
     if isinstance(value, float) and not math.isfinite(value):
-        z = alg.zero()
-        if z.inf_sign and value == z.inf_sign * math.inf:
-            return z
+        if alg.sign and value == -alg.sign * math.inf:
+            return alg.zero()
         raise IllegalElement("float overflow produced an illegal infinity")
     return ExtScalar.of(value)
 
@@ -331,11 +342,10 @@ def trop_add(a: ExtScalar, b: ExtScalar, alg: Algebra) -> ExtScalar:
     alg.require_legal(a)
     alg.require_legal(b)
     _tally(1, 0)
-    k = alg.kind
-    if k is SemiringKind.MAX_PLUS:
-        return b if a < b else a
-    if k is SemiringKind.MIN_PLUS:
-        return b if b < a else a
+    s = alg.sign
+    if s:
+        # b wins only when strictly greater in the order of s; ties keep a.
+        return b if s * ((a < b) - (b < a)) > 0 else a
     return _finite_result(a.finite + b.finite, alg)
 
 
@@ -371,12 +381,8 @@ def trop_closure_scalar(a: ExtScalar, alg: Algebra) -> ExtScalar:
     if not alg.is_tropical:
         raise AlgebraMismatch("scalar closure is defined over tropical algebras only")
     alg.require_legal(a)
-    if alg.kind is SemiringKind.MAX_PLUS:
-        if a.inf_sign < 0 or a.finite <= 0:
-            return alg.one()
-    else:
-        if a.inf_sign > 0 or a.finite >= 0:
-            return alg.one()
+    if a.inf_sign or alg.sign * a.finite <= 0:
+        return alg.one()
     raise ClosureUndefined(f"closure of {a} does not exist over {alg.name}")
 
 

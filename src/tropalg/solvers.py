@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import AlgebraMismatch, DimensionMismatch, NoSolution
-from .semiring import NEG_INF, POS_INF, SemiringKind
 from .trmatrix import TropMatrix, _residuate, closure_block, mat_le, mat_mul, mat_oplus
 
 __all__ = [
@@ -81,15 +80,9 @@ def solve_lai_tropic(a: TropMatrix, b: TropMatrix):
     x = _residuate(a, b)
     if not mat_le(mat_mul(a, x), b):
         raise AssertionError("residuation produced a non-solution")
-    maxplus = a.alg.kind is SemiringKind.MAX_PLUS
-    bounds = []
-    for k in range(x.rows):
-        v = x.entries[k]
-        if maxplus:
-            bounds.append(IntervalBound(NEG_INF, v, False, True))
-        else:
-            bounds.append(IntervalBound(v, POS_INF, True, False))
-    return x, tuple(bounds)
+    # The max-plus interval (zero, x_k], its ends swapped when sign is -1.
+    zero, s = a.alg.zero(), a.alg.sign
+    return x, tuple(IntervalBound(*(zero, v)[::s], *(False, True)[::s]) for v in x.entries)
 
 
 def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:

@@ -13,8 +13,9 @@ All of them run on raw rows, which never leave this module: lists of
 plain numbers with None for the algebra's infinite element. Each
 operation checks its operands, lowers them to raw rows, runs the kernel
 (_product, _oplus, _closure, _residual) and lifts the result back
-through semiring._finite_result. Counts are tallied in bulk: an n x m
-by m x p product is n m p additions and n m p multiplications.
+through semiring._finite_result. Max-plus and min-plus share every
+kernel by semiring's sign rule. Counts are tallied in bulk: an n x m by
+m x p product is n m p additions and n m p multiplications.
 
 Tropical Q is computed on integers. For L > 0 the map x -> L x is a
 semiring automorphism of max-plus and of min-plus, so products, closures
@@ -38,7 +39,7 @@ from operator import add, mul
 from ._record import Record
 from .errors import AlgebraMismatch, DimensionMismatch
 from .semiring import (
-    Algebra, Domain, ExtScalar, SemiringKind, _finite_result, _tally, trop_closure_scalar,
+    Algebra, Domain, ExtScalar, _finite_result, _tally, trop_closure_scalar,
 )
 
 __all__ = [
@@ -171,8 +172,9 @@ def _product(a: list, b: list, alg: Algebra) -> list:
     (reduce, not sum, which may compensate rounding), as a scalar fold does.
     """
     cols = list(zip(*b))
-    if alg.is_tropical:
-        pick = max if alg.kind is SemiringKind.MAX_PLUS else min
+    sign = alg.sign
+    if sign:
+        pick = max if sign > 0 else min
         out = [[pick([x + y for x, y in zip(r, c) if x is not None and y is not None], default=None)
                 for c in cols] for r in a]
     else:
@@ -185,8 +187,9 @@ def _product(a: list, b: list, alg: Algebra) -> list:
 
 def _oplus(a: list, b: list, alg: Algebra) -> list:
     """Raw rows of the entrywise semiring sum of equal-shape raw rows."""
-    if alg.is_tropical:
-        pick = max if alg.kind is SemiringKind.MAX_PLUS else min
+    sign = alg.sign
+    if sign:
+        pick = max if sign > 0 else min
         out = [[y if x is None else x if y is None else pick(x, y) for x, y in zip(r, s)]
                for r, s in zip(a, b)]
     else:
@@ -202,8 +205,8 @@ def _residual(a: list, b: list, alg: Algebra) -> list:
     a tie does. Each finite a_jk costs one multiplication and, after the
     first in its column, one addition.
     """
-    maxplus = alg.kind is SemiringKind.MAX_PLUS
-    pick = min if maxplus else max
+    sign = alg.sign
+    pick = min if sign > 0 else max
     floats = alg.domain is Domain.F64
     rhs = [r[0] for r in b]
     out = []
@@ -212,7 +215,7 @@ def _residual(a: list, b: list, alg: Algebra) -> list:
         rows = [(x, y) for x, y in zip(col, rhs) if x is not None]
         caps = [None if y is None else y - x for x, y in rows]
         if floats:
-            caps = _settle([[_float_cap(x, y, c, maxplus) for (x, y), c in zip(rows, caps)]],
+            caps = _settle([[_float_cap(x, y, c, sign) for (x, y), c in zip(rows, caps)]],
                            alg)[0]
         out.append([None if None in caps else pick(reversed(caps), default=None)])
         muls += len(caps)
@@ -221,17 +224,13 @@ def _residual(a: list, b: list, alg: Algebra) -> list:
     return out
 
 
-def _float_cap(x: float, y: float | None, cap: float | None, maxplus: bool):
-    """The cap y - x, moved one float at a time until x + cap no longer
-    passes y; infinite caps are left to _settle."""
+def _float_cap(x: float, y: float | None, cap: float | None, sign: int):
+    """The cap y - x, moved one float at a time toward the infinite element
+    until x + cap no longer passes y; infinite caps are left to _settle."""
     if cap is None or not math.isfinite(cap):
         return cap
-    if maxplus:
-        while x + cap > y:
-            cap = math.nextafter(cap, -math.inf)
-    else:
-        while x + cap < y:
-            cap = math.nextafter(cap, math.inf)
+    while sign * (x + cap) > sign * y:
+        cap = math.nextafter(cap, -sign * math.inf)
     return cap
 
 
@@ -303,7 +302,7 @@ def _closure(rows: list, alg: Algebra, scale: int) -> list:
     n = len(rows)
     if n == 1:
         x = rows[0][0]
-        if x is None or (x <= 0 if alg.kind is SemiringKind.MAX_PLUS else x >= 0):
+        if x is None or alg.sign * x <= 0:
             return [[alg.one().finite]]
         # Divergent: the scalar closure raises, naming the unscaled entry.
         return [[trop_closure_scalar(_lift(rows, alg, scale).entries[0], alg).finite]]

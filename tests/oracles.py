@@ -453,7 +453,7 @@ def rand_closure_friendly(rng, alg, n, p_inf=0.2) -> TropMatrix:
 
 # ---- max-plus / min-plus mirror ----
 
-_SISTER = {
+SISTER = {
     Z_MAX_PLUS: Z_MIN_PLUS,
     Z_MIN_PLUS: Z_MAX_PLUS,
     Q_MAX_PLUS: Q_MIN_PLUS,
@@ -472,7 +472,7 @@ def mirror_scalar(e: ExtScalar) -> ExtScalar:
 def mirror_matrix(m: TropMatrix) -> TropMatrix:
     """Negate every entry and move the matrix to the dual semiring."""
     rows = [[mirror_scalar(e) for e in row] for row in m.to_lists()]
-    return TropMatrix.from_rows(rows, _SISTER[m.alg])
+    return TropMatrix.from_rows(rows, SISTER[m.alg])
 
 
 # ---- script printer ----

@@ -29,12 +29,11 @@ def _load_differential():
     return module
 
 
-# The script generator of the differential tool; the fuzz below draws from
-# its tables.
+# The script generator of the differential tool; the command fuzz below
+# draws its scripts, and other tests its tables.
 differential = _load_differential()
-SPACE_FORMS, NEAR_MAX, MAX_FLOAT, NINES, SCALARS = (
+SPACE_FORMS, NEAR_MAX, MAX_FLOAT, NINES = (
     differential.SPACE_FORMS, differential.NEAR_MAX, differential.MAX_FLOAT, differential.NINES,
-    differential.SCALARS,
 )
 
 
@@ -653,67 +652,12 @@ def test_path_commands_on_small_matrices_answer_or_report_a_position(script):
     assert_answered_or_positioned(script)
 
 
-INEQUALITIES = ["x <= 1", "2*x - 1 > x", "1/2 >= -x", "x * x < 0", "1 <= 2"]
-
-
 @st.composite
 def command_scripts(draw):
-    """One command, at one of its arities or one past them, in a space of
-    its kind or any space. Each operand has the expected shape or any
-    shape: a scalar, a matrix, a list, (), or a list of inequalities;
-    entries are small or any scalar."""
-    command = draw(st.sampled_from(sorted(_COMMANDS)))
-    classical = command in ("SimplexMax", "SimplexMin", "solve")
-    kind = [s for s in SPACE_FORMS if ("Plus" not in s) == classical]
-    space = draw(st.sampled_from(kind if draw(st.booleans()) else SPACE_FORMS))
-    arities = tuple(_COMMANDS[command][1])
-    k = draw(st.sampled_from(arities)) if draw(st.integers(0, 9)) else max(arities) + 1
-    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    small = ["0", "1", "-2", "3"]
-    if "MaxPlus" in space:
-        small.append("-\\infty")
-    elif "MinPlus" in space:
-        small.append("\\infty")
-
-    def scalar():
-        return draw(st.sampled_from(small if draw(st.booleans()) else SCALARS))
-
-    def matrix(rows, cols, diagonal=None):
-        return "[" + ", ".join(
-            "[" + ", ".join(
-                diagonal if i == j and diagonal else scalar() for j in range(cols)
-            ) + "]"
-            for i in range(rows)
-        ) + "]"
-
-    def column(length):
-        return "[" + ", ".join(scalar() for _ in range(length)) + "]"
-
-    def operand(shape):
-        if shape == "any":
-            shape = draw(st.sampled_from(["scalar", "matrix", "list", "empty", "inequalities"]))
-        if shape == "scalar":
-            return scalar()
-        if shape == "index":
-            return str(draw(st.integers(-1, n)))
-        if shape == "matrix":
-            return matrix(n, m)
-        if shape == "square":
-            return matrix(n, n, draw(st.sampled_from(["0", None])))
-        if shape in ("list", "objective"):
-            return column(m if shape == "objective" else n)
-        if shape == "empty":
-            return "()"
-        items = draw(st.lists(st.sampled_from(INEQUALITIES), min_size=1, max_size=3))
-        return "[" + ", ".join(items) + "]"
-
-    if command in ("SimplexMax", "SimplexMin"):
-        g = (k - 1) // 2
-        expected = ["matrix"] * g + ["list"] * g + ["objective"] * (k - 2 * g)
-    else:
-        expected = differential.SHAPES[command] + ["any"] * k
-    args = ", ".join(operand(expected[i] if draw(st.booleans()) else "any") for i in range(k))
-    return f"SPACE = {space}; \\{command}({args});"
+    """A script of the differential tool's generator: one (command, arity,
+    space) case and the tool's operands, drawn through a seeded random."""
+    case = draw(st.sampled_from(differential.cases()))
+    return differential._script(draw(st.randoms(use_true_random=False)), *case)
 
 
 @seed(8)

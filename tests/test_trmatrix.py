@@ -10,6 +10,7 @@ from tropalg import (
     Domain,
     DimensionMismatch,
     ExtScalar,
+    IntervalBound,
     NEG_INF,
     NoSolution,
     POS_INF,
@@ -33,12 +34,17 @@ from tropalg import (
     pseudo_inverse,
     solve_lae_tropic,
     solve_lai_tropic,
+    trop_add,
+    trop_closure_scalar,
+    trop_mul,
     zero_matrix,
 )
 
 from oracles import (
+    SISTER,
     closure_iterative,
     mirror_matrix,
+    mirror_scalar,
     rand_closure_friendly,
     rand_matrix,
     ref_bellman_homogeneous,
@@ -250,12 +256,66 @@ def test_closure_is_monotone():
         assert mat_le(closure_block(a), closure_block(ab))
 
 
+def _mirror(value):
+    """The image under x -> -x of an argument or a result: a scalar, a
+    matrix, an algebra, solve_lai_tropic's pair, or an undefined closure."""
+    if isinstance(value, ExtScalar):
+        return mirror_scalar(value)
+    if isinstance(value, TropMatrix):
+        return mirror_matrix(value)
+    if isinstance(value, tuple):
+        x, bounds = value
+        return mirror_matrix(x), tuple(
+            IntervalBound(mirror_scalar(b.upper), mirror_scalar(b.lower),
+                          b.upper_closed, b.lower_closed)
+            for b in bounds
+        )
+    return SISTER.get(value, value)
+
+
+def _counted(f, *args):
+    """f(*args) with its operation counts; an undefined closure stands for
+    itself, since its message names the entry and the algebra."""
+    with count_ops() as ops:
+        try:
+            value = f(*args)
+        except ClosureUndefined:
+            value = ClosureUndefined
+    return value, ops.adds, ops.muls
+
+
 def test_the_two_semirings_mirror_each_other():
+    # x -> -x carries each max-plus algebra onto its min-plus sister and
+    # back, so every operation commutes with it, counts included.
     rng = random.Random(8)
-    for _ in range(25):
-        n = rng.randint(1, 6)
-        a = rand_closure_friendly(rng, Z_MIN_PLUS, n)
-        assert mirror_matrix(closure_block(a)) == closure_block(mirror_matrix(a))
+
+    def matrix(alg, rows, cols, lo=-9, hi=9):
+        den = 4 if alg.domain is Domain.Q else 1
+        return TropMatrix.from_rows(
+            [[alg.zero() if rng.random() < 0.2 else Fraction(rng.randint(lo, hi), rng.randint(1, den))
+              for _ in range(cols)] for _ in range(rows)],
+            alg,
+        )
+
+    for alg in (Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS):
+        friendly = (-9, 0) if alg.kind is SemiringKind.MAX_PLUS else (0, 9)
+        for _ in range(25):
+            n, m, p = (rng.randint(1, 6) for _ in range(3))
+            x, y = matrix(alg, 1, 2).entries
+            a = matrix(alg, n, m)
+            square = matrix(alg, n, n, *rng.choice([friendly, (-2, 2)]))
+            for f, *args in [
+                (trop_add, x, y, alg),
+                (trop_mul, x, y, alg),
+                (trop_closure_scalar, x, alg),
+                (mat_mul, a, matrix(alg, m, p)),
+                (mat_oplus, a, matrix(alg, n, m)),
+                (closure_block, square),
+                (solve_lai_tropic, a, matrix(alg, n, 1)),
+            ]:
+                value, adds, muls = _counted(f, *args)
+                mirrored = _counted(f, *map(_mirror, args))
+                assert mirrored == (_mirror(value), adds, muls), (f.__name__, args)
 
 
 # ---- isolated vertices ----

@@ -10,10 +10,11 @@ The src/ directory of revision REF is unpacked with `git archive` into a
 temporary directory. N scripts are generated from seed S with the random
 module: each calls one command of the working tree's command table, at
 one of its arities or one past them, in one of the nine space forms, on
-small operands of the shape the argument expects or of any shape. An
-operand may be negated, parenthesised or joined to another by +, - or *,
-and a scalar is at times wrapped in parentheses up to the parser's
-nesting limit or one level past it. The (command, arity, space) triples
+small operands of the shape the argument expects or of any shape; one
+list in ten has a row more than the matrices. An operand may be negated,
+parenthesised or joined to another by +, - or *, and a scalar is at
+times wrapped in parentheses up to the parser's nesting limit or one
+level past it. The (command, arity, space) triples
 are dealt in a seeded order, so N of 234 or more covers every one. Each
 tree answers every script in one long-lived worker process, once per
 flag set of FLAG_SETS, as `mathpar eval SCRIPT FLAGS`, and the two exit
@@ -149,7 +150,9 @@ def _script(rng: random.Random, command: str, k: int, space: str) -> str:
         if shape == "square":
             return matrix(depth, n, n, rng.choice(["0", None]))
         if shape in ("list", "objective"):
-            length = m if shape == "objective" else n
+            # One list in ten has a row too many, so that the solvers'
+            # row-count checks are compared too.
+            length = m if shape == "objective" else n + (rng.random() < 0.1)
             return "[" + ", ".join(term("scalar", depth + 1) for _ in range(length)) + "]"
         if shape == "empty":
             return "()"

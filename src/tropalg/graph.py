@@ -15,8 +15,8 @@ import math
 
 from ._record import Record
 from .errors import AlgebraMismatch, IndexOutOfRange, InvalidGraph, NoPath
-from .semiring import Algebra, SemiringKind, _number_text, _tally, trop_mul
-from .trmatrix import TropMatrix, _lift, _lower, _scale, closure_block
+from .semiring import Algebra, SemiringKind, _number_text, _tally
+from .trmatrix import TropMatrix, _lower, _scale, closure_block
 
 __all__ = ["WeightedGraph", "search_least_distances", "find_shortest_path"]
 
@@ -33,16 +33,13 @@ class WeightedGraph(Record):
             raise AlgebraMismatch("graphs are weighted over a min-plus algebra")
         if not a.is_square:
             raise InvalidGraph("the adjacency matrix must be square")
-        one = a.alg.one()
-        zero_val = one.finite
-        for j in range(a.rows):
-            for k in range(a.cols):
-                e = a.get(j, k)
+        for j, row in enumerate(_lower(a)):
+            for k, w in enumerate(row):
                 if j == k:
-                    if e != one:
-                        raise InvalidGraph(f"diagonal entry at {j} is {e}, not 0")
-                elif e.is_finite and e.finite < zero_val:
-                    raise InvalidGraph(f"negative edge weight {e} at ({j}, {k})")
+                    if w != 0:
+                        raise InvalidGraph(f"diagonal entry at {j} is {a.get(j, k)}, not 0")
+                elif w is not None and w < 0:
+                    raise InvalidGraph(f"negative edge weight {a.get(j, k)} at ({j}, {k})")
 
     @property
     def order(self) -> int:
@@ -95,16 +92,16 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
 
     The distances to the goal come from _distances_to, one column of the
     closure, exact over Z and Q (computed on integers, scaled as the
-    matrix kernel scales). An edge (u, v) is tight when
-    w(u, v) + dist(v, goal) = dist(u, goal); the simple paths made of
-    tight edges are exactly the simple shortest paths, and over R64,
-    where the distances are the float sums the tight test repeats, some
-    edge out of every vertex with a finite distance is tight. The walk
-    steps, each time, to the smallest tight successor from which a search
-    over tight edges reaches the goal without touching the path, so the
-    witness is the lexicographically smallest simple shortest path. It
-    never backtracks and makes O(n^3) tight tests at most, each one
-    multiplication. Vertices are 0-based.
+    matrix kernel scales), and the walk reads the same raw rows. An edge
+    (u, v) is tight when w(u, v) + dist(v, goal) = dist(u, goal); the
+    simple paths made of tight edges are exactly the simple shortest
+    paths, and over R64, where the distances are the float sums the tight
+    test repeats, some edge out of every vertex with a finite distance is
+    tight. The walk steps, each time, to the smallest tight successor from
+    which a search over tight edges reaches the goal without touching the
+    path, so the witness is the lexicographically smallest simple
+    shortest path. It never backtracks and makes O(n^3) tight tests at
+    most, each tallied as one multiplication. Vertices are 0-based.
     """
     n = g.order
     for idx in (start, goal):
@@ -114,15 +111,17 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
     if start == goal:
         return [start]
     adj = g.adjacency
-    scale = _scale(adj.alg, adj)
-    column = _distances_to(_lower(adj, scale), goal, adj.alg)
-    to_goal = _lift([[d] for d in column], adj.alg, scale).entries
-    if to_goal[start].inf_sign:
+    rows = _lower(adj, _scale(adj.alg, adj))
+    to_goal = _distances_to(rows, goal, adj.alg)
+    if to_goal[start] is None:
         raise NoPath(f"no path from {start} to {goal}")
 
     def tight(u: int, v: int) -> bool:
-        w = adj.get(u, v)
-        return not w.inf_sign and trop_mul(w, to_goal[v], adj.alg) == to_goal[u]
+        w, d = rows[u][v], to_goal[v]
+        if w is None:
+            return False
+        _tally(0, 1)
+        return d is not None and w + d == to_goal[u]
 
     # The path's vertices, and every vertex found unable to reach the goal
     # around the path; the path only grows, so such a vertex stays unable.

@@ -11,8 +11,12 @@ Operators use the library's scalar and matrix operations in every space:
 negation is trop_neg, entry by entry for a matrix, and `a - b` is
 a * (-b) tropically; a classical scalar difference is settled like every
 classical sum, so a float overflow is an error there too. Library errors
-become script errors in one place, the single try of _Evaluator.eval,
+and the evaluator's own checks raise a plain TropalgError, which becomes
+a script error in one place, the single try of _Evaluator.eval,
 positioned at the node being evaluated or at the operator of a chain.
+Only the typed UnknownCommand and ArityError, and errors that belong to
+another node (an argument, a matrix entry, a term of \\solve), are raised
+already positioned.
 
 Each command is one row of the table _COMMANDS: the space it needs, a
 reader for each argument at each arity it takes, and the call that
@@ -20,6 +24,7 @@ answers it. One dispatch in eval checks a call's name, its arity and its
 space, in that order, then evaluates the arguments left to right, each
 checked by its reader, which positions its error at the argument, and
 runs the call; an error of the call as a whole is positioned at the call.
+The entries of a matrix or list literal are read alike, by _ENTRY.
 Commands answer with library values: a shortest path is the vertex list,
 \\solveLAITropic's answer its tuple of bounds, and a simplex optimum the
 library's Optimal, its point converted to a column and its objective to a
@@ -182,24 +187,24 @@ class _Evaluator:
             if isinstance(node, Var):
                 binding = self.binding(node)
                 if binding is None:
-                    raise EvalError(f"undefined variable {node.name!r}", node.line, node.col)
+                    raise TropalgError(f"undefined variable {node.name!r}")
                 return binding.value
             if isinstance(node, EmptyLit):
                 return EmptyMatrix()
             if isinstance(node, MatrixLit):
-                rows = [[self.entry(e) for e in row] for row in node.rows]
+                rows = [[_ENTRY(self.eval(e), e) for e in row] for row in node.rows]
                 return TropMatrix.from_rows(rows, self.session.algebra)
             if isinstance(node, ListLit):
-                values = [self.entry(e) for e in node.items]
+                values = [_ENTRY(self.eval(e), e) for e in node.items]
                 return TropMatrix.column(values, self.session.algebra)
             if isinstance(node, (UnaryNeg, BinOp)):
                 leaf, ops = _unwind(node)
                 value = self.eval(leaf)
                 for at in ops:
                     if isinstance(at, UnaryNeg):
-                        value = self.negate(value, at)
+                        value = self.negate(value)
                     else:
-                        value = self.binop(at, value, self.eval(at.right))
+                        value = self.binop(at.op, value, self.eval(at.right))
                 return value
             if isinstance(node, Call):
                 cmd, n = node.command, len(node.args)
@@ -220,45 +225,29 @@ class _Evaluator:
                     args.append(arg if read is None else read(self.eval(arg), arg))
                 return call(self, *args)
             if isinstance(node, Ineq):
-                raise EvalError(
-                    "inequalities are only meaningful inside \\solve", node.line, node.col
-                )
+                raise TropalgError("inequalities are only meaningful inside \\solve")
         except MathparError:
             raise
         except TropalgError as e:
             raise EvalError(str(e), at.line, at.col) from e
         raise TypeError(f"not an expression node: {node!r}")
 
-    def entry(self, node) -> ExtScalar:
-        value = self.eval(node)
-        if not isinstance(value, ExtScalar):
-            raise EvalError(
-                "matrix entries must be scalars", node.line, node.col
-            )
-        return value
-
     def scalar_literal(self, node: ScalarLit) -> ExtScalar:
         domain = self.session.algebra.domain
         if domain is Domain.Z and node.kind != "int":
-            raise EvalError(
-                f"{node.value} is not an element of an integer space", node.line, node.col
-            )
+            raise TropalgError(f"{node.value} is not an element of an integer space")
         value = _exact(node.value)
         if domain is Domain.F64:
             try:
                 value = float(Fraction(value))
             except OverflowError as e:
-                raise EvalError(str(e), node.line, node.col) from e
+                raise TropalgError(str(e)) from e
         return ExtScalar.of(value)
 
     def infinity_literal(self, node: InfinityLit) -> ExtScalar:
         alg = self.session.algebra
         if not alg.is_tropical:
-            raise EvalError(
-                f"space {self.session.space_name} has no infinite elements",
-                node.line,
-                node.col,
-            )
+            raise TropalgError(f"space {self.session.space_name} has no infinite elements")
         return alg.require_legal(POS_INF if node.sign > 0 else NEG_INF)
 
     def binding(self, node: Var) -> Binding | None:
@@ -274,26 +263,26 @@ class _Evaluator:
             )
         return binding
 
-    def negate(self, value, node):
+    def negate(self, value):
         if isinstance(value, ExtScalar):
             return trop_neg(value)
         if isinstance(value, TropMatrix):
             entries = tuple(trop_neg(e) for e in value.entries)
             return TropMatrix(value.rows, value.cols, entries, value.alg)
-        raise EvalError("cannot negate this value", node.line, node.col)
+        raise TropalgError("cannot negate this value")
 
-    def binop(self, node: BinOp, left, right):
+    def binop(self, op: str, left, right):
         alg = self.session.algebra
         scalar_l = isinstance(left, ExtScalar)
         scalar_r = isinstance(right, ExtScalar)
         matrix_l = isinstance(left, TropMatrix)
         matrix_r = isinstance(right, TropMatrix)
-        if node.op == "+":
+        if op == "+":
             if scalar_l and scalar_r:
                 return trop_add(left, right, alg)
             if matrix_l and matrix_r:
                 return mat_oplus(left, right)
-        elif node.op == "*":
+        elif op == "*":
             if scalar_l and scalar_r:
                 return trop_mul(left, right, alg)
             if matrix_l and matrix_r:
@@ -302,24 +291,16 @@ class _Evaluator:
                 return self.scale(left, right)
             if matrix_l and scalar_r:
                 return self.scale(right, left)
-        elif node.op == "-":
+        elif op == "-":
             if scalar_l and scalar_r:
                 if alg.is_tropical:
                     return trop_mul(left, trop_neg(right), alg)
                 return _finite_result(left.finite - right.finite, alg)
             if matrix_l and matrix_r:
                 if alg.is_tropical:
-                    raise EvalError(
-                        "matrix subtraction is not defined in a tropical space",
-                        node.line,
-                        node.col,
-                    )
-                return mat_oplus(left, self.negate(right, node))
-        raise EvalError(
-            f"operator {node.op!r} does not apply to these operands",
-            node.line,
-            node.col,
-        )
+                    raise TropalgError("matrix subtraction is not defined in a tropical space")
+                return mat_oplus(left, self.negate(right))
+        raise TropalgError(f"operator {op!r} does not apply to these operands")
 
     def scale(self, scalar: ExtScalar, matrix: TropMatrix) -> TropMatrix:
         alg = self.session.algebra
@@ -448,8 +429,6 @@ class _Evaluator:
 
 
 def _rational_rows(m: TropMatrix):
-    if not all(e.is_finite for e in m.entries):
-        raise TropalgError("linear programming data must be finite")
     return tuple(tuple(Fraction(e.finite) for e in row) for row in m.to_lists())
 
 
@@ -489,6 +468,7 @@ def _vertex(what):
     return read
 
 
+_ENTRY = _reader(ExtScalar, "matrix entries must be scalars")
 _COEFFICIENTS = _reader(TropMatrix, "the coefficient matrix must be a matrix")
 _RHS = _reader(TropMatrix, "the right-hand side must be a matrix")
 _ADJACENCY = _reader(TropMatrix, "the adjacency matrix must be a matrix")

@@ -77,8 +77,9 @@ class SemiringKind(Enum):
     CLASSICAL = "classical"
 
 
-# The order of each kind: max-plus, its dual min-plus, or none.
-_SIGNS = {SemiringKind.MAX_PLUS: 1, SemiringKind.MIN_PLUS: -1, SemiringKind.CLASSICAL: 0}
+# The order of each kind: max-plus, its dual min-plus, or none. Keyed by
+# the member's value, since hashing a member runs Enum.__hash__ in Python.
+_SIGNS = {"max-plus": 1, "min-plus": -1, "classical": 0}
 
 
 class Domain(Enum):
@@ -142,16 +143,6 @@ class ExtScalar(Record):
             return NotImplemented
         return self == other or self < other
 
-    def __gt__(self, other):
-        if not isinstance(other, ExtScalar):
-            return NotImplemented
-        return other < self
-
-    def __ge__(self, other):
-        if not isinstance(other, ExtScalar):
-            return NotImplemented
-        return other <= self
-
     def __str__(self):
         if self.inf_sign < 0:
             return "-inf"
@@ -205,7 +196,7 @@ class Algebra(Record):
     @property
     def sign(self) -> int:
         """+1 for max-plus, -1 for min-plus, 0 for classical algebras."""
-        return _SIGNS[self.kind]
+        return _SIGNS[self.kind._value_]
 
     def zero(self) -> ExtScalar:
         """The additive identity: the infinity of sign -sign, or the ordinary 0."""
@@ -357,7 +348,7 @@ def trop_mul(a: ExtScalar, b: ExtScalar, alg: Algebra) -> ExtScalar:
     alg.require_legal(a)
     alg.require_legal(b)
     _tally(0, 1)
-    if alg.kind is SemiringKind.CLASSICAL:
+    if not alg.sign:
         return _finite_result(a.finite * b.finite, alg)
     if a.inf_sign or b.inf_sign:
         return alg.zero()

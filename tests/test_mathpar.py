@@ -367,6 +367,7 @@ def test_matrix_arithmetic_in_scripts():
         "A + B; A * [4, 3]; 2 * A;"
     )
     assert out == ["[[1, 2], [3, 0]]", "[5, 7]", "[[3, 4], [5, 2]]"]
+    assert output("SPACE = ZMaxPlus[]; [[1, 2]] * 3;") == ["[[4, 5]]"]
 
 
 def test_matrix_entries_must_be_scalars():
@@ -474,6 +475,7 @@ def test_solve_interval_shapes():
     assert output("SPACE = Q[x]; \\solve([x ≥ 0, x ≤ 0]);") == ["[0, 0]"]
     assert output("SPACE = Q[x]; \\solve([x > 1, x < 0]);") == ["\\emptyset"]
     assert output("SPACE = Q[x]; \\solve([2 * x - 1 > 0]);") == ["(1/2, \\infty)"]
+    assert output("SPACE = Q[x]; \\solve(x > 1);") == ["(1, \\infty)"]
 
 
 # ---- rendering ----

@@ -53,6 +53,21 @@ def test_of_rejects_bool_and_nan():
         s(float("nan"))
 
 
+def test_of_rejects_what_is_not_a_number():
+    with pytest.raises(IllegalElement) as e:
+        s("x")
+    assert str(e.value) == "cannot interpret 'x' as a semiring element"
+
+
+def test_greater_than_is_less_than_reflected():
+    assert POS_INF > s(10**20) >= s(10**20) > s(-0.0) >= s(0.0) > NEG_INF >= NEG_INF
+    assert not NEG_INF > NEG_INF and not s(1) >= s(2)
+    with pytest.raises(TypeError):
+        s(1) > 1
+    with pytest.raises(TypeError):
+        1 >= s(1)
+
+
 def test_ordering_puts_infinities_at_the_ends():
     assert NEG_INF < s(-(10**20)) < s(0) < s(10**20) < POS_INF
     assert not NEG_INF < NEG_INF

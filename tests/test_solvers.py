@@ -9,6 +9,7 @@ from tropalg import (
     NEG_INF,
     NoSolution,
     POS_INF,
+    Q_CLASSICAL,
     TropMatrix,
     Z_MAX_PLUS,
     Z_MIN_PLUS,
@@ -107,6 +108,13 @@ def test_lai_shape_mismatch():
         solve_lai_tropic(mk([[1, 2]]), col([1, 2]))
 
 
+def test_lai_over_a_classical_algebra_is_refused():
+    a = mk([[1]], Q_CLASSICAL)
+    with pytest.raises(AlgebraMismatch) as e:
+        solve_lai_tropic(a, a)
+    assert str(e.value) == "solve_lai_tropic requires a tropical algebra"
+
+
 # ---- exact systems A x = b ----
 
 
@@ -128,6 +136,12 @@ def test_unsolvable_equation_raises():
     b = col([0, 5])
     with pytest.raises(NoSolution):
         solve_lae_tropic(a, b)
+
+
+def test_lae_right_hand_side_must_be_a_column():
+    with pytest.raises(DimensionMismatch) as e:
+        solve_lae_tropic(mk([[1]]), mk([[1, 2]]))
+    assert str(e.value) == "the right-hand side must be a column"
 
 
 def test_constructed_systems_solve_and_dominate_the_seed():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropalg import (
     ALGEBRAS_BY_NAME,
+    AlgebraMismatch,
     ClosureUndefined,
     Domain,
     DimensionMismatch,
@@ -85,6 +86,19 @@ def test_empty_matrix_is_rejected():
         TropMatrix.from_rows([], Z_MAX_PLUS)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, entries, message",
+    [
+        (0, 1, (), "matrices need at least one row and one column"),
+        (1, 2, (ExtScalar(0),), "expected 2 entries, got 1"),
+    ],
+)
+def test_constructor_checks_the_shape_against_the_entries(rows, cols, entries, message):
+    with pytest.raises(DimensionMismatch) as e:
+        TropMatrix(rows, cols, entries, Z_MAX_PLUS)
+    assert str(e.value) == message
+
+
 def test_illegal_entry_is_rejected():
     with pytest.raises(Exception):
         TropMatrix.from_rows([[POS_INF]], Z_MAX_PLUS)
@@ -126,6 +140,13 @@ def test_sum_with_the_zero_matrix_is_neutral():
     for alg in (Z_MAX_PLUS, Z_MIN_PLUS):
         a = rand_matrix(rng, alg, 3, 5, p_inf=0.3)
         assert mat_oplus(a, zero_matrix(3, 5, alg)) == a
+
+
+@pytest.mark.parametrize("op", [mat_mul, mat_oplus])
+def test_operands_of_different_algebras_are_refused(op):
+    with pytest.raises(AlgebraMismatch) as e:
+        op(mk([[1]]), mk([[1]], Z_MIN_PLUS))
+    assert str(e.value) == "operands live in different algebras (ZMaxPlus vs ZMinPlus)"
 
 
 def test_shape_mismatch_raises():
@@ -170,6 +191,12 @@ def test_diag_and_identity_layouts():
 
 
 # ---- closure ----
+
+
+def test_closure_of_a_non_square_matrix_is_refused():
+    with pytest.raises(DimensionMismatch) as e:
+        closure_block(mk([[0, 1]]))
+    assert str(e.value) == "the closure is defined for square matrices only"
 
 
 def test_closure_keeps_the_direct_distances_when_already_closed():

@@ -11,11 +11,13 @@ temporary directory. N scripts are generated from seed S with the random
 module: each calls one command of the working tree's command table, at
 one of its arities or one past them, in one of the nine space forms, on
 small operands of the shape the argument expects or of any shape; one
-list in ten has a row more than the matrices. An operand may be negated,
-parenthesised or joined to another by +, - or *, and a scalar is at
-times wrapped in parentheses up to the parser's nesting limit or one
-level past it. The (command, arity, space) triples
-are dealt in a seeded order, so N of 234 or more covers every one. Each
+list in ten has a row more than the matrices. Operands have 1 to 3 rows,
+or 4 to 9 in one script in ten, whose square operands have closures,
+and 1 to 3 columns. An operand may be negated, parenthesised or joined
+to another by +, - or *, and a scalar is at times wrapped in
+parentheses up to the parser's nesting limit or one level past it. The
+(command, arity, space) triples are dealt in a seeded order, so N of 234
+or more covers every one. Each
 tree answers every script in one long-lived worker process, once per
 flag set of FLAG_SETS, as `mathpar eval SCRIPT FLAGS`, and the two exit
 statuses, stdouts and stderrs are compared. A difference on a script that an --expect regular
@@ -116,12 +118,20 @@ def generate(count: int, seed: int) -> list[str]:
 def _script(rng: random.Random, command: str, k: int, space: str) -> str:
     from tropalg.mathpar.parser import MAX_NESTING
 
-    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    # One script in ten has 4 to 9 rows. Its square operands have a zero
+    # diagonal and entries that make no cycle improve, so that their
+    # closures exist, reach deeper into the block recursion and, outside
+    # Z, bring several denominators to the scale.
+    wide = rng.random() < 0.1
+    n, m = rng.randint(4, 9) if wide else rng.randint(1, 3), rng.randint(1, 3)
     small = ["0", "1", "-2", "3"]
+    closable = ["0", "2", "1/2", "7/3"][: 2 if space.startswith("Z") else 4]
     if "MaxPlus" in space:
         small.append("-\\infty")
+        closable = ["-" + v if v != "0" else v for v in closable] + ["-\\infty"]
     elif "MinPlus" in space:
         small.append("\\infty")
+        closable.append("\\infty")
 
     def scalar(depth):
         text = rng.choice(small if rng.random() < 0.7 else SCALARS)
@@ -131,11 +141,14 @@ def _script(rng: random.Random, command: str, k: int, space: str) -> str:
         p = MAX_NESTING - depth + rng.randint(0, 1)
         return "(" * p + text + ")" * p
 
-    def matrix(depth, rows, cols, diagonal=None):
+    def matrix(depth, rows, cols, diagonal=None, pool=None):
+        def entry(i, j):
+            if i == j and diagonal:
+                return diagonal
+            return rng.choice(pool) if pool else term("scalar", depth + 2)
+
         return "[" + ", ".join(
-            "[" + ", ".join(diagonal if i == j and diagonal else term("scalar", depth + 2)
-                            for j in range(cols)) + "]"
-            for i in range(rows)
+            "[" + ", ".join(entry(i, j) for j in range(cols)) + "]" for i in range(rows)
         ) + "]"
 
     def operand(shape, depth):
@@ -148,6 +161,8 @@ def _script(rng: random.Random, command: str, k: int, space: str) -> str:
         if shape == "matrix":
             return matrix(depth, n, m)
         if shape == "square":
+            if wide:
+                return matrix(depth, n, n, "0", closable)
             return matrix(depth, n, n, rng.choice(["0", None]))
         if shape in ("list", "objective"):
             # One list in ten has a row too many, so that the solvers'

@@ -1,6 +1,7 @@
 """Slotted records: the one base of the library's value classes.
 
-A record lists its fields in __slots__, in order, and may give defaults:
+A record lists its fields in __slots__, in order, or in _names when its
+slots hold the fields in another form, and may give defaults:
 _defaults maps a field to its default value and _factories to a callable
 that makes a fresh one for each record. Record supplies what the
 library's values need: a constructor taking the fields by position or
@@ -37,7 +38,7 @@ def _twin(cls):
     """A dataclass with cls's name, fields and mutability."""
     import dataclasses
 
-    return dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=cls.__hash__ is not None)
+    return dataclasses.make_dataclass(cls.__name__, cls._names, frozen=cls.__hash__ is not None)
 
 
 class Record:
@@ -51,13 +52,13 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
+        names = cls._names = cls.__dict__.get("_names", cls.__slots__)
         get = attrgetter(*names) if names else lambda record: ()
         # _fields(record) is the tuple of its field values.
         cls._fields = staticmethod(get if len(names) != 1 else lambda record: (get(record),))
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
+        names = self._names
         if kwargs or len(args) != len(names):
             args = self._complete(args, kwargs)
         for name, value in zip(names, args):
@@ -67,7 +68,7 @@ class Record:
     def _complete(cls, args: tuple, kwargs: dict) -> tuple:
         """Every field's value, from arguments by position and keyword and
         the defaults."""
-        names = cls.__slots__
+        names = cls._names
         if len(args) > len(names):
             raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, {len(args)} given")
         values = dict(zip(names, args))
@@ -95,7 +96,7 @@ class Record:
         return hash(self._fields(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -33,7 +33,7 @@ class WeightedGraph(Record):
             raise AlgebraMismatch("graphs are weighted over a min-plus algebra")
         if not a.is_square:
             raise InvalidGraph("the adjacency matrix must be square")
-        for j, row in enumerate(_lower(a)):
+        for j, row in enumerate(a._raw):
             for k, w in enumerate(row):
                 if j == k:
                     if w != 0:

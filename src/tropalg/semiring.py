@@ -29,8 +29,8 @@ misses what a counter nested in it receives, and no counter sees
 another thread's work. With no counter open, a tally costs one
 attribute read. The complexity assertions in the test suite measure
 work through it. The matrix kernel in trmatrix computes on plain
-numbers, tallies a whole product or sum at once through _tally and lifts
-its results through _finite_result.
+numbers, tallies a whole product or sum at once through _tally and
+folds float overflow through _finite_result.
 """
 
 from __future__ import annotations
@@ -99,8 +99,9 @@ class ExtScalar(Record):
     __slots__ = ("finite", "inf_sign")
 
     def __init__(self, finite: int | Fraction | float | None, inf_sign: int = 0):
-        # Every lifted matrix entry is built here, so the slots are written
-        # through their descriptors rather than the generic constructor.
+        # Every matrix entry read as an ExtScalar is built here, so the
+        # slots are written through their descriptors, not the generic
+        # constructor.
         _set_finite(self, finite)
         _set_inf_sign(self, inf_sign)
 
@@ -191,7 +192,7 @@ class Algebra(Record):
 
     @property
     def is_tropical(self) -> bool:
-        return self.kind is not SemiringKind.CLASSICAL
+        return self.kind._value_ != "classical"
 
     @property
     def sign(self) -> int:

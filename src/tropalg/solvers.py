@@ -23,6 +23,9 @@ until it no longer does, so the principal solution stays a solution.
 
 The Bellman equation X = A X + B has the least solution A^x B, and the
 columns of A^x generate solutions of the homogeneous system A x = x.
+Over R64 the closure and the check A X + B sum floats in different
+orders, so the Bellman solvers refine A^x B by X <- A X + B until the
+check passes, at most n times.
 
 Every solver re-verifies its defining equality or inequality by direct
 multiplication before returning.
@@ -30,9 +33,12 @@ multiplication before returning.
 
 from __future__ import annotations
 
+from operator import eq
+
 from ._record import Record
-from .errors import AlgebraMismatch, DimensionMismatch, NoSolution
-from .trmatrix import TropMatrix, _residuate, closure_block, mat_le, mat_mul, mat_oplus
+from .errors import AlgebraMismatch, ClosureUndefined, DimensionMismatch, NoSolution
+from .semiring import Domain, ExtScalar
+from .trmatrix import TropMatrix, _result, _residuate, closure_block, mat_le, mat_mul, mat_oplus
 
 __all__ = [
     "IntervalBound",
@@ -82,7 +88,8 @@ def solve_lai_tropic(a: TropMatrix, b: TropMatrix):
         raise AssertionError("residuation produced a non-solution")
     # The max-plus interval (zero, x_k], its ends swapped when sign is -1.
     zero, s = a.alg.zero(), a.alg.sign
-    return x, tuple(IntervalBound(*(zero, v)[::s], *(False, True)[::s]) for v in x.entries)
+    ends = [zero if v is None else ExtScalar(v) for (v,) in x._raw]
+    return x, tuple(IntervalBound(*(zero, v)[::s], *(False, True)[::s]) for v in ends)
 
 
 def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -101,10 +108,7 @@ def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 def bellman_solve(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """The least solution X = A^x B of the equation X = A X + B."""
     _require_system(a, b, "bellman_solve", column=False)
-    x = mat_mul(closure_block(a), b)
-    if mat_oplus(mat_mul(a, x), b) != x:
-        raise AssertionError("closure produced a non-fixed-point")
-    return x
+    return _verified(a, b, mat_mul(closure_block(a), b), eq, "non-fixed-point")
 
 
 def bellman_homogeneous(a: TropMatrix) -> TropMatrix:
@@ -116,12 +120,10 @@ def bellman_homogeneous(a: TropMatrix) -> TropMatrix:
     _require_system(a, None, "bellman_homogeneous")
     closed = closure_block(a)
     moved = mat_mul(a, closed)
-    n = a.rows
-    kept = [k for k in range(n) if all(moved.get(j, k) == closed.get(j, k) for j in range(n))]
+    kept = [k for k, (m, c) in enumerate(zip(zip(*moved._raw), zip(*closed._raw))) if m == c]
     if not kept:
         raise NoSolution("no column of the closure solves A x = x")
-    ent = tuple(closed.get(j, k) for j in range(n) for k in kept)
-    return TropMatrix(n, len(kept), ent, a.alg)
+    return _result([[r[k] for k in kept] for r in closed._raw], a.alg)
 
 
 def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix:
@@ -135,7 +137,25 @@ def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix
     closed = closure_block(a)
     if b is None:
         return closed
-    x = mat_mul(closed, b)
-    if not mat_le(mat_oplus(mat_mul(a, x), b), x):
-        raise AssertionError("closure produced a non-solution of the inequality")
+    return _verified(a, b, mat_mul(closed, b), mat_le, "non-solution of the inequality")
+
+
+def _verified(a: TropMatrix, b: TropMatrix, x: TropMatrix, holds, failure: str) -> TropMatrix:
+    """x = A^x b, once holds(A x + b, x).
+
+    Over R64 the float sums of A^x b and of A x + b round in different
+    orders, so x <- A x + b is tried up to n times, and the first x that
+    passes is returned; ClosureUndefined names the rounding when none
+    does. Z and Q are exact and are checked once.
+    """
+    rounds = a.rows if a.alg.domain is Domain.F64 else 0
+    step = mat_oplus(mat_mul(a, x), b)
+    while not holds(step, x):
+        if not rounds:
+            if a.alg.domain is Domain.F64:
+                raise ClosureUndefined(
+                    f"float rounding leaves A^x b a {failure} after {a.rows} steps")
+            raise AssertionError(f"closure produced a {failure}")
+        rounds -= 1
+        x, step = step, mat_oplus(mat_mul(a, step), b)
     return x

@@ -1,32 +1,28 @@
 """Dense matrices over a scalar algebra, with the Kleene closure.
 
-A TropMatrix stores its entries row-major as an immutable tuple of
-ExtScalar values together with its algebra, so matrices are plain values
-and safe to share between threads; membership is checked once, when a
-matrix is built. The operations are the semiring matrix product,
-entrywise semiring addition, the pseudo-inverse (negated transpose,
-infinities fixed), and the closure A^x = I + A + A^2 + ... + A^(n-1),
-the solution of I + A A^x = A^x = I + A^x A, which closure_block
-computes by block recursion in exactly n^3 - n multiplications.
-
-All of them run on raw rows, which never leave this module: lists of
-plain numbers with None for the algebra's infinite element. Each
-operation checks its operands, lowers them to raw rows, runs the kernel
-(_product, _oplus, _closure, _residual) and lifts the result back
-through semiring._finite_result. Max-plus and min-plus share every
-kernel by semiring's sign rule. Counts are tallied in bulk: an n x m by
-m x p product is n m p additions and n m p multiplications.
+A TropMatrix is a plain value, safe to share between threads: a shape,
+an algebra and raw rows, a tuple of row tuples holding None for the
+algebra's infinite element and ints, Fractions (int when integral) or
+floats otherwise. Entries are checked once, when a matrix is built from
+outside (the constructor, from_rows, column, diag); ExtScalars are built
+only at the boundary, by entries, get and to_lists on first use, and
+kept. The operations are the semiring matrix product, entrywise
+addition, the pseudo-inverse, and the closure A^x = I + A + ... +
+A^(n-1), the solution of I + A A^x = A^x = I + A^x A, by block
+recursion in exactly n^3 - n multiplications. Each runs one kernel
+(_product, _oplus, _closure, _residual), shared by max-plus and min-plus
+through semiring's sign rule, on the stored rows, and keeps the rows it
+returns unchecked: a chain of operations converts nothing in between.
+Counts are tallied in bulk: an n x m by m x p product is n m p of each.
 
 Tropical Q is computed on integers. For L > 0 the map x -> L x is a
 semiring automorphism of max-plus and of min-plus, so products, closures
 and residuals commute with it: mat_mul, closure_block and the solvers'
-residuation take L, the least common multiple of their operands'
-denominators, lower every finite entry to the exact integer L x, and
-divide by L once per distinct value when lifting. Fraction arithmetic
-never runs between the two. Entrywise sums (mat_oplus, mat_le) and the
-pseudo-inverse stay unscaled: their work is linear in the entries, so
-scaling would only add cost. Classical Q is never scaled, since
-x -> L x does not preserve products, and Z and R64 have L = 1.
+residuation multiply every finite entry by L, the least common multiple
+of their operands' denominators, and divide the result by L once per
+distinct value. Entrywise sums and the pseudo-inverse, linear in the
+entries, stay unscaled, and so does classical Q, whose products
+x -> L x does not preserve; Z and R64 have L = 1.
 """
 
 from __future__ import annotations
@@ -58,21 +54,18 @@ __all__ = [
 class TropMatrix(Record):
     """An immutable rows x cols matrix over one algebra."""
 
-    __slots__ = ("rows", "cols", "entries", "alg")
+    __slots__ = ("alg", "_raw", "_entries")
+    _names = ("rows", "cols", "entries", "alg")
+    rows = property(lambda self: len(self._raw))
+    cols = property(lambda self: len(self._raw[0]))
 
     def __init__(self, rows: int, cols: int, entries: tuple[ExtScalar, ...], alg: Algebra):
-        # Every result of the kernel is built here, so the slots are
-        # written through their descriptors.
         if rows < 1 or cols < 1:
             raise DimensionMismatch("matrices need at least one row and one column")
         if len(entries) != rows * cols:
             raise DimensionMismatch(f"expected {rows * cols} entries, got {len(entries)}")
-        for e in entries:
-            alg.require_member(e)
-        _set_rows(self, rows)
-        _set_cols(self, cols)
-        _set_entries(self, entries)
-        _set_alg(self, alg)
+        flat = iter([None if alg.require_member(e).inf_sign else e.finite for e in entries])
+        _fill(self, tuple(zip(*[flat] * cols)), alg, tuple(entries))
 
     @classmethod
     def from_rows(cls, rows, alg: Algebra) -> "TropMatrix":
@@ -80,18 +73,21 @@ class TropMatrix(Record):
         rows = [list(r) for r in rows]
         if not rows:
             raise DimensionMismatch("matrix literal has no rows")
-        width = len(rows[0])
-        entries = []
-        for r in rows:
-            if len(r) != width:
-                raise DimensionMismatch("matrix rows have unequal lengths")
-            entries.extend(ExtScalar.of(v) for v in r)
-        return cls(len(rows), width, tuple(entries), alg)
+        return _checked(rows, alg)
 
     @classmethod
     def column(cls, values, alg: Algebra) -> "TropMatrix":
-        values = list(values)
-        return cls(len(values), 1, tuple(ExtScalar.of(v) for v in values), alg)
+        return _checked([[v] for v in values], alg)
+
+    @property
+    def entries(self) -> tuple[ExtScalar, ...]:
+        """The entries row-major, as ExtScalars."""
+        ext = self._entries
+        if ext is None:
+            zero = self.alg.zero()
+            ext = tuple([zero if x is None else ExtScalar(x) for r in self._raw for x in r])
+            _set_entries(self, ext)
+        return ext
 
     @property
     def is_square(self) -> bool:
@@ -106,11 +102,52 @@ class TropMatrix(Record):
             for j in range(self.rows)
         ]
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._raw == other._raw and self.alg == other.alg
 
-_set_rows = TropMatrix.rows.__set__
-_set_cols = TropMatrix.cols.__set__
-_set_entries = TropMatrix.entries.__set__
-_set_alg = TropMatrix.alg.__set__
+    __hash__ = Record.__hash__
+
+
+_set_alg, _set_raw, _set_entries = (getattr(TropMatrix, n).__set__ for n in TropMatrix.__slots__)
+
+
+def _fill(m: TropMatrix, raw: tuple, alg: Algebra, entries=None) -> TropMatrix:
+    """m, its slots set to alg, the rows of raw and the entries if known."""
+    _set_alg(m, alg)
+    _set_raw(m, raw)
+    _set_entries(m, entries)
+    return m
+
+
+def _entry(v, alg: Algebra):
+    """An entry given from outside, raw: an int, or a Fraction over Q, is read
+    directly, anything else as ExtScalar.of and Algebra.require_member read it."""
+    t, d = type(v), alg.domain
+    if t is int and d is not Domain.F64 or t is Fraction and d is Domain.Q:
+        return v if t is int or v.denominator != 1 else v.numerator
+    e = alg.require_member(ExtScalar.of(v))
+    return None if e.inf_sign else e.finite
+
+
+def _checked(rows: list, alg: Algebra) -> TropMatrix:
+    """A matrix on rows of numbers or ExtScalars, each checked once."""
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionMismatch("matrix rows have unequal lengths")
+    if not rows or not rows[0]:
+        raise DimensionMismatch("matrices need at least one row and one column")
+    return _result([[_entry(v, alg) for v in r] for r in rows], alg)
+
+
+def _result(rows: list, alg: Algebra, scale: int = 1) -> TropMatrix:
+    """A matrix on raw rows, checked or computed by a kernel; over Q each
+    distinct value is divided by scale, and demoted to int when integral."""
+    if alg.domain is Domain.Q and (scale != 1 or not alg.sign):
+        cut = {x: x if x is None else x // scale if not x % scale else Fraction(x, scale)
+               for x in set().union(*rows)}
+        rows = [map(cut.__getitem__, r) for r in rows]
+    return _fill(object.__new__(TropMatrix), tuple([tuple(r) for r in rows]), alg)
 
 
 def _require_same_algebra(a: TropMatrix, b: TropMatrix):
@@ -129,31 +166,13 @@ def _scale(alg: Algebra, *mats: TropMatrix) -> int:
     """L for the operands of a tropical-Q product, closure or residual; else 1."""
     if alg.domain is not Domain.Q or not alg.is_tropical:
         return 1
-    return math.lcm(*{e.finite.denominator for m in mats for e in m.entries if not e.inf_sign})
+    return math.lcm(*{x.denominator for m in mats for r in m._raw for x in r if x is not None})
 
 
-def _lower(a: TropMatrix, scale: int = 1) -> list:
+def _lower(a: TropMatrix, scale: int = 1):
     """The raw rows of a matrix, each finite entry multiplied by scale."""
-    if scale == 1:
-        flat = [None if e.inf_sign else e.finite for e in a.entries]
-    else:
-        flat = [None if e.inf_sign else e.finite.numerator * (scale // e.finite.denominator)
-                for e in a.entries]
-    return [flat[j : j + a.cols] for j in range(0, len(flat), a.cols)]
-
-
-def _lift(rows: list, alg: Algebra, scale: int = 1) -> TropMatrix:
-    """A matrix from raw rows divided by scale, normalising each entry as
-    _finite_result does; a scaled value is divided once however often it
-    occurs."""
-    zero = alg.zero()
-    if scale == 1:
-        ent = tuple([zero if x is None else _finite_result(x, alg) for r in rows for x in r])
-    else:
-        lifted = {x: zero if x is None else ExtScalar.of(Fraction(x, scale))
-                  for x in set().union(*rows)}
-        ent = tuple([lifted[x] for r in rows for x in r])
-    return TropMatrix(len(rows), len(rows[0]), ent, alg)
+    return a._raw if scale == 1 else [
+        [None if x is None else x.numerator * (scale // x.denominator) for x in r] for r in a._raw]
 
 
 def _settle(rows: list, alg: Algebra) -> list:
@@ -243,7 +262,7 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         )
     alg = a.alg
     scale = _scale(alg, a, b)
-    return _lift(_product(_lower(a, scale), _lower(b, scale), alg), alg, scale)
+    return _result(_product(_lower(a, scale), _lower(b, scale), alg), alg, scale)
 
 
 def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -253,7 +272,7 @@ def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         raise DimensionMismatch(
             f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}"
         )
-    return _lift(_oplus(_lower(a), _lower(b), a.alg), a.alg)
+    return _result(_oplus(a._raw, b._raw, a.alg), a.alg)
 
 
 def mat_le(a: TropMatrix, b: TropMatrix) -> bool:
@@ -264,26 +283,21 @@ def mat_le(a: TropMatrix, b: TropMatrix) -> bool:
 def pseudo_inverse(a: TropMatrix) -> TropMatrix:
     """The negated transpose; the infinite element maps to itself."""
     _require_tropical(a, "the pseudo-inverse")
-    cols = zip(*_lower(a))
-    return _lift([[None if x is None else -x for x in c] for c in cols], a.alg)
+    return _result([[None if x is None else -x for x in c] for c in zip(*a._raw)], a.alg)
 
 
 def _residuate(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """The principal solution of A x <= b, for a system the caller has checked."""
     alg = a.alg
     scale = _scale(alg, a, b)
-    return _lift(_residual(_lower(a, scale), _lower(b, scale), alg), alg, scale)
+    return _result(_residual(_lower(a, scale), _lower(b, scale), alg), alg, scale)
 
 
 def diag(values, alg: Algebra) -> TropMatrix:
     """Square matrix with the given diagonal, zero elsewhere."""
-    values = [ExtScalar.of(v) for v in values]
-    n = len(values)
-    zero = alg.zero()
-    out = [zero] * (n * n)
-    for i, v in enumerate(values):
-        out[i * n + i] = v
-    return TropMatrix(n, n, tuple(out), alg)
+    values, zero = list(values), alg.zero()
+    return _checked([[v if i == j else zero for j in range(len(values))]
+                     for i, v in enumerate(values)], alg)
 
 
 def identity(n: int, alg: Algebra) -> TropMatrix:
@@ -305,7 +319,7 @@ def _closure(rows: list, alg: Algebra, scale: int) -> list:
         if x is None or alg.sign * x <= 0:
             return [[alg.one().finite]]
         # Divergent: the scalar closure raises, naming the unscaled entry.
-        return [[trop_closure_scalar(_lift(rows, alg, scale).entries[0], alg).finite]]
+        return [[trop_closure_scalar(_result(rows, alg, scale).entries[0], alg).finite]]
     h = n // 2
     top, bottom = rows[:h], rows[h:]
     s = _closure([r[:h] for r in top], alg, scale)
@@ -335,4 +349,4 @@ def closure_block(a: TropMatrix) -> TropMatrix:
     if not a.is_square:
         raise DimensionMismatch("the closure is defined for square matrices only")
     scale = _scale(a.alg, a)
-    return _lift(_closure(_lower(a, scale), a.alg, scale), a.alg, scale)
+    return _result(_closure(_lower(a, scale), a.alg, scale), a.alg, scale)

@@ -592,6 +592,14 @@ def test_long_literal_inside_solve_is_read_exactly(capsys):
     assert (code, out, err) == (0, f"(-\\infty, {ONES}/3]\n", "")
 
 
+@pytest.mark.parametrize("command", ["BellmanEquation", "BellmanInequality"])
+def test_r64_bellman_answers_where_the_closure_rounds_off_its_fixed_point(command, capsys):
+    script = ("SPACE = R64MinPlus[]; "
+              f"\\{command}([[0, \\infty, \\infty], [1, 0, 1], [-7/3, 3, 0]], [-2, 3, 3]);")
+    code, out, err = invoke(["eval", script], capsys)
+    assert (code, out, err) == (0, "[-2, -3.333333333333334, -4.333333333333334]\n", "")
+
+
 # ---- fuzzing ----
 
 

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
+import tropalg.solvers
 from tropalg import (
     AlgebraMismatch,
+    ClosureUndefined,
     DimensionMismatch,
     ExtScalar,
     NEG_INF,
     NoSolution,
     POS_INF,
     Q_CLASSICAL,
+    R64_MAX_PLUS,
+    R64_MIN_PLUS,
     TropMatrix,
     Z_MAX_PLUS,
     Z_MIN_PLUS,
@@ -232,6 +236,46 @@ def test_inequality_solutions_dominate_on_random_instances():
         b = TropMatrix.column([s(rng.randint(-9, 9)) for _ in range(n)], Z_MAX_PLUS)
         x = bellman_inequality(a, b)
         assert mat_le(mat_oplus(mat_mul(a, x), b), x)
+
+
+# A^x b over R64 min-plus sums in another order than A x + b: the closure
+# gives x_1 = -3.3333333333333335, one step of x <- A x + b gives
+# -3.333333333333334, and that step is a fixed point.
+ROUNDED_A = [[0.0, float("inf"), float("inf")], [1.0, 0.0, 1.0], [-7 / 3, 3.0, 0.0]]
+ROUNDED_B = [-2.0, 3.0, 3.0]
+ROUNDED_X = [[-2.0], [-3.333333333333334], [-4.333333333333334]]
+
+
+@pytest.mark.parametrize("solve", [bellman_solve, bellman_inequality])
+def test_float_rounding_of_the_closure_is_refined_away(solve):
+    a, b = mk(ROUNDED_A, R64_MIN_PLUS), col(ROUNDED_B, R64_MIN_PLUS)
+    first = mat_mul(closure_block(a), b)
+    assert first.to_lists()[1] == [s(-3.3333333333333335)]
+    x = solve(a, b)
+    assert [[e.finite for e in row] for row in x.to_lists()] == ROUNDED_X
+    assert mat_oplus(mat_mul(a, x), b) == x
+
+
+@pytest.mark.parametrize(
+    "solve, alg, one, error, counts",
+    [
+        (bellman_solve, R64_MAX_PLUS, 1.0, ClosureUndefined, (5, 3)),
+        (bellman_inequality, R64_MAX_PLUS, 1.0, ClosureUndefined, (7, 3)),
+        (bellman_solve, Z_MAX_PLUS, 1, AssertionError, (3, 2)),
+        (bellman_inequality, Z_MAX_PLUS, 1, AssertionError, (4, 2)),
+    ],
+    ids=["R64-equation", "R64-inequality", "Z-equation", "Z-inequality"],
+)
+def test_a_check_that_never_passes_is_refined_over_r64_only(solve, alg, one, error, counts,
+                                                            monkeypatch):
+    # A stand-in closure of [[1]], which has none: x <- A x + b climbs by 1
+    # each round. R64 pays the check and one round, n = 1; Z checks once.
+    a, b = mk([[one]], alg), col([one - one], alg)
+    monkeypatch.setattr(tropalg.solvers, "closure_block", lambda a: mk([[one - one]], alg))
+    with count_ops() as c, pytest.raises(error) as e:
+        solve(a, b)
+    assert ("float rounding" if error is ClosureUndefined else "closure produced") in str(e.value)
+    assert (c.adds, c.muls) == counts
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropalg import (
     ALGEBRAS_BY_NAME,
+    Algebra,
     AlgebraMismatch,
     ClosureUndefined,
     Domain,
@@ -25,6 +29,7 @@ from tropalg import (
     Z_MAX_PLUS,
     Z_MIN_PLUS,
     bellman_homogeneous,
+    bellman_solve,
     closure_block,
     count_ops,
     diag,
@@ -40,6 +45,7 @@ from tropalg import (
     trop_mul,
     zero_matrix,
 )
+from tropalg.trmatrix import _residuate
 
 from oracles import (
     SISTER,
@@ -502,6 +508,95 @@ def test_float_residuation_never_rounds_past_b(alg):
         else:
             assert mat_mul(a, y) == b
     assert rounded > 10
+
+
+# ---- the stored form ----
+
+# Integral Fractions are demoted on the way in, in Z as in Q.
+INTEGRAL_FRACTIONS = {Domain.Z: (Fraction(4, 2),), Domain.Q: (Fraction(-6, 3),), Domain.F64: ()}
+
+
+def _plain_matrix(rng, alg, rows, cols, closable=False):
+    """A matrix built from plain numbers: the edge values, integral
+    Fractions and the algebra's infinity as a float."""
+    pool = EDGE_VALUES[alg.domain] + INTEGRAL_FRACTIONS[alg.domain]
+    if closable:
+        pool = [v for v in pool if alg.sign * v <= 0]
+    p_inf = 0.25 if alg.is_tropical else 0.0
+    rows = [[-alg.sign * math.inf if rng.random() < p_inf else rng.choice(pool)
+             for _ in range(cols)] for _ in range(rows)]
+    m = TropMatrix.from_rows(rows, alg)
+    # Plain numbers are read as ExtScalar.of reads them.
+    assert repr(m) == repr(TropMatrix.from_rows([[s(v) for v in r] for r in rows], alg))
+    return m
+
+
+def _assert_same_matrix(m, other):
+    """m equals other, and hashes, prints, pickles and replaces as it does."""
+    assert m == other and not m != other
+    assert (hash(m), repr(m)) == (hash(other), repr(other))
+    copies = (pickle.loads(pickle.dumps(m)), dataclasses.replace(m),
+              dataclasses.replace(other, entries=m.entries))
+    for copy in copies:
+        assert copy == m and (hash(copy), repr(copy)) == (hash(m), repr(m))
+
+
+@pytest.mark.parametrize("alg", list(ALGEBRAS_BY_NAME.values()), ids=lambda a: a.name)
+def test_kernel_results_are_the_matrices_the_constructors_build(alg):
+    rng = random.Random(f"stored form {alg.name}")
+    built = 0
+    for _ in range(60):
+        n, m, p = (rng.randint(1, 5) for _ in range(3))
+        a = _plain_matrix(rng, alg, n, m)
+        calls = [(mat_mul, a, _plain_matrix(rng, alg, m, p)),
+                 (mat_oplus, a, _plain_matrix(rng, alg, n, m))]
+        if alg.is_tropical:
+            k = rng.randint(1, 9)
+            calls += [(pseudo_inverse, a),
+                      (closure_block, _plain_matrix(rng, alg, k, k, rng.random() < 0.7)),
+                      (_residuate, a, _plain_matrix(rng, alg, n, 1))]
+        for fn, *args in calls:
+            try:
+                got = fn(*args)
+            except TropalgError:
+                continue
+            built += 1
+            _assert_same_matrix(got, TropMatrix(got.rows, got.cols, got.entries, got.alg))
+            # Rebuilt from plain numbers, which from_rows normalises itself.
+            plain = [[e.finite if e.is_finite else e.inf_sign * math.inf for e in row]
+                     for row in got.to_lists()]
+            _assert_same_matrix(got, TropMatrix.from_rows(plain, alg))
+    assert built >= 40
+
+
+def test_equality_compares_the_algebra_and_the_raw_rows():
+    assert mk([[0]]) != mk([[0]], Z_MIN_PLUS)
+    assert mk([[1]]) != mk([[1]], Q_MAX_PLUS) and mk([[1]]) != mk([[2]])
+    zero, negative_zero = mk([[0.0]], R64_MAX_PLUS), mk([[-0.0]], R64_MAX_PLUS)
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+
+
+class Rechecked(Exception):
+    pass
+
+
+@pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
+def test_matrices_built_from_outside_are_checked_once(alg, monkeypatch):
+    rng = random.Random(f"checked once {alg.name}")
+    a, b = (_plain_matrix(rng, alg, 6, 6, closable=True) for _ in range(2))
+    rhs = mat_mul(a, _plain_matrix(rng, alg, 6, 1, closable=True))
+
+    def recheck(self, e):
+        raise Rechecked(e)
+
+    monkeypatch.setattr(Algebra, "require_member", recheck)
+    assert closure_block(mat_mul(a, b)).entries
+    assert bellman_solve(a, rhs).entries
+    try:
+        assert solve_lae_tropic(a, rhs).entries
+    except NoSolution:
+        # Over R64 the residual can round off an attainable right-hand side.
+        assert alg.domain is Domain.F64
 
 
 # ---- randomized laws ----

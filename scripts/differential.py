@@ -3,7 +3,7 @@ same generated scripts, and report where their answers differ.
 
 Usage, from the root of a checkout:
 
-    PYTHONPATH=src python3 scripts/differential.py --base REF [--scripts N] [--seed S]
+    python3 scripts/differential.py --base REF [--scripts N] [--seed S]
         [--expect PATTERN ...]
 
 The src/ directory of revision REF is unpacked with `git archive` into a
@@ -43,6 +43,9 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# The generator deals this checkout's command table, whatever PYTHONPATH
+# holds; each worker imports its own tree through its own PYTHONPATH.
+sys.path.insert(0, str(ROOT / "src"))
 
 SPACE_FORMS = [
     "ZMaxPlus[]", "ZMinPlus[]", "QMaxPlus[]", "QMinPlus[]", "R64MaxPlus[]", "R64MinPlus[]",

@@ -16,7 +16,7 @@ import math
 from ._record import Record
 from .errors import AlgebraMismatch, IndexOutOfRange, InvalidGraph, NoPath
 from .semiring import Algebra, SemiringKind, _number_text, _tally
-from .trmatrix import TropMatrix, _lower, _scale, closure_block
+from .trmatrix import TropMatrix, closure_block
 
 __all__ = ["WeightedGraph", "search_least_distances", "find_shortest_path"]
 
@@ -91,8 +91,8 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
     """A minimum-weight vertex sequence from start to goal.
 
     The distances to the goal come from _distances_to, one column of the
-    closure, exact over Z and Q (computed on integers, scaled as the
-    matrix kernel scales), and the walk reads the same raw rows. An edge
+    closure, exact over Z and Q (computed on the matrix's stored integer
+    rows, over its denominator), and the walk reads the same raw rows. An edge
     (u, v) is tight when w(u, v) + dist(v, goal) = dist(u, goal); the
     simple paths made of tight edges are exactly the simple shortest
     paths, and over R64, where the distances are the float sums the tight
@@ -110,9 +110,8 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
             raise IndexOutOfRange(f"vertex {shown} is outside 0..{n - 1}")
     if start == goal:
         return [start]
-    adj = g.adjacency
-    rows = _lower(adj, _scale(adj.alg, adj))
-    to_goal = _distances_to(rows, goal, adj.alg)
+    rows = g.adjacency._raw
+    to_goal = _distances_to(rows, goal, g.adjacency.alg)
     if to_goal[start] is None:
         raise NoPath(f"no path from {start} to {goal}")
 

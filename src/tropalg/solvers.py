@@ -37,7 +37,7 @@ from operator import eq
 
 from ._record import Record
 from .errors import AlgebraMismatch, ClosureUndefined, DimensionMismatch, NoSolution
-from .semiring import Domain, ExtScalar
+from .semiring import Domain
 from .trmatrix import TropMatrix, _result, _residuate, closure_block, mat_le, mat_mul, mat_oplus
 
 __all__ = [
@@ -63,7 +63,7 @@ def _require_system(a: TropMatrix, b: TropMatrix | None, what: str, column: bool
         raise AlgebraMismatch(f"{what} requires a tropical algebra")
     if b is None:
         return
-    if a.alg != b.alg:
+    if a.alg is not b.alg and a.alg != b.alg:
         raise AlgebraMismatch("matrix and right-hand side live in different algebras")
     if column and b.cols != 1:
         raise DimensionMismatch("the right-hand side must be a column")
@@ -88,8 +88,7 @@ def solve_lai_tropic(a: TropMatrix, b: TropMatrix):
         raise AssertionError("residuation produced a non-solution")
     # The max-plus interval (zero, x_k], its ends swapped when sign is -1.
     zero, s = a.alg.zero(), a.alg.sign
-    ends = [zero if v is None else ExtScalar(v) for (v,) in x._raw]
-    return x, tuple(IntervalBound(*(zero, v)[::s], *(False, True)[::s]) for v in ends)
+    return x, tuple(IntervalBound(*(zero, v)[::s], *(False, True)[::s]) for v in x.entries)
 
 
 def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -120,10 +119,10 @@ def bellman_homogeneous(a: TropMatrix) -> TropMatrix:
     _require_system(a, None, "bellman_homogeneous")
     closed = closure_block(a)
     moved = mat_mul(a, closed)
-    kept = [k for k, (m, c) in enumerate(zip(zip(*moved._raw), zip(*closed._raw))) if m == c]
+    kept = [k for k in range(a.cols) if moved.entries[k::a.cols] == closed.entries[k::a.cols]]
     if not kept:
         raise NoSolution("no column of the closure solves A x = x")
-    return _result([[r[k] for k in kept] for r in closed._raw], a.alg)
+    return _result([[r[k] for k in kept] for r in closed._raw], a.alg, closed._den)
 
 
 def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix:

@@ -1,12 +1,12 @@
 """Dense matrices over a scalar algebra, with the Kleene closure.
 
 A TropMatrix is a plain value, safe to share between threads: a shape,
-an algebra and raw rows, a tuple of row tuples holding None for the
-algebra's infinite element and ints, Fractions (int when integral) or
-floats otherwise. Entries are checked once, when a matrix is built from
-outside (the constructor, from_rows, column, diag); ExtScalars are built
-only at the boundary, by entries, get and to_lists on first use, and
-kept. The operations are the semiring matrix product, entrywise
+an algebra and raw rows over a denominator L, a tuple of row tuples
+holding None for the algebra's infinite element and L x for each other
+entry x. Entries are checked once, by one reader, when a matrix is built
+from outside (the constructor, from_rows, column, diag); ExtScalars are
+built only at the boundary, by entries, get and to_lists on first use,
+and kept. The operations are the semiring matrix product, entrywise
 addition, the pseudo-inverse, and the closure A^x = I + A + ... +
 A^(n-1), the solution of I + A A^x = A^x = I + A^x A, by block
 recursion in exactly n^3 - n multiplications. Each runs one kernel
@@ -15,14 +15,13 @@ through semiring's sign rule, on the stored rows, and keeps the rows it
 returns unchecked: a chain of operations converts nothing in between.
 Counts are tallied in bulk: an n x m by m x p product is n m p of each.
 
-Tropical Q is computed on integers. For L > 0 the map x -> L x is a
-semiring automorphism of max-plus and of min-plus, so products, closures
-and residuals commute with it: mat_mul, closure_block and the solvers'
-residuation multiply every finite entry by L, the least common multiple
-of their operands' denominators, and divide the result by L once per
-distinct value. Entrywise sums and the pseudo-inverse, linear in the
-entries, stay unscaled, and so does classical Q, whose products
-x -> L x does not preserve; Z and R64 have L = 1.
+L is the least common multiple of the entries' denominators over
+tropical Q and 1 elsewhere; classical Q, whose products x -> L x does
+not preserve, keeps its Fractions. For L > 0 that map is an automorphism
+of max-plus and min-plus, so the tropical kernels run on ints: an
+operation on two matrices rescales the one whose L differs from their
+least common multiple, and one gcd pass reduces the result to its least
+L. Equal values have equal least denominators, so == compares rows and L.
 """
 
 from __future__ import annotations
@@ -37,6 +36,8 @@ from .errors import AlgebraMismatch, DimensionMismatch
 from .semiring import (
     Algebra, Domain, ExtScalar, _finite_result, _tally, trop_closure_scalar,
 )
+
+_F64, _Q = Domain.F64, Domain.Q  # read once: an Enum member read off its class is slow
 
 __all__ = [
     "TropMatrix",
@@ -54,7 +55,7 @@ __all__ = [
 class TropMatrix(Record):
     """An immutable rows x cols matrix over one algebra."""
 
-    __slots__ = ("alg", "_raw", "_entries")
+    __slots__ = ("alg", "_raw", "_den", "_entries")
     _names = ("rows", "cols", "entries", "alg")
     rows = property(lambda self: len(self._raw))
     cols = property(lambda self: len(self._raw[0]))
@@ -64,8 +65,7 @@ class TropMatrix(Record):
             raise DimensionMismatch("matrices need at least one row and one column")
         if len(entries) != rows * cols:
             raise DimensionMismatch(f"expected {rows * cols} entries, got {len(entries)}")
-        flat = iter([None if alg.require_member(e).inf_sign else e.finite for e in entries])
-        _fill(self, tuple(zip(*[flat] * cols)), alg, tuple(entries))
+        _checked(list(zip(*[iter(entries)] * cols)), alg, self)
 
     @classmethod
     def from_rows(cls, rows, alg: Algebra) -> "TropMatrix":
@@ -82,10 +82,11 @@ class TropMatrix(Record):
     @property
     def entries(self) -> tuple[ExtScalar, ...]:
         """The entries row-major, as ExtScalars."""
-        ext = self._entries
+        ext = getattr(self, "_entries", None)  # unset until first read
         if ext is None:
-            zero = self.alg.zero()
-            ext = tuple([zero if x is None else ExtScalar(x) for r in self._raw for x in r])
+            zero, den = self.alg.zero(), self._den
+            ext = tuple([zero if x is None else ExtScalar(x if den == 1 else Fraction(x, den)
+                         if x % den else x // den) for r in self._raw for x in r])
             _set_entries(self, ext)
         return ext
 
@@ -105,19 +106,20 @@ class TropMatrix(Record):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._raw == other._raw and self.alg == other.alg
+        return self._raw == other._raw and self._den == other._den and self.alg == other.alg
 
     __hash__ = Record.__hash__
 
 
-_set_alg, _set_raw, _set_entries = (getattr(TropMatrix, n).__set__ for n in TropMatrix.__slots__)
+_set_alg, _set_raw, _set_den, _set_entries = (
+    getattr(TropMatrix, n).__set__ for n in TropMatrix.__slots__)
 
 
-def _fill(m: TropMatrix, raw: tuple, alg: Algebra, entries=None) -> TropMatrix:
-    """m, its slots set to alg, the rows of raw and the entries if known."""
+def _fill(m: TropMatrix, raw: tuple, alg: Algebra, den: int) -> TropMatrix:
+    """m, its slots set to alg and the rows of raw over den."""
     _set_alg(m, alg)
     _set_raw(m, raw)
-    _set_entries(m, entries)
+    _set_den(m, den)
     return m
 
 
@@ -125,33 +127,49 @@ def _entry(v, alg: Algebra):
     """An entry given from outside, raw: an int, or a Fraction over Q, is read
     directly, anything else as ExtScalar.of and Algebra.require_member read it."""
     t, d = type(v), alg.domain
-    if t is int and d is not Domain.F64 or t is Fraction and d is Domain.Q:
+    if t is int and d is not _F64 or t is Fraction and d is _Q:
         return v if t is int or v.denominator != 1 else v.numerator
     e = alg.require_member(ExtScalar.of(v))
     return None if e.inf_sign else e.finite
 
 
-def _checked(rows: list, alg: Algebra) -> TropMatrix:
-    """A matrix on rows of numbers or ExtScalars, each checked once."""
+def _checked(rows: list, alg: Algebra, m: TropMatrix | None = None) -> TropMatrix:
+    """m, or a new matrix, on rows of numbers or ExtScalars checked once, over their least L."""
     if any(len(r) != len(rows[0]) for r in rows):
         raise DimensionMismatch("matrix rows have unequal lengths")
     if not rows or not rows[0]:
         raise DimensionMismatch("matrices need at least one row and one column")
-    return _result([[_entry(v, alg) for v in r] for r in rows], alg)
+    rows, den = [[_entry(v, alg) for v in r] for r in rows], 1
+    if alg.domain is _Q and alg.sign:
+        den = math.lcm(*{x.denominator for r in rows for x in r if type(x) is Fraction})
+        rows = [[x if x is None else x.numerator * (den // x.denominator) for x in r] for r in rows]
+    return _fill(m or object.__new__(TropMatrix), tuple([tuple(r) for r in rows]), alg, den)
 
 
-def _result(rows: list, alg: Algebra, scale: int = 1) -> TropMatrix:
-    """A matrix on raw rows, checked or computed by a kernel; over Q each
-    distinct value is divided by scale, and demoted to int when integral."""
-    if alg.domain is Domain.Q and (scale != 1 or not alg.sign):
-        cut = {x: x if x is None else x // scale if not x % scale else Fraction(x, scale)
-               for x in set().union(*rows)}
-        rows = [map(cut.__getitem__, r) for r in rows]
-    return _fill(object.__new__(TropMatrix), tuple([tuple(r) for r in rows]), alg)
+def _result(rows: list, alg: Algebra, den: int = 1) -> TropMatrix:
+    """A matrix on kernel rows over den, reduced to the least one; integral classical Q as int."""
+    if den != 1:
+        g = math.gcd(den, *[x for r in rows for x in r if x is not None])
+        if g != 1:
+            den //= g
+            rows = [[x if x is None else x // g for x in r] for r in rows]
+    elif alg.domain is _Q and not alg.sign:
+        rows = [[x if x.denominator != 1 else x.numerator for x in r] for r in rows]
+    return _fill(object.__new__(TropMatrix), tuple([tuple(r) for r in rows]), alg, den)
+
+
+def _common(a: TropMatrix, b: TropMatrix) -> tuple:
+    """The raw rows of a and b over the lcm of their denominators, and that lcm."""
+    if a._den == b._den:
+        return a._raw, b._raw, a._den
+    den = math.lcm(a._den, b._den)
+    return (*[m._raw if m._den == den else
+              [[x if x is None else x * (den // m._den) for x in r] for r in m._raw]
+              for m in (a, b)], den)
 
 
 def _require_same_algebra(a: TropMatrix, b: TropMatrix):
-    if a.alg != b.alg:
+    if a.alg is not b.alg and a.alg != b.alg:
         raise AlgebraMismatch(
             f"operands live in different algebras ({a.alg.name} vs {b.alg.name})"
         )
@@ -162,23 +180,10 @@ def _require_tropical(a: TropMatrix, what: str):
         raise AlgebraMismatch(f"{what} is defined over tropical algebras only")
 
 
-def _scale(alg: Algebra, *mats: TropMatrix) -> int:
-    """L for the operands of a tropical-Q product, closure or residual; else 1."""
-    if alg.domain is not Domain.Q or not alg.is_tropical:
-        return 1
-    return math.lcm(*{x.denominator for m in mats for r in m._raw for x in r if x is not None})
-
-
-def _lower(a: TropMatrix, scale: int = 1):
-    """The raw rows of a matrix, each finite entry multiplied by scale."""
-    return a._raw if scale == 1 else [
-        [None if x is None else x.numerator * (scale // x.denominator) for x in r] for r in a._raw]
-
-
 def _settle(rows: list, alg: Algebra) -> list:
     """Fold float overflow onto the infinite element, or raise; left to a
     later step, it could turn into a NaN or a ClosureUndefined."""
-    if alg.domain is not Domain.F64:
+    if alg.domain is not _F64:
         return rows
     return [[x if x is None or math.isfinite(x) else _finite_result(x, alg).finite for x in r]
             for r in rows]
@@ -226,7 +231,7 @@ def _residual(a: list, b: list, alg: Algebra) -> list:
     """
     sign = alg.sign
     pick = min if sign > 0 else max
-    floats = alg.domain is Domain.F64
+    floats = alg.domain is _F64
     rhs = [r[0] for r in b]
     out = []
     muls = adds = 0
@@ -260,9 +265,8 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         raise DimensionMismatch(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    alg = a.alg
-    scale = _scale(alg, a, b)
-    return _result(_product(_lower(a, scale), _lower(b, scale), alg), alg, scale)
+    ra, rb, den = _common(a, b)
+    return _result(_product(ra, rb, a.alg), a.alg, den)
 
 
 def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -272,7 +276,8 @@ def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         raise DimensionMismatch(
             f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}"
         )
-    return _result(_oplus(a._raw, b._raw, a.alg), a.alg)
+    ra, rb, den = _common(a, b)
+    return _result(_oplus(ra, rb, a.alg), a.alg, den)
 
 
 def mat_le(a: TropMatrix, b: TropMatrix) -> bool:
@@ -283,14 +288,13 @@ def mat_le(a: TropMatrix, b: TropMatrix) -> bool:
 def pseudo_inverse(a: TropMatrix) -> TropMatrix:
     """The negated transpose; the infinite element maps to itself."""
     _require_tropical(a, "the pseudo-inverse")
-    return _result([[None if x is None else -x for x in c] for c in zip(*a._raw)], a.alg)
+    return _result([[None if x is None else -x for x in c] for c in zip(*a._raw)], a.alg, a._den)
 
 
 def _residuate(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """The principal solution of A x <= b, for a system the caller has checked."""
-    alg = a.alg
-    scale = _scale(alg, a, b)
-    return _result(_residual(_lower(a, scale), _lower(b, scale), alg), alg, scale)
+    ra, rb, den = _common(a, b)
+    return _result(_residual(ra, rb, a.alg), a.alg, den)
 
 
 def diag(values, alg: Algebra) -> TropMatrix:
@@ -310,22 +314,21 @@ def zero_matrix(rows: int, cols: int, alg: Algebra) -> TropMatrix:
     return TropMatrix(rows, cols, (alg.zero(),) * (rows * cols), alg)
 
 
-def _closure(rows: list, alg: Algebra, scale: int) -> list:
-    """Raw rows of the closure of square raw rows, by the block recursion;
-    the rows are scaled by scale."""
+def _closure(rows: list, alg: Algebra, den: int) -> list:
+    """Raw rows of the closure of square raw rows over den, by the block recursion."""
     n = len(rows)
     if n == 1:
         x = rows[0][0]
         if x is None or alg.sign * x <= 0:
             return [[alg.one().finite]]
-        # Divergent: the scalar closure raises, naming the unscaled entry.
-        return [[trop_closure_scalar(_result(rows, alg, scale).entries[0], alg).finite]]
+        # Divergent: the scalar closure raises, naming the entry's value.
+        return [[trop_closure_scalar(_result(rows, alg, den).entries[0], alg).finite]]
     h = n // 2
     top, bottom = rows[:h], rows[h:]
-    s = _closure([r[:h] for r in top], alg, scale)
+    s = _closure([r[:h] for r in top], alg, den)
     f = [r[h:] for r in top]
     b = _product([r[:h] for r in bottom], s, alg)
-    r4 = _closure(_oplus([r[h:] for r in bottom], _product(b, f, alg), alg), alg, scale)
+    r4 = _closure(_oplus([r[h:] for r in bottom], _product(b, f, alg), alg), alg, den)
     r3 = _product(r4, b, alg)
     v = _product(s, f, alg)
     r2 = _product(v, r4, alg)
@@ -348,5 +351,4 @@ def closure_block(a: TropMatrix) -> TropMatrix:
     _require_tropical(a, "the closure")
     if not a.is_square:
         raise DimensionMismatch("the closure is defined for square matrices only")
-    scale = _scale(a.alg, a)
-    return _result(_closure(_lower(a, scale), a.alg, scale), a.alg, scale)
+    return _result(_closure(a._raw, a.alg, a._den), a.alg, a._den)

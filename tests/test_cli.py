@@ -409,6 +409,23 @@ def test_differential_script_runs_generated_scripts_as_the_calculator_answers_th
         assert result == (code, out.getvalue(), err.getvalue()), (script, flags)
 
 
+def test_differential_deals_the_command_table_of_its_own_checkout(tmp_path):
+    # Another tropalg first on PYTHONPATH, one that cannot be imported, is
+    # never read by the generator.
+    (tmp_path / "tropalg").mkdir()
+    (tmp_path / "tropalg" / "__init__.py").write_text("raise ImportError('another tree')\n")
+    tool = Path(__file__).resolve().parents[1] / "scripts" / "differential.py"
+    code = (f"import runpy; cases = runpy.run_path({str(tool)!r})['cases']; import tropalg; "
+            "print(len(cases()), tropalg.__file__)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    count, where = result.stdout.split()
+    assert int(count) == len(differential.cases())
+    assert Path(where).resolve() == Path(tropalg.__file__).resolve()
+
+
 def test_differential_flag_sets_show_an_objective_and_latex():
     script = "SPACE = Q[]; \\SimplexMax([[1, 2]], [4], [1, 1]);"
     with differential.Worker(Path(tropalg.__file__).resolve().parents[1]) as worker:

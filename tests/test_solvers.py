@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import tropalg.solvers
 from tropalg import (
+    Algebra,
     AlgebraMismatch,
     ClosureUndefined,
     DimensionMismatch,
@@ -12,6 +14,7 @@ from tropalg import (
     NoSolution,
     POS_INF,
     Q_CLASSICAL,
+    Q_MAX_PLUS,
     R64_MAX_PLUS,
     R64_MIN_PLUS,
     TropMatrix,
@@ -119,6 +122,13 @@ def test_lai_over_a_classical_algebra_is_refused():
     assert str(e.value) == "solve_lai_tropic requires a tropical algebra"
 
 
+def test_a_right_hand_side_over_an_equal_algebra_built_apart_is_accepted():
+    twin = Algebra(Z_MAX_PLUS.kind, Z_MAX_PLUS.domain)
+    assert twin is not Z_MAX_PLUS
+    x, _ = solve_lai_tropic(mk([[1, 2]]), col([3], twin))
+    assert x == col([2, 1])
+
+
 # ---- exact systems A x = b ----
 
 
@@ -207,6 +217,13 @@ def test_homogeneous_generators_are_verified_columns():
     for k in range(g.cols):
         c = TropMatrix.column(g.entries[k :: g.cols], g.alg)
         assert mat_mul(a, c) == c
+
+
+def test_homogeneous_columns_are_compared_by_value():
+    # A A* reduces to the denominator 3 and A* to 1, so their stored rows
+    # differ in column 1 although its values agree.
+    a = TropMatrix.from_rows([[0, -1, -2], [0, 0, 0], [0, NEG_INF, Fraction(-1, 3)]], Q_MAX_PLUS)
+    assert bellman_homogeneous(a) == TropMatrix.from_rows([[0, -1], [0, 0], [0, -1]], Q_MAX_PLUS)
 
 
 def test_homogeneous_identity_keeps_all_columns():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from tropalg import (
     Domain,
     DimensionMismatch,
     ExtScalar,
+    IllegalElement,
     IntervalBound,
     NEG_INF,
     NoSolution,
@@ -45,6 +47,7 @@ from tropalg import (
     trop_mul,
     zero_matrix,
 )
+from tropalg import trmatrix
 from tropalg.trmatrix import _residuate
 
 from oracles import (
@@ -105,6 +108,22 @@ def test_constructor_checks_the_shape_against_the_entries(rows, cols, entries, m
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("alg", list(ALGEBRAS_BY_NAME.values()), ids=lambda a: a.name)
+def test_the_constructor_reads_entries_as_from_rows_does(alg):
+    # Plain numbers, ExtScalars and what is no number give the same matrix,
+    # or the same typed error, either way.
+    for v in (3, -0.0, 0.5, Fraction(1, 2), Fraction(4, 2), math.inf, -math.inf, math.nan,
+              True, None, "x", s(2), NEG_INF, POS_INF):
+        assert _outcome(TropMatrix, 1, 1, (v,), alg) == _outcome(TropMatrix.from_rows, [[v]], alg)
+
+
+def test_a_plain_entry_is_read_and_a_missing_one_refused():
+    assert TropMatrix(1, 1, (3,), Z_MAX_PLUS) == mk([[3]])
+    with pytest.raises(IllegalElement) as e:
+        TropMatrix(1, 1, (None,), Z_MAX_PLUS)
+    assert str(e.value) == "cannot interpret None as a semiring element"
+
+
 def test_illegal_entry_is_rejected():
     with pytest.raises(Exception):
         TropMatrix.from_rows([[POS_INF]], Z_MAX_PLUS)
@@ -153,6 +172,13 @@ def test_operands_of_different_algebras_are_refused(op):
     with pytest.raises(AlgebraMismatch) as e:
         op(mk([[1]]), mk([[1]], Z_MIN_PLUS))
     assert str(e.value) == "operands live in different algebras (ZMaxPlus vs ZMinPlus)"
+
+
+@pytest.mark.parametrize("op", [mat_mul, mat_oplus], ids=lambda f: f.__name__)
+def test_an_equal_algebra_built_apart_is_the_same_algebra(op):
+    twin = Algebra(SemiringKind.MAX_PLUS, Domain.Z)
+    assert twin is not Z_MAX_PLUS
+    assert op(mk([[1]]), mk([[2]], twin)) == op(mk([[1]]), mk([[2]]))
 
 
 def test_shape_mismatch_raises():
@@ -574,6 +600,76 @@ def test_equality_compares_the_algebra_and_the_raw_rows():
     assert mk([[1]]) != mk([[1]], Q_MAX_PLUS) and mk([[1]]) != mk([[2]])
     zero, negative_zero = mk([[0.0]], R64_MAX_PLUS), mk([[-0.0]], R64_MAX_PLUS)
     assert zero == negative_zero and hash(zero) == hash(negative_zero)
+
+
+def _least_form(m):
+    """The least common denominator of m's entries, and its rows scaled by it."""
+    den = math.lcm(*(e.finite.denominator for e in m.entries if e.is_finite))
+    return den, tuple(tuple(None if e.inf_sign else int(e.finite * den) for e in r)
+                      for r in m.to_lists())
+
+
+def _fractions(rng, alg, rows, cols, closable=False):
+    """A tropical-Q matrix of entries over the denominators 1 to 6."""
+    def entry():
+        if rng.random() < 0.2:
+            return alg.zero()
+        v = Fraction(rng.randint(0 if closable else -12, 12), rng.randint(1, 6))
+        return -alg.sign * v if closable else v
+    return TropMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)], alg)
+
+
+@pytest.mark.parametrize("alg", [Q_MAX_PLUS, Q_MIN_PLUS], ids=lambda a: a.name)
+def test_tropical_q_kernels_run_on_ints_over_the_least_denominator(alg, monkeypatch):
+    calls = Counter()
+
+    def ints_only(kernel):
+        def wrapped(*args):
+            rows = [x for arg in args if isinstance(arg, (list, tuple)) for r in arg for x in r]
+            assert all(x is None or type(x) is int for x in rows), kernel.__name__
+            calls[kernel.__name__] += 1
+            return kernel(*args)
+        return wrapped
+
+    for name in ("_product", "_oplus", "_closure", "_residual"):
+        monkeypatch.setattr(trmatrix, name, ints_only(getattr(trmatrix, name)))
+    rng = random.Random(f"least denominator {alg.name}")
+    reduced = 0
+    for _ in range(80):
+        n, m, p = (rng.randint(1, 5) for _ in range(3))
+        a, b, c = (_fractions(rng, alg, *shape) for shape in ((n, m), (m, p), (n, m)))
+        sq, rhs = _fractions(rng, alg, n, n, closable=True), _fractions(rng, alg, n, 1)
+        for got, *operands in [(a, a), (mat_mul(a, b), a, b), (pseudo_inverse(a), a),
+                               (mat_oplus(a, c), a, c), (_residuate(a, rhs), a, rhs),
+                               (closure_block(sq), sq), (bellman_solve(sq, rhs), sq, rhs)]:
+            assert (got._den, got._raw) == _least_form(got)
+            # Counts the results a gcd pass reduced below their operands' lcm.
+            reduced += got._den < math.lcm(*(x._den for x in operands))
+    assert set(calls) == {"_product", "_oplus", "_closure", "_residual"}
+    assert reduced > 100
+
+
+def test_a_sum_that_loses_its_fractions_is_stored_over_one():
+    half, one = (TropMatrix.from_rows([[v]], Q_MAX_PLUS) for v in (Fraction(1, 2), 1))
+    got = mat_oplus(half, one)
+    assert got == one and (hash(got), repr(got)) == (hash(one), repr(one))
+    assert (got._den, got._raw) == (1, ((1,),))
+
+
+@pytest.mark.parametrize("alg", [Q_MAX_PLUS, Q_MIN_PLUS], ids=lambda a: a.name)
+def test_operands_over_the_denominators_2_and_3_meet_over_6(alg):
+    a = TropMatrix.from_rows([[Fraction(1, 2), alg.zero()], [0, Fraction(1, 2)]], alg)
+    b = TropMatrix.column([Fraction(1, 3), Fraction(2, 3)], alg)
+    with count_ops() as c:
+        product = mat_mul(a, b)
+    assert (c.adds, c.muls) == (4, 4)
+    with count_ops() as c:
+        residual = _residuate(a, b)
+    assert (c.adds, c.muls) == (1, 3)
+    want = {Q_MAX_PLUS: ([Fraction(5, 6), Fraction(7, 6)], [Fraction(-1, 6), Fraction(1, 6)]),
+            Q_MIN_PLUS: ([Fraction(5, 6), Fraction(1, 3)], [Fraction(2, 3), Fraction(1, 6)])}
+    assert (product, residual) == tuple(TropMatrix.column(v, alg) for v in want[alg])
+    assert product._den == residual._den == 6
 
 
 class Rechecked(Exception):

@@ -76,7 +76,7 @@ OUTCOMES = {0: "answered", 1: "script error", 3: "internal error"}
 
 # Every script runs once per flag set: operation counts with the objective
 # of a linear program, which only --show-objective prints, then LaTeX.
-FLAG_SETS = (("--trace-ops", "--show-objective"), ("--format", "latex"))
+FLAG_SETS = (("--trace-ops", "--show-objective"), ("--format=latex",))
 
 # The worker: prints where it imported tropalg from, then answers each
 # JSON-encoded [script, flags] line on stdin with a JSON [status, stdout,

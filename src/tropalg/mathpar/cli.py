@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command line of mathpar: run calculator scripts over tropical and classical algebras.
 
 Three ways to feed it a script: `mathpar run file`, `mathpar eval "code"`,
 or a bare `mathpar` that reads stdin to end of file. The argument after
@@ -10,11 +10,15 @@ stream to stdout one line per printed statement. Script errors go to
 stderr with a line:column prefix and exit status 1; unreadable files exit
 2. Any other failure, such as a solver's self-check, is a fault of the
 program: it is reported on one line as an internal error and exits 3.
+
+Flags, spelled in full: `--format plain|latex` (or `--format=latex`) sets
+the matrix style, `--show-objective` prints the objective value after a
+linear-programming result, `--trace-ops` prints semiring operation counts
+on stderr and `-h`/`--help` prints this text. Any other command line exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from ..semiring import count_ops
@@ -24,63 +28,55 @@ from .parser import parse
 
 __all__ = ["run_cli", "main"]
 
-_MODES = ("run", "eval")
+_USAGE = "usage: mathpar [run PATH | eval CODE] [options]"
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="mathpar",
-        usage="mathpar [run PATH | eval CODE] [options]",
-        description="Run calculator scripts over tropical and classical algebras.",
-    )
-    p.add_argument(
-        "mode",
-        nargs="?",
-        choices=_MODES,
-        help="`run PATH` runs a script file, `eval CODE` evaluates inline code; "
-        "omit to read stdin",
-    )
-    p.add_argument(
-        "--format",
-        choices=["plain", "latex"],
-        default="plain",
-        help="matrix output style",
-    )
-    p.add_argument(
-        "--show-objective",
-        action="store_true",
-        help="print the objective value after a linear-programming result",
-    )
-    p.add_argument(
-        "--trace-ops",
-        action="store_true",
-        help="report semiring operation counts on stderr",
-    )
-    return p
+def _choose(name, value, choices):
+    if value not in choices:
+        raise ValueError(f"argument {name}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return value
 
 
-def _take_target(argv):
-    """Split the argument that follows the mode out of argv.
+def _read_args(argv):
+    """The mode, target, format and set of flags of argv, read in one pass.
 
-    argparse reads a string starting with `-`, such as the code `-1;`, as
-    an option, so the target never reaches it. Returns the other arguments
-    and the target, None when there is none.
+    The mode is "help" for `-h`/`--help`. The first word that does not fit
+    raises ValueError with the usage error.
     """
-    for i, word in enumerate(argv):
-        if word == "--":
-            break
-        if word in _MODES:
-            j = i + 2 if argv[i + 1 : i + 2] == ["--"] else i + 1
-            if j < len(argv):
-                return argv[: i + 1] + argv[j + 1 :], argv[j]
-            break
-    return argv, None
+    mode = target = None
+    fmt, flags = "plain", set()
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return "help", None, fmt, flags
+        elif word == "--format" or word.startswith("--format="):
+            value = word[9:] if "=" in word else next(words, None)
+            if value is None:
+                raise ValueError("argument --format: expected one argument")
+            fmt = _choose("--format", value, ("plain", "latex"))
+        elif word in ("--show-objective", "--trace-ops"):
+            flags.add(word)
+        elif mode is None and not word.startswith("-"):
+            mode = _choose("mode", word, ("run", "eval"))
+            target = next(words, None)
+            if target == "--":
+                target = next(words, None)
+        else:
+            raise ValueError(f"unrecognized arguments: {word}")
+    return mode, target, fmt, flags
 
 
 def run_cli(argv=None) -> int:
-    argv, target = _take_target(sys.argv[1:] if argv is None else list(argv))
-    args = build_arg_parser().parse_args(argv)
-    if args.mode == "run":
+    try:
+        mode, target, fmt, flags = _read_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as e:
+        print(f"{_USAGE}\nmathpar: error: {e}", file=sys.stderr)
+        return 2
+    if mode == "help":
+        print(_USAGE, __doc__, sep="\n\n", end="")
+        return 0
+    if mode == "run":
         if target is None:
             print("error: run needs a script path", file=sys.stderr)
             return 2
@@ -90,7 +86,7 @@ def run_cli(argv=None) -> int:
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-    elif args.mode == "eval":
+    elif mode == "eval":
         if target is None:
             print("error: eval needs code to run", file=sys.stderr)
             return 2
@@ -98,7 +94,7 @@ def run_cli(argv=None) -> int:
     else:
         source = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
 
-    options = RenderOptions(fmt=args.format, show_objective=args.show_objective)
+    options = RenderOptions(fmt=fmt, show_objective="--show-objective" in flags)
     session = Session()
 
     def emit(line: str):
@@ -114,7 +110,7 @@ def run_cli(argv=None) -> int:
     except Exception as e:
         print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    if args.trace_ops:
+    if "--trace-ops" in flags:
         print(
             f"semiring ops: adds={counts.adds} muls={counts.muls}", file=sys.stderr
         )

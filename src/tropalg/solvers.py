@@ -38,7 +38,8 @@ from operator import eq
 from ._record import Record
 from .errors import AlgebraMismatch, ClosureUndefined, DimensionMismatch, NoSolution
 from .semiring import Domain
-from .trmatrix import TropMatrix, _result, _residuate, closure_block, mat_le, mat_mul, mat_oplus
+from .trmatrix import (TropMatrix, _common, _result, _residuate, closure_block, mat_le, mat_mul,
+                       mat_oplus)
 
 __all__ = [
     "IntervalBound",
@@ -118,8 +119,8 @@ def bellman_homogeneous(a: TropMatrix) -> TropMatrix:
     """
     _require_system(a, None, "bellman_homogeneous")
     closed = closure_block(a)
-    moved = mat_mul(a, closed)
-    kept = [k for k in range(a.cols) if moved.entries[k::a.cols] == closed.entries[k::a.cols]]
+    moved, fixed, _ = _common(mat_mul(a, closed), closed)
+    kept = [k for k in range(a.cols) if all(r[k] == s[k] for r, s in zip(moved, fixed))]
     if not kept:
         raise NoSolution("no column of the closure solves A x = x")
     return _result([[r[k] for k in kept] for r in closed._raw], a.alg, closed._den)

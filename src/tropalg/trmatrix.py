@@ -106,7 +106,8 @@ class TropMatrix(Record):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._raw == other._raw and self._den == other._den and self.alg == other.alg
+        return (self._raw == other._raw and self._den == other._den
+                and (self.alg is other.alg or self.alg == other.alg))
 
     __hash__ = Record.__hash__
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import tropalg
-from tropalg.mathpar.cli import run_cli
+from tropalg.mathpar.cli import main, run_cli
 from tropalg.mathpar import interp
 from tropalg.mathpar.interp import _COMMANDS, _Evaluator
 from tropalg.mathpar.parser import MAX_NESTING
@@ -122,10 +122,44 @@ def test_eval_of_a_lone_minus_is_a_positioned_error(capsys):
     assert err == "error: 1:2: expected an expression, found ';'\n"
 
 
-def test_unknown_mode_is_rejected_by_the_argument_parser(capsys):
+def invoke_main(argv, capsys, monkeypatch):
+    """The exit status, stdout and stderr of the process entry point."""
+    monkeypatch.setattr(sys, "argv", ["mathpar", *argv])
     with pytest.raises(SystemExit) as e:
-        run_cli(["frobnicate"])
-    assert e.value.code == 2
+        main()
+    captured = capsys.readouterr()
+    return e.value.code, captured.out, captured.err
+
+
+USAGE = "usage: mathpar [run PATH | eval CODE] [options]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frobnicate"], "argument mode: invalid choice: 'frobnicate' (choose from 'run', 'eval')"),
+        (["eval", "1;", "--bogus"], "unrecognized arguments: --bogus"),
+        (["eval", "1;", "extra"], "unrecognized arguments: extra"),
+        (["eval", "1;", "--format"], "argument --format: expected one argument"),
+        (["eval", "1;", "--format", "bogus"],
+         "argument --format: invalid choice: 'bogus' (choose from 'plain', 'latex')"),
+    ],
+    ids=["unknown-mode", "unknown-flag", "extra-word", "format-without-value", "unknown-format"],
+)
+def test_a_bad_command_line_is_a_usage_error(argv, message, capsys, monkeypatch):
+    assert invoke_main(argv, capsys, monkeypatch) == (2, "", f"{USAGE}mathpar: error: {message}\n")
+
+
+def test_format_takes_its_value_after_an_equals_sign(capsys, monkeypatch):
+    result = invoke_main(["--format=latex", "eval", "[[1]];"], capsys, monkeypatch)
+    assert result == (0, "\\begin{pmatrix} 1 \\end{pmatrix}\n", "")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_flag(flag, capsys, monkeypatch):
+    code, out, err = invoke_main([flag], capsys, monkeypatch)
+    assert (code, err) == (0, "") and out.startswith(USAGE)
+    assert all(name in out for name in ("--format", "--show-objective", "--trace-ops"))
 
 
 def test_latex_format_flag(capsys):
@@ -363,9 +397,9 @@ def test_module_entry_point_runs():
 def test_cli_import_loads_no_code_generation_machinery():
     # Every script is answered by a fresh process, which pays for each
     # module the CLI imports: dataclasses and the modules it pulls in cost
-    # more than tropalg's own.
+    # more than tropalg's own, and argparse with gettext about 3 ms.
     src = str(Path(tropalg.__file__).resolve().parents[1])
-    heavy = ["dataclasses", "inspect", "ast", "dis"]
+    heavy = ["dataclasses", "inspect", "ast", "dis", "argparse", "gettext"]
     result = subprocess.run(
         [sys.executable, "-c", f"import sys, tropalg.mathpar.cli; "
          f"print(sorted(m for m in {heavy!r} if m in sys.modules))"],

@@ -179,6 +179,7 @@ def test_an_equal_algebra_built_apart_is_the_same_algebra(op):
     twin = Algebra(SemiringKind.MAX_PLUS, Domain.Z)
     assert twin is not Z_MAX_PLUS
     assert op(mk([[1]]), mk([[2]], twin)) == op(mk([[1]]), mk([[2]]))
+    assert mk([[1]], twin) == mk([[1]])
 
 
 def test_shape_mismatch_raises():

@@ -53,9 +53,10 @@ from ..semiring import (
     ALGEBRAS_BY_NAME,
     NEG_INF,
     POS_INF,
-    Domain,
     ExtScalar,
     Q_CLASSICAL,
+    _F64,
+    _Z,
     _finite_result,
     _number_text,
     trop_add,
@@ -234,10 +235,10 @@ class _Evaluator:
 
     def scalar_literal(self, node: ScalarLit) -> ExtScalar:
         domain = self.session.algebra.domain
-        if domain is Domain.Z and node.kind != "int":
+        if domain is _Z and node.kind != "int":
             raise TropalgError(f"{node.value} is not an element of an integer space")
         value = _exact(node.value)
-        if domain is Domain.F64:
+        if domain is _F64:
             try:
                 value = float(Fraction(value))
             except OverflowError as e:
@@ -344,7 +345,7 @@ class _Evaluator:
 
     def space_scalar(self, q: Fraction) -> ExtScalar:
         """An exact simplex value as a scalar of the current classical space."""
-        if self.session.algebra.domain is Domain.F64:
+        if self.session.algebra.domain is _F64:
             try:
                 q = float(q)
             except OverflowError:

@@ -18,7 +18,11 @@ from __future__ import annotations
 from typing import Union
 
 from .errors import ParseError
-from .lexer import Token, TokenKind, tokenize
+from .lexer import (
+    _COMMA, _COMMAND, _DECIMAL, _EOF, _EQUALS, _IDENT, _INFINITY, _INTEGER, _LBRACKET, _LPAREN,
+    _MINUS, _PLUS, _RATIONAL, _RBRACKET, _RELOP, _RPAREN, _SEMICOLON, _STAR, Token, TokenKind,
+    tokenize,
+)
 
 __all__ = [
     "Node",
@@ -143,6 +147,10 @@ class ExprStmt(Node):
 Stmt = Union[SpaceDecl, Assign, ExprStmt]
 
 
+# The kind field of a ScalarLit, by the kind of its token.
+_LITERAL_KINDS = {_INTEGER: "int", _RATIONAL: "rat", _DECIMAL: "dec"}
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -154,7 +162,7 @@ class _Parser:
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
-        if tok.kind is not TokenKind.EOF:
+        if tok.kind is not _EOF:
             self.i += 1
         return tok
 
@@ -184,43 +192,43 @@ class _Parser:
 
     def parse_script(self) -> list[Stmt]:
         stmts: list[Stmt] = []
-        while self.peek().kind is not TokenKind.EOF:
+        while self.peek().kind is not _EOF:
             stmts.append(self.parse_statement())
         return stmts
 
     def parse_statement(self) -> Stmt:
         tok = self.peek()
-        if tok.kind is TokenKind.IDENT and self.tokens[self.i + 1].kind is TokenKind.EQUALS:
+        if tok.kind is _IDENT and self.tokens[self.i + 1].kind is _EQUALS:
             if tok.value == "SPACE":
                 return self.parse_space_decl()
             self.next()
             self.next()
             expr = self.parse_expr()
-            self.expect(TokenKind.SEMICOLON, "';'")
+            self.expect(_SEMICOLON, "';'")
             return Assign(tok.value, expr, line=tok.line, col=tok.col)
         expr = self.parse_expr()
-        self.expect(TokenKind.SEMICOLON, "';'")
+        self.expect(_SEMICOLON, "';'")
         return ExprStmt(expr, line=tok.line, col=tok.col)
 
     def parse_space_decl(self) -> SpaceDecl:
         tok = self.next()  # SPACE
         self.next()  # =
-        name = self.expect(TokenKind.IDENT, "a space name")
-        self.expect(TokenKind.LBRACKET, "'['")
+        name = self.expect(_IDENT, "a space name")
+        self.expect(_LBRACKET, "'['")
         vars_: list[str] = []
-        if self.peek().kind is TokenKind.IDENT:
+        if self.peek().kind is _IDENT:
             vars_.append(self.next().value)
-            while self.peek().kind is TokenKind.COMMA:
+            while self.peek().kind is _COMMA:
                 self.next()
-                vars_.append(self.expect(TokenKind.IDENT, "a variable name").value)
-        self.expect(TokenKind.RBRACKET, "']'")
-        self.expect(TokenKind.SEMICOLON, "';'")
+                vars_.append(self.expect(_IDENT, "a variable name").value)
+        self.expect(_RBRACKET, "']'")
+        self.expect(_SEMICOLON, "';'")
         return SpaceDecl(name.value, tuple(vars_), line=tok.line, col=tok.col)
 
     def parse_expr(self) -> Expr:
         left = self.parse_sum()
         tok = self.peek()
-        if tok.kind is TokenKind.RELOP:
+        if tok.kind is _RELOP:
             self.next()
             right = self.parse_sum()
             return Ineq(left, tok.value, right, line=tok.line, col=tok.col)
@@ -238,14 +246,15 @@ class _Parser:
         node = self.parse_operand()
         while True:
             tok = self.peek()
-            if tok.kind is TokenKind.STAR:
+            kind = tok.kind
+            if kind is _STAR:
                 self.next()
                 node = BinOp("*", node, self.parse_operand(), line=tok.line, col=tok.col)
                 continue
             if total is not None:
-                sign = "+" if op.kind is TokenKind.PLUS else "-"
+                sign = "+" if op.kind is _PLUS else "-"
                 node = BinOp(sign, total, node, line=op.line, col=op.col)
-            if tok.kind not in (TokenKind.PLUS, TokenKind.MINUS):
+            if kind is not _PLUS and kind is not _MINUS:
                 return node
             self.next()
             total, op = node, tok
@@ -259,33 +268,31 @@ class _Parser:
         the literal.
         """
         signs = []
-        while self.peek().kind is TokenKind.MINUS:
+        while self.peek().kind is _MINUS:
             signs.append(self.next())
         tok = self.peek()
-        if tok.kind in (TokenKind.INTEGER, TokenKind.RATIONAL, TokenKind.DECIMAL):
+        kind = tok.kind
+        if kind is _INTEGER or kind is _RATIONAL or kind is _DECIMAL:
             self.next()
-            kind = {
-                TokenKind.INTEGER: "int",
-                TokenKind.RATIONAL: "rat",
-                TokenKind.DECIMAL: "dec",
-            }[tok.kind]
-            node = ScalarLit(tok.value.replace(" ", ""), kind, line=tok.line, col=tok.col)
-        elif tok.kind is TokenKind.INFINITY:
+            node = ScalarLit(
+                tok.value.replace(" ", ""), _LITERAL_KINDS[kind], line=tok.line, col=tok.col
+            )
+        elif kind is _INFINITY:
             self.next()
             node = InfinityLit(1, line=tok.line, col=tok.col)
-        elif tok.kind is TokenKind.IDENT:
+        elif kind is _IDENT:
             self.next()
             node = Var(tok.value, line=tok.line, col=tok.col)
-        elif tok.kind is TokenKind.COMMAND:
+        elif kind is _COMMAND:
             node = self.parse_call()
-        elif tok.kind is TokenKind.LPAREN:
-            self.open_group(TokenKind.LPAREN, "'('")
-            if self.peek().kind is TokenKind.RPAREN:
+        elif kind is _LPAREN:
+            self.open_group(_LPAREN, "'('")
+            if self.peek().kind is _RPAREN:
                 node = EmptyLit(line=tok.line, col=tok.col)
             else:
                 node = self.parse_expr()
-            self.close_group(TokenKind.RPAREN, "')'")
-        elif tok.kind is TokenKind.LBRACKET:
+            self.close_group(_RPAREN, "')'")
+        elif kind is _LBRACKET:
             node = self.parse_bracket()
         else:
             raise ParseError(
@@ -303,16 +310,16 @@ class _Parser:
         return node
 
     def parse_bracket(self) -> Expr:
-        tok = self.open_group(TokenKind.LBRACKET, "'['")
-        if self.peek().kind is TokenKind.RBRACKET:
-            self.close_group(TokenKind.RBRACKET, "']'")
+        tok = self.open_group(_LBRACKET, "'['")
+        if self.peek().kind is _RBRACKET:
+            self.close_group(_RBRACKET, "']'")
             return EmptyLit(line=tok.line, col=tok.col)
-        if self.peek().kind is TokenKind.LBRACKET:
+        if self.peek().kind is _LBRACKET:
             rows = [self.parse_row()]
-            while self.peek().kind is TokenKind.COMMA:
+            while self.peek().kind is _COMMA:
                 self.next()
                 rows.append(self.parse_row())
-            self.close_group(TokenKind.RBRACKET, "']'")
+            self.close_group(_RBRACKET, "']'")
             w = len(rows[0])
             for row in rows:
                 if len(row) != w:
@@ -323,31 +330,31 @@ class _Parser:
                     )
             return MatrixLit(tuple(rows), line=tok.line, col=tok.col)
         items = [self.parse_expr()]
-        while self.peek().kind is TokenKind.COMMA:
+        while self.peek().kind is _COMMA:
             self.next()
             items.append(self.parse_expr())
-        self.close_group(TokenKind.RBRACKET, "']'")
+        self.close_group(_RBRACKET, "']'")
         return ListLit(tuple(items), line=tok.line, col=tok.col)
 
     def parse_row(self) -> tuple:
-        self.open_group(TokenKind.LBRACKET, "'['")
+        self.open_group(_LBRACKET, "'['")
         items = [self.parse_expr()]
-        while self.peek().kind is TokenKind.COMMA:
+        while self.peek().kind is _COMMA:
             self.next()
             items.append(self.parse_expr())
-        self.close_group(TokenKind.RBRACKET, "']'")
+        self.close_group(_RBRACKET, "']'")
         return tuple(items)
 
     def parse_call(self) -> Call:
         tok = self.next()  # COMMAND
-        self.open_group(TokenKind.LPAREN, "'(' after command")
+        self.open_group(_LPAREN, "'(' after command")
         args: list[Expr] = []
-        if self.peek().kind is not TokenKind.RPAREN:
+        if self.peek().kind is not _RPAREN:
             args.append(self.parse_expr())
-            while self.peek().kind is TokenKind.COMMA:
+            while self.peek().kind is _COMMA:
                 self.next()
                 args.append(self.parse_expr())
-        self.close_group(TokenKind.RPAREN, "')'")
+        self.close_group(_RPAREN, "')'")
         return Call(tok.value, tuple(args), line=tok.line, col=tok.col)
 
 

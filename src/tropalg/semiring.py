@@ -88,6 +88,11 @@ class Domain(Enum):
     F64 = "F64"
 
 
+# Read once: an Enum member read off its class is slow. trmatrix and the
+# evaluator import these too.
+_Z, _Q, _F64 = Domain.Z, Domain.Q, Domain.F64
+
+
 class ExtScalar(Record):
     """A finite number or the single infinite element of an algebra.
 
@@ -204,13 +209,13 @@ class Algebra(Record):
         s = self.sign
         if s:
             return NEG_INF if s > 0 else POS_INF
-        return ExtScalar(0.0) if self.domain is Domain.F64 else ExtScalar(0)
+        return ExtScalar(0.0) if self.domain is _F64 else ExtScalar(0)
 
     def one(self) -> ExtScalar:
         """The multiplicative identity: 0 tropically, 1 classically."""
         if self.is_tropical:
-            return ExtScalar(0.0) if self.domain is Domain.F64 else ExtScalar(0)
-        return ExtScalar(1.0) if self.domain is Domain.F64 else ExtScalar(1)
+            return ExtScalar(0.0) if self.domain is _F64 else ExtScalar(0)
+        return ExtScalar(1.0) if self.domain is _F64 else ExtScalar(1)
 
     def require_legal(self, a: ExtScalar) -> ExtScalar:
         """Reject the infinity this algebra does not contain."""
@@ -233,10 +238,10 @@ class Algebra(Record):
             return a
         f = a.finite
         d = self.domain
-        if d is Domain.Z:
+        if d is _Z:
             if isinstance(f, int) and not isinstance(f, bool):
                 return a
-        elif d is Domain.Q:
+        elif d is _Q:
             if isinstance(f, (int, Fraction)) and not isinstance(f, bool):
                 return a
         else:

@@ -34,10 +34,8 @@ from operator import add, mul
 from ._record import Record
 from .errors import AlgebraMismatch, DimensionMismatch
 from .semiring import (
-    Algebra, Domain, ExtScalar, _finite_result, _tally, trop_closure_scalar,
+    Algebra, ExtScalar, _F64, _Q, _finite_result, _tally, trop_closure_scalar,
 )
-
-_F64, _Q = Domain.F64, Domain.Q  # read once: an Enum member read off its class is slow
 
 __all__ = [
     "TropMatrix",

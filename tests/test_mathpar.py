@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropalg import ExtScalar
 from tropalg.mathpar import (
@@ -145,6 +146,138 @@ def test_lexemes_reconstruct_the_source_via_offsets():
         for tok in tokenize(text):
             rebuilt[tok.offset : tok.offset + len(tok.lexeme)] = tok.lexeme
         assert "".join(rebuilt) == text
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "x<",
+            [("IDENT", "x", "x", 1, 1, 0), ("RELOP", "<", "<", 1, 2, 1), ("EOF", "", None, 1, 3, 2)],
+        ),
+        (
+            "x>",
+            [("IDENT", "x", "x", 1, 1, 0), ("RELOP", ">", ">", 1, 2, 1), ("EOF", "", None, 1, 3, 2)],
+        ),
+        (
+            "x <= 1; y >= 2;",
+            [
+                ("IDENT", "x", "x", 1, 1, 0),
+                ("RELOP", "<=", "<=", 1, 3, 2),
+                ("INTEGER", "1", "1", 1, 6, 5),
+                ("SEMICOLON", ";", ";", 1, 7, 6),
+                ("IDENT", "y", "y", 1, 9, 8),
+                ("RELOP", ">=", ">=", 1, 11, 10),
+                ("INTEGER", "2", "2", 1, 14, 13),
+                ("SEMICOLON", ";", ";", 1, 15, 14),
+                ("EOF", "", None, 1, 16, 15),
+            ],
+        ),
+        (
+            "x ≤ 1 ≥ 2",
+            [
+                ("IDENT", "x", "x", 1, 1, 0),
+                ("RELOP", "≤", "<=", 1, 3, 2),
+                ("INTEGER", "1", "1", 1, 5, 4),
+                ("RELOP", "≥", ">=", 1, 7, 6),
+                ("INTEGER", "2", "2", 1, 9, 8),
+                ("EOF", "", None, 1, 10, 9),
+            ],
+        ),
+        (
+            "−3 - ∞ + inf * \\infty",
+            [
+                ("MINUS", "−", "−", 1, 1, 0),
+                ("INTEGER", "3", "3", 1, 2, 1),
+                ("MINUS", "-", "-", 1, 4, 3),
+                ("INFINITY", "∞", 1, 1, 6, 5),
+                ("PLUS", "+", "+", 1, 8, 7),
+                ("INFINITY", "inf", 1, 1, 10, 9),
+                ("STAR", "*", "*", 1, 14, 13),
+                ("INFINITY", "\\infty", 1, 1, 16, 15),
+                ("EOF", "", None, 1, 22, 21),
+            ],
+        ),
+        (
+            "a = 1;\r\n\tb = 2/ 3;\r\n",
+            [
+                ("IDENT", "a", "a", 1, 1, 0),
+                ("EQUALS", "=", "=", 1, 3, 2),
+                ("INTEGER", "1", "1", 1, 5, 4),
+                ("SEMICOLON", ";", ";", 1, 6, 5),
+                ("IDENT", "b", "b", 2, 2, 9),
+                ("EQUALS", "=", "=", 2, 4, 11),
+                ("RATIONAL", "2/ 3", "2/ 3", 2, 6, 13),
+                ("SEMICOLON", ";", ";", 2, 10, 17),
+                ("EOF", "", None, 3, 1, 20),
+            ],
+        ),
+        (
+            "\\closure([[1.5, -x_1]]); # tail",
+            [
+                ("COMMAND", "\\closure", "closure", 1, 1, 0),
+                ("LPAREN", "(", "(", 1, 9, 8),
+                ("LBRACKET", "[", "[", 1, 10, 9),
+                ("LBRACKET", "[", "[", 1, 11, 10),
+                ("DECIMAL", "1.5", "1.5", 1, 12, 11),
+                ("COMMA", ",", ",", 1, 15, 14),
+                ("MINUS", "-", "-", 1, 17, 16),
+                ("IDENT", "x_1", "x_1", 1, 18, 17),
+                ("RBRACKET", "]", "]", 1, 21, 20),
+                ("RBRACKET", "]", "]", 1, 22, 21),
+                ("RPAREN", ")", ")", 1, 23, 22),
+                ("SEMICOLON", ";", ";", 1, 24, 23),
+                ("EOF", "", None, 1, 32, 31),
+            ],
+        ),
+        ("", [("EOF", "", None, 1, 1, 0)]),
+        (
+            "(1)\n\n  ",
+            [
+                ("LPAREN", "(", "(", 1, 1, 0),
+                ("INTEGER", "1", "1", 1, 2, 1),
+                ("RPAREN", ")", ")", 1, 3, 2),
+                ("EOF", "", None, 3, 3, 7),
+            ],
+        ),
+    ],
+    ids=["lt-at-end", "gt-at-end", "two-char-relops", "unicode-relops", "infinities",
+         "crlf-and-tab", "comment-at-end", "empty", "trailing-lines"],
+)
+def test_exact_tokens(text, expected):
+    # Every field of every token: kind, lexeme, value, line, col, offset.
+    assert [(t.kind.name, *t[1:]) for t in tokenize(text)] == expected
+
+
+# The lexer's alphabet, with letters and digits it refuses, and pieces
+# that take more than one character to recognise.
+LEX_PIECES = list("aZ_09 \t\r\n;,[]()+-*=<>/.#\\$−∞≤≥é٣²Ω") + [
+    "x1", "inf", "\\infty", "\\solve", "1 / 2", "3/0", "2.5", "<=", ">=", "# c\n",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
+def test_token_and_error_positions_agree_with_the_text(text):
+    def position(offset):
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+    try:
+        tokens = tokenize(text)
+    except LexError as e:
+        lines = text.split("\n")
+        assert 1 <= e.line <= len(lines) and 1 <= e.col <= len(lines[e.line - 1])
+        offset = sum(len(line) + 1 for line in lines[: e.line - 1]) + e.col - 1
+        assert position(offset) == (e.line, e.col)
+        # The error is about what starts at its position.
+        with pytest.raises(LexError) as again:
+            tokenize(text[offset:])
+        assert (again.value.line, again.value.col, again.value.message) == (1, 1, e.message)
+        return
+    for tok in tokens:
+        assert text[tok.offset : tok.offset + len(tok.lexeme)] == tok.lexeme
+        assert (tok.line, tok.col) == position(tok.offset)
+    assert tokens[-1].offset == len(text)
 
 
 # ---- parser ----

@@ -56,7 +56,8 @@ MAX_FLOAT = "17976931348623157" + "0" * 292 + ".0"  # the largest float
 NINES = "9" * 4300  # the longest int Python converts to text by default
 SCALARS = ["0", "1", "-2", "3", "1/2", "-7/3", "0.5", "-0.3", NEAR_MAX, "-" + NEAR_MAX,
            MAX_FLOAT, f"{NINES} * {NINES}", "\\infty", "-\\infty"]
-INEQUALITIES = ["x <= 1", "2*x - 1 > x", "1/2 >= -x", "x * x < 0", "1 <= 2", "y < x"]
+INEQUALITIES = ["x <= 1", "2*x - 1 > x", "1/2 >= -x", "x * x < 0", "1 <= 2", "y < x", "x > 1",
+                "0 * x >= 1"]
 ANY = ["scalar", "matrix", "list", "empty", "inequalities", "index"]
 
 # The operand each argument of a command expects; a simplex command takes

@@ -13,12 +13,14 @@ which rules out cycling, so no perturbation and no epsilon appear
 anywhere; every comparison is exact.
 
 solve_univariate_linear intersects half-lines a*x + b REL 0 into a single
-interval with open or closed endpoints, or reports the empty set.
+interval with open or closed endpoints, or reports the empty set; every
+relation is checked before an answer is given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import ge, gt, le, lt
 
 from ._record import MutableRecord, Record
 from .errors import DimensionMismatch
@@ -235,45 +237,38 @@ class Interval(Record):
         return cls(None, None, False, False)
 
 
-_REL_OPS = ("<", "<=", ">", ">=")
+# Each relation, applied as rel(a*x + b, 0).
+_RELATIONS = {"<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def solve_univariate_linear(ineqs) -> Interval:
     """Intersect the solutions of a*x + b REL 0 over exact rationals.
 
-    Each inequality is a triple (a, b, op) with op one of <, <=, >, >=.
-    Constant rows (a = 0) either hold everywhere or make the set empty.
+    Each inequality is a triple (a, b, op) with op one of <, <=, >, >=, and
+    every row is checked before an answer is given. Constant rows (a = 0)
+    either hold everywhere or make the set empty. An upper end is the pair
+    (bound, closed) and a lower end the pair (bound, open), so the tightest
+    ends are the least upper and the greatest lower pair, the open end
+    winning at an equal bound, and the set is empty exactly when lo >= hi.
     """
-    lo = hi = None
-    lo_closed = hi_closed = False
+    lowers, uppers = [], []
+    holds = True
     for a, b, op in ineqs:
-        if op not in _REL_OPS:
+        rel = _RELATIONS.get(op) if isinstance(op, str) else None
+        if rel is None:
             raise ValueError(f"unknown relation {op!r}")
         a = _frac(a)
         b = _frac(b)
         if a == 0:
-            holds = {"<": b < 0, "<=": b <= 0, ">": b > 0, ">=": b >= 0}[op]
-            if not holds:
-                return Interval.empty()
-            continue
-        bound = -b / a
-        upper = op in ("<", "<=")
-        if a < 0:
-            upper = not upper
-        closed = op in ("<=", ">=")
-        if upper:
-            if hi is None or bound < hi:
-                hi, hi_closed = bound, closed
-            elif bound == hi:
-                hi_closed = hi_closed and closed
+            holds = rel(b, 0) and holds
+        elif rel(-a, 0):  # the row holds just below its bound, and at it if closed
+            uppers.append((-b / a, rel(0, 0)))
         else:
-            if lo is None or bound > lo:
-                lo, lo_closed = bound, closed
-            elif bound == lo:
-                lo_closed = lo_closed and closed
-    if lo is not None and hi is not None:
-        if lo > hi:
-            return Interval.empty()
-        if lo == hi and not (lo_closed and hi_closed):
-            return Interval.empty()
-    return Interval(lo, hi, lo_closed, hi_closed)
+            lowers.append((-b / a, not rel(0, 0)))
+    lo = max(lowers, default=None)
+    hi = min(uppers, default=None)
+    if not holds or (lo and hi and lo >= hi):
+        return Interval.empty()
+    lo, lo_open = lo or (None, True)
+    hi, hi_closed = hi or (None, False)
+    return Interval(lo, hi, not lo_open, hi_closed)

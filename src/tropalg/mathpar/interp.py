@@ -366,11 +366,12 @@ class _Evaluator:
         for item in items:
             if not isinstance(item, Ineq):
                 raise EvalError("\\solve takes a list of inequalities", item.line, item.col)
-            la, lb, lv = self.linear_form(item.left)
-            ra, rb, rv = self.linear_form(item.right)
-            v = self.merge_unknowns(lv, rv, item)
+            # left - right, with the minus at the relation, so a mix of
+            # unknowns across the two sides is reported there.
+            diff = BinOp("-", item.left, item.right, line=item.line, col=item.col)
+            a, b, v = self.linear_form(diff)
             unknown = self.merge_unknowns(unknown, v, item)
-            ineqs.append((la - ra, lb - rb, item.op))
+            ineqs.append((a, b, item.op))
         return _lp.solve_univariate_linear(ineqs)
 
     def merge_unknowns(self, a, b, node):

@@ -147,8 +147,9 @@ class ExprStmt(Node):
 Stmt = Union[SpaceDecl, Assign, ExprStmt]
 
 
-# The kind field of a ScalarLit, by the kind of its token.
-_LITERAL_KINDS = {_INTEGER: "int", _RATIONAL: "rat", _DECIMAL: "dec"}
+# The kind field of a ScalarLit, by the value of its token's kind, since
+# hashing a member runs Enum.__hash__ in Python.
+_LITERAL_KINDS = {"INTEGER": "int", "RATIONAL": "rat", "DECIMAL": "dec"}
 
 
 class _Parser:
@@ -275,7 +276,7 @@ class _Parser:
         if kind is _INTEGER or kind is _RATIONAL or kind is _DECIMAL:
             self.next()
             node = ScalarLit(
-                tok.value.replace(" ", ""), _LITERAL_KINDS[kind], line=tok.line, col=tok.col
+                tok.value.replace(" ", ""), _LITERAL_KINDS[kind._value_], line=tok.line, col=tok.col
             )
         elif kind is _INFINITY:
             self.next()

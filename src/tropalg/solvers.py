@@ -37,7 +37,7 @@ from operator import eq
 
 from ._record import Record
 from .errors import AlgebraMismatch, ClosureUndefined, DimensionMismatch, NoSolution
-from .semiring import Domain
+from .semiring import _F64
 from .trmatrix import (TropMatrix, _common, _result, _residuate, closure_block, mat_le, mat_mul,
                        mat_oplus)
 
@@ -148,11 +148,11 @@ def _verified(a: TropMatrix, b: TropMatrix, x: TropMatrix, holds, failure: str) 
     passes is returned; ClosureUndefined names the rounding when none
     does. Z and Q are exact and are checked once.
     """
-    rounds = a.rows if a.alg.domain is Domain.F64 else 0
+    rounds = a.rows if a.alg.domain is _F64 else 0
     step = mat_oplus(mat_mul(a, x), b)
     while not holds(step, x):
         if not rounds:
-            if a.alg.domain is Domain.F64:
+            if a.alg.domain is _F64:
                 raise ClosureUndefined(
                     f"float rounding leaves A^x b a {failure} after {a.rows} steps")
             raise AssertionError(f"closure produced a {failure}")

@@ -190,6 +190,17 @@ def test_dimension_checks():
         LpProblem(c=())
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1, 2, 3), {}, "Optimal() takes 2 arguments, 3 given"),
+    ((1,), {"x": 2}, "Optimal() got an unexpected or repeated argument 'x'"),
+    ((1,), {}, "Optimal() missing argument 'objective'"),
+])
+def test_a_record_refuses_malformed_arguments(args, kwargs, message):
+    with pytest.raises(TypeError) as e:
+        Optimal(*args, **kwargs)
+    assert str(e.value) == message
+
+
 # ---- randomized comparison against vertex enumeration ----
 
 
@@ -227,6 +238,7 @@ def test_single_point_needs_both_ends_closed():
     assert out.lo_closed and out.hi_closed
     out = solve_univariate_linear([(1, 0, ">="), (1, 0, "<")])
     assert out.is_empty
+    assert solve_univariate_linear([(1, 0, ">"), (1, 0, "<=")]).is_empty
 
 
 def test_disjoint_half_lines_are_empty():
@@ -252,6 +264,62 @@ def test_equal_bounds_intersect_closedness():
 def test_no_inequalities_means_the_whole_line():
     out = solve_univariate_linear([])
     assert out == Interval.all_reals()
+
+
+@pytest.mark.parametrize("ineqs", [
+    [(1, 0, "?")],
+    [(1, 0, "<"), (1, 0, "=")],
+    [(0, 1, "<"), (1, 0, "?")],
+    [(1, -1, ">"), (1, 0, "<"), (0, 0, "!=")],
+    [(0, 1, "<"), (0, 1, "<"), (2, 3, "=<")],
+    [(0, 1, "<"), (1, 0, ["<"])],
+], ids=["alone", "after-a-row", "after-a-false-constant", "after-an-empty-pair", "last",
+        "unhashable"])
+def test_an_unknown_relation_is_refused_wherever_it_sits(ineqs):
+    with pytest.raises(ValueError, match="unknown relation"):
+        solve_univariate_linear(ineqs)
+
+
+def _member(out, x):
+    if out.is_empty:
+        return False
+    above = out.lo is None or x > out.lo or (x == out.lo and out.lo_closed)
+    below = out.hi is None or x < out.hi or (x == out.hi and out.hi_closed)
+    return above and below
+
+
+_HOLDS = {"<": lambda v: v < 0, "<=": lambda v: v <= 0, ">": lambda v: v > 0,
+          ">=": lambda v: v >= 0}
+
+
+def test_interval_contains_exactly_the_points_that_satisfy_every_row():
+    # The solution set can only change at a bound, so the bounds, the
+    # midpoints between them and a point beyond each end decide it.
+    rng = random.Random(20261019)
+    kinds = set()
+    for _ in range(3000):
+        ineqs = [
+            (rng.randint(-3, 3), F(rng.randint(-6, 6), rng.randint(1, 3)),
+             rng.choice(["<", "<=", ">", ">="]))
+            for _ in range(rng.randint(0, 5))
+        ]
+        out = solve_univariate_linear(ineqs)
+        for end in (out.lo, out.hi):
+            assert end is None or type(end) is Fraction
+        bounds = sorted({-b / a for a, b, _ in ineqs if a})
+        points = bounds + [(u + v) / 2 for u, v in zip(bounds, bounds[1:])]
+        points += [bounds[0] - 1, bounds[-1] + 1] if bounds else [F(0)]
+        found = False
+        for x in points:
+            expect = all(_HOLDS[op](a * x + b) for a, b, op in ineqs)
+            assert _member(out, x) == expect, (ineqs, x)
+            found = found or expect
+        assert out.is_empty == (not found), ineqs
+        # An open and a closed end of opposite sides at one bound.
+        ends = {(-b / a, (a > 0) == (op[0] == "<"), op[-1] == "=") for a, b, op in ineqs if a}
+        kinds |= {(closed, other) for bound, upper, closed in ends
+                  for b2, u2, other in ends if b2 == bound and u2 != upper}
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_interval_against_brute_force_scan():

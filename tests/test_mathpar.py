@@ -310,6 +310,7 @@ def test_unary_minus_binds_tightest_and_folds_into_literals():
 def test_empty_literals():
     assert parse("();")[0].expr == EmptyLit()
     assert parse("[];")[0].expr == EmptyLit()
+    assert output("[];") == ["[]"]
 
 
 def test_ragged_matrix_is_a_parse_error():
@@ -602,6 +603,10 @@ def test_solve_rejects_degree_two_and_mixed_unknowns():
         run("SPACE = Q[]; \\solve([x - 1 > 0, y - 1 < 0]);")
     with pytest.raises(EvalError):
         run("SPACE = Q[x]; \\solve([x - y > 0]);")
+    # Unknowns mixed across a relation are reported at the relation.
+    with pytest.raises(EvalError) as e:
+        run("SPACE = Q[];\n\\solve([x + 1 >= y]);")
+    assert str(e.value) == "2:15: inequalities mix the unknowns 'x' and 'y'"
 
 
 def test_solve_interval_shapes():
@@ -609,6 +614,13 @@ def test_solve_interval_shapes():
     assert output("SPACE = Q[x]; \\solve([x > 1, x < 0]);") == ["\\emptyset"]
     assert output("SPACE = Q[x]; \\solve([2 * x - 1 > 0]);") == ["(1/2, \\infty)"]
     assert output("SPACE = Q[x]; \\solve(x > 1);") == ["(1, \\infty)"]
+    assert output("SPACE = Q[x]; \\solve(-x < 1);") == ["(-1, \\infty)"]
+
+
+def test_solve_refuses_a_bound_matrix_at_its_position():
+    with pytest.raises(EvalError) as e:
+        run("SPACE = Q[x]; y = [[1]]; \\solve(y < x);")
+    assert str(e.value) == "1:33: variable 'y' is not a finite scalar"
 
 
 # ---- rendering ----

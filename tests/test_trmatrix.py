@@ -21,8 +21,10 @@ from tropalg import (
     NEG_INF,
     NoSolution,
     POS_INF,
+    Q_CLASSICAL,
     Q_MAX_PLUS,
     Q_MIN_PLUS,
+    R64_CLASSICAL,
     R64_MAX_PLUS,
     R64_MIN_PLUS,
     SemiringKind,
@@ -230,6 +232,17 @@ def test_closure_of_a_non_square_matrix_is_refused():
     with pytest.raises(DimensionMismatch) as e:
         closure_block(mk([[0, 1]]))
     assert str(e.value) == "the closure is defined for square matrices only"
+
+
+@pytest.mark.parametrize("alg, one", [(Q_CLASSICAL, 1), (R64_CLASSICAL, 1.0)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+@pytest.mark.parametrize("op, what", [(pseudo_inverse, "the pseudo-inverse"),
+                                      (closure_block, "the closure")],
+                         ids=["pseudo_inverse", "closure_block"])
+def test_classical_algebras_have_no_pseudo_inverse_or_closure(alg, one, op, what):
+    with pytest.raises(AlgebraMismatch) as e:
+        op(TropMatrix.from_rows([[one]], alg))
+    assert str(e.value) == f"{what} is defined over tropical algebras only"
 
 
 def test_closure_keeps_the_direct_distances_when_already_closed():

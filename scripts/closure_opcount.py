@@ -1,10 +1,12 @@
-"""Measure how many semiring multiplications a block closure performs.
+"""Measure how many semiring multiplications a block closure performs, and its wall time.
 
 The recursion splits the matrix into four blocks at h = n // 2 and
 assembles the closure from six block products, 3 h (n - h) n
 multiplications, plus the closures of an h x h and an (n - h) x (n - h)
 block. Solving that recurrence gives exactly n^3 - n multiplications at
-every size, and this script confirms the formula on live counts.
+every size, and this script confirms the formula on live counts. Each
+row also gives the closure's wall time in milliseconds, so that work
+avoided and work done faster can be told apart.
 The often-quoted 5/6 n^3 figure would need a five-product assembly,
 which returns wrong closures on easy instances; the sixth product is
 what correctness costs, and it pushes the ratio count/n^3 to 1.
@@ -15,6 +17,7 @@ Usage, from the root of a checkout:
 
 import argparse
 import random
+import time
 
 from tropalg import Z_MAX_PLUS, closure_block, count_ops
 from tropalg.trmatrix import TropMatrix
@@ -45,16 +48,19 @@ def main() -> None:
     sizes = [int(s) for s in args.sizes.split(",")]
     rng = random.Random(args.seed)
 
-    header = f"{'n':>5} {'muls':>10} {'n^3-n':>10} {'muls/n^3':>9} {'5/6n^3+8n^2':>12}"
+    header = (f"{'n':>5} {'muls':>10} {'ms':>9} {'n^3-n':>10} {'muls/n^3':>9}"
+              f" {'5/6n^3+8n^2':>12}")
     print(header)
     print("-" * len(header))
     for n in sizes:
         m = random_closing_matrix(rng, n)
         with count_ops() as c:
+            start = time.perf_counter()
             closure_block(m)
+            ms = (time.perf_counter() - start) * 1e3
         bound = 5 / 6 * n**3 + 8 * n**2
         print(
-            f"{n:>5} {c.muls:>10} {n**3 - n:>10} {c.muls / n**3:>9.4f} {bound:>12.0f}"
+            f"{n:>5} {c.muls:>10} {ms:>9.3f} {n**3 - n:>10} {c.muls / n**3:>9.4f} {bound:>12.0f}"
         )
 
 

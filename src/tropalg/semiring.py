@@ -17,9 +17,9 @@ computed on negated values: 0.0 + -0.0 is 0.0, but -((-0.0) + 0.0) is -0.0.
 
 Exact domains never round: max, min and + of ints and Fractions are
 exact, so no epsilon comparisons appear anywhere in the library.
-Infinities are tagged states of ExtScalar, never sentinel numeric values;
-IEEE infinities are converted to the tagged state at the boundary by
-ExtScalar.of.
+Infinities are tagged states of ExtScalar, never sentinel numeric values
+(trmatrix's kernels use one only inside a single call); IEEE infinities
+are converted to the tagged state at the boundary by ExtScalar.of.
 
 The operations here are pure apart from counting. Each thread keeps a
 stack of counters: count_ops() pushes one for the length of a with

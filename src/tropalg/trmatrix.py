@@ -15,6 +15,40 @@ through semiring's sign rule, on the stored rows, and keeps the rows it
 returns unchecked: a chain of operations converts nothing in between.
 Counts are tallied in bulk: an n x m by m x p product is n m p of each.
 
+The tropical product, sum and closure never test for None. On entry,
+_lifted replaces each None in the operands by one sentinel S; the
+kernel runs max (min over min-plus) and + on plain numbers, as
+max(map(add, r, c)) per entry of a product; on exit each value at or
+beyond a cut C, on the infinite element's side, is None again. The
+whole block recursion of a closure runs on rows lifted once. Over R64,
+S = C = -sign inf, which + absorbs and max or min passes over, exactly
+as the kernel would treat None. A float sum that overflows toward it is
+the infinite element already; one that overflows away raises
+IllegalElement after the product, as a scalar fold would. Over Z and
+scaled Q, with M the largest magnitude among the operands' values and w
+a bound on the edges of the walks a result optimises over (1 for a sum,
+2 for a product, n for an n x n closure), S = -sign (2 w M + 1) and
+C = -sign (w M + 1).
+
+Why no value derived from S is taken for a real one, over max-plus
+(min-plus mirrors it): give every missing edge of the operands' graph
+the weight S. A sum or a product entry is an optimum over walks of w
+edges. A closure computes on ints exactly, so only the values it decides
+on matter: a leaf, the best closed walk through one vertex, and an entry
+of the result. As in elimination (Carre 1971, Lehmann 1977), each is an
+optimum over the walks between two vertices whose inner vertices lie in
+the set K of leaves already passed. K has no improving
+cycle: one of real edges would have made a leaf raise, and one with an
+S edge weighs at most S + (n-1)M < 0. Removing a cycle within K never
+lowers a walk, and leaves a real walk real, so each optimum is reached
+on a walk of at most w edges. A value that is real without sentinels
+is therefore at least -wM > C; one over walks that all hold an S edge
+is at most S + (w-1)M = -(w+1)M - 1 <= C, and a walk through S never
+beats a real optimum. So each leaf sees a value <= 0 exactly when it
+saw None or one <= 0, raises on the same value, and lowering gives every
+entry back exactly. No value from S equals a real one, so ties among
+equal real values still keep the first, signed zeros included.
+
 L is the least common multiple of the entries' denominators over
 tropical Q and 1 elsewhere; classical Q, whose products x -> L x does
 not preserve, keeps its Fractions. For L > 0 that map is an automorphism
@@ -29,6 +63,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import add, mul
 
 from ._record import Record
@@ -188,37 +223,67 @@ def _settle(rows: list, alg: Algebra) -> list:
             for r in rows]
 
 
-def _product(a: list, b: list, alg: Algebra) -> list:
-    """Raw rows of the semiring product of n x m and m x p raw rows.
+def _lifted(kernel, walk: int, alg: Algebra, *operands: list) -> list:
+    """Raw rows of kernel(*operands, alg) over a tropical algebra, run on
+    lifted rows: each None is replaced by one sentinel on entry, and each
+    value at or beyond the cut returns to None on exit. walk bounds the
+    edges of the walks a value is an optimum over (see the module docstring)."""
+    sign = alg.sign
+    if alg.domain is _F64:
+        sentinel = cut = -sign * math.inf
+    else:
+        real = set().union(*chain.from_iterable(operands)) - {None}
+        m = max(max(real), -min(real)) if real else 0
+        sentinel, cut = -sign * (2 * walk * m + 1), -sign * (walk * m + 1)
+    out = kernel(*[[r if None not in r else [sentinel if x is None else x for x in r]
+                    for r in rows] for rows in operands], alg)
+    if sign > 0:
+        return [r if min(r) > cut else [x if x > cut else None for x in r] for r in out]
+    return [r if max(r) < cut else [x if x < cut else None for x in r] for r in out]
+
+
+def _mul(a: list, b: list, alg: Algebra) -> list:
+    """The semiring product of lifted rows, or of raw rows over a classical algebra.
 
     Ties keep the first of equals, and classical sums add left to right
     (reduce, not sum, which may compensate rounding), as a scalar fold does.
+    A lifted float sum that overflows to -sign inf is the sentinel already.
     """
-    cols = list(zip(*b))
-    sign = alg.sign
+    sign, cols = alg.sign, list(zip(*b))
     if sign:
         pick = max if sign > 0 else min
-        out = [[pick([x + y for x, y in zip(r, c) if x is not None and y is not None], default=None)
-                for c in cols] for r in a]
+        out = [[pick(map(add, r, c)) for c in cols] for r in a]
     else:
         zero = alg.zero().finite
         out = [[reduce(add, map(mul, r, c), zero) for c in cols] for r in a]
     work = len(a) * len(b) * len(cols)
     _tally(work, work)
-    return _settle(out, alg)
+    if not sign:
+        return _settle(out, alg)
+    if alg.domain is _F64 and sign * math.inf in map(pick, out):
+        _finite_result(sign * math.inf, alg)  # raises IllegalElement
+    return out
+
+
+def _add(a: list, b: list, alg: Algebra) -> list:
+    """The entrywise semiring sum of equal-shape lifted rows, or of raw rows
+    over a classical algebra; ties keep a's entry."""
+    _tally(len(a) * len(a[0]), 0)
+    if alg.sign > 0:
+        return [[y if y > x else x for x, y in zip(r, s)] for r, s in zip(a, b)]
+    if alg.sign < 0:
+        return [[y if y < x else x for x, y in zip(r, s)] for r, s in zip(a, b)]
+    return _settle([[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], alg)
+
+
+def _product(a: list, b: list, alg: Algebra) -> list:
+    """Raw rows of the semiring product of n x m and m x p raw rows."""
+    return _lifted(_mul, 2, alg, a, b) if alg.sign else _mul(a, b, alg)
 
 
 def _oplus(a: list, b: list, alg: Algebra) -> list:
     """Raw rows of the entrywise semiring sum of equal-shape raw rows."""
-    sign = alg.sign
-    if sign:
-        pick = max if sign > 0 else min
-        out = [[y if x is None else x if y is None else pick(x, y) for x, y in zip(r, s)]
-               for r, s in zip(a, b)]
-    else:
-        out = [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
-    _tally(len(a) * len(a[0]), 0)
-    return _settle(out, alg)
+    return _lifted(_add, 1, alg, a, b) if alg.sign else _add(a, b, alg)
 
 
 def _residual(a: list, b: list, alg: Algebra) -> list:
@@ -314,25 +379,31 @@ def zero_matrix(rows: int, cols: int, alg: Algebra) -> TropMatrix:
 
 
 def _closure(rows: list, alg: Algebra, den: int) -> list:
-    """Raw rows of the closure of square raw rows over den, by the block recursion."""
-    n = len(rows)
-    if n == 1:
-        x = rows[0][0]
-        if x is None or alg.sign * x <= 0:
-            return [[alg.one().finite]]
-        # Divergent: the scalar closure raises, naming the entry's value.
-        return [[trop_closure_scalar(_result(rows, alg, den).entries[0], alg).finite]]
-    h = n // 2
-    top, bottom = rows[:h], rows[h:]
-    s = _closure([r[:h] for r in top], alg, den)
-    f = [r[h:] for r in top]
-    b = _product([r[:h] for r in bottom], s, alg)
-    r4 = _closure(_oplus([r[h:] for r in bottom], _product(b, f, alg), alg), alg, den)
-    r3 = _product(r4, b, alg)
-    v = _product(s, f, alg)
-    r2 = _product(v, r4, alg)
-    r1 = _oplus(s, _product(v, r3, alg), alg)
-    return [x + y for x, y in zip(r1, r2)] + [x + y for x, y in zip(r3, r4)]
+    """Raw rows of the closure of square raw rows over den, by the block
+    recursion on rows lifted once."""
+    sign, one = alg.sign, alg.one().finite
+
+    def close(rows: list, alg: Algebra) -> list:
+        n = len(rows)
+        if n == 1:
+            x = rows[0][0]
+            if sign * x <= 0:
+                return [[one]]
+            # Divergent: the scalar closure raises, naming the entry's value.
+            return [[trop_closure_scalar(_result([[x]], alg, den).entries[0], alg).finite]]
+        h = n // 2
+        top, bottom = rows[:h], rows[h:]
+        s = close([r[:h] for r in top], alg)
+        f = [r[h:] for r in top]
+        b = _mul([r[:h] for r in bottom], s, alg)
+        r4 = close(_add([r[h:] for r in bottom], _mul(b, f, alg), alg), alg)
+        r3 = _mul(r4, b, alg)
+        v = _mul(s, f, alg)
+        r2 = _mul(v, r4, alg)
+        r1 = _add(s, _mul(v, r3, alg), alg)
+        return [x + y for x, y in zip(r1, r2)] + [x + y for x, y in zip(r3, r4)]
+
+    return _lifted(close, len(rows), alg, rows)
 
 
 def closure_block(a: TropMatrix) -> TropMatrix:

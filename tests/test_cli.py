@@ -424,8 +424,11 @@ def test_closure_opcount_script_runs_as_its_usage_line_says():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    rows = [line.split() for line in result.stdout.splitlines()[2:]]
+    header, _, *rows = (line.split() for line in result.stdout.splitlines())
+    assert header[:3] == ["n", "muls", "ms"]
     assert [(n, muls) for n, muls, *_ in rows] == [("8", "504"), ("9", "720")]
+    # The wall time of each closure stands beside its count.
+    assert all(float(ms) > 0 for _, _, ms, *_ in rows)
 
 
 def test_differential_script_runs_generated_scripts_as_the_calculator_answers_them():

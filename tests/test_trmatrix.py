@@ -524,6 +524,91 @@ def test_matrix_operations_match_the_per_entry_reference(alg):
         assert "ClosureUndefined" in errors
 
 
+def _planted_cycle(rng, alg, n):
+    """A closable n x n matrix, n >= 2, with one improving 2-cycle between
+    two random vertices, so that a leaf deep in the recursion may diverge."""
+    a = _edge_matrix(rng, alg, n, n, closable=True).to_lists()
+    i, j = rng.sample(range(n), 2)
+    up = 1.5 if alg.domain is Domain.F64 else rng.choice((1, 10**400))
+    a[i][j], a[j][i] = s(alg.sign * up), s(-alg.sign * (up - 1))
+    return TropMatrix.from_rows(a, alg)
+
+
+def _chain(rng, alg, n):
+    """The path through the n vertices in a random order, each edge of the
+    largest magnitude edge value, toward the infinite element."""
+    big = max(abs(v) for v in EDGE_VALUES[alg.domain])
+    order = rng.sample(range(n), n)
+    a = [[alg.zero()] * n for _ in range(n)]
+    for i, j in zip(order, order[1:]):
+        a[i][j] = -alg.sign * big
+    return TropMatrix.from_rows(a, alg)
+
+
+def _assert_stored_real(m, walk, *operands):
+    """Every value m stores is None or real: finite over R64, and over Z
+    and Q at most walk times the operands' largest magnitude."""
+    bound = walk * max((abs(e.finite) for x in operands for e in x.entries if e.is_finite),
+                       default=0)
+    for x in (x for r in m._raw for x in r if x is not None):
+        if m.alg.domain is Domain.F64:
+            assert type(x) is float and math.isfinite(x)
+        else:
+            assert type(x) is int and abs(Fraction(x, m._den)) <= bound
+
+
+@pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
+def test_kernels_match_the_per_entry_reference_at_every_size_up_to_33(alg):
+    # Every size 1-33 splits into an odd or even top and bottom half on
+    # its way down. The operands mix 10**400 with small ints (so the
+    # sentinel must scale with the largest magnitude), rationals over the
+    # denominators 1-6, float sums of +-1e308 that overflow either way,
+    # signed zeros that tie, and improving cycles at any depth.
+    rng = random.Random(f"sentinel {alg.name}")
+    seen = Counter()
+    for n in range(1, 34):
+        p = rng.randint(1, 4)
+        draw = (_fractions if alg.domain is Domain.Q and n % 2 else _edge_matrix)
+        a = draw(rng, alg, n, n)
+        # At odd sizes an improving cycle planted anywhere; at even sizes a
+        # chain, whose closure is real down to n - 1 times the largest
+        # magnitude, where a sentinel too small would be taken for real.
+        squares = [draw(rng, alg, n, n, closable=True),
+                   _planted_cycle(rng, alg, n) if n % 2 and n > 1 else _chain(rng, alg, n)]
+        cases = [(mat_mul, ref_mat_mul, 2, a, draw(rng, alg, n, p)),
+                 (mat_mul, ref_mat_mul, 2, draw(rng, alg, p, n), a),
+                 (mat_oplus, ref_mat_oplus, 1, a, draw(rng, alg, n, n))]
+        cases += [(closure_block, ref_closure_block, n, sq) for sq in squares]
+        for fn, ref, walk, *args in cases:
+            got = _outcome(fn, *args)
+            assert got == _outcome(ref, *args), (fn.__name__, n, args)
+            if len(got) == 2:
+                seen[got[0]] += 1
+                continue
+            seen[fn.__name__] += 1
+            _assert_stored_real(fn(*args), walk, *args)
+    assert seen["closure_block"] >= 45 and seen["ClosureUndefined"] >= 12
+    if alg.domain is Domain.F64:
+        assert seen["IllegalElement"] >= 20
+
+
+@pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
+def test_float_sums_that_overflow_fold_or_raise_as_the_reference_does(alg):
+    big = -alg.sign * 1e308  # sums of two overflow toward the infinite element
+    toward = TropMatrix.from_rows([[big, 0.0], [alg.zero(), big]], alg)
+    away = TropMatrix.from_rows([[0.0, -big], [-big, 0.0]], alg)
+    assert mat_mul(toward, toward)._raw == ((None, big), (None, None))
+    assert closure_block(toward)._raw == ((0.0, 0.0), (None, 0.0))
+    for fn, ref, args in ((mat_mul, ref_mat_mul, (toward, toward)),
+                          (mat_mul, ref_mat_mul, (away, away)),
+                          (closure_block, ref_closure_block, (toward,)),
+                          (closure_block, ref_closure_block, (away,))):
+        assert _outcome(fn, *args) == _outcome(ref, *args)
+    # The sum of the two off-diagonal entries overflows inside the
+    # recursion, before the second leaf is reached.
+    assert _outcome(closure_block, away)[0] == "IllegalElement"
+
+
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
 def test_float_residuation_never_rounds_past_b(alg):
     rng = random.Random(f"rounding {alg.name}")

@@ -3,13 +3,16 @@
 The recursion splits the matrix into four blocks at h = n // 2 and
 assembles the closure from six block products, 3 h (n - h) n
 multiplications, plus the closures of an h x h and an (n - h) x (n - h)
-block. Solving that recurrence gives exactly n^3 - n multiplications at
-every size, and this script confirms the formula on live counts. Each
-row also gives the closure's wall time in milliseconds, so that work
-avoided and work done faster can be told apart.
-The often-quoted 5/6 n^3 figure would need a five-product assembly,
-which returns wrong closures on easy instances; the sixth product is
-what correctness costs, and it pushes the ratio count/n^3 to 1.
+block. A block of at most trmatrix._CUT rows (over Z and Q) is closed by
+Gauss-Jordan elimination instead, n (n - 1) multiplications for each of
+its n pivots. So the count is C(n) = n^2 (n - 1) up to the cutoff and
+C(h) + C(n - h) + 3 h (n - h) n above it, and this script confirms the
+recurrence on live counts, in the column C(n). Each row also gives the
+closure's wall time in milliseconds, so that work avoided and work done
+faster can be told apart. The ratio count/n^3 tends to 1 as n grows. The
+often-quoted 5/6 n^3 figure would need a five-product assembly, which
+returns wrong closures on easy instances; the sixth product is what
+correctness costs.
 
 Usage, from the root of a checkout:
     PYTHONPATH=src python3 scripts/closure_opcount.py [--sizes 8,16,32,64] [--seed 7]
@@ -20,7 +23,7 @@ import random
 import time
 
 from tropalg import Z_MAX_PLUS, closure_block, count_ops
-from tropalg.trmatrix import TropMatrix
+from tropalg.trmatrix import _CUT, TropMatrix
 from tropalg.semiring import ExtScalar
 
 
@@ -36,6 +39,14 @@ def random_closing_matrix(rng: random.Random, n: int) -> TropMatrix:
     return TropMatrix.from_rows(rows, Z_MAX_PLUS)
 
 
+def predicted(n: int) -> int:
+    """C(n), the multiplication count of the recurrence above."""
+    if n <= _CUT:
+        return n * n * (n - 1)
+    h = n // 2
+    return predicted(h) + predicted(n - h) + 3 * h * (n - h) * n
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
@@ -48,7 +59,7 @@ def main() -> None:
     sizes = [int(s) for s in args.sizes.split(",")]
     rng = random.Random(args.seed)
 
-    header = (f"{'n':>5} {'muls':>10} {'ms':>9} {'n^3-n':>10} {'muls/n^3':>9}"
+    header = (f"{'n':>5} {'muls':>10} {'ms':>9} {'C(n)':>10} {'muls/n^3':>9}"
               f" {'5/6n^3+8n^2':>12}")
     print(header)
     print("-" * len(header))
@@ -60,7 +71,8 @@ def main() -> None:
             ms = (time.perf_counter() - start) * 1e3
         bound = 5 / 6 * n**3 + 8 * n**2
         print(
-            f"{n:>5} {c.muls:>10} {ms:>9.3f} {n**3 - n:>10} {c.muls / n**3:>9.4f} {bound:>12.0f}"
+            f"{n:>5} {c.muls:>10} {ms:>9.3f} {predicted(n):>10} {c.muls / n**3:>9.4f}"
+            f" {bound:>12.0f}"
         )
 
 

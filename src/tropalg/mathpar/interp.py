@@ -32,7 +32,8 @@ scalar of the space at the command, so over R64 a value that overflows a
 float is an error there, as in every R64 operator.
 
 Printed forms: scalars as integers, reduced fractions or trimmed floats,
-of any length; the two infinities as -\\infty and \\infty; a one-column
+of any length, floats in positional form, so every finite scalar reads
+back; the two infinities as -\\infty and \\infty; a one-column
 matrix, a simplex optimum included, as a flat list [4, 3]; every other
 matrix, and the bounds as [lower, upper] rows, as nested rows
 [[0, 1], [2, 0]]; solution intervals with ( ) for open and [ ] for closed
@@ -565,7 +566,14 @@ def _render_scalar(e: ExtScalar) -> str:
     if e.inf_sign > 0:
         return "\\infty"
     v = e.finite
-    return _number_text(int(v) if isinstance(v, float) and v.is_integer() else v)
+    if isinstance(v, float):
+        if v.is_integer():
+            return _number_text(int(v))
+        # repr's shortest round-trip digits, written out positionally when
+        # repr gives an exponent (below 1e-4), since literals have none.
+        text = repr(v)
+        return format(Decimal(text), "f") if "e" in text else text
+    return _number_text(v)
 
 
 def render(value, options: RenderOptions | None = None) -> str:

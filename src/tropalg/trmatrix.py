@@ -8,46 +8,61 @@ from outside (the constructor, from_rows, column, diag); ExtScalars are
 built only at the boundary, by entries, get and to_lists on first use,
 and kept. The operations are the semiring matrix product, entrywise
 addition, the pseudo-inverse, and the closure A^x = I + A + ... +
-A^(n-1), the solution of I + A A^x = A^x = I + A^x A, by block
-recursion in exactly n^3 - n multiplications. Each runs one kernel
-(_product, _oplus, _closure, _residual), shared by max-plus and min-plus
-through semiring's sign rule, on the stored rows, and keeps the rows it
-returns unchecked: a chain of operations converts nothing in between.
-Counts are tallied in bulk: an n x m by m x p product is n m p of each.
+A^(n-1), the solution of I + A A^x = A^x = I + A^x A. The closure splits
+a block of n rows at h = n // 2 and joins the closures of the halves by
+six products, 3 h (n-h) n multiplications; a block of at most _CUT rows
+over Z and Q, and of one row over R64, is a leaf, closed by Gauss-Jordan
+elimination in n (n-1) multiplications a pivot. So an n x n closure
+costs C(n) = C(h) + C(n-h) + 3 h (n-h) n, with C(n) = n^2 (n-1) at a
+leaf: n^3 - n over R64, and n^3 - n^2 up to _CUT over Z and Q. Each
+operation runs one kernel (_product, _oplus, _closure, _residual),
+shared by max-plus and min-plus through semiring's sign rule, on the
+stored rows, and keeps the rows it returns unchecked: a chain of
+operations converts nothing in between. Counts are tallied in bulk: an
+n x m by m x p product is n m p of each.
 
 The tropical product, sum and closure never test for None. On entry,
 _lifted replaces each None in the operands by one sentinel S; the
 kernel runs max (min over min-plus) and + on plain numbers, as
 max(map(add, r, c)) per entry of a product; on exit each value at or
 beyond a cut C, on the infinite element's side, is None again. The
-whole block recursion of a closure runs on rows lifted once. Over R64,
-S = C = -sign inf, which + absorbs and max or min passes over, exactly
-as the kernel would treat None. A float sum that overflows toward it is
-the infinite element already; one that overflows away raises
-IllegalElement after the product, as a scalar fold would. Over Z and
-scaled Q, with M the largest magnitude among the operands' values and w
-a bound on the edges of the walks a result optimises over (1 for a sum,
-2 for a product, n for an n x n closure), S = -sign (2 w M + 1) and
-C = -sign (w M + 1).
+whole block recursion of a closure, its leaves included, runs on rows
+lifted once. Over R64, S = C = -sign inf, which + absorbs and max or
+min passes over, exactly as the kernel would treat None. A float sum
+that overflows toward it is the infinite element already; one that
+overflows away raises IllegalElement after the product, as a scalar
+fold would. A sum only compares, and Python compares an int with a
+float exactly (10**400 > -inf holds), so a sum takes S = C = -sign inf
+over every domain. For a product or a closure over Z and scaled Q, with
+M the largest magnitude among the operands' values and w a bound on the
+edges of the walks a result optimises over (2 for a product, n for an
+n x n closure), S = -sign (2 w M + 1) and C = -sign (w M + 1).
 
 Why no value derived from S is taken for a real one, over max-plus
 (min-plus mirrors it): give every missing edge of the operands' graph
-the weight S. A sum or a product entry is an optimum over walks of w
-edges. A closure computes on ints exactly, so only the values it decides
-on matter: a leaf, the best closed walk through one vertex, and an entry
-of the result. As in elimination (Carre 1971, Lehmann 1977), each is an
-optimum over the walks between two vertices whose inner vertices lie in
-the set K of leaves already passed. K has no improving
-cycle: one of real edges would have made a leaf raise, and one with an
+the weight S. A product entry is an optimum over walks of w edges. A
+closure computes on ints exactly, so only the values it decides on
+matter: a pivot, the best closed walk through its vertex, and an entry
+of the result. The recursion and its leaves pass the pivots in one
+order, 0 to n-1. As in elimination (Carre 1971, Lehmann 1977), each
+value a product of the recursion or a row update of a leaf computes is
+an optimum over the walks between two vertices whose inner vertices lie
+in the set K of pivots already passed: a leaf's update reaches a subset
+of those walks holding every one without a repeated inner vertex, and
+setting a_kk to the unit adds the empty walk at k. K has no improving
+cycle: one of real edges would have made a pivot raise, and one with an
 S edge weighs at most S + (n-1)M < 0. Removing a cycle within K never
 lowers a walk, and leaves a real walk real, so each optimum is reached
 on a walk of at most w edges. A value that is real without sentinels
 is therefore at least -wM > C; one over walks that all hold an S edge
 is at most S + (w-1)M = -(w+1)M - 1 <= C, and a walk through S never
-beats a real optimum. So each leaf sees a value <= 0 exactly when it
+beats a real optimum. So each pivot sees a value <= 0 exactly when it
 saw None or one <= 0, raises on the same value, and lowering gives every
-entry back exactly. No value from S equals a real one, so ties among
-equal real values still keep the first, signed zeros included.
+entry back exactly. The value at pivot k is the one a 1 x 1 leaf at k
+would see, so a leaf raises at the pivot, and with the text, of the
+recursion down to 1 x 1 blocks. No value from S equals a real one, so
+ties among equal real values still keep the first, signed zeros
+included.
 
 L is the least common multiple of the entries' denominators over
 tropical Q and 1 elsewhere; classical Q, whose products x -> L x does
@@ -227,9 +242,10 @@ def _lifted(kernel, walk: int, alg: Algebra, *operands: list) -> list:
     """Raw rows of kernel(*operands, alg) over a tropical algebra, run on
     lifted rows: each None is replaced by one sentinel on entry, and each
     value at or beyond the cut returns to None on exit. walk bounds the
-    edges of the walks a value is an optimum over (see the module docstring)."""
+    edges of the walks a value is an optimum over (see the module docstring);
+    walk 0 marks a kernel that only compares."""
     sign = alg.sign
-    if alg.domain is _F64:
+    if alg.domain is _F64 or not walk:
         sentinel = cut = -sign * math.inf
     else:
         real = set().union(*chain.from_iterable(operands)) - {None}
@@ -283,7 +299,7 @@ def _product(a: list, b: list, alg: Algebra) -> list:
 
 def _oplus(a: list, b: list, alg: Algebra) -> list:
     """Raw rows of the entrywise semiring sum of equal-shape raw rows."""
-    return _lifted(_add, 1, alg, a, b) if alg.sign else _add(a, b, alg)
+    return _lifted(_add, 0, alg, a, b) if alg.sign else _add(a, b, alg)
 
 
 def _residual(a: list, b: list, alg: Algebra) -> list:
@@ -378,19 +394,48 @@ def zero_matrix(rows: int, cols: int, alg: Algebra) -> TropMatrix:
     return TropMatrix(rows, cols, (alg.zero(),) * (rows * cols), alg)
 
 
+# The largest block the closure eliminates instead of splitting, over Z and
+# scaled Q: of the cutoffs 12, 16, 24 and 32, timed on closures of 8 to 128
+# rows, 24 and 32 were the fastest up to 48 rows and 24 the steadier. R64
+# splits down to 1 x 1, which fixes the order of its float sums.
+_CUT = 24
+
+
 def _closure(rows: list, alg: Algebra, den: int) -> list:
     """Raw rows of the closure of square raw rows over den, by the block
-    recursion on rows lifted once."""
+    recursion on rows lifted once, down to blocks of at most _CUT rows
+    (one row over R64) closed by elimination."""
     sign, one = alg.sign, alg.one().finite
+    leaf = 1 if alg.domain is _F64 else _CUT
+
+    def eliminate(rows: list) -> list:
+        # Gauss-Jordan: pivot k has a_kk* = one, then a_ij += a_ik a_kj
+        # for every row i != k, n (n - 1) multiply-adds a pivot; a tie
+        # keeps a_ij.
+        a, n = [list(r) for r in rows], len(rows)
+        work = n * (n - 1)
+        for k in range(n):
+            rk = a[k]
+            x = rk[k]
+            if sign * x > 0:
+                _tally(k * work, k * work)
+                # Divergent: the scalar closure raises, naming the entry's value.
+                trop_closure_scalar(_result([[x]], alg, den).entries[0], alg)
+            rk[k] = one
+            col = [r[k] for r in a]
+            if sign > 0:
+                a = [r if r is rk else [v if (v := c + t) > u else u for u, t in zip(r, rk)]
+                     for r, c in zip(a, col)]
+            else:
+                a = [r if r is rk else [v if (v := c + t) < u else u for u, t in zip(r, rk)]
+                     for r, c in zip(a, col)]
+        _tally(n * work, n * work)
+        return a
 
     def close(rows: list, alg: Algebra) -> list:
         n = len(rows)
-        if n == 1:
-            x = rows[0][0]
-            if sign * x <= 0:
-                return [[one]]
-            # Divergent: the scalar closure raises, naming the entry's value.
-            return [[trop_closure_scalar(_result([[x]], alg, den).entries[0], alg).finite]]
+        if n <= leaf:
+            return eliminate(rows)
         h = n // 2
         top, bottom = rows[:h], rows[h:]
         s = close([r[:h] for r in top], alg)
@@ -413,10 +458,15 @@ def closure_block(a: TropMatrix) -> TropMatrix:
     is h x h and H is (n-h) x (n-h), the result is assembled from S = E^x,
     B = G S, R4 = (H + B F)^x, R3 = R4 B, V = S F, R2 = V R4 and
     R1 = S + V R3. The quadrants need not be equal, so every size is split
-    directly, and the six products cost 3 h (n-h) n multiplications; over
-    the whole recursion that sums to exactly n^3 - n at every n. Raises
-    ClosureUndefined, which surfaces from a scalar base case, exactly when
-    the power sums I + A + A^2 + ... diverge.
+    directly, and the six products cost 3 h (n-h) n multiplications. A
+    block of at most _CUT rows over Z and Q, or of one row over R64, is
+    closed by Gauss-Jordan elimination: for each pivot k, a_kk becomes the
+    unit and every other row i gains a_ik times row k, n (n-1)
+    multiplications a pivot, n^2 (n-1) a block. Over the whole recursion
+    that sums to n^3 - n over R64 and to n^3 - n^2 up to _CUT over Z and Q
+    (the module docstring gives the recurrence). Raises ClosureUndefined,
+    from the first pivot whose best closed walk improves, exactly when the
+    power sums I + A + A^2 + ... diverge.
     """
     _require_tropical(a, "the closure")
     if not a.is_square:

@@ -18,6 +18,7 @@ from itertools import combinations
 
 from tropalg import (
     ClosureUndefined,
+    Domain,
     ExtScalar,
     IndexOutOfRange,
     LpProblem,
@@ -54,6 +55,7 @@ from tropalg.mathpar.parser import (
     UnaryNeg,
     Var,
 )
+from tropalg.trmatrix import _CUT
 
 INF = float("inf")
 
@@ -96,22 +98,27 @@ def _block(a: TropMatrix, r0, r1, c0, c1) -> TropMatrix:
     return TropMatrix(r1 - r0, c1 - c0, ent, a.alg)
 
 
-def ref_closure_block(a: TropMatrix) -> TropMatrix:
+def ref_closure_block(a: TropMatrix, leaf: int | None = None) -> TropMatrix:
     """The block recursion of closure_block, on per-entry products.
 
-    Same split, same six products in the same order, so the operation
-    counts and the scalar base case that raises ClosureUndefined match
-    the library's exactly.
+    Same split, same six products in the same order, and the same leaves:
+    a block of at most leaf rows (trmatrix._CUT over Z and Q, 1 over R64,
+    as in the library) is closed by per-entry Gauss-Jordan elimination.
+    So the operation counts and the pivot that raises ClosureUndefined
+    match the library's exactly. leaf=1 splits down to 1 x 1 blocks over
+    every domain.
     """
     n = a.rows
-    if n == 1:
-        return TropMatrix(1, 1, (trop_closure_scalar(a.entries[0], a.alg),), a.alg)
+    if leaf is None:
+        leaf = 1 if a.alg.domain is Domain.F64 else _CUT
+    if n <= leaf:
+        return _ref_eliminate(a)
     h = n // 2
     e, f = _block(a, 0, h, 0, h), _block(a, 0, h, h, n)
     g, hh = _block(a, h, n, 0, h), _block(a, h, n, h, n)
-    s = ref_closure_block(e)
+    s = ref_closure_block(e, leaf)
     b = ref_mat_mul(g, s)
-    r4 = ref_closure_block(ref_mat_oplus(hh, ref_mat_mul(b, f)))
+    r4 = ref_closure_block(ref_mat_oplus(hh, ref_mat_mul(b, f)), leaf)
     r3 = ref_mat_mul(r4, b)
     v = ref_mat_mul(s, f)
     r2 = ref_mat_mul(v, r4)
@@ -119,6 +126,20 @@ def ref_closure_block(a: TropMatrix) -> TropMatrix:
     rows = [x + y for x, y in zip(r1.to_lists(), r2.to_lists())]
     rows += [x + y for x, y in zip(r3.to_lists(), r4.to_lists())]
     return TropMatrix(n, n, tuple(e for row in rows for e in row), a.alg)
+
+
+def _ref_eliminate(a: TropMatrix) -> TropMatrix:
+    """Gauss-Jordan elimination, one scalar operation at a time: pivot k
+    replaces a_kk by its scalar closure, which raises when it diverges,
+    then adds a_ik a_kj to a_ij in every other row i."""
+    alg, rows = a.alg, a.to_lists()
+    for k, rk in enumerate(rows):
+        rk[k] = trop_closure_scalar(rk[k], alg)
+        for i, ri in enumerate(rows):
+            if i != k:
+                aik = ri[k]
+                rows[i] = [trop_add(x, trop_mul(aik, y, alg), alg) for x, y in zip(ri, rk)]
+    return TropMatrix(a.rows, a.cols, tuple(e for row in rows for e in row), a.alg)
 
 
 def ref_bellman_homogeneous(a: TropMatrix) -> TropMatrix:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropalg import ExtScalar
+from tropalg import ALGEBRAS_BY_NAME, ExtScalar, TropMatrix
 from tropalg.mathpar import (
     ArityError,
     EvalError,
@@ -630,6 +631,29 @@ def test_scalar_rendering_trims_floats():
     assert render(ExtScalar.of(8.0)) == "8"
     assert render(ExtScalar.of(2.5)) == "2.5"
     assert render(ExtScalar.of(Fraction(1, 3))) == "1/3"
+
+
+@pytest.mark.parametrize("space", ["R64", "R64MaxPlus", "R64MinPlus"])
+def test_small_floats_print_positionally_and_read_back(space):
+    # repr writes these with an exponent, which the language cannot read.
+    values = [1e-7, 1e-10, -2.5e-5, 5e-324]
+    alg = ALGEBRAS_BY_NAME[space]
+    printed = [render(ExtScalar.of(v)) for v in values]
+    assert printed[:3] == ["0.0000001", "0.0000000001", "-0.000025"]
+    assert printed[3] == "0." + "0" * 323 + "5"
+    matrix = TropMatrix.from_rows([values, values[::-1]], alg)
+    texts = printed + [render(matrix)]
+    _, session = run(f"SPACE = {space}[]; "
+                     + " ".join(f"x{i} = {t};" for i, t in enumerate(texts)))
+    back = [session.bindings[f"x{i}"].value for i in range(len(texts))]
+    assert [e.finite for e in back[:-1]] == values
+    assert back[-1] == matrix
+    # The one exception: -0.0 prints as 0, which reads back equal but
+    # with the sign of zero lost.
+    assert render(ExtScalar.of(-0.0)) == "0"
+    _, session = run(f"SPACE = {space}[]; z = 0;")
+    zero = session.bindings["z"].value.finite
+    assert zero == -0.0 and math.copysign(1, zero) == 1
 
 
 def test_latex_format_wraps_matrices():

@@ -413,13 +413,31 @@ def test_closure_of_padded_matrix_restricts_to_the_original():
 # ---- operation counting ----
 
 
-def test_block_closure_multiplication_count_is_cubic_minus_linear():
+def _closure_muls(n, leaf):
+    """The closure's multiplication count C(n): n^2 (n-1) for a block of at
+    most leaf rows, else C(h) + C(n-h) + 3 h (n-h) n with h = n // 2."""
+    if n <= leaf:
+        return n * n * (n - 1)
+    h = n // 2
+    return _closure_muls(h, leaf) + _closure_muls(n - h, leaf) + 3 * h * (n - h) * n
+
+
+def test_block_closure_multiplication_count_follows_its_recurrence():
     rng = random.Random(10)
-    for n in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17):
-        a = rand_closure_friendly(rng, Z_MAX_PLUS, n, p_inf=0.0)
-        with count_ops() as c:
-            closure_block(a)
-        assert c.muls == n**3 - n
+    cut = trmatrix._CUT
+    sizes = sorted({1, 2, 3, 4, 5, 7, 8, 9, 16, 17, cut, cut + 1, 2 * cut + 1})
+    for alg, leaf in ((Z_MAX_PLUS, cut), (Q_MIN_PLUS, cut), (R64_MIN_PLUS, 1)):
+        for n in sizes:
+            a = _edge_matrix(rng, alg, n, n, closable=True)
+            with count_ops() as c:
+                closure_block(a)
+            assert c.muls == _closure_muls(n, leaf), (alg.name, n)
+    # Over R64 the recursion runs down to 1 x 1 blocks: n^3 - n. Over Z
+    # and Q a block of up to cut rows is one elimination, n^3 - n^2, and
+    # a larger one splits until its blocks are.
+    assert all(_closure_muls(n, 1) == n**3 - n for n in sizes)
+    assert all(_closure_muls(n, cut) == n**3 - n**2 for n in sizes if n <= cut)
+    assert {n: _closure_muls(n, cut) for n in sizes if n > cut} == {25: 15312, 49: 116760}
 
 
 def test_matrix_product_multiplication_count_is_exact():
@@ -560,13 +578,15 @@ def _assert_stored_real(m, walk, *operands):
 @pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
 def test_kernels_match_the_per_entry_reference_at_every_size_up_to_33(alg):
     # Every size 1-33 splits into an odd or even top and bottom half on
-    # its way down. The operands mix 10**400 with small ints (so the
+    # its way down, and the closure also runs just past one and two
+    # eliminated leaves. The operands mix 10**400 with small ints (so the
     # sentinel must scale with the largest magnitude), rationals over the
     # denominators 1-6, float sums of +-1e308 that overflow either way,
     # signed zeros that tie, and improving cycles at any depth.
     rng = random.Random(f"sentinel {alg.name}")
     seen = Counter()
-    for n in range(1, 34):
+    cut = trmatrix._CUT
+    for n in sorted({*range(1, 34), cut + 1, 2 * cut + 1}):
         p = rng.randint(1, 4)
         draw = (_fractions if alg.domain is Domain.Q and n % 2 else _edge_matrix)
         a = draw(rng, alg, n, n)
@@ -590,6 +610,31 @@ def test_kernels_match_the_per_entry_reference_at_every_size_up_to_33(alg):
     assert seen["closure_block"] >= 45 and seen["ClosureUndefined"] >= 12
     if alg.domain is Domain.F64:
         assert seen["IllegalElement"] >= 20
+
+
+@pytest.mark.parametrize("alg", [Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS],
+                         ids=lambda a: a.name)
+@pytest.mark.parametrize("where", ["last pivot of a leaf", "first pivot after a leaf"])
+def test_divergence_next_to_a_leaf_boundary_raises_as_the_recursion_to_1x1_does(alg, where):
+    # At n = 2 cut the halves are two eliminated leaves of cut rows. An
+    # improving 2-cycle between vertex 0 and vertex k is closed at pivot k:
+    # the last of the first leaf, or the first of the second.
+    cut = trmatrix._CUT
+    n, k = 2 * cut, cut - 1 if where == "last pivot of a leaf" else cut
+    rng = random.Random(f"boundary {alg.name} {where}")
+    a = _edge_matrix(rng, alg, n, n, closable=True).to_lists()
+    a[0][k], a[k][0] = s(alg.sign * 10**400), s(-alg.sign * (10**400 - 1))
+    a = TropMatrix.from_rows(a, alg)
+    got = _outcome(closure_block, a)
+    assert got[0] == "ClosureUndefined"
+    assert got == _outcome(ref_closure_block, a) == _outcome(ref_closure_block, a, 1)
+    # The pivots passed before the raise: k of the first leaf, each
+    # cut (cut - 1) multiplications, or the whole first leaf and the two
+    # products G S and (G S) F that build the second leaf.
+    with count_ops() as c, pytest.raises(ClosureUndefined):
+        closure_block(a)
+    passed = k * cut * (cut - 1) if k < cut else cut**2 * (cut - 1) + 2 * cut**3
+    assert c.muls == passed
 
 
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)

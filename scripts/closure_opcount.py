@@ -1,18 +1,14 @@
-"""Measure how many semiring multiplications a block closure performs, and its wall time.
+"""Measure how many semiring multiplications a closure performs, and its wall time.
 
-The recursion splits the matrix into four blocks at h = n // 2 and
-assembles the closure from six block products, 3 h (n - h) n
-multiplications, plus the closures of an h x h and an (n - h) x (n - h)
-block. A block of at most trmatrix._CUT rows (over Z and Q) is closed by
-Gauss-Jordan elimination instead, n (n - 1) multiplications for each of
-its n pivots. So the count is C(n) = n^2 (n - 1) up to the cutoff and
-C(h) + C(n - h) + 3 h (n - h) n above it, and this script confirms the
-recurrence on live counts, in the column C(n). Each row also gives the
-closure's wall time in milliseconds, so that work avoided and work done
-faster can be told apart. The ratio count/n^3 tends to 1 as n grows. The
-often-quoted 5/6 n^3 figure would need a five-product assembly, which
-returns wrong closures on easy instances; the sixth product is what
-correctness costs.
+The closure is Gauss-Jordan elimination: each of its n pivots costs
+n (n - 1) multiplications, so the count is C(n) = n^2 (n - 1), and this
+script confirms it on live counts, in the column C(n). Each row also
+gives the closure's wall time in milliseconds, so that work avoided and
+work done faster can be told apart. The ratio count/n^3 tends to 1 as n
+grows. The often-quoted 5/6 n^3 figure would need a block recursion
+that joins the closures of two halves by five products, which returns
+wrong closures on easy instances; a correct join takes six, n^3 - n
+multiplications in all.
 
 Usage, from the root of a checkout:
     PYTHONPATH=src python3 scripts/closure_opcount.py [--sizes 8,16,32,64] [--seed 7]
@@ -23,7 +19,7 @@ import random
 import time
 
 from tropalg import Z_MAX_PLUS, closure_block, count_ops
-from tropalg.trmatrix import _CUT, TropMatrix
+from tropalg.trmatrix import TropMatrix
 from tropalg.semiring import ExtScalar
 
 
@@ -40,11 +36,8 @@ def random_closing_matrix(rng: random.Random, n: int) -> TropMatrix:
 
 
 def predicted(n: int) -> int:
-    """C(n), the multiplication count of the recurrence above."""
-    if n <= _CUT:
-        return n * n * (n - 1)
-    h = n // 2
-    return predicted(h) + predicted(n - h) + 3 * h * (n - h) * n
+    """C(n), the multiplication count of the elimination above."""
+    return n * n * (n - 1)
 
 
 def main() -> None:

@@ -124,8 +124,8 @@ def _script(rng: random.Random, command: str, k: int, space: str) -> str:
 
     # One script in ten has 4 to 9 rows. Its square operands have a zero
     # diagonal and entries that make no cycle improve, so that their
-    # closures exist, reach deeper into the block recursion and, outside
-    # Z, bring several denominators to the scale.
+    # closures exist, run through more pivots and, outside Z, bring
+    # several denominators to the scale.
     wide = rng.random() < 0.1
     n, m = rng.randint(4, 9) if wide else rng.randint(1, 3), rng.randint(1, 3)
     small = ["0", "1", "-2", "3"]

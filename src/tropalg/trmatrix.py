@@ -8,14 +8,12 @@ from outside (the constructor, from_rows, column, diag); ExtScalars are
 built only at the boundary, by entries, get and to_lists on first use,
 and kept. The operations are the semiring matrix product, entrywise
 addition, the pseudo-inverse, and the closure A^x = I + A + ... +
-A^(n-1), the solution of I + A A^x = A^x = I + A^x A. The closure splits
-a block of n rows at h = n // 2 and joins the closures of the halves by
-six products, 3 h (n-h) n multiplications; a block of at most _CUT rows
-over Z and Q, and of one row over R64, is a leaf, closed by Gauss-Jordan
-elimination in n (n-1) multiplications a pivot. So an n x n closure
-costs C(n) = C(h) + C(n-h) + 3 h (n-h) n, with C(n) = n^2 (n-1) at a
-leaf: n^3 - n over R64, and n^3 - n^2 up to _CUT over Z and Q. Each
-operation runs one kernel (_product, _oplus, _closure, _residual),
+A^(n-1), the solution of I + A A^x = A^x = I + A^x A. The closure is
+Gauss-Jordan elimination, the algebraic path algorithm of Carre (1971)
+and Lehmann (1977), Floyd-Warshall over min-plus: pivot k sets a_kk to
+the unit and adds a_ik a_kj to every a_ij with i != k, n (n-1)
+multiplications a pivot, so an n x n closure costs C(n) = n^2 (n-1).
+Each operation runs one kernel (_product, _oplus, _closure, _residual),
 shared by max-plus and min-plus through semiring's sign rule, on the
 stored rows, and keeps the rows it returns unchecked: a chain of
 operations converts nothing in between. Counts are tallied in bulk: an
@@ -25,16 +23,17 @@ The tropical product, sum and closure never test for None. On entry,
 _lifted replaces each None in the operands by one sentinel S; the
 kernel runs max (min over min-plus) and + on plain numbers, as
 max(map(add, r, c)) per entry of a product; on exit each value at or
-beyond a cut C, on the infinite element's side, is None again. The
-whole block recursion of a closure, its leaves included, runs on rows
-lifted once. Over R64, S = C = -sign inf, which + absorbs and max or
-min passes over, exactly as the kernel would treat None. A float sum
-that overflows toward it is the infinite element already; one that
-overflows away raises IllegalElement after the product, as a scalar
-fold would. A sum only compares, and Python compares an int with a
-float exactly (10**400 > -inf holds), so a sum takes S = C = -sign inf
-over every domain. For a product or a closure over Z and scaled Q, with
-M the largest magnitude among the operands' values and w a bound on the
+beyond a cut C, on the infinite element's side, is None again. Every
+pivot of a closure runs on rows lifted once. Over R64, S = C = -sign
+inf, which + absorbs and max or min passes over, exactly as the kernel
+would treat None. A float sum that overflows toward it is the infinite
+element already; one that overflows away is sign inf, which stays where
+it lands and raises IllegalElement when the product or the closure
+ends, or before a pivot raises, as a scalar fold would have at that
+sum. A sum only compares, and Python compares an int with a float
+exactly (10**400 > -inf holds), so a sum takes S = C = -sign inf over
+every domain. For a product or a closure over Z and scaled Q, with M
+the largest magnitude among the operands' values and w a bound on the
 edges of the walks a result optimises over (2 for a product, n for an
 n x n closure), S = -sign (2 w M + 1) and C = -sign (w M + 1).
 
@@ -43,26 +42,23 @@ Why no value derived from S is taken for a real one, over max-plus
 the weight S. A product entry is an optimum over walks of w edges. A
 closure computes on ints exactly, so only the values it decides on
 matter: a pivot, the best closed walk through its vertex, and an entry
-of the result. The recursion and its leaves pass the pivots in one
-order, 0 to n-1. As in elimination (Carre 1971, Lehmann 1977), each
-value a product of the recursion or a row update of a leaf computes is
-an optimum over the walks between two vertices whose inner vertices lie
-in the set K of pivots already passed: a leaf's update reaches a subset
-of those walks holding every one without a repeated inner vertex, and
-setting a_kk to the unit adds the empty walk at k. K has no improving
-cycle: one of real edges would have made a pivot raise, and one with an
-S edge weighs at most S + (n-1)M < 0. Removing a cycle within K never
-lowers a walk, and leaves a real walk real, so each optimum is reached
-on a walk of at most w edges. A value that is real without sentinels
-is therefore at least -wM > C; one over walks that all hold an S edge
-is at most S + (w-1)M = -(w+1)M - 1 <= C, and a walk through S never
-beats a real optimum. So each pivot sees a value <= 0 exactly when it
-saw None or one <= 0, raises on the same value, and lowering gives every
-entry back exactly. The value at pivot k is the one a 1 x 1 leaf at k
-would see, so a leaf raises at the pivot, and with the text, of the
-recursion down to 1 x 1 blocks. No value from S equals a real one, so
-ties among equal real values still keep the first, signed zeros
-included.
+of the result. Each value a row update computes is an optimum over a
+set of walks between two vertices whose inner vertices lie in the set K
+of pivots already passed, a set holding every such walk without a
+repeated inner vertex; setting a_kk to the unit adds the empty walk at
+k. K has no improving cycle: one of real edges would have made a pivot
+raise, and one with an S edge weighs at most S + (n-1)M < 0. Removing a
+cycle within K never lowers a walk, and leaves a real walk real, so each
+optimum is reached on a walk of at most w edges. A value that is real
+without sentinels is therefore at least -wM > C; one over walks that
+all hold an S edge is at most S + (w-1)M = -(w+1)M - 1 <= C, and a walk
+through S never beats a real optimum. So each pivot sees a value <= 0
+exactly when it saw None or one <= 0, raises on the same value, and
+lowering gives every entry back exactly. The value at pivot k is the
+best closed walk through k over the pivots before it, the value a block
+recursion down to 1 x 1 blocks sees at k, so both raise at the same
+pivot, with the same text. No value from S equals a real one, so ties
+among equal real values still keep the first, signed zeros included.
 
 L is the least common multiple of the entries' denominators over
 tropical Q and 1 elsewhere; classical Q, whose products x -> L x does
@@ -274,11 +270,19 @@ def _mul(a: list, b: list, alg: Algebra) -> list:
         out = [[reduce(add, map(mul, r, c), zero) for c in cols] for r in a]
     work = len(a) * len(b) * len(cols)
     _tally(work, work)
-    if not sign:
-        return _settle(out, alg)
-    if alg.domain is _F64 and sign * math.inf in map(pick, out):
-        _finite_result(sign * math.inf, alg)  # raises IllegalElement
-    return out
+    return _overflow_checked(out, alg) if sign else _settle(out, alg)
+
+
+def _overflow_checked(rows: list, alg: Algebra) -> list:
+    """Lifted tropical rows, unless a float sum in them overflowed away from
+    the infinite element: that sum is sign inf, which no later max (min
+    over min-plus) replaces, and raises IllegalElement as a scalar fold
+    would."""
+    if alg.domain is _F64:
+        pick = max if alg.sign > 0 else min
+        if alg.sign * math.inf in map(pick, rows):
+            _finite_result(alg.sign * math.inf, alg)  # raises IllegalElement
+    return rows
 
 
 def _add(a: list, b: list, alg: Algebra) -> list:
@@ -394,24 +398,14 @@ def zero_matrix(rows: int, cols: int, alg: Algebra) -> TropMatrix:
     return TropMatrix(rows, cols, (alg.zero(),) * (rows * cols), alg)
 
 
-# The largest block the closure eliminates instead of splitting, over Z and
-# scaled Q: of the cutoffs 12, 16, 24 and 32, timed on closures of 8 to 128
-# rows, 24 and 32 were the fastest up to 48 rows and 24 the steadier. R64
-# splits down to 1 x 1, which fixes the order of its float sums.
-_CUT = 24
-
-
 def _closure(rows: list, alg: Algebra, den: int) -> list:
-    """Raw rows of the closure of square raw rows over den, by the block
-    recursion on rows lifted once, down to blocks of at most _CUT rows
-    (one row over R64) closed by elimination."""
+    """Raw rows of the closure of square raw rows over den, by Gauss-Jordan
+    elimination on rows lifted once."""
     sign, one = alg.sign, alg.one().finite
-    leaf = 1 if alg.domain is _F64 else _CUT
 
-    def eliminate(rows: list) -> list:
-        # Gauss-Jordan: pivot k has a_kk* = one, then a_ij += a_ik a_kj
-        # for every row i != k, n (n - 1) multiply-adds a pivot; a tie
-        # keeps a_ij.
+    def eliminate(rows: list, alg: Algebra) -> list:
+        # Pivot k has a_kk* = one, then a_ij += a_ik a_kj for every row
+        # i != k, n (n - 1) multiply-adds a pivot; a tie keeps a_ij.
         a, n = [list(r) for r in rows], len(rows)
         work = n * (n - 1)
         for k in range(n):
@@ -419,6 +413,7 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
             x = rk[k]
             if sign * x > 0:
                 _tally(k * work, k * work)
+                _overflow_checked(a, alg)  # an earlier overflow raises first
                 # Divergent: the scalar closure raises, naming the entry's value.
                 trop_closure_scalar(_result([[x]], alg, den).entries[0], alg)
             rk[k] = one
@@ -430,43 +425,20 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
                 a = [r if r is rk else [v if (v := c + t) < u else u for u, t in zip(r, rk)]
                      for r, c in zip(a, col)]
         _tally(n * work, n * work)
-        return a
+        return _overflow_checked(a, alg)
 
-    def close(rows: list, alg: Algebra) -> list:
-        n = len(rows)
-        if n <= leaf:
-            return eliminate(rows)
-        h = n // 2
-        top, bottom = rows[:h], rows[h:]
-        s = close([r[:h] for r in top], alg)
-        f = [r[h:] for r in top]
-        b = _mul([r[:h] for r in bottom], s, alg)
-        r4 = close(_add([r[h:] for r in bottom], _mul(b, f, alg), alg), alg)
-        r3 = _mul(r4, b, alg)
-        v = _mul(s, f, alg)
-        r2 = _mul(v, r4, alg)
-        r1 = _add(s, _mul(v, r3, alg), alg)
-        return [x + y for x, y in zip(r1, r2)] + [x + y for x, y in zip(r3, r4)]
-
-    return _lifted(close, len(rows), alg, rows)
+    return _lifted(eliminate, len(rows), alg, rows)
 
 
 def closure_block(a: TropMatrix) -> TropMatrix:
-    """Closure by block recursion on the quadrants of a split at h = n // 2.
+    """The closure A^x = I + A + A^2 + ..., by Gauss-Jordan elimination.
 
-    Splitting A after row and column h into quadrants E, F / G, H, where E
-    is h x h and H is (n-h) x (n-h), the result is assembled from S = E^x,
-    B = G S, R4 = (H + B F)^x, R3 = R4 B, V = S F, R2 = V R4 and
-    R1 = S + V R3. The quadrants need not be equal, so every size is split
-    directly, and the six products cost 3 h (n-h) n multiplications. A
-    block of at most _CUT rows over Z and Q, or of one row over R64, is
-    closed by Gauss-Jordan elimination: for each pivot k, a_kk becomes the
-    unit and every other row i gains a_ik times row k, n (n-1)
-    multiplications a pivot, n^2 (n-1) a block. Over the whole recursion
-    that sums to n^3 - n over R64 and to n^3 - n^2 up to _CUT over Z and Q
-    (the module docstring gives the recurrence). Raises ClosureUndefined,
-    from the first pivot whose best closed walk improves, exactly when the
-    power sums I + A + A^2 + ... diverge.
+    For each pivot k in turn, a_kk becomes the unit and every other row i
+    gains a_ik times row k: n (n-1) multiplications a pivot, n^2 (n-1) in
+    all, at every size and over every domain. Over min-plus this is
+    Floyd-Warshall, and over R64 the float sums follow its order. Raises
+    ClosureUndefined, from the first pivot whose best closed walk
+    improves, exactly when the power sums diverge.
     """
     _require_tropical(a, "the closure")
     if not a.is_square:

@@ -18,7 +18,6 @@ from itertools import combinations
 
 from tropalg import (
     ClosureUndefined,
-    Domain,
     ExtScalar,
     IndexOutOfRange,
     LpProblem,
@@ -55,7 +54,6 @@ from tropalg.mathpar.parser import (
     UnaryNeg,
     Var,
 )
-from tropalg.trmatrix import _CUT
 
 INF = float("inf")
 
@@ -98,27 +96,25 @@ def _block(a: TropMatrix, r0, r1, c0, c1) -> TropMatrix:
     return TropMatrix(r1 - r0, c1 - c0, ent, a.alg)
 
 
-def ref_closure_block(a: TropMatrix, leaf: int | None = None) -> TropMatrix:
-    """The block recursion of closure_block, on per-entry products.
+def ref_closure_block(a: TropMatrix) -> TropMatrix:
+    """The closure by block recursion down to 1 x 1 blocks, on per-entry products.
 
-    Same split, same six products in the same order, and the same leaves:
-    a block of at most leaf rows (trmatrix._CUT over Z and Q, 1 over R64,
-    as in the library) is closed by per-entry Gauss-Jordan elimination.
-    So the operation counts and the pivot that raises ClosureUndefined
-    match the library's exactly. leaf=1 splits down to 1 x 1 blocks over
-    every domain.
+    Splitting A after row and column h = n // 2 into quadrants E, F / G, H,
+    the closure is assembled from S = E^x, B = G S, R4 = (H + B F)^x,
+    R3 = R4 B, V = S F, R2 = V R4 and R1 = S + V R3, n^3 - n
+    multiplications in all. It passes the pivots in the library's order,
+    so it raises at the same pivot with the same text, but its float sums
+    run in another order and its counts differ.
     """
     n = a.rows
-    if leaf is None:
-        leaf = 1 if a.alg.domain is Domain.F64 else _CUT
-    if n <= leaf:
+    if n == 1:
         return _ref_eliminate(a)
     h = n // 2
     e, f = _block(a, 0, h, 0, h), _block(a, 0, h, h, n)
     g, hh = _block(a, h, n, 0, h), _block(a, h, n, h, n)
-    s = ref_closure_block(e, leaf)
+    s = ref_closure_block(e)
     b = ref_mat_mul(g, s)
-    r4 = ref_closure_block(ref_mat_oplus(hh, ref_mat_mul(b, f)), leaf)
+    r4 = ref_closure_block(ref_mat_oplus(hh, ref_mat_mul(b, f)))
     r3 = ref_mat_mul(r4, b)
     v = ref_mat_mul(s, f)
     r2 = ref_mat_mul(v, r4)
@@ -129,9 +125,11 @@ def ref_closure_block(a: TropMatrix, leaf: int | None = None) -> TropMatrix:
 
 
 def _ref_eliminate(a: TropMatrix) -> TropMatrix:
-    """Gauss-Jordan elimination, one scalar operation at a time: pivot k
-    replaces a_kk by its scalar closure, which raises when it diverges,
-    then adds a_ik a_kj to a_ij in every other row i."""
+    """Gauss-Jordan elimination, one scalar operation at a time, in the
+    library's order: pivot k replaces a_kk by its scalar closure, which
+    raises when it diverges, then adds a_ik a_kj to a_ij in every other
+    row i. So its values, float sums included, its operation counts and
+    its errors match closure_block's exactly."""
     alg, rows = a.alg, a.to_lists()
     for k, rk in enumerate(rows):
         rk[k] = trop_closure_scalar(rk[k], alg)
@@ -144,7 +142,7 @@ def _ref_eliminate(a: TropMatrix) -> TropMatrix:
 
 def ref_bellman_homogeneous(a: TropMatrix) -> TropMatrix:
     """Columns of the closure kept one column product at a time."""
-    closed = ref_closure_block(a)
+    closed = _ref_eliminate(a)
     columns = (TropMatrix.column(closed.entries[k :: a.cols], a.alg) for k in range(a.cols))
     kept = [c for c in columns if ref_mat_mul(a, c) == c]
     if not kept:

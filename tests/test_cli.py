@@ -201,8 +201,8 @@ GOLDEN_OP_COUNTS = {
     "02_linear_equations_maxplus": (6, 8),
     "03_linear_inequalities_maxplus": (8, 8),
     "04_scalar_closure_maxplus": (0, 0),
-    # A closure of n <= trmatrix._CUT rows is one elimination: n (n - 1)
-    # adds and muls for each of its n pivots, (4, 4) at n = 2.
+    # A closure is one elimination: n (n - 1) adds and muls for each of
+    # its n pivots, (4, 4) at n = 2.
     "05_matrix_closure_minplus": (4, 4),
     "06_matrix_closure_maxplus": (4, 4),
     # The closure of \searchLeastDistances costs (18, 18); the path's

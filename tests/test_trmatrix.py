@@ -59,6 +59,7 @@ from oracles import (
     mirror_scalar,
     rand_closure_friendly,
     rand_matrix,
+    _ref_eliminate,
     ref_bellman_homogeneous,
     ref_closure_block,
     ref_mat_mul,
@@ -413,31 +414,16 @@ def test_closure_of_padded_matrix_restricts_to_the_original():
 # ---- operation counting ----
 
 
-def _closure_muls(n, leaf):
-    """The closure's multiplication count C(n): n^2 (n-1) for a block of at
-    most leaf rows, else C(h) + C(n-h) + 3 h (n-h) n with h = n // 2."""
-    if n <= leaf:
-        return n * n * (n - 1)
-    h = n // 2
-    return _closure_muls(h, leaf) + _closure_muls(n - h, leaf) + 3 * h * (n - h) * n
-
-
 def test_block_closure_multiplication_count_follows_its_recurrence():
+    # One elimination at every size and over every domain: n (n - 1) adds
+    # and muls for each of its n pivots, n^2 (n - 1) in all.
     rng = random.Random(10)
-    cut = trmatrix._CUT
-    sizes = sorted({1, 2, 3, 4, 5, 7, 8, 9, 16, 17, cut, cut + 1, 2 * cut + 1})
-    for alg, leaf in ((Z_MAX_PLUS, cut), (Q_MIN_PLUS, cut), (R64_MIN_PLUS, 1)):
-        for n in sizes:
+    for alg in (Z_MAX_PLUS, Q_MIN_PLUS, R64_MIN_PLUS):
+        for n in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 24, 25, 49):
             a = _edge_matrix(rng, alg, n, n, closable=True)
             with count_ops() as c:
                 closure_block(a)
-            assert c.muls == _closure_muls(n, leaf), (alg.name, n)
-    # Over R64 the recursion runs down to 1 x 1 blocks: n^3 - n. Over Z
-    # and Q a block of up to cut rows is one elimination, n^3 - n^2, and
-    # a larger one splits until its blocks are.
-    assert all(_closure_muls(n, 1) == n**3 - n for n in sizes)
-    assert all(_closure_muls(n, cut) == n**3 - n**2 for n in sizes if n <= cut)
-    assert {n: _closure_muls(n, cut) for n in sizes if n > cut} == {25: 15312, 49: 116760}
+            assert (c.adds, c.muls) == (n * n * (n - 1),) * 2, (alg.name, n)
 
 
 def test_matrix_product_multiplication_count_is_exact():
@@ -489,6 +475,37 @@ def _outcome(fn, *args):
     return m.rows, m.cols, entries, c.adds, c.muls
 
 
+def _closed_or_error(fn, a):
+    """The matrix fn returns, or its error's type name and text."""
+    try:
+        return fn(a)
+    except TropalgError as e:
+        return type(e).__name__, str(e)
+
+
+def _quarters(rng, alg, n, closable=False):
+    """An n x n R64 matrix of quarter-integers, whose float sums are exact
+    in any order; closable keeps cycle weights from improving."""
+    def entry():
+        if rng.random() < 0.25:
+            return alg.zero()
+        v = rng.randint(0 if closable else -40, 40) / 4
+        return -alg.sign * v if closable else v
+    return TropMatrix.from_rows([[entry() for _ in range(n)] for _ in range(n)], alg)
+
+
+def _assert_the_split_agrees(rng, sq, closable):
+    """The block recursion down to 1 x 1 blocks gives closure_block's
+    values or error: over Z and Q on sq, entry types included (its counts
+    differ), and over R64 by == on quarter-integers of sq's size instead,
+    since its float sums run in another order."""
+    if sq.alg.domain is Domain.F64:
+        q = _quarters(rng, sq.alg, sq.rows, closable)
+        assert _closed_or_error(closure_block, q) == _closed_or_error(ref_closure_block, q), q
+    else:
+        assert _outcome(closure_block, sq)[:3] == _outcome(ref_closure_block, sq)[:3], sq
+
+
 def _lai(a, b):
     return solve_lai_tropic(a, b)[0]
 
@@ -517,11 +534,12 @@ def test_matrix_operations_match_the_per_entry_reference(alg):
             (mat_oplus, ref_mat_oplus, a, _edge_matrix(rng, alg, n, m)),
         ]
         if alg.is_tropical:
-            k = rng.randint(2, 6)
-            sq = _edge_matrix(rng, alg, k, k, closable=rng.random() < 0.3)
+            k, closable = rng.randint(2, 6), rng.random() < 0.3
+            sq = _edge_matrix(rng, alg, k, k, closable)
+            _assert_the_split_agrees(rng, sq, closable)
             cases += [
                 (pseudo_inverse, ref_pseudo_inverse, a),
-                (closure_block, ref_closure_block, sq),
+                (closure_block, _ref_eliminate, sq),
                 (bellman_homogeneous, ref_bellman_homogeneous, sq),
             ]
             rhs = _edge_matrix(rng, alg, n, 1)
@@ -544,7 +562,7 @@ def test_matrix_operations_match_the_per_entry_reference(alg):
 
 def _planted_cycle(rng, alg, n):
     """A closable n x n matrix, n >= 2, with one improving 2-cycle between
-    two random vertices, so that a leaf deep in the recursion may diverge."""
+    two random vertices, so that the closure may diverge at any pivot."""
     a = _edge_matrix(rng, alg, n, n, closable=True).to_lists()
     i, j = rng.sample(range(n), 2)
     up = 1.5 if alg.domain is Domain.F64 else rng.choice((1, 10**400))
@@ -577,16 +595,13 @@ def _assert_stored_real(m, walk, *operands):
 
 @pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
 def test_kernels_match_the_per_entry_reference_at_every_size_up_to_33(alg):
-    # Every size 1-33 splits into an odd or even top and bottom half on
-    # its way down, and the closure also runs just past one and two
-    # eliminated leaves. The operands mix 10**400 with small ints (so the
-    # sentinel must scale with the largest magnitude), rationals over the
-    # denominators 1-6, float sums of +-1e308 that overflow either way,
-    # signed zeros that tie, and improving cycles at any depth.
+    # The operands mix 10**400 with small ints (so the sentinel must scale
+    # with the largest magnitude), rationals over the denominators 1-6,
+    # float sums of +-1e308 that overflow either way, signed zeros that
+    # tie, and improving cycles closed at any pivot.
     rng = random.Random(f"sentinel {alg.name}")
     seen = Counter()
-    cut = trmatrix._CUT
-    for n in sorted({*range(1, 34), cut + 1, 2 * cut + 1}):
+    for n in range(1, 34):
         p = rng.randint(1, 4)
         draw = (_fractions if alg.domain is Domain.Q and n % 2 else _edge_matrix)
         a = draw(rng, alg, n, n)
@@ -598,7 +613,9 @@ def test_kernels_match_the_per_entry_reference_at_every_size_up_to_33(alg):
         cases = [(mat_mul, ref_mat_mul, 2, a, draw(rng, alg, n, p)),
                  (mat_mul, ref_mat_mul, 2, draw(rng, alg, p, n), a),
                  (mat_oplus, ref_mat_oplus, 1, a, draw(rng, alg, n, n))]
-        cases += [(closure_block, ref_closure_block, n, sq) for sq in squares]
+        cases += [(closure_block, _ref_eliminate, n, sq) for sq in squares]
+        for sq, closable in zip(squares, (True, False)):
+            _assert_the_split_agrees(rng, sq, closable)
         for fn, ref, walk, *args in cases:
             got = _outcome(fn, *args)
             assert got == _outcome(ref, *args), (fn.__name__, n, args)
@@ -614,27 +631,25 @@ def test_kernels_match_the_per_entry_reference_at_every_size_up_to_33(alg):
 
 @pytest.mark.parametrize("alg", [Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS],
                          ids=lambda a: a.name)
-@pytest.mark.parametrize("where", ["last pivot of a leaf", "first pivot after a leaf"])
-def test_divergence_next_to_a_leaf_boundary_raises_as_the_recursion_to_1x1_does(alg, where):
-    # At n = 2 cut the halves are two eliminated leaves of cut rows. An
-    # improving 2-cycle between vertex 0 and vertex k is closed at pivot k:
-    # the last of the first leaf, or the first of the second.
-    cut = trmatrix._CUT
-    n, k = 2 * cut, cut - 1 if where == "last pivot of a leaf" else cut
-    rng = random.Random(f"boundary {alg.name} {where}")
+@pytest.mark.parametrize("k", [0, 23, 24, 47])
+def test_divergence_at_pivot_k_raises_as_the_split_to_1x1_does(alg, k):
+    # An improving cycle that pivot k closes: a loop at vertex 0 when k is
+    # 0, else a 2-cycle between vertex 0 and vertex k, in n = 48.
+    n = 48
+    rng = random.Random(f"pivot {alg.name} {k}")
     a = _edge_matrix(rng, alg, n, n, closable=True).to_lists()
-    a[0][k], a[k][0] = s(alg.sign * 10**400), s(-alg.sign * (10**400 - 1))
+    if k:
+        a[0][k], a[k][0] = s(alg.sign * 10**400), s(-alg.sign * (10**400 - 1))
+    else:
+        a[0][0] = s(alg.sign)
     a = TropMatrix.from_rows(a, alg)
     got = _outcome(closure_block, a)
     assert got[0] == "ClosureUndefined"
-    assert got == _outcome(ref_closure_block, a) == _outcome(ref_closure_block, a, 1)
-    # The pivots passed before the raise: k of the first leaf, each
-    # cut (cut - 1) multiplications, or the whole first leaf and the two
-    # products G S and (G S) F that build the second leaf.
+    assert got == _outcome(_ref_eliminate, a) == _outcome(ref_closure_block, a)
+    # The k pivots passed before the raise, n (n - 1) multiplications each.
     with count_ops() as c, pytest.raises(ClosureUndefined):
         closure_block(a)
-    passed = k * cut * (cut - 1) if k < cut else cut**2 * (cut - 1) + 2 * cut**3
-    assert c.muls == passed
+    assert c.muls == k * n * (n - 1)
 
 
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
@@ -642,16 +657,22 @@ def test_float_sums_that_overflow_fold_or_raise_as_the_reference_does(alg):
     big = -alg.sign * 1e308  # sums of two overflow toward the infinite element
     toward = TropMatrix.from_rows([[big, 0.0], [alg.zero(), big]], alg)
     away = TropMatrix.from_rows([[0.0, -big], [-big, 0.0]], alg)
+    z = alg.zero()
+    path = TropMatrix.from_rows([[0.0, -big, z], [z, 0.0, -big], [z, z, 0.0]], alg)
     assert mat_mul(toward, toward)._raw == ((None, big), (None, None))
     assert closure_block(toward)._raw == ((0.0, 0.0), (None, 0.0))
     for fn, ref, args in ((mat_mul, ref_mat_mul, (toward, toward)),
                           (mat_mul, ref_mat_mul, (away, away)),
-                          (closure_block, ref_closure_block, (toward,)),
-                          (closure_block, ref_closure_block, (away,))):
+                          (closure_block, _ref_eliminate, (toward,)),
+                          (closure_block, _ref_eliminate, (away,)),
+                          (closure_block, _ref_eliminate, (path,)),
+                          (closure_block, ref_closure_block, (path,))):
         assert _outcome(fn, *args) == _outcome(ref, *args)
-    # The sum of the two off-diagonal entries overflows inside the
-    # recursion, before the second leaf is reached.
-    assert _outcome(closure_block, away)[0] == "IllegalElement"
+    # Pivot 0 adds the two off-diagonal entries into a_11, which overflows
+    # away from the infinite element, and pivot 1 reads it. The walk
+    # 0 -> 1 -> 2 of path overflows too, though no cycle improves and no
+    # pivot raises.
+    assert _outcome(closure_block, away)[0] == _outcome(closure_block, path)[0] == "IllegalElement"
 
 
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)

@@ -23,7 +23,7 @@ flag set of FLAG_SETS, as `mathpar eval SCRIPT FLAGS`, and the two exit
 statuses, stdouts and stderrs are compared. A difference on a script that an --expect regular
 expression matches (re.search over the script text) is an intended one:
 it is counted and shown apart and does not fail the run. The count of
-each outcome and the first differences are printed; the exit status is 1
+each outcome and every difference are printed; the exit status is 1
 when any other script is answered differently, else 0.
 """
 
@@ -260,7 +260,7 @@ def report(runs, expect) -> int:
     print(f"working tree: {_tally(w for _, _, _, w in runs)}")
     print(f"differences:  {len(unexpected)}, and {len(expected)} expected")
     for title, shown in (("difference", unexpected), ("expected difference", expected)):
-        for script, flags, b, w in shown[:5]:
+        for script, flags, b, w in shown:
             print(f"\n{title}, {' '.join(flags)}: {script}")
             print(f"  base:         {b!r}\n  working tree: {w!r}")
     return 1 if unexpected else 0

@@ -1,4 +1,4 @@
-"""Solvers for tropical linear systems built on residuation and closures.
+"""Solvers for tropical linear systems built on residuation, elimination and closures.
 
 For A x <= b residuation gives a principal solution: on a finite right
 hand side it is (b- A)- where minus denotes the pseudo-inverse, and in
@@ -23,9 +23,11 @@ until it no longer does, so the principal solution stays a solution.
 
 The Bellman equation X = A X + B has the least solution A^x B, and the
 columns of A^x generate solutions of the homogeneous system A x = x.
-Over R64 the closure and the check A X + B sum floats in different
-orders, so the Bellman solvers refine A^x B by X <- A X + B until the
-check passes, at most n times.
+A^x B is computed without forming A^x, by forward elimination on
+[A | B] and back substitution in trmatrix's kernel; it raises where the
+closure would, with the same text. Over R64 the elimination and the
+check A X + B sum floats in different orders, so the Bellman solvers
+refine A^x B by X <- A X + B until the check passes, at most n times.
 
 Every solver re-verifies its defining equality or inequality by direct
 multiplication before returning.
@@ -38,8 +40,8 @@ from operator import eq
 from ._record import Record
 from .errors import AlgebraMismatch, ClosureUndefined, DimensionMismatch, NoSolution
 from .semiring import _F64
-from .trmatrix import (TropMatrix, _common, _result, _residuate, closure_block, mat_le, mat_mul,
-                       mat_oplus)
+from .trmatrix import (TropMatrix, _common, _least_solution, _result, _residuate, closure_block,
+                       mat_le, mat_mul, mat_oplus)
 
 __all__ = [
     "IntervalBound",
@@ -106,9 +108,10 @@ def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 
 
 def bellman_solve(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    """The least solution X = A^x B of the equation X = A X + B."""
+    """The least solution X = A^x B of the equation X = A X + B, by
+    elimination on [A | B], without forming A^x."""
     _require_system(a, b, "bellman_solve", column=False)
-    return _verified(a, b, mat_mul(closure_block(a), b), eq, "non-fixed-point")
+    return _verified(a, b, _least_solution(a, b), eq, "non-fixed-point")
 
 
 def bellman_homogeneous(a: TropMatrix) -> TropMatrix:
@@ -130,14 +133,14 @@ def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix
     """Solve the Bellman inequality A x + b <= x.
 
     Without b the generator A^x of solutions of A x <= x is returned;
-    with b the particular solution A^x b is returned, verified against
-    the inequality before being handed back.
+    with b the particular solution A^x b, by elimination on [A | b] as in
+    bellman_solve, is returned, verified against the inequality before
+    being handed back.
     """
     _require_system(a, b, "bellman_inequality", column=False)
-    closed = closure_block(a)
     if b is None:
-        return closed
-    return _verified(a, b, mat_mul(closed, b), mat_le, "non-solution of the inequality")
+        return closure_block(a)
+    return _verified(a, b, _least_solution(a, b), mat_le, "non-solution of the inequality")
 
 
 def _verified(a: TropMatrix, b: TropMatrix, x: TropMatrix, holds, failure: str) -> TropMatrix:

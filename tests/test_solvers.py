@@ -35,6 +35,8 @@ from tropalg import (
     zero_matrix,
 )
 
+from tropalg.trmatrix import _least_solution
+
 from oracles import rand_closure_friendly, rand_matrix
 
 
@@ -255,19 +257,20 @@ def test_inequality_solutions_dominate_on_random_instances():
         assert mat_le(mat_oplus(mat_mul(a, x), b), x)
 
 
-# A^x b over R64 min-plus sums in another order than A x + b: the closure
-# gives x_1 = -3.3333333333333335, one step of x <- A x + b gives
-# -3.333333333333334, and that step is a fixed point.
-ROUNDED_A = [[0.0, float("inf"), float("inf")], [1.0, 0.0, 1.0], [-7 / 3, 3.0, 0.0]]
-ROUNDED_B = [-2.0, 3.0, 3.0]
-ROUNDED_X = [[-2.0], [-3.333333333333334], [-4.333333333333334]]
+# A^x b over R64 min-plus sums in another order than A x + b: elimination
+# gives x_2 = -0.19047619047619024, one step of x <- A x + b gives
+# -0.19047619047619047, and that step is a fixed point.
+ROUNDED_A = [[3 / 7, 8 / 7, 1.0], [2 / 3, 4 / 7, 1.0], [4 / 3, 3.0, 2 / 7]]
+ROUNDED_B = [float("inf"), -8 / 3, 4 / 3]
+ROUNDED_X = [[-1.5238095238095237], [-2.6666666666666665], [-0.19047619047619047]]
 
 
 @pytest.mark.parametrize("solve", [bellman_solve, bellman_inequality])
 def test_float_rounding_of_the_closure_is_refined_away(solve):
     a, b = mk(ROUNDED_A, R64_MIN_PLUS), col(ROUNDED_B, R64_MIN_PLUS)
-    first = mat_mul(closure_block(a), b)
-    assert first.to_lists()[1] == [s(-3.3333333333333335)]
+    first = _least_solution(a, b)
+    assert first.to_lists()[2] == [s(-0.19047619047619024)]
+    assert mat_oplus(mat_mul(a, first), b) != first
     x = solve(a, b)
     assert [[e.finite for e in row] for row in x.to_lists()] == ROUNDED_X
     assert mat_oplus(mat_mul(a, x), b) == x
@@ -276,19 +279,21 @@ def test_float_rounding_of_the_closure_is_refined_away(solve):
 @pytest.mark.parametrize(
     "solve, alg, one, error, counts",
     [
-        (bellman_solve, R64_MAX_PLUS, 1.0, ClosureUndefined, (5, 3)),
-        (bellman_inequality, R64_MAX_PLUS, 1.0, ClosureUndefined, (7, 3)),
-        (bellman_solve, Z_MAX_PLUS, 1, AssertionError, (3, 2)),
-        (bellman_inequality, Z_MAX_PLUS, 1, AssertionError, (4, 2)),
+        (bellman_solve, R64_MAX_PLUS, 1.0, ClosureUndefined, (4, 2)),
+        (bellman_inequality, R64_MAX_PLUS, 1.0, ClosureUndefined, (6, 2)),
+        (bellman_solve, Z_MAX_PLUS, 1, AssertionError, (2, 1)),
+        (bellman_inequality, Z_MAX_PLUS, 1, AssertionError, (3, 1)),
     ],
     ids=["R64-equation", "R64-inequality", "Z-equation", "Z-inequality"],
 )
 def test_a_check_that_never_passes_is_refined_over_r64_only(solve, alg, one, error, counts,
                                                             monkeypatch):
-    # A stand-in closure of [[1]], which has none: x <- A x + b climbs by 1
-    # each round. R64 pays the check and one round, n = 1; Z checks once.
+    # A stand-in for A^x b with A = [[1]], which has no closure: x <- A x + b
+    # climbs by 1 each round. R64 pays the check and one round, n = 1; Z
+    # checks once. Each check costs A x + b, and the inequality's one more
+    # sum for <=; the stand-in itself costs nothing.
     a, b = mk([[one]], alg), col([one - one], alg)
-    monkeypatch.setattr(tropalg.solvers, "closure_block", lambda a: mk([[one - one]], alg))
+    monkeypatch.setattr(tropalg.solvers, "_least_solution", lambda a, b: b)
     with count_ops() as c, pytest.raises(error) as e:
         solve(a, b)
     assert ("float rounding" if error is ClosureUndefined else "closure produced") in str(e.value)
@@ -296,10 +301,15 @@ def test_a_check_that_never_passes_is_refined_over_r64_only(solve, alg, one, err
 
 
 @pytest.mark.parametrize(
-    "b", [col([0] * 33), col([0] * 32, Z_MIN_PLUS)], ids=["too-many-rows", "other-algebra"]
+    "a, b",
+    [(None, col([0] * 33)), (None, col([0] * 32, Z_MIN_PLUS)),
+     (mk([[0, 1, 2], [3, 4, 5]]), col([0, 0])), (mk([[0], [1]]), mk([[0, 1], [2, 3]]))],
+    ids=["too-many-rows", "other-algebra", "wide-a", "tall-a"],
 )
-def test_both_bellman_solvers_reject_b_before_any_closure(b):
-    a = rand_closure_friendly(random.Random(25), Z_MAX_PLUS, 32)
+def test_both_bellman_solvers_reject_b_before_any_closure(a, b):
+    # A non-square A is refused with the closure's own text.
+    if a is None:
+        a = rand_closure_friendly(random.Random(25), Z_MAX_PLUS, 32)
     errors = []
     for solve in (bellman_inequality, bellman_solve):
         with count_ops() as c, pytest.raises((AlgebraMismatch, DimensionMismatch)) as e:
@@ -307,6 +317,8 @@ def test_both_bellman_solvers_reject_b_before_any_closure(b):
         assert c.total == 0
         errors.append((type(e.value), str(e.value)))
     assert errors[0] == errors[1]
+    if a.rows != a.cols:
+        assert errors[0] == (DimensionMismatch, "the closure is defined for square matrices only")
 
 
 # ---- operation counts ----

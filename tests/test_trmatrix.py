@@ -33,6 +33,7 @@ from tropalg import (
     Z_MAX_PLUS,
     Z_MIN_PLUS,
     bellman_homogeneous,
+    bellman_inequality,
     bellman_solve,
     closure_block,
     count_ops,
@@ -629,20 +630,24 @@ def test_kernels_match_the_per_entry_reference_at_every_size_up_to_33(alg):
         assert seen["IllegalElement"] >= 20
 
 
-@pytest.mark.parametrize("alg", [Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS],
-                         ids=lambda a: a.name)
-@pytest.mark.parametrize("k", [0, 23, 24, 47])
-def test_divergence_at_pivot_k_raises_as_the_split_to_1x1_does(alg, k):
-    # An improving cycle that pivot k closes: a loop at vertex 0 when k is
-    # 0, else a 2-cycle between vertex 0 and vertex k, in n = 48.
-    n = 48
-    rng = random.Random(f"pivot {alg.name} {k}")
-    a = _edge_matrix(rng, alg, n, n, closable=True).to_lists()
+def _cycle_at_pivot(rng, alg, n, k, draw=_edge_matrix):
+    """A closable n x n matrix with one improving cycle, which pivot k
+    closes: a loop at vertex 0 when k is 0, else a 2-cycle between vertex 0
+    and vertex k."""
+    a = draw(rng, alg, n, n, closable=True).to_lists()
     if k:
         a[0][k], a[k][0] = s(alg.sign * 10**400), s(-alg.sign * (10**400 - 1))
     else:
         a[0][0] = s(alg.sign)
-    a = TropMatrix.from_rows(a, alg)
+    return TropMatrix.from_rows(a, alg)
+
+
+@pytest.mark.parametrize("alg", [Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS],
+                         ids=lambda a: a.name)
+@pytest.mark.parametrize("k", [0, 23, 24, 47])
+def test_divergence_at_pivot_k_raises_as_the_split_to_1x1_does(alg, k):
+    n = 48
+    a = _cycle_at_pivot(random.Random(f"pivot {alg.name} {k}"), alg, n, k)
     got = _outcome(closure_block, a)
     assert got[0] == "ClosureUndefined"
     assert got == _outcome(_ref_eliminate, a) == _outcome(ref_closure_block, a)
@@ -650,6 +655,105 @@ def test_divergence_at_pivot_k_raises_as_the_split_to_1x1_does(alg, k):
     with count_ops() as c, pytest.raises(ClosureUndefined):
         closure_block(a)
     assert c.muls == k * n * (n - 1)
+
+
+def _closure_times_b(a, b):
+    return mat_mul(closure_block(a), b)
+
+
+def _sweep_cost(n, m, pivots):
+    """The adds, and the muls, of the first pivots of forward elimination
+    on an n x (n + m) [A | B]: each later row's tail gains a multiple of
+    the pivot row's."""
+    return sum((n - 1 - k) * (n - 1 - k + m) for k in range(pivots))
+
+
+@pytest.mark.parametrize("alg", [Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS],
+                         ids=lambda a: a.name)
+def test_bellman_solvers_match_the_closure_times_b_at_every_size_up_to_33(alg):
+    # A^x B by elimination on [A | B] and back substitution, against the
+    # closure times B and the references' split route times B: entries with
+    # their types, or the error's type and text. Each square is closable, or
+    # a chain, or has an improving cycle that pivot k = 0, n // 2 or n - 1
+    # closes. A chain times a B whose one real row, at the chain's end, has
+    # the largest magnitude is real down to n times it, where a sentinel too
+    # small would be taken for real. The slow split route runs on all but
+    # the chain, and multiplies by B of at most 2 columns.
+    rng = random.Random(f"bellman {alg.name}")
+    big = -alg.sign * max(abs(v) for v in EDGE_VALUES[alg.domain])
+    seen = Counter()
+    for n in range(1, 34):
+        draw = _fractions if alg.domain is Domain.Q and n % 2 else _edge_matrix
+        squares = [(None, draw(rng, alg, n, n, closable=True)), (None, _chain(rng, alg, n))]
+        squares += [(k, _cycle_at_pivot(rng, alg, n, k, draw)) for k in sorted({0, n // 2, n - 1})]
+        for (k, a), chain in zip(squares, (False, True, False, False, False)):
+            split = None if chain else _closed_or_error(ref_closure_block, a)
+            for m in sorted({1, 2, n}):
+                b = (TropMatrix.from_rows([[alg.zero() if any(e.is_finite for e in r) else big]
+                                           * m for r in a.to_lists()], alg)
+                     if chain else draw(rng, alg, n, m))
+                want = _outcome(_closure_times_b, a, b)[:3]
+                if isinstance(split, tuple):
+                    assert want == split, (n, m, k)
+                elif split is not None and m <= 2:
+                    assert want == _outcome(ref_mat_mul, split, b)[:3], (n, m, k)
+                # The solve, n n m more of each for the check A X + B, n m
+                # more adds for its sum, and n m more for the inequality's <=.
+                cost = _sweep_cost(n, m, n) + m * n * (n - 1) // 2
+                for solve, sums in ((bellman_solve, 1), (bellman_inequality, 2)):
+                    got = _outcome(solve, a, b)
+                    assert got[:3] == want, (solve.__name__, n, m, k)
+                    if k is None:
+                        assert got[3:] == (cost + n * n * m + sums * n * m, cost + n * n * m)
+                        assert cost == (n - 1) * n * (2 * n - 1) // 6 + m * n * (n - 1)
+                        seen["solved"] += 1
+                        continue
+                    assert got[0] == "ClosureUndefined", (n, m, k)
+                    # The k pivots passed before the raise, and no check.
+                    with count_ops() as c, pytest.raises(ClosureUndefined):
+                        solve(a, b)
+                    assert (c.adds, c.muls) == (_sweep_cost(n, m, k),) * 2
+                    seen["raised"] += 1
+    assert seen["solved"] >= 380 and seen["raised"] >= 500
+
+
+def _bellman_outcomes(a, b):
+    """bellman_solve's and bellman_inequality's answers, or their errors."""
+    return [_closed_or_error(lambda a: solve(a, b), a)
+            for solve in (bellman_solve, bellman_inequality)]
+
+
+@pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
+def test_float_bellman_solves_keep_the_closure_times_b_outcome(alg):
+    # Quarter-integer sums are exact in any order, so the two routes agree
+    # by ==. On thirds and sevenths the sums round in another order than
+    # the closure's: the answers agree to a few ulps, every answer passes
+    # its check, and some elimination answers pass only after a round of
+    # x <- A x + b.
+    rng = random.Random(f"float bellman {alg.name}")
+    seen = Counter()
+    for n in range(1, 25):
+        for m in sorted({1, n}):
+            closable = rng.random() < 0.7
+            a, b = _quarters(rng, alg, n, closable), _quarters(rng, alg, n)
+            b = TropMatrix.from_rows([r[:m] for r in b.to_lists()], alg)
+            want = _closed_or_error(lambda a: _closure_times_b(a, b), a)
+            assert _bellman_outcomes(a, b) == [want] * 2, (n, m)
+            seen["answered" if isinstance(want, TropMatrix) else "raised"] += 1
+            a = TropMatrix.from_rows([[e if not e.is_finite else s(e.finite / rng.choice((3, 7)))
+                                       for e in r] for r in a.to_lists()], alg)
+            want = _closed_or_error(lambda a: _closure_times_b(a, b), a)
+            x, y = _bellman_outcomes(a, b)
+            if not isinstance(want, TropMatrix):
+                assert x == y == want, (n, m)
+                continue
+            assert mat_oplus(mat_mul(a, x), b) == x and mat_le(mat_oplus(mat_mul(a, y), b), y)
+            for u, v in zip(x.entries, want.entries):
+                assert u.inf_sign == v.inf_sign and math.isclose(
+                    u.finite or 0.0, v.finite or 0.0, rel_tol=1e-12, abs_tol=1e-12)
+            first = trmatrix._least_solution(a, b)
+            seen["refined"] += mat_oplus(mat_mul(a, first), b) != first
+    assert seen["answered"] >= 20 and seen["raised"] >= 5 and seen["refined"] >= 1
 
 
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
@@ -673,6 +777,34 @@ def test_float_sums_that_overflow_fold_or_raise_as_the_reference_does(alg):
     # 0 -> 1 -> 2 of path overflows too, though no cycle improves and no
     # pivot raises.
     assert _outcome(closure_block, away)[0] == _outcome(closure_block, path)[0] == "IllegalElement"
+    # The Bellman solvers on a right-hand side of units fold or raise alike.
+    for a, folds in ((toward, True), (away, False), (path, False)):
+        b = TropMatrix.column([0.0] * a.rows, alg)
+        want = _closed_or_error(lambda a: _closure_times_b(a, b), a)
+        assert isinstance(want, TropMatrix) is folds
+        assert _bellman_outcomes(a, b) == [want] * 2
+        # The kernel raises itself, before any check A X + B sees its answer.
+        assert _closed_or_error(lambda a: trmatrix._least_solution(a, b), a) == want
+    # Elimination forms only the values b needs: the overflowing walk
+    # 0 -> 1 -> 2 of path leads to the infinite element of b, so the
+    # solvers answer where the closure raises at its entry a_02.
+    b = TropMatrix.column([0.0, 0.0, z], alg)
+    assert _closed_or_error(lambda a: _closure_times_b(a, b), path)[0] == "IllegalElement"
+    assert _bellman_outcomes(path, b) == [TropMatrix.column([-big, 0.0, z], alg)] * 2
+    # A value it does form raises, though b never reaches it: pivot 0 adds
+    # the walk 1 -> 0 -> 2 into a_12, and x_2 is the infinite element.
+    formed = TropMatrix.from_rows([[0.0, z, -big], [-big, 0.0, z], [z, z, 0.0]], alg)
+    b = TropMatrix.column([z, 0.0, z], alg)
+    for got in (_closed_or_error(lambda a: _closure_times_b(a, b), formed),
+                *_bellman_outcomes(formed, b)):
+        assert got[0] == "IllegalElement"
+    # An overflow in B's column alone leaves the divergent pivot's error,
+    # which the closure raises before any product by B.
+    cycle = TropMatrix.from_rows([[0.0, big + alg.sign * 1e300], [-big, 0.0]], alg)
+    b = TropMatrix.column([-big, z], alg)
+    want = _closed_or_error(lambda a: _closure_times_b(a, b), cycle)
+    assert want[0] == "ClosureUndefined"
+    assert _bellman_outcomes(cycle, b) == [want] * 2
 
 
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
@@ -796,7 +928,7 @@ def test_tropical_q_kernels_run_on_ints_over_the_least_denominator(alg, monkeypa
             return kernel(*args)
         return wrapped
 
-    for name in ("_product", "_oplus", "_closure", "_residual"):
+    for name in ("_product", "_oplus", "_closure", "_closure_times", "_residual"):
         monkeypatch.setattr(trmatrix, name, ints_only(getattr(trmatrix, name)))
     rng = random.Random(f"least denominator {alg.name}")
     reduced = 0
@@ -810,7 +942,7 @@ def test_tropical_q_kernels_run_on_ints_over_the_least_denominator(alg, monkeypa
             assert (got._den, got._raw) == _least_form(got)
             # Counts the results a gcd pass reduced below their operands' lcm.
             reduced += got._den < math.lcm(*(x._den for x in operands))
-    assert set(calls) == {"_product", "_oplus", "_closure", "_residual"}
+    assert set(calls) == {"_product", "_oplus", "_closure", "_closure_times", "_residual"}
     assert reduced > 100
 
 

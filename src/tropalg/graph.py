@@ -6,7 +6,8 @@ missing edge. Under those invariants every cycle has nonnegative weight,
 so the closure always exists and equals the matrix of all-pairs least
 distances, which search_least_distances returns. A single path needs only
 the goal's column of it: find_shortest_path computes that column by
-Dijkstra's method on the reversed graph, in O(n^2) on raw numbers.
+Dijkstra's method on the reversed graph, in O(n^2) on raw numbers, each
+step scanning only the vertices not yet settled.
 """
 
 from __future__ import annotations
@@ -54,37 +55,40 @@ def search_least_distances(g: WeightedGraph) -> TropMatrix:
 def _distances_to(rows: list, goal: int, alg: Algebra) -> list:
     """Raw least distances from every vertex to goal, None where there is no path.
 
-    Dijkstra's method on the reversed graph, in the dense O(n^2) form: it
-    settles the nearest unsettled vertex, found by a linear scan, and
-    relaxes every finite edge into it. Weights are nonnegative, so a
-    settled distance is final and a relaxation never improves a settled
-    vertex; each distance is therefore the least w(u, v) + d(v) over the
-    edges out of u, summed exactly as the tight test sums it, also over
-    R64, where a sum that overflows is the infinite element. Each
-    relaxation costs one addition and one multiplication, so the count is
-    the number of finite off-diagonal edges into vertices that reach the
-    goal, whatever order they are settled in.
+    Dijkstra's method on the reversed graph, in the dense O(n^2) form, with
+    inf for "no path" while it runs: it settles the nearest unsettled
+    vertex, picked by min over the unsettled set, stops when that one is
+    at inf, and relaxes the finite edges from the unsettled vertices into
+    it. Weights are nonnegative, so a settled distance is final and a
+    relaxation never improves a settled vertex; each distance is therefore
+    the least w(u, v) + d(v) over the edges out of u, summed exactly as the
+    tight test sums it, also over R64, where a sum that overflows to inf
+    is no path. Ints compare with inf exactly, however large. Every finite
+    off-diagonal edge into a settled vertex is tallied as one relaxation,
+    one addition and one multiplication, whether its source is settled or
+    not, so the count is the number of such edges into vertices that
+    reach the goal, whatever order they are settled in.
     """
+    n, inf = len(rows), math.inf
     into = list(zip(*rows))
-    dist = [None] * len(rows)
+    dist = [inf] * n
     dist[goal] = alg.one().finite
-    unsettled = set(range(len(rows))) - {goal}
+    unsettled = set(range(n))
     relaxed = 0
-    u = goal
-    while u is not None:
+    while unsettled:
+        u = min(unsettled, key=dist.__getitem__)
         du = dist[u]
-        for v, w in enumerate(into[u]):
-            if w is None or v == u:
-                continue
-            relaxed += 1
-            if v in unsettled:
-                d = w + du
-                if d != math.inf and (dist[v] is None or d < dist[v]):
-                    dist[v] = d
-        u = min((v for v in unsettled if dist[v] is not None), key=dist.__getitem__, default=None)
-        unsettled.discard(u)
+        if du == inf:
+            break
+        unsettled.remove(u)
+        col = into[u]
+        relaxed += n - col.count(None) - (col[u] is not None)
+        for v in unsettled:
+            w = col[v]
+            if w is not None and (d := w + du) < dist[v]:
+                dist[v] = d
     _tally(relaxed, relaxed)
-    return dist
+    return [None if d == inf else d for d in dist]
 
 
 def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:

@@ -85,6 +85,24 @@ and one of B, so w = n bounds it as it bounds a pivot. No value from S
 equals a real one, so ties among equal real values still keep the
 first, signed zeros included.
 
+A row update of the closure or the solve keeps row i whole when its
+multiplier a_ik is at or beyond the cut, which over R64 means a_ik is
+-sign inf itself. This is exact. Such an a_ik is an optimum over walks to
+k that each hold an S edge (a real one would make a_ik real), so every
+walk the update would add to row i holds one too, as None times x is
+None: the set of real walks each value optimises over does not change,
+and neither does a real value. A value at or beyond the cut stays there,
+as it is still an optimum over walks that each hold an S edge, only over
+fewer of them. So a pivot sees the same value where it is real and one
+that cannot raise where it is not, the elimination raises at the same
+pivot with the same text, and lowering gives back the same entries. Over R64 the kept row is
+the one the update would give: -sign inf + t is -sign inf, or NaN where
+t = sign inf, and neither replaces u, so _overflow_checked still raises
+on a sum that overflowed away. The tally still counts n (n-1)
+multiply-adds a pivot, and the solve its sweep: products by the zero
+element are counted, as the bulk tally of a product has always counted
+them.
+
 L is the least common multiple of the entries' denominators over
 tropical Q and 1 elsewhere; classical Q, whose products x -> L x does
 not preserve, keeps its Fractions. For L > 0 that map is an automorphism
@@ -264,7 +282,8 @@ def _lifted(kernel, walk: int, alg: Algebra, *operands: list) -> list:
     lifted rows: each None is replaced by one sentinel on entry, and each
     value at or beyond the cut returns to None on exit. walk bounds the
     edges of the walks a value is an optimum over (see the module docstring);
-    walk 0 marks a kernel that only compares."""
+    walk 0 marks a kernel that only compares. The kernel is also handed the
+    cut, at or beyond which no value is real; only the eliminations use it."""
     sign = alg.sign
     if alg.domain is _F64 or not walk:
         sentinel = cut = -sign * math.inf
@@ -273,13 +292,13 @@ def _lifted(kernel, walk: int, alg: Algebra, *operands: list) -> list:
         m = max(max(real), -min(real)) if real else 0
         sentinel, cut = -sign * (2 * walk * m + 1), -sign * (walk * m + 1)
     out = kernel(*[[r if None not in r else [sentinel if x is None else x for x in r]
-                    for r in rows] for rows in operands], alg)
+                    for r in rows] for rows in operands], alg, cut)
     if sign > 0:
         return [r if min(r) > cut else [x if x > cut else None for x in r] for r in out]
     return [r if max(r) < cut else [x if x < cut else None for x in r] for r in out]
 
 
-def _mul(a: list, b: list, alg: Algebra) -> list:
+def _mul(a: list, b: list, alg: Algebra, cut=None) -> list:
     """The semiring product of lifted rows, or of raw rows over a classical algebra.
 
     Ties keep the first of equals, and classical sums add left to right
@@ -310,7 +329,7 @@ def _overflow_checked(rows: list, alg: Algebra) -> list:
     return rows
 
 
-def _add(a: list, b: list, alg: Algebra) -> list:
+def _add(a: list, b: list, alg: Algebra, cut=None) -> list:
     """The entrywise semiring sum of equal-shape lifted rows, or of raw rows
     over a classical algebra; ties keep a's entry."""
     _tally(len(a) * len(a[0]), 0)
@@ -437,9 +456,10 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
     elimination on rows lifted once."""
     sign, one = alg.sign, alg.one().finite
 
-    def eliminate(rows: list, alg: Algebra) -> list:
+    def eliminate(rows: list, alg: Algebra, cut) -> list:
         # Pivot k has a_kk* = one, then a_ij += a_ik a_kj for every row
-        # i != k, n (n - 1) multiply-adds a pivot; a tie keeps a_ij.
+        # i != k, n (n - 1) multiply-adds a pivot; a tie keeps a_ij, and a
+        # row whose a_ik is at or beyond the cut is kept whole.
         a, n = [list(r) for r in rows], len(rows)
         work = n * (n - 1)
         for k in range(n):
@@ -453,10 +473,12 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
             rk[k] = one
             col = [r[k] for r in a]
             if sign > 0:
-                a = [r if r is rk else [v if (v := c + t) > u else u for u, t in zip(r, rk)]
+                a = [r if r is rk or c <= cut else
+                     [v if (v := c + t) > u else u for u, t in zip(r, rk)]
                      for r, c in zip(a, col)]
             else:
-                a = [r if r is rk else [v if (v := c + t) < u else u for u, t in zip(r, rk)]
+                a = [r if r is rk or c >= cut else
+                     [v if (v := c + t) < u else u for u, t in zip(r, rk)]
                      for r, c in zip(a, col)]
         _tally(n * work, n * work)
         return _overflow_checked(a, alg)
@@ -471,11 +493,12 @@ def _closure_times(a: list, b: list, alg: Algebra, den: int) -> list:
     sign, m = alg.sign, len(b[0])
     pick = max if sign > 0 else min
 
-    def solve(a: list, b: list, alg: Algebra) -> list:
+    def solve(a: list, b: list, alg: Algebra, cut) -> list:
         # Pivot k takes a_kk* = one, pops row k and adds a_ik times its tail
         # to the tail of every later row i, dropping column k: the rows left
         # are Gauss-Jordan's trailing block, so each pivot sees the value
-        # the closure sees. A tie keeps a_ij.
+        # the closure sees. A tie keeps a_ij, and a row whose a_ik is at or
+        # beyond the cut keeps its tail.
         rows, done, work = [[*r, *s] for r, s in zip(a, b)], [], 0
         while rows:
             rk, *rows = rows
@@ -489,10 +512,12 @@ def _closure_times(a: list, b: list, alg: Algebra, den: int) -> list:
             done.append(tail)
             work += len(rows) * len(tail)
             if sign > 0:
-                rows = [[v if (v := c + t) > u else u for u, t in zip(r, tail)]
+                rows = [r if c <= cut else
+                        [v if (v := c + t) > u else u for u, t in zip(r, tail)]
                         for c, *r in rows]
             else:
-                rows = [[v if (v := c + t) < u else u for u, t in zip(r, tail)]
+                rows = [r if c >= cut else
+                        [v if (v := c + t) < u else u for u, t in zip(r, tail)]
                         for c, *r in rows]
         _overflow_checked(done, alg)
         # x_k = b'_k + sum over j > k of a'_kj x_j, from the last row up; xs

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -277,6 +278,31 @@ def exact_graphs(seed, count):
         yield graph(rows, alg), rows
 
 
+def graphs_with_missing_edges(seed, count):
+    """ZMinPlus, QMinPlus and R64MinPlus graphs of 1 to 12 vertices, sparse
+    or dense, each with a vertex that has no edge in or out, a vertex that
+    has no edge in, and a block of vertices with no edge out of it into
+    the rest, which therefore cannot reach it. R64 weights are
+    quarter-integers, whose float sums are exact in any order."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alg = (Z_MIN_PLUS, Q_MIN_PLUS, R64_MIN_PLUS)[i % 3]
+        n = rng.randint(1, 12)
+        rows = rand_graph(rng, n, density=rng.choice([0.05, 0.15, 0.3, 0.6]), hi=rng.choice([1, 9]))
+        isolated, sourced = rng.randrange(n), rng.randrange(n)
+        late = set(rng.sample(range(n), rng.randint(0, n)))
+        for u in range(n):
+            for v in range(n):
+                if u != v and (isolated in (u, v) or v == sourced or u in late and v not in late):
+                    rows[u][v] = None
+        if alg is Q_MIN_PLUS:
+            rows = [[w if w is None else Fraction(w, rng.choice([1, 2, 3, 7])) for w in row]
+                    for row in rows]
+        elif alg is R64_MIN_PLUS:
+            rows = [[w if w is None else w / 4 for w in row] for row in rows]
+        yield graph(rows, alg), rows
+
+
 def relaxations(rows, goal):
     """Finite off-diagonal edges into the vertices that reach the goal."""
     grid = [[INF if v is None else v for v in row] for row in rows]
@@ -287,16 +313,22 @@ def relaxations(rows, goal):
 
 
 def test_goal_column_is_the_closure_column():
-    for g, rows in exact_graphs(40, 200):
+    # Dijkstra scans only the unsettled vertices and stops at the first
+    # one with no path, but still counts every finite edge into a vertex
+    # that reaches the goal.
+    unreachable = 0
+    for g, rows in chain(exact_graphs(40, 200), graphs_with_missing_edges(43, 300)):
         a = g.adjacency
         closure = closure_block(a).to_lists()
         for goal in range(g.order):
             with count_ops() as c:
                 column = _distances_to(a._raw, goal, a.alg)
             # The stored rows are over the adjacency matrix's denominator.
-            assert [x if x is None else Fraction(x, a._den) for x in column] == [
+            assert [x if x is None or a._den == 1 else Fraction(x, a._den) for x in column] == [
                 None if r[goal].inf_sign else r[goal].finite for r in closure]
             assert c.adds == c.muls == relaxations(rows, goal)
+            unreachable += column.count(None)
+    assert unreachable > 1000
 
 
 def test_walk_matches_the_closure_walk_on_exact_graphs():

@@ -756,6 +756,97 @@ def test_float_bellman_solves_keep_the_closure_times_b_outcome(alg):
     assert seen["answered"] >= 20 and seen["raised"] >= 5 and seen["refined"] >= 1
 
 
+SPARSE_SHAPES = ("lower", "split", "isolated", "chain", "sparse")
+
+
+def _sparse(rng, alg, n, rows_, cols_, shape, closable):
+    """An rows_ x cols_ matrix whose missing edges follow a planted shape on
+    the n vertices, taken in a random order: "lower" is block
+    lower-triangular, with no edge from the first block into the second;
+    "split" is two components; "isolated" has a vertex with no edge in or
+    out; "chain" is one path through every vertex, each edge of the
+    largest magnitude toward the infinite element, so that its closure is
+    real down to n - 1 times it; "sparse" is at least 80 % infinite. Other
+    values are small or 10**400 over Z, over the denominators 1-6 too over
+    Q, and quarter-integers up to 10 over R64, whose float sums are exact
+    in any order; closable keeps cycle weights from improving. Columns
+    past n have edges by the fill rate alone."""
+    order = rng.sample(range(n), n)
+    first = set(order[:rng.randint(0, n)])
+    step = {(i, j) for i, j in zip(order, order[1:])}
+    allowed = {
+        "lower": lambda i, j: j >= n or i not in first or j in first,
+        "split": lambda i, j: j >= n or (i in first) == (j in first),
+        "isolated": lambda i, j: i == j or order[0] not in (i, j),
+        "chain": lambda i, j: (i, j) in step,
+        "sparse": lambda i, j: True,
+    }[shape]
+    fill = rng.uniform(0.0, 0.2) if shape == "sparse" else rng.choice((0.3, 0.7, 1.0))
+
+    def value():
+        if shape == "chain":
+            return -alg.sign * (10.0 if alg.domain is Domain.F64 else 10**400)
+        if alg.domain is Domain.F64:
+            v = rng.randint(-40, 40) / 4
+        elif rng.random() < 0.1:
+            v = rng.choice((1, -1)) * 10**400
+        elif alg.domain is Domain.Q:
+            v = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        else:
+            v = rng.randint(-9, 9)
+        return -alg.sign * abs(v) if closable else v
+
+    return TropMatrix.from_rows(
+        [[value() if allowed(i, j) and (shape == "chain" or rng.random() < fill) else alg.zero()
+          for j in range(cols_)] for i in range(rows_)], alg)
+
+
+@pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
+def test_sparse_closures_and_solves_match_the_references_and_keep_their_counts(alg):
+    # The kernels keep a row whole when its multiplier is the infinite
+    # element, which these matrices make common; answers, error texts and
+    # counts must be those of every row updated. Entries are compared with
+    # their types, except over R64 against routes that add in another
+    # order, where a zero's sign may differ: there by ==.
+    rng = random.Random(f"sparse {alg.name}")
+    floats = alg.domain is Domain.F64
+    seen = Counter()
+
+    def answer(fn, *args):
+        with count_ops() as c:
+            try:
+                m = fn(*args)
+            except TropalgError as e:
+                return (type(e).__name__, str(e)), c.adds, c.muls
+        return m if floats else _outcome(lambda: m)[:3], c.adds, c.muls
+
+    for n in range(1, 34):
+        for i, closable in ((n, True), (n + 2, False)):
+            shape = SPARSE_SHAPES[i % len(SPARSE_SHAPES)]
+            a = _sparse(rng, alg, n, n, n, shape, closable)
+            got = _outcome(closure_block, a)
+            assert got == _outcome(_ref_eliminate, a), (shape, n)
+            closed, adds, muls = answer(closure_block, a)
+            assert closed == answer(ref_closure_block, a)[0], (shape, n)
+            # The closure costs n^2 (n - 1); one that raises passed k pivots.
+            k = n if len(got) > 2 else muls // max(n * (n - 1), 1)
+            assert adds == muls == k * n * (n - 1), (shape, n)
+            seen[got[0] if k < n else "closed"] += 1
+            for m in (1, 2):
+                b = _sparse(rng, alg, n, n, m, shape, False)
+                want = answer(_closure_times_b, a, b)[0]
+                cost = (_sweep_cost(n, m, n) + m * n * (n - 1) // 2 if k == n
+                        else _sweep_cost(n, m, k))
+                for solve, sums in ((bellman_solve, 1), (bellman_inequality, 2)):
+                    # The solve, and when it answers the check A X + B: n n m
+                    # more of each, n m more adds for its sum and n m more for
+                    # the inequality's <=.
+                    check = (n * n * m + sums * n * m, n * n * m) if k == n else (0, 0)
+                    assert answer(solve, a, b) == (want, cost + check[0], cost + check[1]), (
+                        solve.__name__, shape, n, m)
+    assert seen["closed"] >= 40 and seen["ClosureUndefined"] >= 10
+
+
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
 def test_float_sums_that_overflow_fold_or_raise_as_the_reference_does(alg):
     big = -alg.sign * 1e308  # sums of two overflow toward the infinite element

@@ -5,19 +5,19 @@ and whose finite entries are nonnegative edge weights; +infinity marks a
 missing edge. Under those invariants every cycle has nonnegative weight,
 so the closure always exists and equals the matrix of all-pairs least
 distances, which search_least_distances returns. A single path needs only
-the goal's column of it: find_shortest_path computes that column by
-Dijkstra's method on the reversed graph, in O(n^2) on raw numbers, each
-step scanning only the vertices not yet settled.
+the goal's column of it, A^x times the goal's unit column: no weight is
+better than the unit, so find_shortest_path computes that column by
+trmatrix's label-setting kernel, the one bellman_solve runs on such a
+matrix. That is Dijkstra's method on the reversed graph, in O(n^2) on
+raw numbers, each step scanning only the vertices not yet settled.
 """
 
 from __future__ import annotations
 
-import math
-
 from ._record import Record
 from .errors import AlgebraMismatch, IndexOutOfRange, InvalidGraph, NoPath
-from .semiring import Algebra, SemiringKind, _number_text, _tally
-from .trmatrix import TropMatrix, closure_block
+from .semiring import SemiringKind, _number_text, _tally
+from .trmatrix import TropMatrix, _label_setting, closure_block
 
 __all__ = ["WeightedGraph", "search_least_distances", "find_shortest_path"]
 
@@ -52,60 +52,22 @@ def search_least_distances(g: WeightedGraph) -> TropMatrix:
     return closure_block(g.adjacency)
 
 
-def _distances_to(rows: list, goal: int, alg: Algebra) -> list:
-    """Raw least distances from every vertex to goal, None where there is no path.
-
-    Dijkstra's method on the reversed graph, in the dense O(n^2) form, with
-    inf for "no path" while it runs: it settles the nearest unsettled
-    vertex, picked by min over the unsettled set, stops when that one is
-    at inf, and relaxes the finite edges from the unsettled vertices into
-    it. Weights are nonnegative, so a settled distance is final and a
-    relaxation never improves a settled vertex; each distance is therefore
-    the least w(u, v) + d(v) over the edges out of u, summed exactly as the
-    tight test sums it, also over R64, where a sum that overflows to inf
-    is no path. Ints compare with inf exactly, however large. Every finite
-    off-diagonal edge into a settled vertex is tallied as one relaxation,
-    one addition and one multiplication, whether its source is settled or
-    not, so the count is the number of such edges into vertices that
-    reach the goal, whatever order they are settled in.
-    """
-    n, inf = len(rows), math.inf
-    into = list(zip(*rows))
-    dist = [inf] * n
-    dist[goal] = alg.one().finite
-    unsettled = set(range(n))
-    relaxed = 0
-    while unsettled:
-        u = min(unsettled, key=dist.__getitem__)
-        du = dist[u]
-        if du == inf:
-            break
-        unsettled.remove(u)
-        col = into[u]
-        relaxed += n - col.count(None) - (col[u] is not None)
-        for v in unsettled:
-            w = col[v]
-            if w is not None and (d := w + du) < dist[v]:
-                dist[v] = d
-    _tally(relaxed, relaxed)
-    return [None if d == inf else d for d in dist]
-
-
 def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
     """A minimum-weight vertex sequence from start to goal.
 
-    The distances to the goal come from _distances_to, one column of the
-    closure, exact over Z and Q (computed on the matrix's stored integer
-    rows, over its denominator), and the walk reads the same raw rows. An edge
-    (u, v) is tight when w(u, v) + dist(v, goal) = dist(u, goal); the
-    simple paths made of tight edges are exactly the simple shortest
-    paths, and over R64, where the distances are the float sums the tight
+    The distances to the goal, one column of the closure, come from the
+    label-setting kernel on the goal's unit column, exact over Z and Q
+    (computed on the matrix's stored integer rows, over its denominator),
+    and the walk reads the same raw rows. An edge (u, v) is tight when
+    w(u, v) + dist(v, goal) = dist(u, goal); the simple paths made of
+    tight edges are exactly the simple shortest paths, and over R64, where
+    each distance is the least float sum w(u, v) + dist(v, goal) the tight
     test repeats, some edge out of every vertex with a finite distance is
     tight. The walk steps, each time, to the smallest tight successor from
     which a search over tight edges reaches the goal without touching the
-    path, so the witness is the lexicographically smallest simple
-    shortest path. It never backtracks and makes O(n^3) tight tests at
-    most, each tallied as one multiplication. Vertices are 0-based.
+    path, so the witness is the lexicographically smallest simple shortest
+    path. It never backtracks and makes O(n^3) tight tests at most, each
+    tallied as one multiplication. Vertices are 0-based.
     """
     n = g.order
     for idx in (start, goal):
@@ -114,8 +76,10 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
             raise IndexOutOfRange(f"vertex {shown} is outside 0..{n - 1}")
     if start == goal:
         return [start]
-    rows = g.adjacency._raw
-    to_goal = _distances_to(rows, goal, g.adjacency.alg)
+    rows, alg = g.adjacency._raw, g.adjacency.alg
+    unit = [None] * n
+    unit[goal] = alg.one().finite
+    to_goal, = _label_setting(rows, [unit], alg)
     if to_goal[start] is None:
         raise NoPath(f"no path from {start} to {goal}")
 

@@ -23,11 +23,14 @@ until it no longer does, so the principal solution stays a solution.
 
 The Bellman equation X = A X + B has the least solution A^x B, and the
 columns of A^x generate solutions of the homogeneous system A x = x.
-A^x B is computed without forming A^x, by forward elimination on
-[A | B] and back substitution in trmatrix's kernel; it raises where the
+A^x B is computed without forming A^x, in trmatrix: settled by labels
+when no entry of A is better than the unit, and otherwise by forward
+elimination on [A | B] and back substitution, which raises where the
 closure would, with the same text. Over R64 the elimination and the
 check A X + B sum floats in different orders, so the Bellman solvers
-refine A^x B by X <- A X + B until the check passes, at most n times.
+refine an eliminated A^x B by X <- A X + B until the check passes, at
+most n times. Refinement happens on that route only: a settled A^x B is
+the check's own fixed point and passes it at once.
 
 Every solver re-verifies its defining equality or inequality by direct
 multiplication before returning.
@@ -108,8 +111,8 @@ def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 
 
 def bellman_solve(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    """The least solution X = A^x B of the equation X = A X + B, by
-    elimination on [A | B], without forming A^x."""
+    """The least solution X = A^x B of the equation X = A X + B, settled by
+    labels or eliminated on [A | B], without forming A^x."""
     _require_system(a, b, "bellman_solve", column=False)
     return _verified(a, b, _least_solution(a, b), eq, "non-fixed-point")
 
@@ -133,9 +136,8 @@ def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix
     """Solve the Bellman inequality A x + b <= x.
 
     Without b the generator A^x of solutions of A x <= x is returned;
-    with b the particular solution A^x b, by elimination on [A | b] as in
-    bellman_solve, is returned, verified against the inequality before
-    being handed back.
+    with b the particular solution A^x b, computed as in bellman_solve, is
+    returned, verified against the inequality before being handed back.
     """
     _require_system(a, b, "bellman_inequality", column=False)
     if b is None:
@@ -146,10 +148,11 @@ def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix
 def _verified(a: TropMatrix, b: TropMatrix, x: TropMatrix, holds, failure: str) -> TropMatrix:
     """x = A^x b, once holds(A x + b, x).
 
-    Over R64 the float sums of A^x b and of A x + b round in different
-    orders, so x <- A x + b is tried up to n times, and the first x that
-    passes is returned; ClosureUndefined names the rounding when none
-    does. Z and Q are exact and are checked once.
+    Over R64 the float sums of an eliminated A^x b and of A x + b round
+    in different orders, so x <- A x + b is tried up to n times, and the
+    first x that passes is returned; ClosureUndefined names the rounding
+    when none does. A settled A^x b passes the first check; Z and Q are
+    exact and are checked once.
     """
     rounds = a.rows if a.alg.domain is _F64 else 0
     step = mat_oplus(mat_mul(a, x), b)

@@ -14,25 +14,49 @@ and Lehmann (1977), Floyd-Warshall over min-plus: pivot k sets a_kk to
 the unit and adds a_ik a_kj to every a_ij with i != k, n (n-1)
 multiplications a pivot, so an n x n closure costs C(n) = n^2 (n-1).
 A^x B, the least solution of the Bellman equation X = A X + B for an
-n x n A and an n x m B, is a solve rather than a closure and a product:
-Carre's Gaussian elimination, forward on [A | B] and then back
-substitution (Carre 1971; Backhouse and Carre 1975). Pivot k sets a_kk
-to the unit and adds a_ik times the tail of row k, its columns after k,
-to the tail of every later row i; then x_k = b'_k + sum over j > k of
-a'_kj x_j, from the last row up. Forward elimination costs
-(n-1) n (2n-1) / 6 + m n (n-1) / 2 multiplications and back substitution
-m n (n-1) / 2, so A^x B costs (n-1) n (2n-1) / 6 + m n (n-1) against
-C(n) + n^2 m for the closure and the product: 4876 against 13824 at
-n = 24, m = 1. The block after pivot k of rows and columns past k is
-the one Gauss-Jordan elimination holds, so every pivot sees the value
-the closure sees, and raises at the same pivot with the same text.
-Each operation runs one kernel (_product, _oplus, _closure,
-_closure_times, _residual), shared by max-plus and min-plus through
-semiring's sign rule, on the stored rows, and keeps the rows it returns
-unchecked: a chain of operations converts nothing in between. Counts are
-tallied in bulk: an n x m by m x p product is n m p of each.
+n x n A and an n x m B, is a solve rather than a closure and a product,
+by one of two routes. The first is Carre's Gaussian elimination,
+forward on [A | B] and then back substitution (Carre 1971; Backhouse
+and Carre 1975). Pivot k sets a_kk to the unit and adds a_ik times the
+tail of row k, its columns after k, to the tail of every later row i;
+then x_k = b'_k + sum over j > k of a'_kj x_j, from the last row up.
+Forward elimination costs (n-1) n (2n-1) / 6 + m n (n-1) / 2
+multiplications and back substitution m n (n-1) / 2, so A^x B costs
+(n-1) n (2n-1) / 6 + m n (n-1) against C(n) + n^2 m for the closure and
+the product: 4876 against 13824 at n = 24, m = 1. The block after pivot
+k of rows and columns past k is the one Gauss-Jordan elimination holds,
+so every pivot sees the value the closure sees, and raises at the same
+pivot with the same text.
 
-The tropical product, sum, closure and solve never test for None. On
+A^x B takes that route only when some real entry of A, its diagonal
+included, is better than the unit: a_ij > 0 over max-plus, a_ij < 0
+over min-plus, on the stored rows, whose scaling by L keeps the sign.
+Without one it takes the second: it is settled by labels, by Dijkstra's
+method (1959), which Carre (1971) treats in the same algebra. For each
+column of B, x starts as that column; the best unsettled x_u is settled
+in turn and relaxes x_v + a_vu x_u into each unsettled x_v, at most
+n (n-1) multiplications a column against the elimination's n^3 / 3.
+This is exact. No entry improves, so no cycle does: A^x exists and
+nothing raises. Every walk weighs no more than its own suffix, so the
+settled values never get better in settle order and no later relaxation
+betters a settled x_u: each is final, and over Z and Q the answer is the
+elimination's exactly. Over R64 the same holds of the float sums, as
+fl(a + x) <= x when a <= 0 (rounding is monotone; min-plus mirrors it):
+each x_i = max(b_i, max over j of fl(a_ij + x_j)), since a j settled
+before i was relaxed into x_i and any other has fl(a_ij + x_j) <= x_j
+<= x_i. That is the check A x + b, summed entry by entry, so a settled
+answer passes it with no round of refinement; it may differ from the
+eliminated answer by a few ulps or a zero's sign.
+find_shortest_path runs the same kernel on the goal's unit column.
+
+Each operation runs one kernel (_product, _oplus, _closure, _residual,
+and _closure_times or _label_setting for A^x B), shared by max-plus and
+min-plus through semiring's sign rule, on the stored rows, and keeps the
+rows it returns unchecked: a chain of operations converts nothing in
+between. Counts are tallied in bulk: an n x m by m x p product is n m p
+of each.
+
+The tropical product, sum, closure and elimination never test for None. On
 entry, _lifted replaces each None in the operands by one sentinel S; the
 kernel runs max (min over min-plus) and + on plain numbers, as
 max(map(add, r, c)) per entry of a product; on exit each value at or
@@ -427,11 +451,16 @@ def _residuate(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 
 def _least_solution(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """A^x B, the least solution of X = A X + B, for a system the caller has
-    checked; A must be square, as for its closure."""
+    checked; A must be square, as for its closure. It is settled by labels
+    when no entry of A improves on the unit, and eliminated otherwise."""
     if not a.is_square:
         raise DimensionMismatch("the closure is defined for square matrices only")
     ra, rb, den = _common(a, b)
-    return _result(_closure_times(ra, rb, a.alg, den), a.alg, den)
+    alg = a.alg
+    real = set().union(*ra) - {None}
+    if real and (max(real) > 0 if alg.sign > 0 else min(real) < 0):
+        return _result(_closure_times(ra, rb, alg, den), alg, den)
+    return _result(list(zip(*_label_setting(ra, list(zip(*rb)), alg))), alg, den)
 
 
 def diag(values, alg: Algebra) -> TropMatrix:
@@ -533,6 +562,51 @@ def _closure_times(a: list, b: list, alg: Algebra, den: int) -> list:
         return _overflow_checked(list(zip(*xs)), alg)
 
     return _lifted(solve, len(a), alg, a, b)
+
+
+def _label_setting(a: list, b: list, alg: Algebra) -> list:
+    """The raw columns of A^x B, for square raw rows a of which no real
+    entry improves on the unit and the raw columns b of B, by Dijkstra's
+    label-setting method, in the dense O(n^2) form, column by column.
+
+    x starts as the column of B, with -sign inf for the infinite element
+    while it runs. It settles the best unsettled vertex u, picked by max
+    (min over min-plus) over the unsettled set, stops when that one is
+    infinite, and relaxes the unsettled vertices through column u of A:
+    x_v gains a_vu x_u. Every finite off-diagonal a_vu of a settled u is
+    tallied as one addition and one multiplication, whether v is settled
+    or not, so a column costs the finite off-diagonal entries in the
+    columns of the vertices it reaches, whatever order they settle in.
+    Ints compare with inf exactly, however large; over R64 a sum that
+    overflows toward the infinite element improves nothing.
+    """
+    sign, n = alg.sign, len(a)
+    zero = -sign * math.inf
+    pick = max if sign > 0 else min
+    into = list(zip(*a))
+    out, relaxed = [], 0
+    for c in b:
+        x = [zero if v is None else v for v in c]
+        unsettled = set(range(n))
+        while unsettled:
+            u = pick(unsettled, key=x.__getitem__)
+            xu = x[u]
+            if xu == zero:
+                break
+            unsettled.remove(u)
+            col = into[u]
+            relaxed += n - col.count(None) - (col[u] is not None)
+            if sign > 0:
+                for v in unsettled:
+                    if (w := col[v]) is not None and (d := w + xu) > x[v]:
+                        x[v] = d
+            else:
+                for v in unsettled:
+                    if (w := col[v]) is not None and (d := w + xu) < x[v]:
+                        x[v] = d
+        out.append([None if v == zero else v for v in x])
+    _tally(relaxed, relaxed)
+    return out
 
 
 def closure_block(a: TropMatrix) -> TropMatrix:

@@ -23,7 +23,7 @@ from tropalg import (
     find_shortest_path,
     search_least_distances,
 )
-from tropalg.graph import _distances_to
+from tropalg.trmatrix import _label_setting
 
 from oracles import (
     INF,
@@ -301,6 +301,13 @@ def graphs_with_missing_edges(seed, count):
         elif alg is R64_MIN_PLUS:
             rows = [[w if w is None else w / 4 for w in row] for row in rows]
         yield graph(rows, alg), rows
+
+
+def _distances_to(rows, goal, alg):
+    """The goal's column of the closure, by the label-setting kernel run on
+    the goal's unit column, as find_shortest_path runs it."""
+    unit = [alg.one().finite if v == goal else None for v in range(len(rows))]
+    return _label_setting(rows, [unit], alg)[0]
 
 
 def relaxations(rows, goal):

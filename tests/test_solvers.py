@@ -257,19 +257,20 @@ def test_inequality_solutions_dominate_on_random_instances():
         assert mat_le(mat_oplus(mat_mul(a, x), b), x)
 
 
-# A^x b over R64 min-plus sums in another order than A x + b: elimination
-# gives x_2 = -0.19047619047619024, one step of x <- A x + b gives
-# -0.19047619047619047, and that step is a fixed point.
-ROUNDED_A = [[3 / 7, 8 / 7, 1.0], [2 / 3, 4 / 7, 1.0], [4 / 3, 3.0, 2 / 7]]
-ROUNDED_B = [float("inf"), -8 / 3, 4 / 3]
-ROUNDED_X = [[-1.5238095238095237], [-2.6666666666666665], [-0.19047619047619047]]
+# a_12 = -3/7 improves on the unit, on no improving cycle, so A^x b is
+# eliminated, and over R64 min-plus its sums run in another order than
+# those of A x + b: x_2 = -1.7142857142857142, one step of x <- A x + b
+# gives -1.7142857142857144, and that step is a fixed point.
+ROUNDED_A = [[0.0, 2 / 7, 2 / 7], [5 / 7, 0.0, -3 / 7], [2 / 3, 1.0, 0.0]]
+ROUNDED_B = [-1 / 3, -8 / 3, -1 / 3]
+ROUNDED_X = [[-2.380952380952381], [-2.6666666666666665], [-1.7142857142857144]]
 
 
 @pytest.mark.parametrize("solve", [bellman_solve, bellman_inequality])
 def test_float_rounding_of_the_closure_is_refined_away(solve):
     a, b = mk(ROUNDED_A, R64_MIN_PLUS), col(ROUNDED_B, R64_MIN_PLUS)
     first = _least_solution(a, b)
-    assert first.to_lists()[2] == [s(-0.19047619047619024)]
+    assert first.to_lists()[2] == [s(-1.7142857142857142)]
     assert mat_oplus(mat_mul(a, first), b) != first
     x = solve(a, b)
     assert [[e.finite for e in row] for row in x.to_lists()] == ROUNDED_X

@@ -668,26 +668,62 @@ def _sweep_cost(n, m, pivots):
     return sum((n - 1 - k) * (n - 1 - k + m) for k in range(pivots))
 
 
+def _settle_cost(a, x):
+    """The adds, and the muls, of settling X = A^x B by labels: the finite
+    off-diagonal entries of A in the column of each vertex whose x is
+    finite, summed over the columns of X."""
+    rows = a.to_lists()
+    into = [sum(rows[v][u].is_finite for v in range(a.rows) if v != u) for u in range(a.rows)]
+    return sum(into[u] for u in range(x.rows) for c in range(x.cols) if x.get(u, c).is_finite)
+
+
+def _improves(a):
+    """Whether some finite entry of a, its diagonal included, is better than the unit."""
+    return any(e.is_finite and a.alg.sign * e.finite > 0 for e in a.entries)
+
+
+def _shifted(rng, alg, a):
+    """a_ij + p_i - p_j for a random potential p, over the domain's values:
+    every cycle keeps its weight, so none improves where none did, while an
+    entry off the diagonal may improve on the unit."""
+    if alg.domain is Domain.F64:
+        p = [rng.randint(-40, 40) / 4 for _ in range(a.rows)]
+    elif alg.domain is Domain.Q:
+        p = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(a.rows)]
+    else:
+        p = [rng.randint(-9, 9) for _ in range(a.rows)]
+    return TropMatrix.from_rows([[e if not e.is_finite else s(e.finite + p[i] - p[j])
+                                  for j, e in enumerate(r)] for i, r in enumerate(a.to_lists())],
+                                alg)
+
+
 @pytest.mark.parametrize("alg", [Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS],
                          ids=lambda a: a.name)
 def test_bellman_solvers_match_the_closure_times_b_at_every_size_up_to_33(alg):
-    # A^x B by elimination on [A | B] and back substitution, against the
-    # closure times B and the references' split route times B: entries with
-    # their types, or the error's type and text. Each square is closable, or
-    # a chain, or has an improving cycle that pivot k = 0, n // 2 or n - 1
-    # closes. A chain times a B whose one real row, at the chain's end, has
-    # the largest magnitude is real down to n times it, where a sentinel too
-    # small would be taken for real. The slow split route runs on all but
-    # the chain, and multiplies by B of at most 2 columns.
+    # A^x B against the closure times B and the references' split route
+    # times B: entries with their types, or the error's type and text. Each
+    # square is closable, or a chain, or closable and shifted by a
+    # potential, or has an improving cycle that pivot k = 0, n // 2 or
+    # n - 1 closes. A chain times a B whose one real row, at the chain's
+    # end, has the largest magnitude is real down to n times it. The slow
+    # split route runs on all but the chain and the shifted square, and
+    # multiplies by B of at most 2 columns. An A with no entry better than
+    # the unit is settled by labels, any other eliminated on [A | B] and
+    # back substituted, at the sweep's cost.
     rng = random.Random(f"bellman {alg.name}")
     big = -alg.sign * max(abs(v) for v in EDGE_VALUES[alg.domain])
     seen = Counter()
     for n in range(1, 34):
         draw = _fractions if alg.domain is Domain.Q and n % 2 else _edge_matrix
-        squares = [(None, draw(rng, alg, n, n, closable=True)), (None, _chain(rng, alg, n))]
-        squares += [(k, _cycle_at_pivot(rng, alg, n, k, draw)) for k in sorted({0, n // 2, n - 1})]
-        for (k, a), chain in zip(squares, (False, True, False, False, False)):
-            split = None if chain else _closed_or_error(ref_closure_block, a)
+        closable = draw(rng, alg, n, n, closable=True)
+        squares = [(None, "closable", closable), (None, "chain", _chain(rng, alg, n)),
+                   (None, "shifted", _shifted(rng, alg, closable))]
+        squares += [(k, "cycle", _cycle_at_pivot(rng, alg, n, k, draw))
+                    for k in sorted({0, n // 2, n - 1})]
+        for k, kind, a in squares:
+            chain = kind == "chain"
+            split = (None if kind in ("chain", "shifted")
+                     else _closed_or_error(ref_closure_block, a))
             for m in sorted({1, 2, n}):
                 b = (TropMatrix.from_rows([[alg.zero() if any(e.is_finite for e in r) else big]
                                            * m for r in a.to_lists()], alg)
@@ -699,14 +735,17 @@ def test_bellman_solvers_match_the_closure_times_b_at_every_size_up_to_33(alg):
                     assert want == _outcome(ref_mat_mul, split, b)[:3], (n, m, k)
                 # The solve, n n m more of each for the check A X + B, n m
                 # more adds for its sum, and n m more for the inequality's <=.
-                cost = _sweep_cost(n, m, n) + m * n * (n - 1) // 2
+                if _improves(a):
+                    cost = _sweep_cost(n, m, n) + m * n * (n - 1) // 2
+                    assert cost == (n - 1) * n * (2 * n - 1) // 6 + m * n * (n - 1)
+                else:
+                    cost = _settle_cost(a, _closure_times_b(a, b))
                 for solve, sums in ((bellman_solve, 1), (bellman_inequality, 2)):
                     got = _outcome(solve, a, b)
                     assert got[:3] == want, (solve.__name__, n, m, k)
                     if k is None:
                         assert got[3:] == (cost + n * n * m + sums * n * m, cost + n * n * m)
-                        assert cost == (n - 1) * n * (2 * n - 1) // 6 + m * n * (n - 1)
-                        seen["solved"] += 1
+                        seen["eliminated" if _improves(a) else "settled"] += 1
                         continue
                     assert got[0] == "ClosureUndefined", (n, m, k)
                     # The k pivots passed before the raise, and no check.
@@ -714,7 +753,7 @@ def test_bellman_solvers_match_the_closure_times_b_at_every_size_up_to_33(alg):
                         solve(a, b)
                     assert (c.adds, c.muls) == (_sweep_cost(n, m, k),) * 2
                     seen["raised"] += 1
-    assert seen["solved"] >= 380 and seen["raised"] >= 500
+    assert seen["settled"] >= 380 and seen["eliminated"] >= 170 and seen["raised"] >= 500
 
 
 def _bellman_outcomes(a, b):
@@ -727,21 +766,27 @@ def _bellman_outcomes(a, b):
 def test_float_bellman_solves_keep_the_closure_times_b_outcome(alg):
     # Quarter-integer sums are exact in any order, so the two routes agree
     # by ==. On thirds and sevenths the sums round in another order than
-    # the closure's: the answers agree to a few ulps, every answer passes
-    # its check, and some elimination answers pass only after a round of
+    # the closure's: the answers agree to a few ulps and every answer
+    # passes its check. A settled answer passes at once; some eliminated
+    # ones, of closable matrices shifted by a potential so that entries
+    # improve on the unit though no cycle does, pass only after a round of
     # x <- A x + b.
     rng = random.Random(f"float bellman {alg.name}")
     seen = Counter()
     for n in range(1, 25):
         for m in sorted({1, n}):
             closable = rng.random() < 0.7
+            shift = closable and rng.random() < 0.5
             a, b = _quarters(rng, alg, n, closable), _quarters(rng, alg, n)
             b = TropMatrix.from_rows([r[:m] for r in b.to_lists()], alg)
-            want = _closed_or_error(lambda a: _closure_times_b(a, b), a)
-            assert _bellman_outcomes(a, b) == [want] * 2, (n, m)
+            q = _shifted(rng, alg, a) if shift else a
+            want = _closed_or_error(lambda a: _closure_times_b(a, b), q)
+            assert _bellman_outcomes(q, b) == [want] * 2, (n, m)
             seen["answered" if isinstance(want, TropMatrix) else "raised"] += 1
             a = TropMatrix.from_rows([[e if not e.is_finite else s(e.finite / rng.choice((3, 7)))
                                        for e in r] for r in a.to_lists()], alg)
+            if shift:
+                a = _shifted(rng, alg, a)
             want = _closed_or_error(lambda a: _closure_times_b(a, b), a)
             x, y = _bellman_outcomes(a, b)
             if not isinstance(want, TropMatrix):
@@ -752,8 +797,11 @@ def test_float_bellman_solves_keep_the_closure_times_b_outcome(alg):
                 assert u.inf_sign == v.inf_sign and math.isclose(
                     u.finite or 0.0, v.finite or 0.0, rel_tol=1e-12, abs_tol=1e-12)
             first = trmatrix._least_solution(a, b)
-            seen["refined"] += mat_oplus(mat_mul(a, first), b) != first
+            passes = mat_oplus(mat_mul(a, first), b) == first
+            assert passes or _improves(a), (n, m)
+            seen["settled" if not _improves(a) else "refined" if not passes else "eliminated"] += 1
     assert seen["answered"] >= 20 and seen["raised"] >= 5 and seen["refined"] >= 1
+    assert seen["settled"] >= 10
 
 
 SPARSE_SHAPES = ("lower", "split", "isolated", "chain", "sparse")
@@ -821,9 +869,12 @@ def test_sparse_closures_and_solves_match_the_references_and_keep_their_counts(a
         return m if floats else _outcome(lambda: m)[:3], c.adds, c.muls
 
     for n in range(1, 34):
-        for i, closable in ((n, True), (n + 2, False)):
-            shape = SPARSE_SHAPES[i % len(SPARSE_SHAPES)]
-            a = _sparse(rng, alg, n, n, n, shape, closable)
+        # A closable matrix, the same shifted by a potential, whose entries
+        # may improve on the unit though no cycle does, and one of any sign.
+        shape, other = (SPARSE_SHAPES[i % len(SPARSE_SHAPES)] for i in (n, n + 2))
+        closable = _sparse(rng, alg, n, n, n, shape, True)
+        for shape, a in ((shape, closable), (shape, _shifted(rng, alg, closable)),
+                         (other, _sparse(rng, alg, n, n, n, other, False))):
             got = _outcome(closure_block, a)
             assert got == _outcome(_ref_eliminate, a), (shape, n)
             closed, adds, muls = answer(closure_block, a)
@@ -835,8 +886,16 @@ def test_sparse_closures_and_solves_match_the_references_and_keep_their_counts(a
             for m in (1, 2):
                 b = _sparse(rng, alg, n, n, m, shape, False)
                 want = answer(_closure_times_b, a, b)[0]
-                cost = (_sweep_cost(n, m, n) + m * n * (n - 1) // 2 if k == n
-                        else _sweep_cost(n, m, k))
+                # An A with no entry better than the unit is settled by
+                # labels; any other is eliminated, and may raise.
+                if not _improves(a):
+                    cost = _settle_cost(a, _closure_times_b(a, b))
+                    seen["settled"] += 1
+                elif k == n:
+                    cost = _sweep_cost(n, m, n) + m * n * (n - 1) // 2
+                    seen["eliminated"] += 1
+                else:
+                    cost = _sweep_cost(n, m, k)
                 for solve, sums in ((bellman_solve, 1), (bellman_inequality, 2)):
                     # The solve, and when it answers the check A X + B: n n m
                     # more of each, n m more adds for its sum and n m more for
@@ -844,7 +903,94 @@ def test_sparse_closures_and_solves_match_the_references_and_keep_their_counts(a
                     check = (n * n * m + sums * n * m, n * n * m) if k == n else (0, 0)
                     assert answer(solve, a, b) == (want, cost + check[0], cost + check[1]), (
                         solve.__name__, shape, n, m)
-    assert seen["closed"] >= 40 and seen["ClosureUndefined"] >= 10
+    assert seen["closed"] >= 70 and seen["ClosureUndefined"] >= 10
+    assert seen["settled"] >= 80 and seen["eliminated"] >= 40
+
+
+def _spy_on_the_routes(monkeypatch) -> list:
+    """The names of the A^x B kernels run from now on, in call order."""
+    ran = []
+    for name in ("_label_setting", "_closure_times"):
+        def spy(*args, kernel=getattr(trmatrix, name)):
+            ran.append(kernel.__name__)
+            return kernel(*args)
+        monkeypatch.setattr(trmatrix, name, spy)
+    return ran
+
+
+@pytest.mark.parametrize("alg", [Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS],
+                         ids=lambda a: a.name)
+def test_settling_and_elimination_agree_where_no_entry_improves(alg, monkeypatch):
+    # Where no entry of A improves on the unit, A^x B settled by labels is
+    # A^x B eliminated, entry by entry with types, on the sparse shapes and
+    # their 10**400 values, and _least_solution settles it. One improving
+    # entry a_vj on an acyclic part, where no edge leads back into v, or
+    # one improving loop a_vv, sends A to the elimination: the first
+    # answers as the closure times B does, the second raises as it does.
+    rng = random.Random(f"routes {alg.name}")
+    ran = _spy_on_the_routes(monkeypatch)
+    up = {Domain.Z: (1, 10**400), Domain.Q: (Fraction(1, 6), 10**400)}[alg.domain]
+    seen = Counter()
+    for n in range(1, 34):
+        for shape in (SPARSE_SHAPES[n % 5], SPARSE_SHAPES[(n + 2) % 5]):
+            a = _sparse(rng, alg, n, n, n, shape, closable=True)
+            v, j = rng.randrange(n), rng.randrange(n)
+            rows = a.to_lists()
+            rows[v][v] = s(alg.sign * rng.choice(up))
+            loop = TropMatrix.from_rows(rows, alg)
+            rows = [[alg.zero() if k == v and i != v else e for k, e in enumerate(r)]
+                    for i, r in enumerate(a.to_lists())]
+            rows[v][j] = s(alg.sign * rng.choice(up))
+            acyclic = TropMatrix.from_rows(rows, alg) if j != v else None
+            for m in sorted({1, 2, n}):
+                b = _sparse(rng, alg, n, n, m, shape, False)
+                ra, rb, den = trmatrix._common(a, b)
+                settled, eliminated = (
+                    _outcome(trmatrix._result, raw, alg, den)[:3]
+                    for raw in (list(zip(*trmatrix._label_setting(ra, list(zip(*rb)), alg))),
+                                trmatrix._closure_times(ra, rb, alg, den)))
+                assert settled == eliminated, (shape, n, m)
+                ran.clear()
+                assert _outcome(trmatrix._least_solution, a, b)[:3] == settled, (shape, n, m)
+                assert ran == ["_label_setting"], (shape, n, m)
+                seen["settled"] += 1
+                for improving in (loop, acyclic):
+                    if improving is None:
+                        continue
+                    want = _outcome(_closure_times_b, improving, b)[:3]
+                    ran.clear()
+                    got = _outcome(trmatrix._least_solution, improving, b)
+                    assert got[:3] == want and ran == ["_closure_times"], (shape, n, m)
+                    seen[got[0] if len(got) == 2 else "eliminated"] += 1
+    assert seen["settled"] >= 190 and seen["eliminated"] >= 150
+    assert seen["ClosureUndefined"] >= 190
+
+
+@pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
+def test_a_settled_float_solve_passes_its_check_with_no_refinement(alg):
+    # Weights uniform over [0, 60) toward the infinite element, a tenth of
+    # them missing, and a 0.0 diagonal: the eliminated A^x B fails the check
+    # A X + B here and needs rounds of X <- A X + B, while the settled one
+    # is a fixed point at once, so the solve costs the settling and one
+    # check of n n m multiplications, and n m more adds for its sum.
+    rng = random.Random(f"settled floats {alg.name}")
+    n = 32
+    z = alg.zero()
+    a = TropMatrix.from_rows([[0.0 if i == j else z if rng.random() < 0.1
+                               else -alg.sign * rng.uniform(0, 60) for j in range(n)]
+                              for i in range(n)], alg)
+    b = TropMatrix.from_rows([[z if rng.random() < 0.1 else rng.uniform(-60, 60)
+                               for _ in range(n)] for _ in range(n)], alg)
+    ra, rb, den = trmatrix._common(a, b)
+    eliminated = trmatrix._result(trmatrix._closure_times(ra, rb, alg, den), alg, den)
+    assert mat_oplus(mat_mul(a, eliminated), b) != eliminated
+    with count_ops() as c:
+        x = bellman_solve(a, b)
+    settle = _settle_cost(a, x)
+    assert (c.adds, c.muls) == (settle + n * n * n + n * n, settle + n * n * n)
+    for u, v in zip(x.entries, eliminated.entries):
+        assert u.inf_sign == v.inf_sign and math.isclose(
+            u.finite or 0.0, v.finite or 0.0, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
@@ -1019,7 +1165,8 @@ def test_tropical_q_kernels_run_on_ints_over_the_least_denominator(alg, monkeypa
             return kernel(*args)
         return wrapped
 
-    for name in ("_product", "_oplus", "_closure", "_closure_times", "_residual"):
+    kernels = {"_product", "_oplus", "_closure", "_closure_times", "_label_setting", "_residual"}
+    for name in kernels:
         monkeypatch.setattr(trmatrix, name, ints_only(getattr(trmatrix, name)))
     rng = random.Random(f"least denominator {alg.name}")
     reduced = 0
@@ -1027,13 +1174,15 @@ def test_tropical_q_kernels_run_on_ints_over_the_least_denominator(alg, monkeypa
         n, m, p = (rng.randint(1, 5) for _ in range(3))
         a, b, c = (_fractions(rng, alg, *shape) for shape in ((n, m), (m, p), (n, m)))
         sq, rhs = _fractions(rng, alg, n, n, closable=True), _fractions(rng, alg, n, 1)
+        shifted = _shifted(rng, alg, sq)  # eliminated where an entry improves
         for got, *operands in [(a, a), (mat_mul(a, b), a, b), (pseudo_inverse(a), a),
                                (mat_oplus(a, c), a, c), (_residuate(a, rhs), a, rhs),
-                               (closure_block(sq), sq), (bellman_solve(sq, rhs), sq, rhs)]:
+                               (closure_block(sq), sq), (bellman_solve(sq, rhs), sq, rhs),
+                               (bellman_solve(shifted, rhs), shifted, rhs)]:
             assert (got._den, got._raw) == _least_form(got)
             # Counts the results a gcd pass reduced below their operands' lcm.
             reduced += got._den < math.lcm(*(x._den for x in operands))
-    assert set(calls) == {"_product", "_oplus", "_closure", "_closure_times", "_residual"}
+    assert set(calls) == kernels
     assert reduced > 100
 
 

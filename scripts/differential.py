@@ -4,7 +4,7 @@ same generated scripts, and report where their answers differ.
 Usage, from the root of a checkout:
 
     python3 scripts/differential.py --base REF [--scripts N] [--seed S]
-        [--expect PATTERN ...]
+        [--expect PATTERN ...] [--expect-ops PATTERN ...]
 
 The src/ directory of revision REF is unpacked with `git archive` into a
 temporary directory. N scripts are generated from seed S with the random
@@ -20,11 +20,14 @@ parentheses up to the parser's nesting limit or one level past it. The
 or more covers every one. Each
 tree answers every script in one long-lived worker process, once per
 flag set of FLAG_SETS, as `mathpar eval SCRIPT FLAGS`, and the two exit
-statuses, stdouts and stderrs are compared. A difference on a script that an --expect regular
-expression matches (re.search over the script text) is an intended one:
-it is counted and shown apart and does not fail the run. The count of
-each outcome and every difference are printed; the exit status is 1
-when any other script is answered differently, else 0.
+statuses, stdouts and stderrs are compared. A difference on a script that
+an --expect regular expression matches (re.search over the script text)
+is an intended one: it is counted and shown apart and does not fail the
+run. On a script an --expect-ops expression matches, only a difference
+in the `semiring ops: adds=... muls=...` line of stderr is intended; the
+exit status, stdout and the rest of stderr are still compared. The
+count of each outcome and every difference are printed; the exit status
+is 1 when any other difference is found, else 0.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ SHAPES = {
     "solve": ["inequalities"],
 }
 OUTCOMES = {0: "answered", 1: "script error", 3: "internal error"}
+# The operation counts that --trace-ops prints to stderr.
+OPS_LINE = re.compile(r"^semiring ops: adds=\d+ muls=\d+\n", re.M)
 
 # Every script runs once per flag set: operation counts with the objective
 # of a linear program, which only --show-objective prints, then LaTeX.
@@ -247,15 +252,24 @@ def _tally(results) -> str:
     return ", ".join(f"{name} {counts[name]}" for name in sorted(counts))
 
 
-def report(runs, expect) -> int:
+def _without_ops(answer):
+    code, out, err = answer
+    return code, out, OPS_LINE.sub("", err)
+
+
+def report(runs, expect, expect_ops=()) -> int:
     """Print the outcomes and differences of (script, flags, base answer,
-    working-tree answer) runs; the exit status is 1 when a difference on a
-    script no pattern of expect matches is found, else 0."""
+    working-tree answer) runs; the exit status is 1 when a difference is
+    found on a script no pattern of expect matches, unless a pattern of
+    expect_ops matches it and the answers differ in the ops line alone,
+    else 0."""
     expected, unexpected = [], []
-    for run in runs:
-        if run[2] != run[3]:
-            matched = any(re.search(pattern, run[0]) for pattern in expect)
-            (expected if matched else unexpected).append(run)
+    for script, flags, b, w in runs:
+        if b != w:
+            matched = (any(re.search(pattern, script) for pattern in expect)
+                       or any(re.search(pattern, script) for pattern in expect_ops)
+                       and _without_ops(b) == _without_ops(w))
+            (expected if matched else unexpected).append((script, flags, b, w))
     print(f"base:         {_tally(b for _, _, b, _ in runs)}")
     print(f"working tree: {_tally(w for _, _, _, w in runs)}")
     print(f"differences:  {len(unexpected)}, and {len(expected)} expected")
@@ -274,6 +288,9 @@ def main(argv=None) -> int:
     p.add_argument("--expect", action="append", default=[], metavar="PATTERN",
                    help="a regular expression over the script text marking an intended "
                    "difference; may be repeated")
+    p.add_argument("--expect-ops", action="append", default=[], metavar="PATTERN",
+                   help="a regular expression over the script text on which a difference "
+                   "in the semiring ops line alone is intended; may be repeated")
     args = p.parse_args(argv)
 
     scripts = generate(args.scripts, args.seed)
@@ -288,7 +305,7 @@ def main(argv=None) -> int:
 
     print(f"{len(scripts)} scripts x {len(FLAG_SETS)} flag sets, seed {args.seed}, "
           f"base {args.base}")
-    return report(runs, args.expect)
+    return report(runs, args.expect, args.expect_ops)
 
 
 if __name__ == "__main__":

@@ -242,8 +242,8 @@ class _Evaluator:
         if domain is _F64:
             try:
                 value = float(Fraction(value))
-            except OverflowError as e:
-                raise TropalgError(str(e)) from e
+            except OverflowError:
+                raise TropalgError(f"{node.value} is not in the number domain {_F64.value}") from None
         return ExtScalar.of(value)
 
     def infinity_literal(self, node: InfinityLit) -> ExtScalar:

@@ -23,10 +23,12 @@ until it no longer does, so the principal solution stays a solution.
 
 The Bellman equation X = A X + B has the least solution A^x B, and the
 columns of A^x generate solutions of the homogeneous system A x = x.
-A^x B is computed without forming A^x, in trmatrix: settled by labels
-when no entry of A is better than the unit, and otherwise by forward
-elimination on [A | B] and back substitution, which raises where the
-closure would, with the same text. Over R64 the elimination and the
+A^x B is computed in trmatrix with no separate product: settled by
+labels when no entry of A is better than the unit, and otherwise read
+off the closure's own Gauss-Jordan elimination run on [A | B], n (n-1)
+(n+m) multiplications for an n x n A and an n x m B. That route raises
+wherever the closure raises, with the same text; over R64 that includes
+every float overflow the closure meets. Over R64 the elimination and the
 check A X + B sum floats in different orders, so the Bellman solvers
 refine an eliminated A^x B by X <- A X + B until the check passes, at
 most n times. Refinement happens on that route only: a settled A^x B is
@@ -112,7 +114,7 @@ def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 
 def bellman_solve(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """The least solution X = A^x B of the equation X = A X + B, settled by
-    labels or eliminated on [A | B], without forming A^x."""
+    labels or read off the closure's elimination on [A | B]."""
     _require_system(a, b, "bellman_solve", column=False)
     return _verified(a, b, _least_solution(a, b), eq, "non-fixed-point")
 

@@ -14,28 +14,23 @@ and Lehmann (1977), Floyd-Warshall over min-plus: pivot k sets a_kk to
 the unit and adds a_ik a_kj to every a_ij with i != k, n (n-1)
 multiplications a pivot, so an n x n closure costs C(n) = n^2 (n-1).
 A^x B, the least solution of the Bellman equation X = A X + B for an
-n x n A and an n x m B, is a solve rather than a closure and a product,
-by one of two routes. The first is Carre's Gaussian elimination,
-forward on [A | B] and then back substitution (Carre 1971; Backhouse
-and Carre 1975). Pivot k sets a_kk to the unit and adds a_ik times the
-tail of row k, its columns after k, to the tail of every later row i;
-then x_k = b'_k + sum over j > k of a'_kj x_j, from the last row up.
-Forward elimination costs (n-1) n (2n-1) / 6 + m n (n-1) / 2
-multiplications and back substitution m n (n-1) / 2, so A^x B costs
-(n-1) n (2n-1) / 6 + m n (n-1) against C(n) + n^2 m for the closure and
-the product: 4876 against 13824 at n = 24, m = 1. The block after pivot
-k of rows and columns past k is the one Gauss-Jordan elimination holds,
-so every pivot sees the value the closure sees, and raises at the same
-pivot with the same text.
+n x n A and an n x m B, never takes a separate product, by one of two
+routes. When some real entry of A, its diagonal included, is better than
+the unit (a_ij > 0 over max-plus, a_ij < 0 over min-plus, on the stored
+rows, whose scaling by L keeps the sign), it is the closure's own
+elimination run on [A | B] (Carre 1971): the pivots are A's n columns,
+and B's m columns are carried along and never pivoted on, so the rows
+end as [A^x | A^x B]. A pivot costs (n-1) (n+m) multiplications, and
+A^x B n (n-1) (n+m): 13800 at n = 24, m = 1, against C(n) + n^2 m =
+13824 for the closure and then the product. The pivots are the
+closure's, so it raises at the same pivot with the same text.
 
-A^x B takes that route only when some real entry of A, its diagonal
-included, is better than the unit: a_ij > 0 over max-plus, a_ij < 0
-over min-plus, on the stored rows, whose scaling by L keeps the sign.
-Without one it takes the second: it is settled by labels, by Dijkstra's
-method (1959), which Carre (1971) treats in the same algebra. For each
+Without such an entry A^x B is settled by labels, by Dijkstra's method
+(1959), which Carre (1971) treats in the same algebra. For each
 column of B, x starts as that column; the best unsettled x_u is settled
 in turn and relaxes x_v + a_vu x_u into each unsettled x_v, at most
-n (n-1) multiplications a column against the elimination's n^3 / 3.
+n (n-1) multiplications a column against the elimination's n (n-1) (n+m)
+in all.
 This is exact. No entry improves, so no cycle does: A^x exists and
 nothing raises. Every walk weighs no more than its own suffix, so the
 settled values never get better in settle order and no later relaxation
@@ -50,30 +45,29 @@ eliminated answer by a few ulps or a zero's sign.
 find_shortest_path runs the same kernel on the goal's unit column.
 
 Each operation runs one kernel (_product, _oplus, _closure, _residual,
-and _closure_times or _label_setting for A^x B), shared by max-plus and
+and _closure or _label_setting for A^x B), shared by max-plus and
 min-plus through semiring's sign rule, on the stored rows, and keeps the
 rows it returns unchecked: a chain of operations converts nothing in
 between. Counts are tallied in bulk: an n x m by m x p product is n m p
 of each.
 
-The tropical product, sum, closure and elimination never test for None. On
-entry, _lifted replaces each None in the operands by one sentinel S; the
-kernel runs max (min over min-plus) and + on plain numbers, as
+The tropical product, sum and closure never test for None. On entry,
+_lifted replaces each None in the operands by one sentinel S; the kernel
+runs max (min over min-plus) and + on plain numbers, as
 max(map(add, r, c)) per entry of a product; on exit each value at or
 beyond a cut C, on the infinite element's side, is None again. Every
-pivot of a closure or a solve runs on rows lifted once. Over R64,
-S = C = -sign inf, which + absorbs and max or min passes over, exactly
-as the kernel would treat None. A float sum that overflows toward it is
-the infinite element already; one that overflows away is sign inf,
-which stays where it lands and raises IllegalElement when the product,
-the closure or the forward elimination ends, or before a pivot raises
-(a solve then scans A's columns only, as the closure would), as a
-scalar fold would have at that sum. A solve forms only part of the
-values the closure forms, so an overflow in one it does not form raises
-only in the closure. A sum only compares, and Python compares an int
-with a float exactly (10**400 > -inf holds), so a sum takes
-S = C = -sign inf over every domain. For a product, a closure or a
-solve over Z and scaled Q, with M the largest magnitude among the
+pivot of a closure runs on rows lifted once. Over R64, S = C = -sign
+inf, which + absorbs and max or min passes over, exactly as the kernel
+would treat None. A float sum that overflows toward it is the infinite
+element already; one that overflows away is sign inf, which stays where
+it lands and raises IllegalElement when the product or the closure
+ends, or before a pivot raises (A's columns only, so an overflow in B's
+columns alone leaves the divergent pivot's error), as a scalar fold
+would have at that sum. An eliminated A^x B forms all of A^x, so it
+raises wherever the closure raises. A sum only compares, and Python
+compares an int with a float exactly (10**400 > -inf holds), so a sum
+takes S = C = -sign inf over every domain. For a product, a closure or
+A^x B over Z and scaled Q, with M the largest magnitude among the
 operands' values and w a bound on the edges of the walks a result
 optimises over (2 for a product, n for an n x n closure and for A^x B
 with A n x n), S = -sign (2 w M + 1) and C = -sign (w M + 1).
@@ -101,39 +95,41 @@ recursion down to 1 x 1 blocks sees at k, so both raise at the same
 pivot, with the same text. For A^x B, give the graph one more vertex
 t_c for each column c of B, with an edge of weight b_ic from each vertex
 i and none out, and never pivot on it: [A | B] holds the edges out of
-A's vertices, and forward elimination is the row update above kept to
-later rows and later columns, so its pivots are the closure's. Each
+A's vertices, and its elimination is the closure's on that graph,
+pivoting on A's vertices only, so its pivots are the closure's. Each
 x_ic is the optimum over all walks from i to t_c, reached, as no cycle
 improves, on one without a repeated vertex: at most n - 1 edges of A
 and one of B, so w = n bounds it as it bounds a pivot. No value from S
 equals a real one, so ties among equal real values still keep the
 first, signed zeros included.
 
-A row update of the closure or the solve keeps row i whole when its
-multiplier a_ik is at or beyond the cut, which over R64 means a_ik is
--sign inf itself. This is exact. Such an a_ik is an optimum over walks to
-k that each hold an S edge (a real one would make a_ik real), so every
-walk the update would add to row i holds one too, as None times x is
-None: the set of real walks each value optimises over does not change,
-and neither does a real value. A value at or beyond the cut stays there,
-as it is still an optimum over walks that each hold an S edge, only over
-fewer of them. So a pivot sees the same value where it is real and one
-that cannot raise where it is not, the elimination raises at the same
-pivot with the same text, and lowering gives back the same entries. Over R64 the kept row is
-the one the update would give: -sign inf + t is -sign inf, or NaN where
-t = sign inf, and neither replaces u, so _overflow_checked still raises
-on a sum that overflowed away. The tally still counts n (n-1)
-multiply-adds a pivot, and the solve its sweep: products by the zero
-element are counted, as the bulk tally of a product has always counted
-them.
+A row update of the closure keeps row i whole when its multiplier a_ik
+is at or beyond the cut, which over R64 means a_ik is -sign inf itself.
+This is exact. Such an a_ik is an optimum over walks to k that each hold
+an S edge (a real one would make a_ik real), so every walk the update
+would add to row i holds one too, as None times x is None: the set of
+real walks each value optimises over does not change, and neither does
+a real value. A value at or beyond the cut stays there, as it is still
+an optimum over walks that each hold an S edge, only over fewer of
+them. So a pivot sees the same value where it is real and one that
+cannot raise where it is not, the elimination raises at the same pivot
+with the same text, and lowering gives back the same entries. Over R64
+the kept row is the one the update would give: -sign inf + t is
+-sign inf, or NaN where t = sign inf, and neither replaces u, so
+_overflow_checked still raises on a sum that overflowed away. The tally
+still counts (n-1) (n+m) multiply-adds a pivot, m = 0 for a closure:
+products by the zero element are counted, as the bulk tally of a
+product has always counted them.
 
-L is the least common multiple of the entries' denominators over
-tropical Q and 1 elsewhere; classical Q, whose products x -> L x does
-not preserve, keeps its Fractions. For L > 0 that map is an automorphism
-of max-plus and min-plus, so the tropical kernels run on ints: an
-operation on two matrices rescales the one whose L differs from their
-least common multiple, and one gcd pass reduces the result to its least
-L. Equal values have equal least denominators, so == compares rows and L.
+L is the least common multiple of the entries' denominators over Q and
+1 elsewhere. For L > 0, x -> L x is an automorphism of max-plus and
+min-plus, so the tropical kernels run on ints: an operation on two
+matrices rescales the one whose L differs from their least common
+multiple, and one gcd pass reduces the result to its least L. The map
+does not preserve classical products, and none needs it: a product of
+rows over L_a and L_b is a sum of integer products over L_a L_b, which
+the same gcd pass reduces. Equal values have equal least denominators,
+so == compares rows and L.
 """
 
 from __future__ import annotations
@@ -252,21 +248,19 @@ def _checked(rows: list, alg: Algebra, m: TropMatrix | None = None) -> TropMatri
     if not rows or not rows[0]:
         raise DimensionMismatch("matrices need at least one row and one column")
     rows, den = [[_entry(v, alg) for v in r] for r in rows], 1
-    if alg.domain is _Q and alg.sign:
+    if alg.domain is _Q:
         den = math.lcm(*{x.denominator for r in rows for x in r if type(x) is Fraction})
         rows = [[x if x is None else x.numerator * (den // x.denominator) for x in r] for r in rows]
     return _fill(m or object.__new__(TropMatrix), tuple([tuple(r) for r in rows]), alg, den)
 
 
 def _result(rows: list, alg: Algebra, den: int = 1) -> TropMatrix:
-    """A matrix on kernel rows over den, reduced to the least one; integral classical Q as int."""
+    """A matrix on kernel rows over den, reduced to the least one."""
     if den != 1:
         g = math.gcd(den, *[x for r in rows for x in r if x is not None])
         if g != 1:
             den //= g
             rows = [[x if x is None else x // g for x in r] for r in rows]
-    elif alg.domain is _Q and not alg.sign:
-        rows = [[x if x.denominator != 1 else x.numerator for x in r] for r in rows]
     return _fill(object.__new__(TropMatrix), tuple([tuple(r) for r in rows]), alg, den)
 
 
@@ -307,7 +301,7 @@ def _lifted(kernel, walk: int, alg: Algebra, *operands: list) -> list:
     value at or beyond the cut returns to None on exit. walk bounds the
     edges of the walks a value is an optimum over (see the module docstring);
     walk 0 marks a kernel that only compares. The kernel is also handed the
-    cut, at or beyond which no value is real; only the eliminations use it."""
+    cut, at or beyond which no value is real; only the closure uses it."""
     sign = alg.sign
     if alg.domain is _F64 or not walk:
         sentinel = cut = -sign * math.inf
@@ -417,7 +411,8 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         raise DimensionMismatch(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    ra, rb, den = _common(a, b)
+    # A classical product of rows over L_a and L_b is one over L_a L_b.
+    ra, rb, den = _common(a, b) if a.alg.sign else (a._raw, b._raw, a._den * b._den)
     return _result(_product(ra, rb, a.alg), a.alg, den)
 
 
@@ -452,14 +447,16 @@ def _residuate(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 def _least_solution(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """A^x B, the least solution of X = A X + B, for a system the caller has
     checked; A must be square, as for its closure. It is settled by labels
-    when no entry of A improves on the unit, and eliminated otherwise."""
+    when no entry of A improves on the unit, and otherwise read off the
+    closure's elimination run on [A | B]."""
     if not a.is_square:
         raise DimensionMismatch("the closure is defined for square matrices only")
     ra, rb, den = _common(a, b)
     alg = a.alg
     real = set().union(*ra) - {None}
     if real and (max(real) > 0 if alg.sign > 0 else min(real) < 0):
-        return _result(_closure_times(ra, rb, alg, den), alg, den)
+        closed = _closure([[*r, *s] for r, s in zip(ra, rb)], alg, den)
+        return _result([r[a.rows:] for r in closed], alg, den)
     return _result(list(zip(*_label_setting(ra, list(zip(*rb)), alg))), alg, den)
 
 
@@ -481,22 +478,25 @@ def zero_matrix(rows: int, cols: int, alg: Algebra) -> TropMatrix:
 
 
 def _closure(rows: list, alg: Algebra, den: int) -> list:
-    """Raw rows of the closure of square raw rows over den, by Gauss-Jordan
-    elimination on rows lifted once."""
-    sign, one = alg.sign, alg.one().finite
+    """Raw rows of the closure A^x of square raw rows A over den, or of
+    [A^x | A^x B] for the raw rows [A | B], by Gauss-Jordan elimination on
+    rows lifted once; only A's columns are pivoted on."""
+    sign, one, n = alg.sign, alg.one().finite, len(rows)
 
     def eliminate(rows: list, alg: Algebra, cut) -> list:
         # Pivot k has a_kk* = one, then a_ij += a_ik a_kj for every row
-        # i != k, n (n - 1) multiply-adds a pivot; a tie keeps a_ij, and a
-        # row whose a_ik is at or beyond the cut is kept whole.
-        a, n = [list(r) for r in rows], len(rows)
-        work = n * (n - 1)
+        # i != k and every column j, B's included: (n - 1) (n + m)
+        # multiply-adds a pivot; a tie keeps a_ij, and a row whose a_ik is
+        # at or beyond the cut is kept whole.
+        a = [list(r) for r in rows]
+        work = (n - 1) * len(a[0])
         for k in range(n):
             rk = a[k]
             x = rk[k]
             if sign * x > 0:
                 _tally(k * work, k * work)
-                _overflow_checked(a, alg)  # an earlier overflow raises first
+                # An earlier overflow in A's columns raises first.
+                _overflow_checked([r[:n] for r in a], alg)
                 # Divergent: the scalar closure raises, naming the entry's value.
                 trop_closure_scalar(_result([[x]], alg, den).entries[0], alg)
             rk[k] = one
@@ -512,56 +512,7 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
         _tally(n * work, n * work)
         return _overflow_checked(a, alg)
 
-    return _lifted(eliminate, len(rows), alg, rows)
-
-
-def _closure_times(a: list, b: list, alg: Algebra, den: int) -> list:
-    """Raw rows of A^x B, for square raw rows a and raw rows b over den, by
-    forward elimination on [A | B] and back substitution on rows lifted
-    once; A^x itself is never formed."""
-    sign, m = alg.sign, len(b[0])
-    pick = max if sign > 0 else min
-
-    def solve(a: list, b: list, alg: Algebra, cut) -> list:
-        # Pivot k takes a_kk* = one, pops row k and adds a_ik times its tail
-        # to the tail of every later row i, dropping column k: the rows left
-        # are Gauss-Jordan's trailing block, so each pivot sees the value
-        # the closure sees. A tie keeps a_ij, and a row whose a_ik is at or
-        # beyond the cut keeps its tail.
-        rows, done, work = [[*r, *s] for r, s in zip(a, b)], [], 0
-        while rows:
-            rk, *rows = rows
-            x, tail = rk[0], rk[1:]
-            if sign * x > 0:
-                _tally(work, work)
-                # Divergent, as the closure is; an earlier overflow in A's
-                # columns raises first, as it does there.
-                _overflow_checked([r[:-m] for r in (rk, *rows, *done)], alg)
-                trop_closure_scalar(_result([[x]], alg, den).entries[0], alg)
-            done.append(tail)
-            work += len(rows) * len(tail)
-            if sign > 0:
-                rows = [r if c <= cut else
-                        [v if (v := c + t) > u else u for u, t in zip(r, tail)]
-                        for c, *r in rows]
-            else:
-                rows = [r if c >= cut else
-                        [v if (v := c + t) < u else u for u, t in zip(r, tail)]
-                        for c, *r in rows]
-        _overflow_checked(done, alg)
-        # x_k = b'_k + sum over j > k of a'_kj x_j, from the last row up; xs
-        # holds one column of X per column of B, x_(k+1) first.
-        xs = [[] for _ in range(m)]
-        for tail in reversed(done):
-            h = len(tail) - m
-            u = tail[:h]
-            for xc, y in zip(xs, tail[h:]):
-                xc.insert(0, pick(y, pick(map(add, u, xc))) if h else y)
-        work += m * len(a) * (len(a) - 1) // 2
-        _tally(work, work)
-        return _overflow_checked(list(zip(*xs)), alg)
-
-    return _lifted(solve, len(a), alg, a, b)
+    return _lifted(eliminate, n, alg, rows)
 
 
 def _label_setting(a: list, b: list, alg: Algebra) -> list:

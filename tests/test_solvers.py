@@ -15,6 +15,7 @@ from tropalg import (
     POS_INF,
     Q_CLASSICAL,
     Q_MAX_PLUS,
+    Q_MIN_PLUS,
     R64_MAX_PLUS,
     R64_MIN_PLUS,
     TropMatrix,
@@ -299,6 +300,41 @@ def test_a_check_that_never_passes_is_refined_over_r64_only(solve, alg, one, err
         solve(a, b)
     assert ("float rounding" if error is ClosureUndefined else "closure produced") in str(e.value)
     assert (c.adds, c.muls) == counts
+
+
+@pytest.mark.parametrize(
+    "alg, step",
+    [(Z_MAX_PLUS, 1), (Z_MIN_PLUS, -1), (Q_MAX_PLUS, Fraction(1, 6)),
+     (Q_MIN_PLUS, Fraction(-1, 6)), (R64_MAX_PLUS, 0.25), (R64_MIN_PLUS, -0.25)],
+    ids=lambda v: v.name if isinstance(v, Algebra) else str(v),
+)
+def test_residuation_checks_refuse_a_column_above_the_principal_solution(alg, step,
+                                                                         monkeypatch):
+    # A stand-in for _residuate moves each entry of the principal solution
+    # one step up in the natural order (quarter sums are exact over R64).
+    # Every solution of A x <= b lies below the principal one, so the
+    # column is none, and both residuation solvers' checks must say so,
+    # on systems A x = b that do have a solution.
+    rng = random.Random(f"residuation check {alg.name}")
+    value = {Z_MAX_PLUS.domain: lambda: rng.randint(-9, 9),
+             Q_MAX_PLUS.domain: lambda: Fraction(rng.randint(-12, 12), rng.randint(1, 6)),
+             R64_MAX_PLUS.domain: lambda: rng.randint(-40, 40) / 4}[alg.domain]
+    residuate = tropalg.solvers._residuate
+
+    def above(a, b):
+        return TropMatrix.from_rows([[s(e.finite + step) for e in r]
+                                     for r in residuate(a, b).to_lists()], alg)
+
+    for n, m in ((1, 1), (3, 2), (8, 8)):
+        a = mk([[value() for _ in range(m)] for _ in range(n)], alg)
+        b = mat_mul(a, col([value() for _ in range(m)], alg))
+        assert mat_mul(a, solve_lae_tropic(a, b)) == b
+        with monkeypatch.context() as patch:
+            patch.setattr(tropalg.solvers, "_residuate", above)
+            with pytest.raises(AssertionError, match="^residuation produced a non-solution$"):
+                solve_lai_tropic(a, b)
+            with pytest.raises(NoSolution, match="^the system A x = b has no solution$"):
+                solve_lae_tropic(a, b)
 
 
 @pytest.mark.parametrize(

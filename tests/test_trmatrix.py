@@ -661,11 +661,18 @@ def _closure_times_b(a, b):
     return mat_mul(closure_block(a), b)
 
 
-def _sweep_cost(n, m, pivots):
-    """The adds, and the muls, of the first pivots of forward elimination
-    on an n x (n + m) [A | B]: each later row's tail gains a multiple of
-    the pivot row's."""
-    return sum((n - 1 - k) * (n - 1 - k + m) for k in range(pivots))
+def _pivot_cost(n, m, pivots):
+    """The adds, and the muls, of the first pivots of the closure's
+    elimination on an n x (n + m) [A | B]: every other row gains a multiple
+    of the pivot row, B's columns included."""
+    return pivots * (n - 1) * (n + m)
+
+
+def _eliminated(a, b):
+    """A^x B read off the closure's elimination on [A | B]."""
+    ra, rb, den = trmatrix._common(a, b)
+    closed = trmatrix._closure([[*r, *s] for r, s in zip(ra, rb)], a.alg, den)
+    return trmatrix._result([r[a.rows:] for r in closed], a.alg, den)
 
 
 def _settle_cost(a, x):
@@ -708,8 +715,8 @@ def test_bellman_solvers_match_the_closure_times_b_at_every_size_up_to_33(alg):
     # end, has the largest magnitude is real down to n times it. The slow
     # split route runs on all but the chain and the shifted square, and
     # multiplies by B of at most 2 columns. An A with no entry better than
-    # the unit is settled by labels, any other eliminated on [A | B] and
-    # back substituted, at the sweep's cost.
+    # the unit is settled by labels, any other by the closure's elimination
+    # on [A | B], at (n - 1) (n + m) a pivot.
     rng = random.Random(f"bellman {alg.name}")
     big = -alg.sign * max(abs(v) for v in EDGE_VALUES[alg.domain])
     seen = Counter()
@@ -736,8 +743,7 @@ def test_bellman_solvers_match_the_closure_times_b_at_every_size_up_to_33(alg):
                 # The solve, n n m more of each for the check A X + B, n m
                 # more adds for its sum, and n m more for the inequality's <=.
                 if _improves(a):
-                    cost = _sweep_cost(n, m, n) + m * n * (n - 1) // 2
-                    assert cost == (n - 1) * n * (2 * n - 1) // 6 + m * n * (n - 1)
+                    cost = _pivot_cost(n, m, n)
                 else:
                     cost = _settle_cost(a, _closure_times_b(a, b))
                 for solve, sums in ((bellman_solve, 1), (bellman_inequality, 2)):
@@ -751,7 +757,7 @@ def test_bellman_solvers_match_the_closure_times_b_at_every_size_up_to_33(alg):
                     # The k pivots passed before the raise, and no check.
                     with count_ops() as c, pytest.raises(ClosureUndefined):
                         solve(a, b)
-                    assert (c.adds, c.muls) == (_sweep_cost(n, m, k),) * 2
+                    assert (c.adds, c.muls) == (_pivot_cost(n, m, k),) * 2
                     seen["raised"] += 1
     assert seen["settled"] >= 380 and seen["eliminated"] >= 170 and seen["raised"] >= 500
 
@@ -892,10 +898,10 @@ def test_sparse_closures_and_solves_match_the_references_and_keep_their_counts(a
                     cost = _settle_cost(a, _closure_times_b(a, b))
                     seen["settled"] += 1
                 elif k == n:
-                    cost = _sweep_cost(n, m, n) + m * n * (n - 1) // 2
+                    cost = _pivot_cost(n, m, n)
                     seen["eliminated"] += 1
                 else:
-                    cost = _sweep_cost(n, m, k)
+                    cost = _pivot_cost(n, m, k)
                 for solve, sums in ((bellman_solve, 1), (bellman_inequality, 2)):
                     # The solve, and when it answers the check A X + B: n n m
                     # more of each, n m more adds for its sum and n m more for
@@ -910,7 +916,7 @@ def test_sparse_closures_and_solves_match_the_references_and_keep_their_counts(a
 def _spy_on_the_routes(monkeypatch) -> list:
     """The names of the A^x B kernels run from now on, in call order."""
     ran = []
-    for name in ("_label_setting", "_closure_times"):
+    for name in ("_label_setting", "_closure"):
         def spy(*args, kernel=getattr(trmatrix, name)):
             ran.append(kernel.__name__)
             return kernel(*args)
@@ -945,11 +951,9 @@ def test_settling_and_elimination_agree_where_no_entry_improves(alg, monkeypatch
             for m in sorted({1, 2, n}):
                 b = _sparse(rng, alg, n, n, m, shape, False)
                 ra, rb, den = trmatrix._common(a, b)
-                settled, eliminated = (
-                    _outcome(trmatrix._result, raw, alg, den)[:3]
-                    for raw in (list(zip(*trmatrix._label_setting(ra, list(zip(*rb)), alg))),
-                                trmatrix._closure_times(ra, rb, alg, den)))
-                assert settled == eliminated, (shape, n, m)
+                settled = _outcome(trmatrix._result, list(
+                    zip(*trmatrix._label_setting(ra, list(zip(*rb)), alg))), alg, den)[:3]
+                assert settled == _outcome(_eliminated, a, b)[:3], (shape, n, m)
                 ran.clear()
                 assert _outcome(trmatrix._least_solution, a, b)[:3] == settled, (shape, n, m)
                 assert ran == ["_label_setting"], (shape, n, m)
@@ -960,7 +964,7 @@ def test_settling_and_elimination_agree_where_no_entry_improves(alg, monkeypatch
                     want = _outcome(_closure_times_b, improving, b)[:3]
                     ran.clear()
                     got = _outcome(trmatrix._least_solution, improving, b)
-                    assert got[:3] == want and ran == ["_closure_times"], (shape, n, m)
+                    assert got[:3] == want and ran == ["_closure"], (shape, n, m)
                     seen[got[0] if len(got) == 2 else "eliminated"] += 1
     assert seen["settled"] >= 190 and seen["eliminated"] >= 150
     assert seen["ClosureUndefined"] >= 190
@@ -981,8 +985,7 @@ def test_a_settled_float_solve_passes_its_check_with_no_refinement(alg):
                               for i in range(n)], alg)
     b = TropMatrix.from_rows([[z if rng.random() < 0.1 else rng.uniform(-60, 60)
                                for _ in range(n)] for _ in range(n)], alg)
-    ra, rb, den = trmatrix._common(a, b)
-    eliminated = trmatrix._result(trmatrix._closure_times(ra, rb, alg, den), alg, den)
+    eliminated = _eliminated(a, b)
     assert mat_oplus(mat_mul(a, eliminated), b) != eliminated
     with count_ops() as c:
         x = bellman_solve(a, b)
@@ -1022,14 +1025,15 @@ def test_float_sums_that_overflow_fold_or_raise_as_the_reference_does(alg):
         assert _bellman_outcomes(a, b) == [want] * 2
         # The kernel raises itself, before any check A X + B sees its answer.
         assert _closed_or_error(lambda a: trmatrix._least_solution(a, b), a) == want
-    # Elimination forms only the values b needs: the overflowing walk
-    # 0 -> 1 -> 2 of path leads to the infinite element of b, so the
-    # solvers answer where the closure raises at its entry a_02.
+    # The elimination forms all of A^x, so it raises wherever the closure
+    # does: the overflowing walk 0 -> 1 -> 2 of path raises at a_02, though
+    # it leads to the infinite element of b.
     b = TropMatrix.column([0.0, 0.0, z], alg)
-    assert _closed_or_error(lambda a: _closure_times_b(a, b), path)[0] == "IllegalElement"
-    assert _bellman_outcomes(path, b) == [TropMatrix.column([-big, 0.0, z], alg)] * 2
-    # A value it does form raises, though b never reaches it: pivot 0 adds
-    # the walk 1 -> 0 -> 2 into a_12, and x_2 is the infinite element.
+    want = _closed_or_error(lambda a: _closure_times_b(a, b), path)
+    assert want[0] == "IllegalElement"
+    assert _bellman_outcomes(path, b) == [want] * 2
+    # So does the walk 1 -> 0 -> 2 that pivot 0 adds into a_12, though x_2
+    # is the infinite element.
     formed = TropMatrix.from_rows([[0.0, z, -big], [-big, 0.0, z], [z, z, 0.0]], alg)
     b = TropMatrix.column([z, 0.0, z], alg)
     for got in (_closed_or_error(lambda a: _closure_times_b(a, b), formed),
@@ -1165,7 +1169,7 @@ def test_tropical_q_kernels_run_on_ints_over_the_least_denominator(alg, monkeypa
             return kernel(*args)
         return wrapped
 
-    kernels = {"_product", "_oplus", "_closure", "_closure_times", "_label_setting", "_residual"}
+    kernels = {"_product", "_oplus", "_closure", "_label_setting", "_residual"}
     for name in kernels:
         monkeypatch.setattr(trmatrix, name, ints_only(getattr(trmatrix, name)))
     rng = random.Random(f"least denominator {alg.name}")
@@ -1184,6 +1188,51 @@ def test_tropical_q_kernels_run_on_ints_over_the_least_denominator(alg, monkeypa
             reduced += got._den < math.lcm(*(x._den for x in operands))
     assert set(calls) == kernels
     assert reduced > 100
+
+
+def test_classical_q_kernels_run_on_ints_over_the_least_denominator(monkeypatch):
+    # The classical twin: a product runs on the stored int rows, over the
+    # product of their denominators, and a sum over their lcm; each result
+    # is stored over its least denominator, and matches the per-entry
+    # Fraction reference, entries with their types and counts, at sizes
+    # 1-16, with numerators of 10**30 among the entries.
+    calls = Counter()
+
+    def ints_only(kernel):
+        def wrapped(a, b, alg):
+            assert all(type(x) is int for rows in (a, b) for r in rows for x in r)
+            calls[kernel.__name__] += 1
+            return kernel(a, b, alg)
+        return wrapped
+
+    for name in ("_product", "_oplus"):
+        monkeypatch.setattr(trmatrix, name, ints_only(getattr(trmatrix, name)))
+    rng = random.Random("classical least denominator")
+
+    def matrix(rows, cols):
+        def entry():
+            r = rng.random()
+            if r < 0.2:
+                return rng.randint(-9, 9)
+            if r < 0.3:
+                return Fraction(rng.choice((1, -1)) * 10**30 + rng.randint(-9, 9),
+                                rng.randint(1, 7))
+            return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        return TropMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)],
+                                    Q_CLASSICAL)
+
+    reduced = integral = 0
+    for n in range(1, 17):
+        m, p = rng.randint(1, 16), rng.randint(1, 16)
+        a, b, c = matrix(n, m), matrix(m, p), matrix(n, m)
+        for fn, ref, *args in ((mat_mul, ref_mat_mul, a, b), (mat_oplus, ref_mat_oplus, a, c)):
+            got = fn(*args)
+            assert _outcome(fn, *args) == _outcome(ref, *args), (fn.__name__, n, m, p)
+            assert (got._den, got._raw) == _least_form(got), (fn.__name__, n, m, p)
+            reduced += got._den < math.prod(x._den for x in args)
+            integral += sum(type(e.finite) is int for e in got.entries)
+    assert calls == {"_product": 32, "_oplus": 32}
+    assert reduced >= 10 and integral >= 50
 
 
 def test_a_sum_that_loses_its_fractions_is_stored_over_one():

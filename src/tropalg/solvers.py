@@ -34,19 +34,25 @@ refine an eliminated A^x B by X <- A X + B until the check passes, at
 most n times. Refinement happens on that route only: a settled A^x B is
 the check's own fixed point and passes it at once.
 
-Every solver re-verifies its defining equality or inequality by direct
-multiplication before returning.
+Every solver re-verifies its defining identity before returning:
+A X + B == X for bellman_solve, A X + B <= X for bellman_inequality,
+A x <= b for solve_lai_tropic and A x == b for solve_lae_tropic. Each
+runs on trmatrix's check kernel, the covering test of Cuninghame-Green
+(1979) and Butkovic (2010): one pass over the stored rows of A forms
+A x, or A x + b, column by column and compares it with x or b, by == or
+by the natural order, building no matrix. It reads only A, x and b,
+nothing the solve computed, and tallies what the product, the sum and
+the comparison count. bellman_homogeneous picks the columns of A^x that
+A A^x keeps, a selection rather than a check, so it multiplies.
 """
 
 from __future__ import annotations
 
-from operator import eq
-
 from ._record import Record
 from .errors import AlgebraMismatch, ClosureUndefined, DimensionMismatch, NoSolution
 from .semiring import _F64
-from .trmatrix import (TropMatrix, _common, _least_solution, _result, _residuate, closure_block,
-                       mat_le, mat_mul, mat_oplus)
+from .trmatrix import (TropMatrix, _common, _holds, _least_solution, _result, _residuate,
+                       closure_block, mat_mul)
 
 __all__ = [
     "IntervalBound",
@@ -92,7 +98,7 @@ def solve_lai_tropic(a: TropMatrix, b: TropMatrix):
     """
     _require_system(a, b, "solve_lai_tropic")
     x = _residuate(a, b)
-    if not mat_le(mat_mul(a, x), b):
+    if not _holds(a, x, None, b, le=True)[0]:
         raise AssertionError("residuation produced a non-solution")
     # The max-plus interval (zero, x_k], its ends swapped when sign is -1.
     zero, s = a.alg.zero(), a.alg.sign
@@ -107,7 +113,7 @@ def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """
     _require_system(a, b, "solve_lae_tropic")
     x = _residuate(a, b)
-    if mat_mul(a, x) != b:
+    if not _holds(a, x, None, b)[0]:
         raise NoSolution("the system A x = b has no solution")
     return x
 
@@ -116,7 +122,7 @@ def bellman_solve(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """The least solution X = A^x B of the equation X = A X + B, settled by
     labels or read off the closure's elimination on [A | B]."""
     _require_system(a, b, "bellman_solve", column=False)
-    return _verified(a, b, _least_solution(a, b), eq, "non-fixed-point")
+    return _verified(a, b, _least_solution(a, b), False, "non-fixed-point")
 
 
 def bellman_homogeneous(a: TropMatrix) -> TropMatrix:
@@ -144,26 +150,28 @@ def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix
     _require_system(a, b, "bellman_inequality", column=False)
     if b is None:
         return closure_block(a)
-    return _verified(a, b, _least_solution(a, b), mat_le, "non-solution of the inequality")
+    return _verified(a, b, _least_solution(a, b), True, "non-solution of the inequality")
 
 
-def _verified(a: TropMatrix, b: TropMatrix, x: TropMatrix, holds, failure: str) -> TropMatrix:
-    """x = A^x b, once holds(A x + b, x).
+def _verified(a: TropMatrix, b: TropMatrix, x: TropMatrix, le: bool, failure: str) -> TropMatrix:
+    """x = A^x b, once the check kernel finds A x + b == x, or A x + b <= x
+    when le is set.
 
     Over R64 the float sums of an eliminated A^x b and of A x + b round
-    in different orders, so x <- A x + b is tried up to n times, and the
-    first x that passes is returned; ClosureUndefined names the rounding
-    when none does. A settled A^x b passes the first check; Z and Q are
-    exact and are checked once.
+    in different orders, so x <- A x + b, the step the kernel returns, is
+    tried up to n times, and the first x that passes is returned;
+    ClosureUndefined names the rounding when none does. A settled A^x b
+    passes the first check; Z and Q are exact and are checked once.
     """
     rounds = a.rows if a.alg.domain is _F64 else 0
-    step = mat_oplus(mat_mul(a, x), b)
-    while not holds(step, x):
+    holds, step = _holds(a, x, b, x, le)
+    while not holds:
         if not rounds:
             if a.alg.domain is _F64:
                 raise ClosureUndefined(
                     f"float rounding leaves A^x b a {failure} after {a.rows} steps")
             raise AssertionError(f"closure produced a {failure}")
         rounds -= 1
-        x, step = step, mat_oplus(mat_mul(a, step), b)
+        x = _result(step, a.alg)  # R64 rows are over 1
+        holds, step = _holds(a, x, b, x, le)
     return x

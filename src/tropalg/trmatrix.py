@@ -45,11 +45,13 @@ eliminated answer by a few ulps or a zero's sign.
 find_shortest_path runs the same kernel on the goal's unit column.
 
 Each operation runs one kernel (_product, _oplus, _closure, _residual,
-and _closure or _label_setting for A^x B), shared by max-plus and
-min-plus through semiring's sign rule, on the stored rows, and keeps the
-rows it returns unchecked: a chain of operations converts nothing in
+_closure or _label_setting for A^x B, and _holds for the solvers' checks
+A x + b == x and A x + b <= x, b possibly absent), shared by max-plus
+and min-plus through semiring's sign rule, on the stored rows, and keeps
+the rows it returns unchecked: a chain of operations converts nothing in
 between. Counts are tallied in bulk: an n x m by m x p product is n m p
-of each.
+of each. The check kernel skips None where the others lift it, one pass
+over A with no sentinel.
 
 The tropical product, sum and closure never test for None. On entry,
 _lifted replaces each None in the operands by one sentinel S; the kernel
@@ -264,14 +266,20 @@ def _result(rows: list, alg: Algebra, den: int = 1) -> TropMatrix:
     return _fill(object.__new__(TropMatrix), tuple([tuple(r) for r in rows]), alg, den)
 
 
+def _scaled(m: TropMatrix, den: int):
+    """The raw rows of m over den, a multiple of its denominator."""
+    if m._den == den:
+        return m._raw
+    f = den // m._den
+    return [[x if x is None else x * f for x in r] for r in m._raw]
+
+
 def _common(a: TropMatrix, b: TropMatrix) -> tuple:
     """The raw rows of a and b over the lcm of their denominators, and that lcm."""
     if a._den == b._den:
         return a._raw, b._raw, a._den
     den = math.lcm(a._den, b._den)
-    return (*[m._raw if m._den == den else
-              [[x if x is None else x * (den // m._den) for x in r] for r in m._raw]
-              for m in (a, b)], den)
+    return _scaled(a, den), _scaled(b, den), den
 
 
 def _require_same_algebra(a: TropMatrix, b: TropMatrix):
@@ -402,6 +410,67 @@ def _float_cap(x: float, y: float | None, cap: float | None, sign: int):
     while sign * (x + cap) > sign * y:
         cap = math.nextafter(cap, -sign * math.inf)
     return cap
+
+
+def _below(p, q, sign: int) -> bool:
+    """Whether raw tropical rows p lie entrywise below raw rows q in the
+    natural order, u <= v iff u + v == v: None, the infinite element, lies
+    below every value, and over min-plus the order of numbers is reversed."""
+    if sign > 0:
+        return all(u is None or v is not None and u <= v
+                   for r, t in zip(p, q) for u, v in zip(r, t))
+    return all(u is None or v is not None and u >= v for r, t in zip(p, q) for u, v in zip(r, t))
+
+
+def _holds(a: TropMatrix, x: TropMatrix, b: TropMatrix | None, target: TropMatrix,
+           le: bool = False) -> tuple:
+    """Whether A x + b, or A x when b is None, equals target, or lies below
+    it when le is set; and the raw rows of A x + b over the operands' least
+    common denominator, for a tropical system whose shapes the caller has
+    checked.
+
+    This is the check every solver runs on its answer: one pass over the
+    stored rows, with no lift, no magnitude scan, no gcd pass and no
+    matrix. Each product entry is the best of a_ik + x_k over the k where
+    both are real, the first of equals as max(map(add, r, c)) keeps it; a
+    row with no such k gives None. Over R64 a sum that overflows toward
+    the infinite element is that element, and one that overflows away
+    raises IllegalElement, as the product does. It tallies what mat_mul,
+    mat_oplus and mat_le would: n k m of each for an n x k A times a
+    k x m x, n m adds for + b, and n m more for <=.
+    """
+    alg = a.alg
+    sign = alg.sign
+    den = math.lcm(a._den, x._den, target._den, 1 if b is None else b._den)
+    ra = _scaled(a, den)
+    cols = list(zip(*_scaled(x, den)))
+    pick = max if sign > 0 else min
+    n, k, m = len(ra), len(cols[0]), len(cols)
+    step = [[pick(t) if (t := [v + w for v, w in zip(r, c)
+                               if v is not None and w is not None]) else None
+             for r in ra] for c in cols]
+    _tally(n * k * m, n * k * m)
+    if alg.domain is _F64:
+        inf = sign * math.inf
+        if any(inf in c for c in step):
+            _finite_result(inf, alg)  # raises IllegalElement
+        step = [[None if v == -inf else v for v in c] for c in step]
+    if b is not None:
+        _tally(n * m, 0)
+        rb = zip(*_scaled(b, den))
+        if sign > 0:
+            step = [[v if v is not None and (u is None or v > u) else u for u, v in zip(c, d)]
+                    for c, d in zip(step, rb)]
+        else:
+            step = [[v if v is not None and (u is None or v < u) else u for u, v in zip(c, d)]
+                    for c, d in zip(step, rb)]
+    targets = list(zip(*_scaled(target, den)))
+    if le:
+        _tally(n * m, 0)
+        verdict = _below(step, targets, sign)
+    else:
+        verdict = all(tuple(c) == t for c, t in zip(step, targets))
+    return verdict, list(zip(*step))
 
 
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:

@@ -302,6 +302,64 @@ def test_a_check_that_never_passes_is_refined_over_r64_only(solve, alg, one, err
     assert (c.adds, c.muls) == counts
 
 
+BELLMAN_TEXTS = ((bellman_solve, 1, "closure produced a non-fixed-point"),
+                 (bellman_inequality, 2, "closure produced a non-solution of the inequality"))
+
+
+@pytest.mark.parametrize("change", ["down", "infinite"])
+@pytest.mark.parametrize(
+    "alg, step",
+    [(Z_MAX_PLUS, 1), (Z_MIN_PLUS, -1), (Q_MAX_PLUS, Fraction(1, 6)),
+     (Q_MIN_PLUS, Fraction(-1, 6)), (R64_MAX_PLUS, 0.25), (R64_MIN_PLUS, -0.25)],
+    ids=lambda v: v.name if isinstance(v, Algebra) else str(v),
+)
+def test_bellman_checks_refuse_a_last_column_below_the_least_solution(alg, step, change,
+                                                                      monkeypatch):
+    # A stand-in for _least_solution returns A^x B at n = 8, m = 3 with one
+    # entry of the last column moved one step down in the natural order, or
+    # to the infinite element. Every solution of X = A X + B, and of
+    # A X + B <= X, lies above A^x B, so the column is neither. Each entry
+    # of A is a step or more worse than the unit, so the moved entry, the
+    # one where b beats every a_ij x_j, still has A X <= X there. Over Z and
+    # Q both solvers raise their texts after one check of n n m
+    # multiplications; over R64 the step X <- A X + B climbs back to A^x B,
+    # exact on quarters, which they return after more checks. A^x B itself
+    # passes at once. So a check that reads column 0 only, ignores b, or
+    # takes < for <= fails here.
+    rng = random.Random(f"bellman check {alg.name} {change}")
+    n, m = 8, 3
+    worse = {Z_MAX_PLUS.domain: lambda: rng.randint(1, 9),
+             Q_MAX_PLUS.domain: lambda: Fraction(rng.randint(6, 54), 6),
+             R64_MAX_PLUS.domain: lambda: rng.randint(4, 40) / 4}[alg.domain]
+    a = TropMatrix.from_rows([[alg.zero() if rng.random() < 0.25 else -alg.sign * worse()
+                               for _ in range(n)] for _ in range(n)], alg)
+    b = TropMatrix.from_rows([[alg.sign * worse() * rng.choice((1, -1)) for _ in range(m)]
+                              for _ in range(n)], alg)
+    least = mat_mul(closure_block(a), b)
+    rows = least.to_lists()
+    i = max(range(n), key=lambda i: alg.sign * b.get(i, m - 1).finite)
+    assert rows[i][m - 1] == b.get(i, m - 1)
+    rows[i][m - 1] = alg.zero() if change == "infinite" else s(rows[i][m - 1].finite - step)
+    wrong = TropMatrix.from_rows(rows, alg)
+    for solve, sums, text in BELLMAN_TEXTS:
+        one = (n * n * m + sums * n * m, n * n * m)
+        with monkeypatch.context() as patch:
+            patch.setattr(tropalg.solvers, "_least_solution", lambda a, b: least)
+            with count_ops() as c:
+                assert solve(a, b) == least
+            assert (c.adds, c.muls) == one
+            patch.setattr(tropalg.solvers, "_least_solution", lambda a, b: wrong)
+            with count_ops() as c:
+                if alg.domain is R64_MAX_PLUS.domain:
+                    assert solve(a, b) == least
+                else:
+                    with pytest.raises(AssertionError, match=f"^{text}$"):
+                        solve(a, b)
+            checks = c.muls // one[1]
+            assert (c.adds, c.muls) == (checks * one[0], checks * one[1])
+            assert checks >= 2 if alg.domain is R64_MAX_PLUS.domain else checks == 1
+
+
 @pytest.mark.parametrize(
     "alg, step",
     [(Z_MAX_PLUS, 1), (Z_MIN_PLUS, -1), (Q_MAX_PLUS, Fraction(1, 6)),

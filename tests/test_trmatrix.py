@@ -171,14 +171,14 @@ def test_sum_with_the_zero_matrix_is_neutral():
         assert mat_oplus(a, zero_matrix(3, 5, alg)) == a
 
 
-@pytest.mark.parametrize("op", [mat_mul, mat_oplus])
+@pytest.mark.parametrize("op", [mat_mul, mat_oplus, mat_le])
 def test_operands_of_different_algebras_are_refused(op):
     with pytest.raises(AlgebraMismatch) as e:
         op(mk([[1]]), mk([[1]], Z_MIN_PLUS))
     assert str(e.value) == "operands live in different algebras (ZMaxPlus vs ZMinPlus)"
 
 
-@pytest.mark.parametrize("op", [mat_mul, mat_oplus], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("op", [mat_mul, mat_oplus, mat_le], ids=lambda f: f.__name__)
 def test_an_equal_algebra_built_apart_is_the_same_algebra(op):
     twin = Algebra(SemiringKind.MAX_PLUS, Domain.Z)
     assert twin is not Z_MAX_PLUS
@@ -189,8 +189,9 @@ def test_an_equal_algebra_built_apart_is_the_same_algebra(op):
 def test_shape_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         mat_mul(mk([[1, 2]]), mk([[1, 2]]))
-    with pytest.raises(DimensionMismatch):
-        mat_oplus(mk([[1, 2]]), mk([[1], [2]]))
+    for op in (mat_oplus, mat_le):
+        with pytest.raises(DimensionMismatch, match="^cannot add 1x2 and 2x1$"):
+            op(mk([[1, 2]]), mk([[1], [2]]))
 
 
 def test_natural_order_on_matrices():
@@ -1072,6 +1073,98 @@ def test_float_residuation_never_rounds_past_b(alg):
         else:
             assert mat_mul(a, y) == b
     assert rounded > 10
+
+
+def _public_check(a, x, b, target, le):
+    """The verdict, the step A x + b (A x when b is None) and the counts of
+    the route through the public operations: mat_mul, mat_oplus, and ==,
+    or the natural order's defining identity step + target == target."""
+    with count_ops() as c:
+        try:
+            step = mat_mul(a, x)
+            if b is not None:
+                step = mat_oplus(step, b)
+            verdict = mat_oplus(step, target) == target if le else step == target
+        except TropalgError as e:
+            return (type(e).__name__, str(e)), c.adds, c.muls
+    return (verdict, _outcome(lambda: step)[:3]), c.adds, c.muls
+
+
+def _kernel_check(a, x, b, target, le):
+    """The same, from the check kernel, its step read over the operands' least
+    common denominator."""
+    with count_ops() as c:
+        try:
+            verdict, rows = trmatrix._holds(a, x, b, target, le)
+        except TropalgError as e:
+            return (type(e).__name__, str(e)), c.adds, c.muls
+    den = math.lcm(a._den, x._den, target._den, 1 if b is None else b._den)
+    return (verdict, _outcome(trmatrix._result, rows, a.alg, den)[:3]), c.adds, c.muls
+
+
+def _folds(a, x):
+    """Whether a float sum a_ik + x_kj overflows toward the infinite element."""
+    inf = -a.alg.sign * math.inf
+    return any(u is not None and v is not None and u + v == inf
+               for r in a._raw for c in zip(*x._raw) for u, v in zip(r, c))
+
+
+@pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
+def test_the_check_kernel_answers_as_the_public_route_does(alg):
+    # Systems of edge values (10**400, -0.0, float sums that overflow either
+    # way) or of small ones, with 0, a quarter or 60 % of the entries
+    # infinite, so that columns of x with and without None both occur, and
+    # x over other denominators than A's over Q. The target is x, the
+    # public step itself, that step with one entry replaced, or drawn
+    # apart. Verdict, step with its entry types, and counts must agree, or
+    # the error and the counts before it.
+    rng = random.Random(f"check kernel {alg.name}")
+    small = {Domain.Z: lambda: rng.randint(-9, 9),
+             Domain.Q: lambda: Fraction(rng.randint(-12, 12), rng.choice((5, 7, 9))),
+             Domain.F64: lambda: rng.randint(-40, 40) / 4}[alg.domain]
+
+    def draw(rows, cols, edges):
+        p_inf = rng.choice((0.0, 0.25, 0.6))
+        return TropMatrix.from_rows(
+            [[alg.zero() if rng.random() < p_inf else
+              rng.choice(EDGE_VALUES[alg.domain]) if edges else small()
+              for _ in range(cols)] for _ in range(rows)], alg)
+
+    seen = Counter()
+    for _ in range(400):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        edges = rng.random() < 0.5
+        a, x = draw(n, k, edges), draw(k, m, edges)
+        b = draw(n, m, edges) if rng.random() < 0.7 else None
+        try:
+            step = mat_mul(a, x) if b is None else mat_oplus(mat_mul(a, x), b)
+        except IllegalElement:
+            step = None
+        if step is None or n == k and rng.random() < 0.2:
+            target = x if n == k else draw(n, m, edges)
+        else:
+            rows = step.to_lists()
+            if rng.random() < 0.6:
+                rows[rng.randrange(n)][rng.randrange(m)] = rng.choice((alg.zero(), s(small())))
+            target = TropMatrix.from_rows(rows, alg)
+        seen["other denominators"] += a._den != x._den
+        for le in (False, True):
+            want = _public_check(a, x, b, target, le)
+            assert _kernel_check(a, x, b, target, le) == want, (a, x, b, target, le)
+            verdict = want[0][0]
+            if type(verdict) is str:
+                seen[verdict] += 1
+                continue
+            seen[le, verdict] += 1
+            if le:
+                assert mat_le(step, target) is verdict
+            if alg.domain is Domain.F64:
+                seen["folded"] += _folds(a, x)
+    assert all(seen[le, v] >= 100 for le in (False, True) for v in (False, True)), seen
+    if alg.domain is Domain.F64:
+        assert seen["IllegalElement"] >= 40 and seen["folded"] >= 20, seen
+    if alg.domain is Domain.Q:
+        assert seen["other denominators"] >= 100, seen
 
 
 # ---- the stored form ----

@@ -384,5 +384,9 @@ def trop_closure_scalar(a: ExtScalar, alg: Algebra) -> ExtScalar:
 
 
 def semiring_le(a: ExtScalar, b: ExtScalar, alg: Algebra) -> bool:
-    """The natural order of the idempotent addition: a <= b iff a + b == b."""
+    """The natural order of a tropical semiring's idempotent addition:
+    a <= b iff a + b == b. A classical sum is not idempotent, so there
+    it is no order and is refused."""
+    if not alg.is_tropical:
+        raise AlgebraMismatch("the natural order is defined over tropical algebras only")
     return trop_add(a, b, alg) == b

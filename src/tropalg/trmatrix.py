@@ -44,35 +44,40 @@ answer passes it with no round of refinement; it may differ from the
 eliminated answer by a few ulps or a zero's sign.
 find_shortest_path runs the same kernel on the goal's unit column.
 
-Each operation runs one kernel (_product, _oplus, _closure, _residual,
-_closure or _label_setting for A^x B, and _holds for the solvers' checks
-A x + b == x and A x + b <= x, b possibly absent), shared by max-plus
-and min-plus through semiring's sign rule, on the stored rows, and keeps
-the rows it returns unchecked: a chain of operations converts nothing in
-between. Counts are tallied in bulk: an n x m by m x p product is n m p
-of each. The check kernel skips None where the others lift it, one pass
-over A with no sentinel.
+Each operation runs one kernel (_product, _oplus for the sum, _below
+for the natural order, _closure, _residual, _closure or _label_setting
+for A^x B, and _holds for the solvers' checks A x + b == x and
+A x + b <= x, b possibly absent, which adds b by _oplus and compares by
+_below), shared by max-plus and min-plus through semiring's sign rule,
+on the stored rows, and keeps the rows it returns unchecked: a chain of
+operations converts nothing in between. Counts are tallied in bulk: an
+n x m by m x p product is n m p of each. The sum, the order and the
+check kernel skip None where the product and the closure lift it.
 
-The tropical product, sum and closure never test for None. On entry,
-_lifted replaces each None in the operands by one sentinel S; the kernel
-runs max (min over min-plus) and + on plain numbers, as
-max(map(add, r, c)) per entry of a product; on exit each value at or
-beyond a cut C, on the infinite element's side, is None again. Every
-pivot of a closure runs on rows lifted once. Over R64, S = C = -sign
-inf, which + absorbs and max or min passes over, exactly as the kernel
-would treat None. A float sum that overflows toward it is the infinite
-element already; one that overflows away is sign inf, which stays where
-it lands and raises IllegalElement when the product or the closure
-ends, or before a pivot raises (A's columns only, so an overflow in B's
-columns alone leaves the divergent pivot's error), as a scalar fold
-would have at that sum. An eliminated A^x B forms all of A^x, so it
-raises wherever the closure raises. A sum only compares, and Python
-compares an int with a float exactly (10**400 > -inf holds), so a sum
-takes S = C = -sign inf over every domain. For a product, a closure or
-A^x B over Z and scaled Q, with M the largest magnitude among the
-operands' values and w a bound on the edges of the walks a result
-optimises over (2 for a product, n for an n x n closure and for A^x B
-with A n x n), S = -sign (2 w M + 1) and C = -sign (w M + 1).
+One rule, _settle, meets float overflow over R64 wherever a float sum
+can overflow: a value at -sign inf, on the infinite element's side, is
+that element, and sign inf, or the NaN where overflows of both signs
+meet in a classical sum, raises IllegalElement, as a scalar fold would
+have at that sum.
+
+The tropical product and closure never test for None. On entry, _lifted
+replaces each None in the operands by one sentinel S; the kernel runs
+max (min over min-plus) and + on plain numbers, as max(map(add, r, c))
+per entry of a product; on exit each value at or beyond a cut C, on the
+infinite element's side, is None again. Every pivot of a closure runs
+on rows lifted once. Over R64, S = C = -sign inf, which + absorbs and
+max or min passes over, exactly as the kernel would treat None, and
+_settle lowers the kernel's rows: a float sum that overflows toward S
+is the infinite element already, and one that overflows away is sign
+inf, which stays where it lands and raises when the product or the
+closure ends, or before a pivot raises (A's columns only, so an
+overflow in B's columns alone leaves the divergent pivot's error). An
+eliminated A^x B forms all of A^x, so it raises wherever the closure
+raises. For a product, a closure or A^x B over Z and scaled Q, with M
+the largest magnitude among the operands' values and w a bound on the
+edges of the walks a result optimises over (2 for a product, n for an
+n x n closure and for A^x B with A n x n), S = -sign (2 w M + 1) and
+C = -sign (w M + 1).
 
 Why no value derived from S is taken for a real one, over max-plus
 (min-plus mirrors it): give every missing edge of the operands' graph
@@ -118,7 +123,7 @@ cannot raise where it is not, the elimination raises at the same pivot
 with the same text, and lowering gives back the same entries. Over R64
 the kept row is the one the update would give: -sign inf + t is
 -sign inf, or NaN where t = sign inf, and neither replaces u, so
-_overflow_checked still raises on a sum that overflowed away. The tally
+_settle still raises on a sum that overflowed away. The tally
 still counts (n-1) (n+m) multiply-adds a pivot, m = 0 for a closure:
 products by the zero element are counted, as the bulk tally of a
 product has always counted them.
@@ -306,12 +311,12 @@ def _settle(rows: list, alg: Algebra) -> list:
 def _lifted(kernel, walk: int, alg: Algebra, *operands: list) -> list:
     """Raw rows of kernel(*operands, alg) over a tropical algebra, run on
     lifted rows: each None is replaced by one sentinel on entry, and each
-    value at or beyond the cut returns to None on exit. walk bounds the
-    edges of the walks a value is an optimum over (see the module docstring);
-    walk 0 marks a kernel that only compares. The kernel is also handed the
-    cut, at or beyond which no value is real; only the closure uses it."""
-    sign = alg.sign
-    if alg.domain is _F64 or not walk:
+    value at or beyond the cut returns to None on exit, by _settle over
+    R64. walk bounds the edges of the walks a value is an optimum over
+    (see the module docstring). The kernel is also handed the cut, at or
+    beyond which no value is real; only the closure uses it."""
+    sign, floats = alg.sign, alg.domain is _F64
+    if floats:
         sentinel = cut = -sign * math.inf
     else:
         real = set().union(*chain.from_iterable(operands)) - {None}
@@ -319,6 +324,8 @@ def _lifted(kernel, walk: int, alg: Algebra, *operands: list) -> list:
         sentinel, cut = -sign * (2 * walk * m + 1), -sign * (walk * m + 1)
     out = kernel(*[[r if None not in r else [sentinel if x is None else x for x in r]
                     for r in rows] for rows in operands], alg, cut)
+    if floats:
+        return _settle(out, alg)
     if sign > 0:
         return [r if min(r) > cut else [x if x > cut else None for x in r] for r in out]
     return [r if max(r) < cut else [x if x < cut else None for x in r] for r in out]
@@ -340,40 +347,25 @@ def _mul(a: list, b: list, alg: Algebra, cut=None) -> list:
         out = [[reduce(add, map(mul, r, c), zero) for c in cols] for r in a]
     work = len(a) * len(b) * len(cols)
     _tally(work, work)
-    return _overflow_checked(out, alg) if sign else _settle(out, alg)
+    return out if sign else _settle(out, alg)
 
 
-def _overflow_checked(rows: list, alg: Algebra) -> list:
-    """Lifted tropical rows, unless a float sum in them overflowed away from
-    the infinite element: that sum is sign inf, which no later max (min
-    over min-plus) replaces, and raises IllegalElement as a scalar fold
-    would."""
-    if alg.domain is _F64:
-        pick = max if alg.sign > 0 else min
-        if alg.sign * math.inf in map(pick, rows):
-            _finite_result(alg.sign * math.inf, alg)  # raises IllegalElement
-    return rows
-
-
-def _add(a: list, b: list, alg: Algebra, cut=None) -> list:
-    """The entrywise semiring sum of equal-shape lifted rows, or of raw rows
-    over a classical algebra; ties keep a's entry."""
+def _oplus(a: list, b: list, alg: Algebra) -> list:
+    """Raw rows of the entrywise semiring sum of equal-shape raw rows: None
+    is the infinite element, and ties keep a's entry."""
     _tally(len(a) * len(a[0]), 0)
     if alg.sign > 0:
-        return [[y if y > x else x for x, y in zip(r, s)] for r, s in zip(a, b)]
+        return [[y if y is not None and (x is None or y > x) else x for x, y in zip(r, s)]
+                for r, s in zip(a, b)]
     if alg.sign < 0:
-        return [[y if y < x else x for x, y in zip(r, s)] for r, s in zip(a, b)]
+        return [[y if y is not None and (x is None or y < x) else x for x, y in zip(r, s)]
+                for r, s in zip(a, b)]
     return _settle([[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], alg)
 
 
 def _product(a: list, b: list, alg: Algebra) -> list:
     """Raw rows of the semiring product of n x m and m x p raw rows."""
     return _lifted(_mul, 2, alg, a, b) if alg.sign else _mul(a, b, alg)
-
-
-def _oplus(a: list, b: list, alg: Algebra) -> list:
-    """Raw rows of the entrywise semiring sum of equal-shape raw rows."""
-    return _lifted(_add, 0, alg, a, b) if alg.sign else _add(a, b, alg)
 
 
 def _residual(a: list, b: list, alg: Algebra) -> list:
@@ -414,8 +406,9 @@ def _float_cap(x: float, y: float | None, cap: float | None, sign: int):
 
 def _below(p, q, sign: int) -> bool:
     """Whether raw tropical rows p lie entrywise below raw rows q in the
-    natural order, u <= v iff u + v == v: None, the infinite element, lies
-    below every value, and over min-plus the order of numbers is reversed."""
+    natural order, u <= v iff u + v == v, as _oplus sums: None, the
+    infinite element, lies below every value, and over min-plus the order
+    of numbers is reversed."""
     if sign > 0:
         return all(u is None or v is not None and u <= v
                    for r, t in zip(p, q) for u, v in zip(r, t))
@@ -433,11 +426,11 @@ def _holds(a: TropMatrix, x: TropMatrix, b: TropMatrix | None, target: TropMatri
     stored rows, with no lift, no magnitude scan, no gcd pass and no
     matrix. Each product entry is the best of a_ik + x_k over the k where
     both are real, the first of equals as max(map(add, r, c)) keeps it; a
-    row with no such k gives None. Over R64 a sum that overflows toward
-    the infinite element is that element, and one that overflows away
-    raises IllegalElement, as the product does. It tallies what mat_mul,
-    mat_oplus and mat_le would: n k m of each for an n x k A times a
-    k x m x, n m adds for + b, and n m more for <=.
+    row with no such k gives None. Over R64 _settle folds or raises a sum
+    that overflowed, as the product does. b is added by _oplus and the
+    order is _below, both on columns, which an entrywise rule allows. It
+    tallies what mat_mul, mat_oplus and mat_le would: n k m of each for
+    an n x k A times a k x m x, n m adds for + b, and n m more for <=.
     """
     alg = a.alg
     sign = alg.sign
@@ -450,20 +443,9 @@ def _holds(a: TropMatrix, x: TropMatrix, b: TropMatrix | None, target: TropMatri
                                if v is not None and w is not None]) else None
              for r in ra] for c in cols]
     _tally(n * k * m, n * k * m)
-    if alg.domain is _F64:
-        inf = sign * math.inf
-        if any(inf in c for c in step):
-            _finite_result(inf, alg)  # raises IllegalElement
-        step = [[None if v == -inf else v for v in c] for c in step]
+    step = _settle(step, alg)
     if b is not None:
-        _tally(n * m, 0)
-        rb = zip(*_scaled(b, den))
-        if sign > 0:
-            step = [[v if v is not None and (u is None or v > u) else u for u, v in zip(c, d)]
-                    for c, d in zip(step, rb)]
-        else:
-            step = [[v if v is not None and (u is None or v < u) else u for u, v in zip(c, d)]
-                    for c, d in zip(step, rb)]
+        step = _oplus(step, list(zip(*_scaled(b, den))), alg)
     targets = list(zip(*_scaled(target, den)))
     if le:
         _tally(n * m, 0)
@@ -485,20 +467,29 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     return _result(_product(ra, rb, a.alg), a.alg, den)
 
 
-def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    """Entrywise semiring addition."""
+def _require_summable(a: TropMatrix, b: TropMatrix):
     _require_same_algebra(a, b)
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch(
             f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}"
         )
+
+
+def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    """Entrywise semiring addition."""
+    _require_summable(a, b)
     ra, rb, den = _common(a, b)
     return _result(_oplus(ra, rb, a.alg), a.alg, den)
 
 
 def mat_le(a: TropMatrix, b: TropMatrix) -> bool:
-    """Entrywise natural order of the semiring: a <= b iff a + b == b."""
-    return mat_oplus(a, b) == b
+    """Entrywise natural order of a tropical semiring, a <= b iff a + b == b,
+    decided without forming the sum; it counts the sum's n m additions."""
+    _require_summable(a, b)
+    _require_tropical(a, "the natural order")
+    ra, rb, _ = _common(a, b)
+    _tally(a.rows * a.cols, 0)
+    return _below(ra, rb, a.alg.sign)
 
 
 def pseudo_inverse(a: TropMatrix) -> TropMatrix:
@@ -565,7 +556,7 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
             if sign * x > 0:
                 _tally(k * work, k * work)
                 # An earlier overflow in A's columns raises first.
-                _overflow_checked([r[:n] for r in a], alg)
+                _settle([r[:n] for r in a], alg)
                 # Divergent: the scalar closure raises, naming the entry's value.
                 trop_closure_scalar(_result([[x]], alg, den).entries[0], alg)
             rk[k] = one
@@ -579,7 +570,7 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
                      [v if (v := c + t) < u else u for u, t in zip(r, rk)]
                      for r, c in zip(a, col)]
         _tally(n * work, n * work)
-        return _overflow_checked(a, alg)
+        return a
 
     return _lifted(eliminate, n, alg, rows)
 

@@ -43,6 +43,7 @@ from tropalg import (
     mat_mul,
     mat_oplus,
     pseudo_inverse,
+    semiring_le,
     solve_lae_tropic,
     solve_lai_tropic,
     trop_add,
@@ -199,6 +200,23 @@ def test_natural_order_on_matrices():
     b = mk([[0, 0], [1, 3]])
     assert mat_le(a, b)
     assert not mat_le(b, a)
+
+
+@pytest.mark.parametrize("alg, two", [(Q_CLASSICAL, 2), (R64_CLASSICAL, 2.0)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_the_natural_order_is_refused_over_classical_algebras(alg, two):
+    # A classical sum is not idempotent, so a + b == b is no order there:
+    # it would find B <= B false for B = [[2]].
+    b = TropMatrix.from_rows([[two]], alg)
+    for le, args in ((mat_le, (b, b)), (semiring_le, (b.get(0, 0), b.get(0, 0), alg))):
+        with pytest.raises(AlgebraMismatch) as e:
+            le(*args)
+        assert str(e.value) == "the natural order is defined over tropical algebras only"
+    # The algebra and shape checks come first, with their own texts.
+    with pytest.raises(AlgebraMismatch, match="^operands live in different algebras"):
+        mat_le(b, mk([[2]]))
+    with pytest.raises(DimensionMismatch, match="^cannot add 1x1 and 1x2$"):
+        mat_le(b, TropMatrix.from_rows([[two, two]], alg))
 
 
 # ---- pseudo-inverse and diagonals ----
@@ -1167,6 +1185,56 @@ def test_the_check_kernel_answers_as_the_public_route_does(alg):
         assert seen["other denominators"] >= 100, seen
 
 
+def _negative_zero(e):
+    return e.is_finite and e.finite == 0 and math.copysign(1, e.finite) < 0
+
+
+def _flip_zeros(rng, m):
+    """m with some of its float zeros negated, which compare equal."""
+    return TropMatrix.from_rows(
+        [[-e.finite if e.is_finite and e.finite == 0 and rng.random() < 0.5 else e for e in r]
+         for r in m.to_lists()], m.alg)
+
+
+@pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
+def test_the_order_is_the_sum_compared_with_its_right_operand(alg):
+    # mat_le(a, b) decides a + b == b without forming the sum, and counts
+    # its n m additions. Edge values (None, 10**400, float zeros of either
+    # sign, coprime denominators) at every size up to 24, b over other
+    # denominators than a's over Q. Random pairs are rarely ordered, so
+    # half the cases take b = a + c, some with the signs of its zeros
+    # flipped: a tie, as 0.0 and -0.0 are.
+    rng = random.Random(f"order {alg.name}")
+    pool = EDGE_VALUES[alg.domain]
+
+    def draw(rows, cols):
+        # Each matrix draws from its own part of the pool, so that two of
+        # them over Q seldom share a denominator.
+        part = rng.sample(pool, rng.randint(2, len(pool)))
+        return TropMatrix.from_rows([[alg.zero() if rng.random() < 0.25 else rng.choice(part)
+                                      for _ in range(cols)] for _ in range(rows)], alg)
+
+    seen = Counter()
+    for n in range(1, 25):
+        for _ in range(6):
+            m = rng.randint(1, 24)
+            a, b = draw(n, m), draw(n, m)
+            if rng.random() < 0.5:
+                b = _flip_zeros(rng, mat_oplus(a, b))
+            with count_ops() as c:
+                verdict = mat_le(a, b)
+            assert verdict is (mat_oplus(a, b) == b), (a, b)
+            assert (c.adds, c.muls) == (n * m, 0)
+            seen[verdict] += 1
+            seen["other denominators"] += a._den != b._den
+            seen["signed zeros"] += any(map(_negative_zero, b.entries))
+    assert seen[True] >= 50 and seen[False] >= 50, seen
+    if alg.domain is Domain.Q:
+        assert seen["other denominators"] >= 50, seen
+    if alg.domain is Domain.F64:
+        assert seen["signed zeros"] >= 50, seen
+
+
 # ---- the stored form ----
 
 # Integral Fractions are demoted on the way in, in Z as in Q.
@@ -1262,7 +1330,7 @@ def test_tropical_q_kernels_run_on_ints_over_the_least_denominator(alg, monkeypa
             return kernel(*args)
         return wrapped
 
-    kernels = {"_product", "_oplus", "_closure", "_label_setting", "_residual"}
+    kernels = {"_product", "_oplus", "_below", "_closure", "_label_setting", "_residual"}
     for name in kernels:
         monkeypatch.setattr(trmatrix, name, ints_only(getattr(trmatrix, name)))
     rng = random.Random(f"least denominator {alg.name}")
@@ -1272,10 +1340,13 @@ def test_tropical_q_kernels_run_on_ints_over_the_least_denominator(alg, monkeypa
         a, b, c = (_fractions(rng, alg, *shape) for shape in ((n, m), (m, p), (n, m)))
         sq, rhs = _fractions(rng, alg, n, n, closable=True), _fractions(rng, alg, n, 1)
         shifted = _shifted(rng, alg, sq)  # eliminated where an entry improves
+        ac = mat_oplus(a, c)
+        assert mat_le(a, ac)
         for got, *operands in [(a, a), (mat_mul(a, b), a, b), (pseudo_inverse(a), a),
-                               (mat_oplus(a, c), a, c), (_residuate(a, rhs), a, rhs),
+                               (ac, a, c), (_residuate(a, rhs), a, rhs),
                                (closure_block(sq), sq), (bellman_solve(sq, rhs), sq, rhs),
-                               (bellman_solve(shifted, rhs), shifted, rhs)]:
+                               (bellman_solve(shifted, rhs), shifted, rhs),
+                               (bellman_inequality(sq, rhs), sq, rhs)]:
             assert (got._den, got._raw) == _least_form(got)
             # Counts the results a gcd pass reduced below their operands' lcm.
             reduced += got._den < math.lcm(*(x._den for x in operands))

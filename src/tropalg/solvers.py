@@ -37,13 +37,15 @@ the check's own fixed point and passes it at once.
 Every solver re-verifies its defining identity before returning:
 A X + B == X for bellman_solve, A X + B <= X for bellman_inequality,
 A x <= b for solve_lai_tropic and A x == b for solve_lae_tropic. Each
-runs on trmatrix's check kernel, the covering test of Cuninghame-Green
-(1979) and Butkovic (2010): one pass over the stored rows of A forms
-A x, or A x + b, column by column and compares it with x or b, by == or
-by the natural order, building no matrix. It reads only A, x and b,
-nothing the solve computed, and tallies what the product, the sum and
-the comparison count. bellman_homogeneous picks the columns of A^x that
-A A^x keeps, a selection rather than a check, so it multiplies.
+runs trmatrix's check, the covering test of Cuninghame-Green (1979) and
+Butkovic (2010): A x, or A x + b, by the kernels of mat_mul and
+mat_oplus on the stored rows, compared with x or b by == or by the
+natural order, building no matrix. A x by one column is a fold over
+the rows of A with no lift, as every product by one column is. The
+check reads only A, x and b, nothing the solve computed, and tallies
+what the product, the sum and the comparison count. bellman_homogeneous
+picks the columns of A^x that A A^x keeps, a selection rather than a
+check, so it multiplies.
 """
 
 from __future__ import annotations

@@ -46,13 +46,14 @@ find_shortest_path runs the same kernel on the goal's unit column.
 
 Each operation runs one kernel (_product, _oplus for the sum, _below
 for the natural order, _closure, _residual, _closure or _label_setting
-for A^x B, and _holds for the solvers' checks A x + b == x and
-A x + b <= x, b possibly absent, which adds b by _oplus and compares by
-_below), shared by max-plus and min-plus through semiring's sign rule,
-on the stored rows, and keeps the rows it returns unchecked: a chain of
-operations converts nothing in between. Counts are tallied in bulk: an
-n x m by m x p product is n m p of each. The sum, the order and the
-check kernel skip None where the product and the closure lift it.
+for A^x B), shared by max-plus and min-plus through semiring's sign
+rule, on the stored rows, and keeps the rows it returns unchecked: a
+chain of operations converts nothing in between. The solvers' checks
+A x + b == x and A x + b <= x, b possibly absent, are _holds, which
+composes _product, _oplus and _below. Counts are tallied in bulk: an
+n x m by m x p product is n m p of each. The sum, the order and a
+tropical product by one column skip None on the stored rows; _product
+picks that fold or the lifted kernel by the number of columns alone.
 
 One rule, _settle, meets float overflow over R64 wherever a float sum
 can overflow: a value at -sign inf, on the infinite element's side, is
@@ -60,7 +61,8 @@ that element, and sign inf, or the NaN where overflows of both signs
 meet in a classical sum, raises IllegalElement, as a scalar fold would
 have at that sum.
 
-The tropical product and closure never test for None. On entry, _lifted
+A tropical product by two or more columns and the closure never test
+for None, as their kernels outweigh a lift. On entry, _lifted
 replaces each None in the operands by one sentinel S; the kernel runs
 max (min over min-plus) and + on plain numbers, as max(map(add, r, c))
 per entry of a product; on exit each value at or beyond a cut C, on the
@@ -364,8 +366,26 @@ def _oplus(a: list, b: list, alg: Algebra) -> list:
 
 
 def _product(a: list, b: list, alg: Algebra) -> list:
-    """Raw rows of the semiring product of n x m and m x p raw rows."""
-    return _lifted(_mul, 2, alg, a, b) if alg.sign else _mul(a, b, alg)
+    """Raw rows of the semiring product of n x k and k x p raw rows.
+
+    A tropical product by one column, p = 1, is a fold over the raw rows:
+    each entry is the best of a_ij + b_j over the j where both are real,
+    the first of equals, and None where there is no such j; its n k
+    multiply-adds cost less than a lift and a magnitude scan of the
+    operands would. Over R64 _settle folds or raises a sum that
+    overflowed. A wider product, and a classical one, runs _mul, lifted
+    when tropical.
+    """
+    if not alg.sign:
+        return _mul(a, b, alg)
+    if len(b[0]) > 1:
+        return _lifted(_mul, 2, alg, a, b)
+    (c,) = zip(*b)
+    pick = max if alg.sign > 0 else min
+    out = [pick(t) if (t := [v + w for v, w in zip(r, c) if v is not None and w is not None])
+           else None for r in a]
+    _tally(len(a) * len(c), len(a) * len(c))
+    return list(zip(*_settle([out], alg)))
 
 
 def _residual(a: list, b: list, alg: Algebra) -> list:
@@ -422,34 +442,24 @@ def _holds(a: TropMatrix, x: TropMatrix, b: TropMatrix | None, target: TropMatri
     common denominator, for a tropical system whose shapes the caller has
     checked.
 
-    This is the check every solver runs on its answer: one pass over the
-    stored rows, with no lift, no magnitude scan, no gcd pass and no
-    matrix. Each product entry is the best of a_ik + x_k over the k where
-    both are real, the first of equals as max(map(add, r, c)) keeps it; a
-    row with no such k gives None. Over R64 _settle folds or raises a sum
-    that overflowed, as the product does. b is added by _oplus and the
-    order is _below, both on columns, which an entrywise rule allows. It
-    tallies what mat_mul, mat_oplus and mat_le would: n k m of each for
-    an n x k A times a k x m x, n m adds for + b, and n m more for <=.
+    This is the check every solver runs on its answer, built from the
+    kernels of the public route with no gcd pass and no matrix: A x by
+    _product, a fold when x is one column, + b by _oplus, and the order
+    by _below or == on raw rows. The sum and the comparison run on
+    columns, which an entrywise rule allows: they pay per row, and most
+    checks are of one column. It tallies what mat_mul, mat_oplus and
+    mat_le would: n k m of each for an n x k A times a k x m x, n m adds
+    for + b, and n m more for <=.
     """
     alg = a.alg
-    sign = alg.sign
     den = math.lcm(a._den, x._den, target._den, 1 if b is None else b._den)
-    ra = _scaled(a, den)
-    cols = list(zip(*_scaled(x, den)))
-    pick = max if sign > 0 else min
-    n, k, m = len(ra), len(cols[0]), len(cols)
-    step = [[pick(t) if (t := [v + w for v, w in zip(r, c)
-                               if v is not None and w is not None]) else None
-             for r in ra] for c in cols]
-    _tally(n * k * m, n * k * m)
-    step = _settle(step, alg)
+    step = list(zip(*_product(_scaled(a, den), _scaled(x, den), alg)))
     if b is not None:
         step = _oplus(step, list(zip(*_scaled(b, den))), alg)
     targets = list(zip(*_scaled(target, den)))
     if le:
-        _tally(n * m, 0)
-        verdict = _below(step, targets, sign)
+        _tally(a.rows * x.cols, 0)
+        verdict = _below(step, targets, alg.sign)
     else:
         verdict = all(tuple(c) == t for c, t in zip(step, targets))
     return verdict, list(zip(*step))

@@ -1127,6 +1127,12 @@ def _folds(a, x):
                for r in a._raw for c in zip(*x._raw) for u, v in zip(r, c))
 
 
+def _reference_step(a, x, b):
+    """A x + b, or A x when b is None, by the per-entry reference."""
+    step = ref_mat_mul(a, x)
+    return step if b is None else ref_mat_oplus(step, b)
+
+
 @pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
 def test_the_check_kernel_answers_as_the_public_route_does(alg):
     # Systems of edge values (10**400, -0.0, float sums that overflow either
@@ -1166,6 +1172,9 @@ def test_the_check_kernel_answers_as_the_public_route_does(alg):
                 rows[rng.randrange(n)][rng.randrange(m)] = rng.choice((alg.zero(), s(small())))
             target = TropMatrix.from_rows(rows, alg)
         seen["other denominators"] += a._den != x._den
+        # The check and the public route share _product and _oplus, so the
+        # step is also judged by the reference, signs of zeros included.
+        reference = _outcome(_reference_step, a, x, b)[:3]
         for le in (False, True):
             want = _public_check(a, x, b, target, le)
             assert _kernel_check(a, x, b, target, le) == want, (a, x, b, target, le)
@@ -1173,6 +1182,7 @@ def test_the_check_kernel_answers_as_the_public_route_does(alg):
             if type(verdict) is str:
                 seen[verdict] += 1
                 continue
+            assert want[0][1] == reference, (a, x, b)
             seen[le, verdict] += 1
             if le:
                 assert mat_le(step, target) is verdict
@@ -1225,6 +1235,8 @@ def test_the_order_is_the_sum_compared_with_its_right_operand(alg):
                 verdict = mat_le(a, b)
             assert verdict is (mat_oplus(a, b) == b), (a, b)
             assert (c.adds, c.muls) == (n * m, 0)
+            # == sees no zero's sign, so the sum is judged by the reference.
+            assert _outcome(mat_oplus, a, b) == _outcome(ref_mat_oplus, a, b), (a, b)
             seen[verdict] += 1
             seen["other denominators"] += a._den != b._den
             seen["signed zeros"] += any(map(_negative_zero, b.entries))
@@ -1233,6 +1245,70 @@ def test_the_order_is_the_sum_compared_with_its_right_operand(alg):
         assert seen["other denominators"] >= 50, seen
     if alg.domain is Domain.F64:
         assert seen["signed zeros"] >= 50, seen
+
+
+@pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
+def test_a_product_by_one_column_folds_and_a_wider_one_lifts(alg, monkeypatch):
+    # mat_mul and the check kernel run one product: by one column a fold
+    # over the stored rows, with no lift, and by two or more columns the
+    # lifted kernel, lifted once. Either answers as the per-entry reference
+    # does, entry types and zero signs included, with n k p adds and muls,
+    # or raises its error after counting them. Sizes 1-24; half the
+    # operands hold edge values (10**400 beside small ints, float zeros of
+    # either sign that tie, float sums that overflow toward the infinite
+    # element or away from it), and some rows and columns are wholly
+    # infinite.
+    rng = random.Random(f"product shapes {alg.name}")
+    lifts = []
+
+    def spy(*args, lifted=trmatrix._lifted):
+        lifts.append(args[0].__name__)
+        return lifted(*args)
+
+    monkeypatch.setattr(trmatrix, "_lifted", spy)
+    small = {Domain.Z: lambda: rng.randint(-9, 9),
+             Domain.Q: lambda: Fraction(rng.randint(-12, 12), rng.choice((5, 7, 9))),
+             Domain.F64: lambda: rng.choice((0.0, -0.0, rng.randint(-40, 40) / 4))}[alg.domain]
+
+    def draw(rows, cols, edges):
+        p_inf, z = rng.choice((0.0, 0.25, 0.6)), alg.zero()
+        m = [[z if rng.random() < p_inf else
+              rng.choice(EDGE_VALUES[alg.domain]) if edges else small()
+              for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [z] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for r in m:
+                r[j] = z
+        return TropMatrix.from_rows(m, alg)
+
+    seen = Counter()
+    for n in range(1, 25):
+        for p in (1, 1, 2, rng.randint(3, 24)):
+            k, edges = rng.randint(1, 24), rng.random() < 0.5
+            a, x = draw(n, k, edges), draw(k, p, edges)
+            want, work = _outcome(ref_mat_mul, a, x), n * k * p
+            answered = len(want) > 2
+            lifts.clear()
+            assert _outcome(mat_mul, a, x) == want, (a, x)
+            assert lifts == ["_mul"] * (p > 1), (n, k, p)
+            target = mat_mul(a, x) if answered else draw(n, p, edges)
+            lifts.clear()
+            got = _kernel_check(a, x, None, target, False)
+            assert lifts == ["_mul"] * (p > 1), (n, k, p)
+            assert got == ((True, want[:3]) if answered else want, work, work), (a, x)
+            if not answered:
+                seen[want[0]] += 1
+                continue
+            assert want[3:] == (work, work)
+            seen["by one column" if p == 1 else "wider"] += 1
+            seen["folded"] += alg.domain is Domain.F64 and _folds(a, x)
+            seen["signed zeros"] += any(map(_negative_zero, target.entries))
+    assert seen["by one column"] >= 25 and seen["wider"] >= 25, seen
+    if alg.domain is Domain.F64:
+        assert seen["IllegalElement"] >= 10 and seen["folded"] >= 4, seen
+        assert seen["signed zeros"] >= 10, seen
 
 
 # ---- the stored form ----

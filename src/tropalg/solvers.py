@@ -71,6 +71,18 @@ class IntervalBound(Record):
 
     __slots__ = ("lower", "upper", "lower_closed", "upper_closed")
 
+    def __init__(self, lower, upper, lower_closed: bool, upper_closed: bool):
+        # solve_lai_tropic builds one per coordinate, so the slots are written
+        # through their descriptors, not the generic constructor.
+        _set_lower(self, lower)
+        _set_upper(self, upper)
+        _set_lower_closed(self, lower_closed)
+        _set_upper_closed(self, upper_closed)
+
+
+_set_lower, _set_upper, _set_lower_closed, _set_upper_closed = (
+    getattr(IntervalBound, n).__set__ for n in IntervalBound.__slots__)
+
 
 def _require_system(a: TropMatrix, b: TropMatrix | None, what: str, column: bool = True):
     """Check A and its right-hand side b, when there is one, before any work;
@@ -102,9 +114,11 @@ def solve_lai_tropic(a: TropMatrix, b: TropMatrix):
     x = _residuate(a, b)
     if not _holds(a, x, None, b, le=True)[0]:
         raise AssertionError("residuation produced a non-solution")
-    # The max-plus interval (zero, x_k], its ends swapped when sign is -1.
-    zero, s = a.alg.zero(), a.alg.sign
-    return x, tuple(IntervalBound(*(zero, v)[::s], *(False, True)[::s]) for v in x.entries)
+    # The max-plus interval (zero, x_k], its ends swapped over min-plus.
+    zero = a.alg.zero()
+    if a.alg.sign > 0:
+        return x, tuple([IntervalBound(zero, v, False, True) for v in x.entries])
+    return x, tuple([IntervalBound(v, zero, True, False) for v in x.entries])
 
 
 def solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:

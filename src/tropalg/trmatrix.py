@@ -52,8 +52,9 @@ chain of operations converts nothing in between. The solvers' checks
 A x + b == x and A x + b <= x, b possibly absent, are _holds, which
 composes _product, _oplus and _below. Counts are tallied in bulk: an
 n x m by m x p product is n m p of each. The sum, the order and a
-tropical product by one column skip None on the stored rows; _product
-picks that fold or the lifted kernel by the number of columns alone.
+tropical product by one column, _fold, skip None on the stored rows;
+_product picks that fold by the number of columns, and for a wider
+product the packed kernel over Z and Q or the lifted one over R64.
 
 One rule, _settle, meets float overflow over R64 wherever a float sum
 can overflow: a value at -sign inf, on the infinite element's side, is
@@ -62,24 +63,55 @@ meet in a classical sum, raises IllegalElement, as a scalar fold would
 have at that sum.
 
 A tropical product by two or more columns and the closure never test
-for None, as their kernels outweigh a lift. On entry, _lifted
-replaces each None in the operands by one sentinel S; the kernel runs
-max (min over min-plus) and + on plain numbers, as max(map(add, r, c))
-per entry of a product; on exit each value at or beyond a cut C, on the
-infinite element's side, is None again. Every pivot of a closure runs
-on rows lifted once. Over R64, S = C = -sign inf, which + absorbs and
-max or min passes over, exactly as the kernel would treat None, and
-_settle lowers the kernel's rows: a float sum that overflows toward S
-is the infinite element already, and one that overflows away is sign
-inf, which stays where it lands and raises when the product or the
-closure ends, or before a pivot raises (A's columns only, so an
-overflow in B's columns alone leaves the divergent pivot's error). An
-eliminated A^x B forms all of A^x, so it raises wherever the closure
-raises. For a product, a closure or A^x B over Z and scaled Q, with M
-the largest magnitude among the operands' values and w a bound on the
-edges of the walks a result optimises over (2 for a product, n for an
-n x n closure and for A^x B with A n x n), S = -sign (2 w M + 1) and
-C = -sign (w M + 1).
+for None, as their kernels outweigh converting the rows once. Over R64,
+_lifted replaces each None in the operands by the sentinel S =
+-sign inf on entry, and the kernel runs max (min over min-plus) and +
+on plain floats, as max(map(add, r, c)) per entry of a product: +
+absorbs S and max or min passes over it, exactly as the kernel would
+treat None. On exit _settle lowers the kernel's rows, with the cut C =
+S: a float sum that overflows toward S is the infinite element already,
+and one that overflows away is sign inf, which stays where it lands and
+raises when the product or the closure ends, or before a pivot raises
+(A's columns only, so an overflow in B's columns alone leaves the
+divergent pivot's error). An eliminated A^x B forms all of A^x, so it
+raises wherever the closure raises.
+
+Over Z and scaled Q the rows are packed instead, after Lamport's
+multiple byte processing with full-word instructions (1975): _packer
+holds each row as one int of fixed-width fields, packed once on entry
+and unpacked once on exit, so a handful of big-int operations updates a
+whole row. Let M be the largest magnitude among the operands' values and
+w a bound on the edges of the walks a result optimises over (2 for a
+product, n for an n x n closure and for A^x B with A n x n). Min-plus
+values are negated on the way in and out, so one max kernel serves both
+semirings by duality. In the packed values the sentinel is S =
+-(2 w M + 1) and the cut C = -(w M + 1); in the stored ones they are
+-sign (2 w M + 1) and -sign (w M + 1). A stored value stays in [S, wM]: it is the maximum of
+values that were, and an optimum over walks of at most w edges (below).
+A temporary c + t, a_ik plus a stored a_kj, stays in [S - wM, 2wM],
+because a closure keeps row i whole when a_ik is at or below C, so the
+c it adds is at least -wM, and a product adds only real a_ik, at least
+-M. A value v is the field v + base, base = 3wM + 1, so every field lies
+in [0, 5wM + 1]; it holds W value bits, W the bit length of 5wM + 1, and
+a guard bit above them, which a stored row leaves clear. Adding c times
+ONES, the int with 1 in every field, adds c to each field: every sum
+stays in [0, 2^W), so the int is exactly the packed row of the sums, and
+nothing carries or borrows between fields. The copy c ONES is one
+multiplication while a field spans at most five digits of Python's
+ints; a wider field is copied by doubling instead, ORing the int with
+itself shifted by 1, 2, 4, ... fields, since a multiplication would
+pass over ONES once for each digit of c. The maximum of packed rows u
+and v, ties keeping u, is v + (D & (G - (G >> W))), where H holds the
+guard bits, D = (u | H) - v and G = D & H. Field by field, u + 2^W - v
+lies in [1, 2^(W+1)), so the subtraction never borrows across fields,
+and its guard bit is set exactly where u >= v; there D holds u - v, and
+G - (G >> W) fills just those fields' value bits, so the sum is max(u,
+v) in every field, again without a carry. All of it is exact at any
+magnitude, 10^400 included. On exit each value at or below C is None
+again. A product by two or more columns folds packed rows: out row i is
+the maximum of B_k + a_ik over the k where a_ik is real, starting from
+the row of sentinels, with no lift of A. A closure packs and unpacks
+once; pivot k reads a_ik from each row with a shift and a mask.
 
 Why no value derived from S is taken for a real one, over max-plus
 (min-plus mirrors it): give every missing edge of the operands' graph
@@ -125,7 +157,8 @@ cannot raise where it is not, the elimination raises at the same pivot
 with the same text, and lowering gives back the same entries. Over R64
 the kept row is the one the update would give: -sign inf + t is
 -sign inf, or NaN where t = sign inf, and neither replaces u, so
-_settle still raises on a sum that overflowed away. The tally
+_settle still raises on a sum that overflowed away. Over Z and Q the
+skip also keeps each packed temporary within its field. The tally
 still counts (n-1) (n+m) multiply-adds a pivot, m = 0 for a closure:
 products by the zero element are counted, as the bulk tally of a
 product has always counted them.
@@ -144,10 +177,11 @@ so == compares rows and L.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from operator import add, mul
+from operator import add, lshift, mul
 
 from ._record import Record
 from .errors import AlgebraMismatch, DimensionMismatch
@@ -310,31 +344,60 @@ def _settle(rows: list, alg: Algebra) -> list:
             for r in rows]
 
 
-def _lifted(kernel, walk: int, alg: Algebra, *operands: list) -> list:
-    """Raw rows of kernel(*operands, alg) over a tropical algebra, run on
-    lifted rows: each None is replaced by one sentinel on entry, and each
-    value at or beyond the cut returns to None on exit, by _settle over
-    R64. walk bounds the edges of the walks a value is an optimum over
-    (see the module docstring). The kernel is also handed the cut, at or
-    beyond which no value is real; only the closure uses it."""
-    sign, floats = alg.sign, alg.domain is _F64
-    if floats:
-        sentinel = cut = -sign * math.inf
-    else:
-        real = set().union(*chain.from_iterable(operands)) - {None}
-        m = max(max(real), -min(real)) if real else 0
-        sentinel, cut = -sign * (2 * walk * m + 1), -sign * (walk * m + 1)
-    out = kernel(*[[r if None not in r else [sentinel if x is None else x for x in r]
-                    for r in rows] for rows in operands], alg, cut)
-    if floats:
-        return _settle(out, alg)
-    if sign > 0:
-        return [r if min(r) > cut else [x if x > cut else None for x in r] for r in out]
-    return [r if max(r) < cut else [x if x < cut else None for x in r] for r in out]
+def _lifted(kernel, alg: Algebra, *operands: list) -> list:
+    """Raw rows of kernel(*operands, alg) over R64, run on lifted rows: each
+    None is replaced by -sign inf on entry, and _settle lowers the rows on
+    exit (see the module docstring)."""
+    sentinel = -alg.sign * math.inf
+    return _settle(kernel(*[[r if None not in r else [sentinel if x is None else x for x in r]
+                             for r in rows] for rows in operands], alg), alg)
 
 
-def _mul(a: list, b: list, alg: Algebra, cut=None) -> list:
-    """The semiring product of lifted rows, or of raw rows over a classical algebra.
+def _packer(walk: int, sign: int, count: int, *operands: list) -> tuple:
+    """Packed rows of count values, for a kernel on the raw rows operands
+    over Z or scaled Q whose values are optima over walks of at most walk
+    edges (see the module docstring): pack, unpack, spread, width, base
+    and cut.
+
+    pack(r) is one int holding each value v of r, negated over min-plus,
+    as the field v + base, and each None as the field of the sentinel S.
+    A field is width + 1 bits wide, its top bit a guard that stored rows
+    leave clear, so field j of p is p >> j (width + 1) & (2^width - 1).
+    spread(f) holds f, at most 2^(width + 1) - 1, in every field. A field
+    at or below cut holds no real value, and unpack(p) gives it back as
+    None, every other field v + base as sign v.
+    """
+    real = set().union(*chain.from_iterable(operands)) - {None}
+    wm = walk * max(max(real), -min(real)) if real else 0
+    base, width = 3 * wm + 1, (5 * wm + 1).bit_length()
+    mask, step, cut = (1 << width) - 1, width + 1, 2 * wm
+    shifts = range(0, count * step, step)
+
+    def pack(r):
+        # S = -(2 wm + 1) is the field wm.
+        return sum(map(lshift, [wm if x is None else base + sign * x for x in r], shifts))
+
+    def unpack(p):
+        return [None if (f := p >> s & mask) <= cut else sign * (f - base) for s in shifts]
+
+    # f times ones passes over ones once for each digit of f, so a field
+    # wider than a few digits is copied instead by doubling, a handful of
+    # passes whatever its width.
+    ones = ((1 << count * step) - 1) // ((1 << step) - 1)
+    if width <= 5 * sys.int_info.bits_per_digit:
+        return pack, unpack, ones.__mul__, width, base, cut
+    doublings, full = [step << j for j in range((count - 1).bit_length())], (1 << count * step) - 1
+
+    def spread(f):
+        for t in doublings:
+            f |= f << t
+        return f & full
+
+    return pack, unpack, spread, width, base, cut
+
+
+def _mul(a: list, b: list, alg: Algebra) -> list:
+    """The semiring product of lifted R64 rows, or of raw rows over a classical algebra.
 
     Ties keep the first of equals, and classical sums add left to right
     (reduce, not sum, which may compensate rounding), as a scalar fold does.
@@ -365,27 +428,52 @@ def _oplus(a: list, b: list, alg: Algebra) -> list:
     return _settle([[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], alg)
 
 
-def _product(a: list, b: list, alg: Algebra) -> list:
-    """Raw rows of the semiring product of n x k and k x p raw rows.
-
-    A tropical product by one column, p = 1, is a fold over the raw rows:
-    each entry is the best of a_ij + b_j over the j where both are real,
-    the first of equals, and None where there is no such j; its n k
-    multiply-adds cost less than a lift and a magnitude scan of the
-    operands would. Over R64 _settle folds or raises a sum that
-    overflowed. A wider product, and a classical one, runs _mul, lifted
-    when tropical.
-    """
-    if not alg.sign:
-        return _mul(a, b, alg)
-    if len(b[0]) > 1:
-        return _lifted(_mul, 2, alg, a, b)
-    (c,) = zip(*b)
+def _fold(a: list, c: list, alg: Algebra) -> list:
+    """The raw column of the tropical product of n x k raw rows a by the
+    raw column c: each entry is the best of a_ij + c_j over the j where
+    both are real, the first of equals, and None where there is no such
+    j. Its n k multiply-adds cost less than packing the operands would.
+    Over R64 _settle folds or raises a sum that overflowed."""
     pick = max if alg.sign > 0 else min
     out = [pick(t) if (t := [v + w for v, w in zip(r, c) if v is not None and w is not None])
            else None for r in a]
     _tally(len(a) * len(c), len(a) * len(c))
-    return list(zip(*_settle([out], alg)))
+    return _settle([out], alg)[0]
+
+
+def _product(a: list, b: list, alg: Algebra) -> list:
+    """Raw rows of the semiring product of n x k and k x p raw rows.
+
+    A tropical product by one column is _fold. A classical product runs
+    _mul, and so does a wider tropical one over R64, lifted. Over Z and
+    scaled Q a wider product folds packed rows: out row i is the best of
+    B_k + a_ik over the k where a_ik is real, starting from the row of
+    sentinels, with one guard-bit maximum a term.
+    """
+    sign, p = alg.sign, len(b[0])
+    if not sign:
+        return _mul(a, b, alg)
+    if p == 1:
+        return [[x] for x in _fold(a, [r[0] for r in b], alg)]
+    if alg.domain is _F64:
+        return _lifted(_mul, alg, a, b)
+    pack, unpack, spread, width, base, _ = _packer(2, sign, p, a, b)
+    guards, none, lower = spread(1 << width), pack([None] * p), spread(base)
+    rows = [pack(r) - lower for r in b]
+    # a_ik, the field sign a_ik + base less base, in every field.
+    spreads = {x: spread(sign * x + base) for x in set().union(*a) - {None}}
+    out = []
+    for r in a:
+        u = none
+        for x, q in zip(r, rows):
+            if x is not None:
+                # Where u >= v the guard bit of u's field survives the
+                # subtraction, and the field keeps u.
+                d = (u | guards) - (v := q + spreads[x])
+                u = v + (d & ((g := d & guards) - (g >> width)))
+        out.append(unpack(u))
+    _tally(len(a) * len(b) * p, len(a) * len(b) * p)
+    return out
 
 
 def _residual(a: list, b: list, alg: Algebra) -> list:
@@ -453,7 +541,9 @@ def _holds(a: TropMatrix, x: TropMatrix, b: TropMatrix | None, target: TropMatri
     """
     alg = a.alg
     den = math.lcm(a._den, x._den, target._den, 1 if b is None else b._den)
-    step = list(zip(*_product(_scaled(a, den), _scaled(x, den), alg)))
+    ra, rx = _scaled(a, den), _scaled(x, den)
+    step = ([_fold(ra, [r[0] for r in rx], alg)] if x.cols == 1
+            else list(zip(*_product(ra, rx, alg))))
     if b is not None:
         step = _oplus(step, list(zip(*_scaled(b, den))), alg)
     targets = list(zip(*_scaled(target, den)))
@@ -550,25 +640,32 @@ def zero_matrix(rows: int, cols: int, alg: Algebra) -> TropMatrix:
 def _closure(rows: list, alg: Algebra, den: int) -> list:
     """Raw rows of the closure A^x of square raw rows A over den, or of
     [A^x | A^x B] for the raw rows [A | B], by Gauss-Jordan elimination on
-    rows lifted once; only A's columns are pivoted on."""
-    sign, one, n = alg.sign, alg.one().finite, len(rows)
+    rows packed once over Z and Q, and lifted once over R64; only A's
+    columns are pivoted on.
 
-    def eliminate(rows: list, alg: Algebra, cut) -> list:
-        # Pivot k has a_kk* = one, then a_ij += a_ik a_kj for every row
-        # i != k and every column j, B's included: (n - 1) (n + m)
-        # multiply-adds a pivot; a tie keeps a_ij, and a row whose a_ik is
-        # at or beyond the cut is kept whole.
-        a = [list(r) for r in rows]
-        work = (n - 1) * len(a[0])
+    Pivot k has a_kk* = one, then a_ij += a_ik a_kj for every row i != k
+    and every column j, B's included: (n - 1) (n + m) multiply-adds a
+    pivot. A tie keeps a_ij, and a row whose a_ik is at or beyond the cut
+    is kept whole.
+    """
+    sign, n = alg.sign, len(rows)
+    work = (n - 1) * len(rows[0])
+
+    def diverge(k: int, x, a: list = ()):
+        # Pivot k sees x, better than the unit: over R64 an earlier
+        # overflow in A's columns raises first, and then the scalar closure
+        # raises, naming x.
+        _tally(k * work, k * work)
+        _settle([r[:n] for r in a], alg)
+        trop_closure_scalar(_result([[x]], alg, den).entries[0], alg)
+
+    def eliminate(rows: list, alg: Algebra) -> list:
+        a, one, cut = [list(r) for r in rows], alg.one().finite, -sign * math.inf
         for k in range(n):
             rk = a[k]
             x = rk[k]
             if sign * x > 0:
-                _tally(k * work, k * work)
-                # An earlier overflow in A's columns raises first.
-                _settle([r[:n] for r in a], alg)
-                # Divergent: the scalar closure raises, naming the entry's value.
-                trop_closure_scalar(_result([[x]], alg, den).entries[0], alg)
+                diverge(k, x, a)
             rk[k] = one
             col = [r[k] for r in a]
             if sign > 0:
@@ -582,7 +679,28 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
         _tally(n * work, n * work)
         return a
 
-    return _lifted(eliminate, n, alg, rows)
+    if alg.domain is _F64:
+        return _lifted(eliminate, alg, rows)
+    pack, unpack, spread, width, base, cut = _packer(n, sign, len(rows[0]), rows)
+    guards, mask, lower = spread(1 << width), (1 << width) - 1, spread(base)
+    a = [pack(r) for r in rows]
+    for k in range(n):
+        s = k * (width + 1)
+        rk = a[k]
+        x = (rk >> s & mask) - base
+        if x > 0:
+            diverge(k, sign * x)
+        a[k] = rk = rk - (x << s)
+        # Row i gains row k plus a_ik, its field f less base, in every
+        # field; where u >= v the guard bit of u's field survives the
+        # subtraction, and the field keeps u. Row k gains nothing, as its
+        # a_kk is the unit.
+        rk -= lower
+        a = [r if (f := r >> s & mask) <= cut else
+             (v := rk + spread(f)) + ((d := (r | guards) - v) & ((g := d & guards) - (g >> width)))
+             for r in a]
+    _tally(n * work, n * work)
+    return [unpack(r) for r in a]
 
 
 def _label_setting(a: list, b: list, alg: Algebra) -> list:

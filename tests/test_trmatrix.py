@@ -649,6 +649,72 @@ def test_kernels_match_the_per_entry_reference_at_every_size_up_to_33(alg):
         assert seen["IllegalElement"] >= 20
 
 
+def _at_the_field_width(rng, alg, rows, cols, walk, closable=False, wide=True):
+    """A matrix of values at a packed field's width boundary, with an
+    all-infinite row and an all-infinite column; over Q every value is
+    over the denominator 3.
+
+    When wide, its largest stored magnitude M puts 5 walk M + 1, the top of
+    a field's range, just below a power of two past 10**400, so that a
+    field one bit narrower would carry the values near zero into the next
+    field; it holds M, 10**400, small values and the infinite element,
+    each negated toward the infinite element when closable. Otherwise
+    every value is 0 or infinite: M = 0, and each field holds one bit,
+    which a sum of two sentinels less a real value fills.
+    """
+    top = (2 ** (1340 + (5 * walk).bit_length()) - 2) // (5 * walk) if wide else 0
+    pool = (top, top - 1, 10**400, 1, 0, -1, -(10**400), -top) if wide else (0,)
+    if closable:
+        pool = [v for v in pool if v >= 0]
+    m = [[None if rng.random() < 0.2 else rng.choice(pool) for _ in range(cols)]
+         for _ in range(rows)]
+    m[rng.randrange(rows)][rng.randrange(cols)] = top
+    if rows > 1 and cols > 1:
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        m[i] = [None] * cols
+        for r in m:
+            r[j] = None
+    sign = -alg.sign if closable else 1
+    den = 3 if alg.domain is Domain.Q else 1
+    return TropMatrix.from_rows([[alg.zero() if v is None else s(Fraction(sign * v, den))
+                                  for v in r] for r in m], alg)
+
+
+@pytest.mark.parametrize("alg", [Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS],
+                         ids=lambda a: a.name)
+def test_packed_fields_hold_values_at_their_width_boundary(alg):
+    # The closure, A^x B read off the elimination on [A | B], which an
+    # entry of A better than the unit selects, and a product by several
+    # columns, each on operands at the packed field's width boundary,
+    # against the per-entry references: entries with their types, or the
+    # error's type and text. The closure and the product also run on
+    # one-bit fields, of 0 and the infinite element only.
+    rng = random.Random(f"field width {alg.name}")
+    for n in (1, 2, 33, 64):
+        for wide in (True, False):
+            sq = _at_the_field_width(rng, alg, n, n, n, True, wide)
+            assert _outcome(closure_block, sq)[:3] == _outcome(_ref_eliminate, sq)[:3], n
+            for p in (2, 3):
+                a = _at_the_field_width(rng, alg, n, n, 2, False, wide)
+                b = _at_the_field_width(rng, alg, n, p, 2, False, wide)
+                assert _outcome(mat_mul, a, b) == _outcome(ref_mat_mul, a, b), (n, p)
+            if not wide:
+                continue
+            # Column 0 loses its edges in, and row 0 gains the entry M,
+            # better than the unit, so that no cycle improves: A^x B is
+            # eliminated.
+            rows = sq.to_lists()
+            for r in rows:
+                r[0] = alg.zero()
+            if n > 1:
+                rows[0][1] = s(alg.sign * max(abs(e.finite) for e in sq.entries if e.is_finite))
+            a = TropMatrix.from_rows(rows, alg)
+            assert _improves(a) == (n > 1), n
+            b = _at_the_field_width(rng, alg, n, 2, n)
+            want = _outcome(lambda a, b: ref_mat_mul(_ref_eliminate(a), b), a, b)[:3]
+            assert _outcome(bellman_solve, a, b)[:3] == want, n
+
+
 def _cycle_at_pivot(rng, alg, n, k, draw=_edge_matrix):
     """A closable n x n matrix with one improving cycle, which pivot k
     closes: a loop at vertex 0 when k is 0, else a 2-cycle between vertex 0
@@ -1250,8 +1316,9 @@ def test_the_order_is_the_sum_compared_with_its_right_operand(alg):
 @pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
 def test_a_product_by_one_column_folds_and_a_wider_one_lifts(alg, monkeypatch):
     # mat_mul and the check kernel run one product: by one column a fold
-    # over the stored rows, with no lift, and by two or more columns the
-    # lifted kernel, lifted once. Either answers as the per-entry reference
+    # over the stored rows, with no lift and no packing, and by two or more
+    # columns the packed kernel over Z and Q, packed once, and the lifted
+    # kernel over R64, lifted once. Each answers as the per-entry reference
     # does, entry types and zero signs included, with n k p adds and muls,
     # or raises its error after counting them. Sizes 1-24; half the
     # operands hold edge values (10**400 beside small ints, float zeros of
@@ -1265,7 +1332,13 @@ def test_a_product_by_one_column_folds_and_a_wider_one_lifts(alg, monkeypatch):
         lifts.append(args[0].__name__)
         return lifted(*args)
 
+    def pack_spy(*args, packer=trmatrix._packer):
+        lifts.append(f"packed, walk {args[0]}")
+        return packer(*args)
+
     monkeypatch.setattr(trmatrix, "_lifted", spy)
+    monkeypatch.setattr(trmatrix, "_packer", pack_spy)
+    wider = ["_mul"] if alg.domain is Domain.F64 else ["packed, walk 2"]
     small = {Domain.Z: lambda: rng.randint(-9, 9),
              Domain.Q: lambda: Fraction(rng.randint(-12, 12), rng.choice((5, 7, 9))),
              Domain.F64: lambda: rng.choice((0.0, -0.0, rng.randint(-40, 40) / 4))}[alg.domain]
@@ -1292,11 +1365,11 @@ def test_a_product_by_one_column_folds_and_a_wider_one_lifts(alg, monkeypatch):
             answered = len(want) > 2
             lifts.clear()
             assert _outcome(mat_mul, a, x) == want, (a, x)
-            assert lifts == ["_mul"] * (p > 1), (n, k, p)
+            assert lifts == wider * (p > 1), (n, k, p)
             target = mat_mul(a, x) if answered else draw(n, p, edges)
             lifts.clear()
             got = _kernel_check(a, x, None, target, False)
-            assert lifts == ["_mul"] * (p > 1), (n, k, p)
+            assert lifts == wider * (p > 1), (n, k, p)
             assert got == ((True, want[:3]) if answered else want, work, work), (a, x)
             if not answered:
                 seen[want[0]] += 1

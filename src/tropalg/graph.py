@@ -9,7 +9,9 @@ the goal's column of it, A^x times the goal's unit column: no weight is
 better than the unit, so find_shortest_path computes that column by
 trmatrix's label-setting kernel, the one bellman_solve runs on such a
 matrix. That is Dijkstra's method on the reversed graph, in O(n^2) on
-raw numbers, each step scanning only the vertices not yet settled.
+raw numbers, each step scanning only the vertices not yet settled. The
+distances are exact over every domain; over R64 one past the largest
+float is no path, as search_least_distances rounds it to +infinity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from ._record import Record
 from .errors import AlgebraMismatch, IndexOutOfRange, InvalidGraph, NoPath
 from .semiring import SemiringKind, _number_text, _tally
-from .trmatrix import TropMatrix, _label_setting, closure_block
+from .trmatrix import TropMatrix, _label_setting, _result, closure_block
 
 __all__ = ["WeightedGraph", "search_least_distances", "find_shortest_path"]
 
@@ -56,18 +58,20 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
     """A minimum-weight vertex sequence from start to goal.
 
     The distances to the goal, one column of the closure, come from the
-    label-setting kernel on the goal's unit column, exact over Z and Q
-    (computed on the matrix's stored integer rows, over its denominator),
-    and the walk reads the same raw rows. An edge (u, v) is tight when
-    w(u, v) + dist(v, goal) = dist(u, goal); the simple paths made of
-    tight edges are exactly the simple shortest paths, and over R64, where
-    each distance is the least float sum w(u, v) + dist(v, goal) the tight
-    test repeats, some edge out of every vertex with a finite distance is
-    tight. The walk steps, each time, to the smallest tight successor from
-    which a search over tight edges reaches the goal without touching the
-    path, so the witness is the lexicographically smallest simple shortest
-    path. It never backtracks and makes O(n^3) tight tests at most, each
-    tallied as one multiplication. Vertices are 0-based.
+    label-setting kernel on the goal's unit column, exact over every
+    domain (computed on the matrix's stored integer rows, over its
+    denominator), and the walk reads the same raw rows. There is no path
+    where the distance, rounded as search_least_distances rounds it, is
+    the infinite element: over R64 an exact distance past the largest
+    float is. An edge (u, v) is tight when w(u, v) + dist(v, goal) =
+    dist(u, goal); the simple paths made of tight edges are exactly the
+    simple shortest paths, and some edge out of every vertex with a finite
+    distance is tight. The walk steps, each time, to the smallest tight
+    successor from which a search over tight edges reaches the goal
+    without touching the path, so the witness is the lexicographically
+    smallest simple shortest path. It never backtracks and makes O(n^3)
+    tight tests at most, each tallied as one multiplication. Vertices are
+    0-based.
     """
     n = g.order
     for idx in (start, goal):
@@ -76,11 +80,13 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
             raise IndexOutOfRange(f"vertex {shown} is outside 0..{n - 1}")
     if start == goal:
         return [start]
-    rows, alg = g.adjacency._raw, g.adjacency.alg
+    adj = g.adjacency
+    rows, alg = adj._raw, adj.alg
     unit = [None] * n
-    unit[goal] = alg.one().finite
+    unit[goal] = 0
     to_goal, = _label_setting(rows, [unit], alg)
-    if to_goal[start] is None:
+    # The distance as search_least_distances reads it, rounded over R64.
+    if _result([[to_goal[start]]], alg, adj._den)._raw[0][0] is None:
         raise NoPath(f"no path from {start} to {goal}")
 
     def tight(u: int, v: int) -> bool:

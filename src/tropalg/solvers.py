@@ -16,10 +16,11 @@ For A x = b the same column is the greatest sub-solution, so the system
 is solvable iff the principal solution satisfies it exactly.
 
 Residuation runs in trmatrix's raw-row kernel, on integers for tropical
-Q as the products do. Over R64 the difference b_j - a_jk can round so
-that a_jk plus it passes b_j (0.2 - 3.3 + 3.3 > 0.2); such a cap is
-moved one float at a time, down over max-plus and up over min-plus,
-until it no longer does, so the principal solution stays a solution.
+Q and R64 as the products do. Over R64 each exact cap b_j - a_jk is
+rounded toward the infinite element, down over max-plus and up over
+min-plus, so that a_jk plus it never passes b_j (0.2 - 3.3 rounds to
+nearest as -3.0999999999999996, which 3.3 plus passes 0.2, and down as
+-3.1), and the principal solution stays a solution.
 
 The Bellman equation X = A X + B has the least solution A^x B, and the
 columns of A^x generate solutions of the homogeneous system A x = x.
@@ -27,12 +28,11 @@ A^x B is computed in trmatrix with no separate product: settled by
 labels when no entry of A is better than the unit, and otherwise read
 off the closure's own Gauss-Jordan elimination run on [A | B], n (n-1)
 (n+m) multiplications for an n x n A and an n x m B. That route raises
-wherever the closure raises, with the same text; over R64 that includes
-every float overflow the closure meets. Over R64 the elimination and the
-check A X + B sum floats in different orders, so the Bellman solvers
-refine an eliminated A^x B by X <- A X + B until the check passes, at
-most n times. Refinement happens on that route only: a settled A^x B is
-the check's own fixed point and passes it at once.
+at the pivot where the closure raises, with the same text. Both routes
+give the exact A^x B, over R64 too, which the Bellman solvers check and
+only then round once to floats: their R64 answer is the exact least
+solution rounded, and A X + B recomputed in floats on it may differ from
+it by an ulp.
 
 Every solver re-verifies its defining identity before returning:
 A X + B == X for bellman_solve, A X + B <= X for bellman_inequality,
@@ -41,9 +41,12 @@ runs trmatrix's check, the covering test of Cuninghame-Green (1979) and
 Butkovic (2010): A x, or A x + b, by the kernels of mat_mul and
 mat_oplus on the stored rows, compared with x or b by == or by the
 natural order, building no matrix. A x by one column is a fold over
-the rows of A with no lift, as every product by one column is. The
+the rows of A with no packing, as every product by one column is. The
 check reads only A, x and b, nothing the solve computed, and tallies
-what the product, the sum and the comparison count. bellman_homogeneous
+what the product, the sum and the comparison count. Over R64 it reads
+the exact values, so solve_lae_tropic finds A x = b only where it holds
+exactly on the floats of x, not where a float sum would absorb the
+difference. bellman_homogeneous
 picks the columns of A^x that A A^x keeps, a selection rather than a
 check, so it multiplies.
 """
@@ -51,8 +54,7 @@ check, so it multiplies.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import AlgebraMismatch, ClosureUndefined, DimensionMismatch, NoSolution
-from .semiring import _F64
+from .errors import AlgebraMismatch, DimensionMismatch, NoSolution
 from .trmatrix import (TropMatrix, _common, _holds, _least_solution, _result, _residuate,
                        closure_block, mat_mul)
 
@@ -170,24 +172,8 @@ def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix
 
 
 def _verified(a: TropMatrix, b: TropMatrix, x: TropMatrix, le: bool, failure: str) -> TropMatrix:
-    """x = A^x b, once the check kernel finds A x + b == x, or A x + b <= x
-    when le is set.
-
-    Over R64 the float sums of an eliminated A^x b and of A x + b round
-    in different orders, so x <- A x + b, the step the kernel returns, is
-    tried up to n times, and the first x that passes is returned;
-    ClosureUndefined names the rounding when none does. A settled A^x b
-    passes the first check; Z and Q are exact and are checked once.
-    """
-    rounds = a.rows if a.alg.domain is _F64 else 0
-    holds, step = _holds(a, x, b, x, le)
-    while not holds:
-        if not rounds:
-            if a.alg.domain is _F64:
-                raise ClosureUndefined(
-                    f"float rounding leaves A^x b a {failure} after {a.rows} steps")
-            raise AssertionError(f"closure produced a {failure}")
-        rounds -= 1
-        x = _result(step, a.alg)  # R64 rows are over 1
-        holds, step = _holds(a, x, b, x, le)
-    return x
+    """x = A^x b, exact, once the check kernel finds A x + b == x, or
+    A x + b <= x when le is set; then reduced, and over R64 rounded once."""
+    if not _holds(a, x, b, x, le)[0]:
+        raise AssertionError(f"closure produced a {failure}")
+    return _result(x._raw, a.alg, x._den)

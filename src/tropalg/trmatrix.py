@@ -34,15 +34,9 @@ in all.
 This is exact. No entry improves, so no cycle does: A^x exists and
 nothing raises. Every walk weighs no more than its own suffix, so the
 settled values never get better in settle order and no later relaxation
-betters a settled x_u: each is final, and over Z and Q the answer is the
-elimination's exactly. Over R64 the same holds of the float sums, as
-fl(a + x) <= x when a <= 0 (rounding is monotone; min-plus mirrors it):
-each x_i = max(b_i, max over j of fl(a_ij + x_j)), since a j settled
-before i was relaxed into x_i and any other has fl(a_ij + x_j) <= x_j
-<= x_i. That is the check A x + b, summed entry by entry, so a settled
-answer passes it with no round of refinement; it may differ from the
-eliminated answer by a few ulps or a zero's sign.
-find_shortest_path runs the same kernel on the goal's unit column.
+betters a settled x_u: each is final, and the answer is the
+elimination's exactly, over every domain. find_shortest_path runs the
+same kernel on the goal's unit column.
 
 Each operation runs one kernel (_product, _oplus for the sum, _below
 for the natural order, _closure, _residual, _closure or _label_setting
@@ -53,34 +47,36 @@ A x + b == x and A x + b <= x, b possibly absent, are _holds, which
 composes _product, _oplus and _below. Counts are tallied in bulk: an
 n x m by m x p product is n m p of each. The sum, the order and a
 tropical product by one column, _fold, skip None on the stored rows;
-_product picks that fold by the number of columns, and for a wider
-product the packed kernel over Z and Q or the lifted one over R64.
+_product picks that fold by the number of columns, and the packed
+kernel for a wider product.
 
-One rule, _settle, meets float overflow over R64 wherever a float sum
-can overflow: a value at -sign inf, on the infinite element's side, is
-that element, and sign inf, or the NaN where overflows of both signs
-meet in a classical sum, raises IllegalElement, as a scalar fold would
-have at that sum.
+Tropical R64 is stored exactly, as Q is. Every float is a dyadic
+rational, so _checked reads each one through as_integer_ratio as an int
+over a power of two, L being the largest denominator among the entries
+(2^1074 at most), and every tropical kernel runs on ints in all six
+algebras. _result rounds each value of an R64 result once, to the
+nearest float: x / L, which Python's int division rounds correctly.
+One overflow rule, that of _finite_result, meets a value past the
+largest float: on the infinite element's side it is that element, and
+on the other side it raises IllegalElement, as a scalar float sum does.
+A rounded value is a multiple of 1/L again, as rounding moves a value
+only where the floats lie further apart than 1/L and their spacing is a
+power of two, so it is stored over L and the gcd pass reduces it. An
+int below 2^53 in magnitude is its own rounding. Residuation rounds its caps toward the infinite element
+instead, by _toward_infinite, so that A x <= b holds of the rounded
+answer. The solvers' checks run on the exact values: the Bellman
+solvers check the exact A^x B and then round it, so A x + b recomputed
+in floats on their answer may differ from it by an ulp. A zero's sign
+is not kept. Classical R64 keeps rows of floats over 1, where _settle
+rules a sum or product that overflows: an infinity, or the NaN where
+overflows of both signs meet, raises IllegalElement.
 
 A tropical product by two or more columns and the closure never test
-for None, as their kernels outweigh converting the rows once. Over R64,
-_lifted replaces each None in the operands by the sentinel S =
--sign inf on entry, and the kernel runs max (min over min-plus) and +
-on plain floats, as max(map(add, r, c)) per entry of a product: +
-absorbs S and max or min passes over it, exactly as the kernel would
-treat None. On exit _settle lowers the kernel's rows, with the cut C =
-S: a float sum that overflows toward S is the infinite element already,
-and one that overflows away is sign inf, which stays where it lands and
-raises when the product or the closure ends, or before a pivot raises
-(A's columns only, so an overflow in B's columns alone leaves the
-divergent pivot's error). An eliminated A^x B forms all of A^x, so it
-raises wherever the closure raises.
-
-Over Z and scaled Q the rows are packed instead, after Lamport's
-multiple byte processing with full-word instructions (1975): _packer
-holds each row as one int of fixed-width fields, packed once on entry
-and unpacked once on exit, so a handful of big-int operations updates a
-whole row. Let M be the largest magnitude among the operands' values and
+for None, as their kernels outweigh converting the rows once. The rows
+are packed, after Lamport's multiple byte processing with full-word
+instructions (1975): _packer holds each row as one int of fixed-width
+fields, packed once on entry and unpacked once on exit, so a handful of
+big-int operations updates a whole row. Let M be the largest magnitude among the operands' values and
 w a bound on the edges of the walks a result optimises over (2 for a
 product, n for an n x n closure and for A^x B with A n x n). Min-plus
 values are negated on the way in and out, so one max kernel serves both
@@ -145,8 +141,7 @@ equals a real one, so ties among equal real values still keep the
 first, signed zeros included.
 
 A row update of the closure keeps row i whole when its multiplier a_ik
-is at or beyond the cut, which over R64 means a_ik is -sign inf itself.
-This is exact. Such an a_ik is an optimum over walks to k that each hold
+is at or beyond the cut. This is exact. Such an a_ik is an optimum over walks to k that each hold
 an S edge (a real one would make a_ik real), so every walk the update
 would add to row i holds one too, as None times x is None: the set of
 real walks each value optimises over does not change, and neither does
@@ -154,18 +149,16 @@ a real value. A value at or beyond the cut stays there, as it is still
 an optimum over walks that each hold an S edge, only over fewer of
 them. So a pivot sees the same value where it is real and one that
 cannot raise where it is not, the elimination raises at the same pivot
-with the same text, and lowering gives back the same entries. Over R64
-the kept row is the one the update would give: -sign inf + t is
--sign inf, or NaN where t = sign inf, and neither replaces u, so
-_settle still raises on a sum that overflowed away. Over Z and Q the
-skip also keeps each packed temporary within its field. The tally
+with the same text, and lowering gives back the same entries. The skip
+also keeps each packed temporary within its field. The tally
 still counts (n-1) (n+m) multiply-adds a pivot, m = 0 for a closure:
 products by the zero element are counted, as the bulk tally of a
 product has always counted them.
 
 L is the least common multiple of the entries' denominators over Q and
-1 elsewhere. For L > 0, x -> L x is an automorphism of max-plus and
-min-plus, so the tropical kernels run on ints: an operation on two
+tropical R64, and 1 over Z and classical R64. For L > 0, x -> L x is an
+automorphism of max-plus and min-plus, so the tropical kernels run on
+ints: an operation on two
 matrices rescales the one whose L differs from their least common
 multiple, and one gcd pass reduces the result to its least L. The map
 does not preserve classical products, and none needs it: a product of
@@ -235,8 +228,11 @@ class TropMatrix(Record):
         ext = getattr(self, "_entries", None)  # unset until first read
         if ext is None:
             zero, den = self.alg.zero(), self._den
-            ext = tuple([zero if x is None else ExtScalar(x if den == 1 else Fraction(x, den)
-                         if x % den else x // den) for r in self._raw for x in r])
+            if self.alg.domain is _F64:
+                ext = tuple([zero if x is None else ExtScalar(x / den) for r in self._raw for x in r])
+            else:
+                ext = tuple([zero if x is None else ExtScalar(x if den == 1 else Fraction(x, den)
+                             if x % den else x // den) for r in self._raw for x in r])
             _set_entries(self, ext)
         return ext
 
@@ -266,10 +262,11 @@ _set_alg, _set_raw, _set_den, _set_entries = (
     getattr(TropMatrix, n).__set__ for n in TropMatrix.__slots__)
 
 
-def _fill(m: TropMatrix, raw: tuple, alg: Algebra, den: int) -> TropMatrix:
-    """m, its slots set to alg and the rows of raw over den."""
+def _fill(m: TropMatrix | None, rows, alg: Algebra, den: int) -> TropMatrix:
+    """m, or a new matrix, its slots set to alg and the raw rows over den."""
+    m = m or object.__new__(TropMatrix)
     _set_alg(m, alg)
-    _set_raw(m, raw)
+    _set_raw(m, tuple([tuple(r) for r in rows]))
     _set_den(m, den)
     return m
 
@@ -294,17 +291,25 @@ def _checked(rows: list, alg: Algebra, m: TropMatrix | None = None) -> TropMatri
     if alg.domain is _Q:
         den = math.lcm(*{x.denominator for r in rows for x in r if type(x) is Fraction})
         rows = [[x if x is None else x.numerator * (den // x.denominator) for x in r] for r in rows]
-    return _fill(m or object.__new__(TropMatrix), tuple([tuple(r) for r in rows]), alg, den)
+    elif alg.sign and alg.domain is _F64:
+        rows = [[x if x is None else x.as_integer_ratio() for x in r] for r in rows]
+        den = max([x[1] for r in rows for x in r if x is not None], default=1)
+        rows = [[x if x is None else x[0] * (den // x[1]) for x in r] for r in rows]
+    return _fill(m, rows, alg, den)
 
 
 def _result(rows: list, alg: Algebra, den: int = 1) -> TropMatrix:
-    """A matrix on kernel rows over den, reduced to the least one."""
+    """A matrix on kernel rows over den, reduced to the least one; over
+    tropical R64 each value is first rounded once, by _nearest."""
+    if alg.sign and alg.domain is _F64:
+        rows = [[x if x is None or -_EXACT < x < _EXACT else _nearest(x, den, alg) for x in r]
+                for r in rows]
     if den != 1:
         g = math.gcd(den, *[x for r in rows for x in r if x is not None])
         if g != 1:
             den //= g
             rows = [[x if x is None else x // g for x in r] for r in rows]
-    return _fill(object.__new__(TropMatrix), tuple([tuple(r) for r in rows]), alg, den)
+    return _fill(None, rows, alg, den)
 
 
 def _scaled(m: TropMatrix, den: int):
@@ -336,26 +341,48 @@ def _require_tropical(a: TropMatrix, what: str):
 
 
 def _settle(rows: list, alg: Algebra) -> list:
-    """Fold float overflow onto the infinite element, or raise; left to a
-    later step, it could turn into a NaN or a ClosureUndefined."""
+    """Raw classical rows, where an infinity or NaN, the overflow of a
+    classical R64 sum or product, raises IllegalElement as a scalar fold
+    would; left to a later step, it could turn into a NaN."""
     if alg.domain is not _F64:
         return rows
-    return [[x if x is None or math.isfinite(x) else _finite_result(x, alg).finite for x in r]
-            for r in rows]
+    return [[x if math.isfinite(x) else _finite_result(x, alg).finite for x in r] for r in rows]
 
 
-def _lifted(kernel, alg: Algebra, *operands: list) -> list:
-    """Raw rows of kernel(*operands, alg) over R64, run on lifted rows: each
-    None is replaced by -sign inf on entry, and _settle lowers the rows on
-    exit (see the module docstring)."""
-    sentinel = -alg.sign * math.inf
-    return _settle(kernel(*[[r if None not in r else [sentinel if x is None else x for x in r]
-                             for r in rows] for rows in operands], alg), alg)
+# An int below 2^53 in magnitude over a power of two up to 2^1074 is a float exactly.
+_EXACT = 1 << 53
+
+
+def _nearest(x: int, den: int, alg: Algebra) -> int | None:
+    """The tropical R64 value x / den rounded to the nearest float and read
+    back over den, which the float's denominator divides; a value past the
+    largest float is the infinite element on its side, and raises
+    IllegalElement on the other, as _finite_result rules."""
+    try:
+        f = x / den
+    except OverflowError:
+        return _finite_result(math.inf if x > 0 else -math.inf, alg).finite
+    p, q = f.as_integer_ratio()
+    return p * (den // q)
+
+
+def _toward_infinite(x: int, den: int, alg: Algebra) -> int | None:
+    """x / den rounded as _nearest rounds it, then one float toward the
+    infinite element where that passed x: a residuation cap that never
+    rounds past b."""
+    y = _nearest(x, den, alg)
+    if y is None or alg.sign * (y - x) <= 0:
+        return y
+    f = math.nextafter(y / den, -alg.sign * math.inf)
+    if not math.isfinite(f):
+        return None
+    p, q = f.as_integer_ratio()
+    return p * (den // q)
 
 
 def _packer(walk: int, sign: int, count: int, *operands: list) -> tuple:
-    """Packed rows of count values, for a kernel on the raw rows operands
-    over Z or scaled Q whose values are optima over walks of at most walk
+    """Packed rows of count values, for a kernel on the raw tropical rows
+    operands, ints, whose values are optima over walks of at most walk
     edges (see the module docstring): pack, unpack, spread, width, base
     and cut.
 
@@ -396,25 +423,6 @@ def _packer(walk: int, sign: int, count: int, *operands: list) -> tuple:
     return pack, unpack, spread, width, base, cut
 
 
-def _mul(a: list, b: list, alg: Algebra) -> list:
-    """The semiring product of lifted R64 rows, or of raw rows over a classical algebra.
-
-    Ties keep the first of equals, and classical sums add left to right
-    (reduce, not sum, which may compensate rounding), as a scalar fold does.
-    A lifted float sum that overflows to -sign inf is the sentinel already.
-    """
-    sign, cols = alg.sign, list(zip(*b))
-    if sign:
-        pick = max if sign > 0 else min
-        out = [[pick(map(add, r, c)) for c in cols] for r in a]
-    else:
-        zero = alg.zero().finite
-        out = [[reduce(add, map(mul, r, c), zero) for c in cols] for r in a]
-    work = len(a) * len(b) * len(cols)
-    _tally(work, work)
-    return out if sign else _settle(out, alg)
-
-
 def _oplus(a: list, b: list, alg: Algebra) -> list:
     """Raw rows of the entrywise semiring sum of equal-shape raw rows: None
     is the infinite element, and ties keep a's entry."""
@@ -432,31 +440,30 @@ def _fold(a: list, c: list, alg: Algebra) -> list:
     """The raw column of the tropical product of n x k raw rows a by the
     raw column c: each entry is the best of a_ij + c_j over the j where
     both are real, the first of equals, and None where there is no such
-    j. Its n k multiply-adds cost less than packing the operands would.
-    Over R64 _settle folds or raises a sum that overflowed."""
+    j. Its n k multiply-adds cost less than packing the operands would."""
     pick = max if alg.sign > 0 else min
     out = [pick(t) if (t := [v + w for v, w in zip(r, c) if v is not None and w is not None])
            else None for r in a]
     _tally(len(a) * len(c), len(a) * len(c))
-    return _settle([out], alg)[0]
+    return out
 
 
 def _product(a: list, b: list, alg: Algebra) -> list:
     """Raw rows of the semiring product of n x k and k x p raw rows.
 
-    A tropical product by one column is _fold. A classical product runs
-    _mul, and so does a wider tropical one over R64, lifted. Over Z and
-    scaled Q a wider product folds packed rows: out row i is the best of
-    B_k + a_ik over the k where a_ik is real, starting from the row of
-    sentinels, with one guard-bit maximum a term.
+    A tropical product by one column is _fold. A wider one folds packed
+    rows: out row i is the best of B_k + a_ik over the k where a_ik is
+    real, starting from the row of sentinels, with one guard-bit maximum a
+    term. A classical product adds left to right (reduce, not sum, which
+    may compensate rounding), as a scalar fold does.
     """
     sign, p = alg.sign, len(b[0])
-    if not sign:
-        return _mul(a, b, alg)
-    if p == 1:
+    if p == 1 and sign:
         return [[x] for x in _fold(a, [r[0] for r in b], alg)]
-    if alg.domain is _F64:
-        return _lifted(_mul, alg, a, b)
+    _tally(len(a) * len(b) * p, len(a) * len(b) * p)
+    if not sign:
+        zero = alg.zero().finite
+        return _settle([[reduce(add, map(mul, r, c), zero) for c in zip(*b)] for r in a], alg)
     pack, unpack, spread, width, base, _ = _packer(2, sign, p, a, b)
     guards, none, lower = spread(1 << width), pack([None] * p), spread(base)
     rows = [pack(r) - lower for r in b]
@@ -472,7 +479,6 @@ def _product(a: list, b: list, alg: Algebra) -> list:
                 d = (u | guards) - (v := q + spreads[x])
                 u = v + (d & ((g := d & guards) - (g >> width)))
         out.append(unpack(u))
-    _tally(len(a) * len(b) * p, len(a) * len(b) * p)
     return out
 
 
@@ -483,33 +489,17 @@ def _residual(a: list, b: list, alg: Algebra) -> list:
     a tie does. Each finite a_jk costs one multiplication and, after the
     first in its column, one addition.
     """
-    sign = alg.sign
-    pick = min if sign > 0 else max
-    floats = alg.domain is _F64
+    pick = min if alg.sign > 0 else max
     rhs = [r[0] for r in b]
     out = []
     muls = adds = 0
     for col in zip(*a):
-        rows = [(x, y) for x, y in zip(col, rhs) if x is not None]
-        caps = [None if y is None else y - x for x, y in rows]
-        if floats:
-            caps = _settle([[_float_cap(x, y, c, sign) for (x, y), c in zip(rows, caps)]],
-                           alg)[0]
+        caps = [None if y is None else y - x for x, y in zip(col, rhs) if x is not None]
         out.append([None if None in caps else pick(reversed(caps), default=None)])
         muls += len(caps)
         adds += max(len(caps) - 1, 0)
     _tally(adds, muls)
     return out
-
-
-def _float_cap(x: float, y: float | None, cap: float | None, sign: int):
-    """The cap y - x, moved one float at a time toward the infinite element
-    until x + cap no longer passes y; infinite caps are left to _settle."""
-    if cap is None or not math.isfinite(cap):
-        return cap
-    while sign * (x + cap) > sign * y:
-        cap = math.nextafter(cap, -sign * math.inf)
-    return cap
 
 
 def _below(p, q, sign: int) -> bool:
@@ -601,23 +591,29 @@ def pseudo_inverse(a: TropMatrix) -> TropMatrix:
 def _residuate(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """The principal solution of A x <= b, for a system the caller has checked."""
     ra, rb, den = _common(a, b)
-    return _result(_residual(ra, rb, a.alg), a.alg, den)
+    rows = _residual(ra, rb, a.alg)
+    if a.alg.domain is _F64:
+        rows = [[x if x is None else _toward_infinite(x, den, a.alg) for x in r] for r in rows]
+    return _result(rows, a.alg, den)
 
 
 def _least_solution(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """A^x B, the least solution of X = A X + B, for a system the caller has
     checked; A must be square, as for its closure. It is settled by labels
     when no entry of A improves on the unit, and otherwise read off the
-    closure's elimination run on [A | B]."""
+    closure's elimination run on [A | B]. The matrix holds the kernel's
+    exact rows, not reduced and over R64 not rounded, for the solvers'
+    check; _result(x._raw, alg, x._den) gives the answer."""
     if not a.is_square:
         raise DimensionMismatch("the closure is defined for square matrices only")
     ra, rb, den = _common(a, b)
     alg = a.alg
     real = set().union(*ra) - {None}
     if real and (max(real) > 0 if alg.sign > 0 else min(real) < 0):
-        closed = _closure([[*r, *s] for r, s in zip(ra, rb)], alg, den)
-        return _result([r[a.rows:] for r in closed], alg, den)
-    return _result(list(zip(*_label_setting(ra, list(zip(*rb)), alg))), alg, den)
+        rows = [r[a.rows:] for r in _closure([[*r, *s] for r, s in zip(ra, rb)], alg, den)]
+    else:
+        rows = list(zip(*_label_setting(ra, list(zip(*rb)), alg)))
+    return _fill(None, rows, alg, den)
 
 
 def diag(values, alg: Algebra) -> TropMatrix:
@@ -640,8 +636,7 @@ def zero_matrix(rows: int, cols: int, alg: Algebra) -> TropMatrix:
 def _closure(rows: list, alg: Algebra, den: int) -> list:
     """Raw rows of the closure A^x of square raw rows A over den, or of
     [A^x | A^x B] for the raw rows [A | B], by Gauss-Jordan elimination on
-    rows packed once over Z and Q, and lifted once over R64; only A's
-    columns are pivoted on.
+    rows packed once; only A's columns are pivoted on.
 
     Pivot k has a_kk* = one, then a_ij += a_ik a_kj for every row i != k
     and every column j, B's included: (n - 1) (n + m) multiply-adds a
@@ -650,37 +645,6 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
     """
     sign, n = alg.sign, len(rows)
     work = (n - 1) * len(rows[0])
-
-    def diverge(k: int, x, a: list = ()):
-        # Pivot k sees x, better than the unit: over R64 an earlier
-        # overflow in A's columns raises first, and then the scalar closure
-        # raises, naming x.
-        _tally(k * work, k * work)
-        _settle([r[:n] for r in a], alg)
-        trop_closure_scalar(_result([[x]], alg, den).entries[0], alg)
-
-    def eliminate(rows: list, alg: Algebra) -> list:
-        a, one, cut = [list(r) for r in rows], alg.one().finite, -sign * math.inf
-        for k in range(n):
-            rk = a[k]
-            x = rk[k]
-            if sign * x > 0:
-                diverge(k, x, a)
-            rk[k] = one
-            col = [r[k] for r in a]
-            if sign > 0:
-                a = [r if r is rk or c <= cut else
-                     [v if (v := c + t) > u else u for u, t in zip(r, rk)]
-                     for r, c in zip(a, col)]
-            else:
-                a = [r if r is rk or c >= cut else
-                     [v if (v := c + t) < u else u for u, t in zip(r, rk)]
-                     for r, c in zip(a, col)]
-        _tally(n * work, n * work)
-        return a
-
-    if alg.domain is _F64:
-        return _lifted(eliminate, alg, rows)
     pack, unpack, spread, width, base, cut = _packer(n, sign, len(rows[0]), rows)
     guards, mask, lower = spread(1 << width), (1 << width) - 1, spread(base)
     a = [pack(r) for r in rows]
@@ -689,7 +653,10 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
         rk = a[k]
         x = (rk >> s & mask) - base
         if x > 0:
-            diverge(k, sign * x)
+            # Pivot k sees a value better than the unit, and the scalar
+            # closure raises, naming it.
+            _tally(k * work, k * work)
+            trop_closure_scalar(_result([[sign * x]], alg, den).entries[0], alg)
         a[k] = rk = rk - (x << s)
         # Row i gains row k plus a_ik, its field f less base, in every
         # field; where u >= v the guard bit of u's field survives the
@@ -716,8 +683,7 @@ def _label_setting(a: list, b: list, alg: Algebra) -> list:
     tallied as one addition and one multiplication, whether v is settled
     or not, so a column costs the finite off-diagonal entries in the
     columns of the vertices it reaches, whatever order they settle in.
-    Ints compare with inf exactly, however large; over R64 a sum that
-    overflows toward the infinite element improves nothing.
+    Ints compare with inf exactly, however large.
     """
     sign, n = alg.sign, len(a)
     zero = -sign * math.inf
@@ -754,7 +720,7 @@ def closure_block(a: TropMatrix) -> TropMatrix:
     For each pivot k in turn, a_kk becomes the unit and every other row i
     gains a_ik times row k: n (n-1) multiplications a pivot, n^2 (n-1) in
     all, at every size and over every domain. Over min-plus this is
-    Floyd-Warshall, and over R64 the float sums follow its order. Raises
+    Floyd-Warshall. Raises
     ClosureUndefined, from the first pivot whose best closed walk
     improves, exactly when the power sums diverge.
     """

@@ -7,18 +7,24 @@ closure, plain triple-loop relaxation for distances, depth-first search
 with backtracking and the tight-edge walk over the full closure for
 shortest-path witnesses, Gaussian elimination plus brute-force vertex
 enumeration for linear programs, and direct negation for the
-max-plus/min-plus mirror. Slow and obvious on purpose. A printer from the
+max-plus/min-plus mirror. Over tropical R64 the per-entry references run
+over Q on the operands' exact values, each entry rounded once through
+Decimal. Slow and obvious on purpose. A printer from the
 script AST back to source text lets the parser tests round-trip.
 """
 
 from __future__ import annotations
 
+import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
 from tropalg import (
     ClosureUndefined,
     ExtScalar,
+    IllegalElement,
     IndexOutOfRange,
     LpProblem,
     NoPath,
@@ -140,11 +146,11 @@ def _ref_eliminate(a: TropMatrix) -> TropMatrix:
     return TropMatrix(a.rows, a.cols, tuple(e for row in rows for e in row), a.alg)
 
 
-def ref_bellman_homogeneous(a: TropMatrix) -> TropMatrix:
+def ref_bellman_homogeneous(a: TropMatrix, eliminate=_ref_eliminate, mul=ref_mat_mul) -> TropMatrix:
     """Columns of the closure kept one column product at a time."""
-    closed = _ref_eliminate(a)
+    closed = eliminate(a)
     columns = (TropMatrix.column(closed.entries[k :: a.cols], a.alg) for k in range(a.cols))
-    kept = [c for c in columns if ref_mat_mul(a, c) == c]
+    kept = [c for c in columns if mul(a, c) == c]
     if not kept:
         raise NoSolution("no column of the closure solves A x = x")
     ent = tuple(c.entries[j] for j in range(a.rows) for c in kept)
@@ -174,19 +180,96 @@ def ref_principal(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     return TropMatrix.column(out, alg)
 
 
-def ref_solve_lai_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    """The principal solution of A x <= b, checked as solve_lai_tropic checks it."""
-    x = ref_principal(a, b)
+def ref_solve_lai_tropic(a: TropMatrix, b: TropMatrix, x: TropMatrix | None = None) -> TropMatrix:
+    """The principal solution of A x <= b, or the given x, checked as
+    solve_lai_tropic checks it."""
+    x = ref_principal(a, b) if x is None else x
     if ref_mat_oplus(ref_mat_mul(a, x), b) != b:
         raise AssertionError("residuation produced a non-solution")
     return x
 
 
-def ref_solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    x = ref_principal(a, b)
+def ref_solve_lae_tropic(a: TropMatrix, b: TropMatrix, x: TropMatrix | None = None) -> TropMatrix:
+    x = ref_principal(a, b) if x is None else x
     if ref_mat_mul(a, x) != b:
         raise NoSolution("the system A x = b has no solution")
     return x
+
+
+# ---- the exact R64 reference ----
+#
+# A tropical R64 matrix operation is its exact value on the operands'
+# dyadic values, rounded once per entry. These run the Q references on
+# those values over QMaxPlus or QMinPlus and round each entry of the
+# answer through Decimal, whose decimal string float() reads correctly
+# rounded, a route apart from the library's int division.
+
+EXACT_OF = {R64_MAX_PLUS: Q_MAX_PLUS, R64_MIN_PLUS: Q_MIN_PLUS}
+
+
+def to_exact(m: TropMatrix) -> TropMatrix:
+    """A tropical R64 matrix as the Q matrix of the same values; any other
+    matrix, or None, as it is."""
+    if m is None or m.alg not in EXACT_OF:
+        return m
+    return TropMatrix(m.rows, m.cols, tuple(e if e.inf_sign else ExtScalar.of(Fraction(e.finite))
+                                            for e in m.entries), EXACT_OF[m.alg])
+
+
+def round_float(v: Fraction, alg, toward: bool = False) -> ExtScalar:
+    """The dyadic v rounded to the nearest float, or when toward is set to
+    the nearest float on the infinite element's side of v. A value past the
+    largest float is the infinite element on that side and illegal on the
+    other, as a float sum that overflows is."""
+    k = v.denominator.bit_length() - 1
+    f = float(Decimal(f"{v.numerator * 5 ** k}E-{k}"))
+    if toward and math.isfinite(f) and alg.sign * (Fraction(f) - v) > 0:
+        f = math.nextafter(f, -alg.sign * INF)
+    if math.isinf(f):
+        if f == -alg.sign * INF:
+            return alg.zero()
+        raise IllegalElement("float overflow produced an illegal infinity")
+    return ExtScalar(f)
+
+
+def exactly(ref, toward: bool = False):
+    """ref as it stands over Z, Q and the classical algebras; over tropical
+    R64 ref run on the exact values, each entry of its answer rounded once
+    by round_float. A ClosureUndefined names the exact pivot, and is raised
+    again naming its float, or IllegalElement where that overflows."""
+    def run(*args):
+        alg = args[0].alg
+        if alg not in EXACT_OF:
+            return ref(*args)
+        try:
+            m = ref(*map(to_exact, args))
+        except ClosureUndefined as e:
+            value = re.fullmatch(r"closure of (\S+) does not exist over \w+", str(e))[1]
+            trop_closure_scalar(round_float(Fraction(value), alg), alg)
+            raise AssertionError(f"the pivot {value} does not improve as a float") from e
+        return TropMatrix(m.rows, m.cols, tuple(round_float(e.finite, alg, toward) if e.is_finite
+                                                else alg.zero() for e in m.entries), alg)
+    return run
+
+
+def exact_solve_lai_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    """ref_solve_lai_tropic over R64: the exact principal solution, its caps
+    rounded toward the infinite element, checked on exact values."""
+    x = exactly(ref_principal, toward=True)(a, b)
+    ref_solve_lai_tropic(to_exact(a), to_exact(b), to_exact(x))
+    return x
+
+
+def exact_solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    x = exactly(ref_principal, toward=True)(a, b)
+    ref_solve_lae_tropic(to_exact(a), to_exact(b), to_exact(x))
+    return x
+
+
+def exact_bellman_homogeneous(a: TropMatrix) -> TropMatrix:
+    """ref_bellman_homogeneous over R64: the rounded closure, its columns
+    kept by rounded products, as the library composes them."""
+    return ref_bellman_homogeneous(a, exactly(_ref_eliminate), exactly(ref_mat_mul))
 
 
 # ---- closure oracle ----

@@ -672,10 +672,14 @@ def test_long_literal_inside_solve_is_read_exactly(capsys):
 
 @pytest.mark.parametrize("command", ["BellmanEquation", "BellmanInequality"])
 def test_r64_bellman_answers_where_the_closure_rounds_off_its_fixed_point(command, capsys):
+    # The answer is the exact A^x b rounded once: x_2 = -7/3 - 2 on the
+    # float -7/3 is a tie and rounds to even, and x_1 = 1 + x_2 on the
+    # exact x_2 is the float -3.3333333333333335, where float sums, which
+    # round x_2 first, gave -3.333333333333334.
     script = ("SPACE = R64MinPlus[]; "
               f"\\{command}([[0, \\infty, \\infty], [1, 0, 1], [-7/3, 3, 0]], [-2, 3, 3]);")
     code, out, err = invoke(["eval", script], capsys)
-    assert (code, out, err) == (0, "[-2, -3.333333333333334, -4.333333333333334]\n", "")
+    assert (code, out, err) == (0, "[-2, -3.3333333333333335, -4.333333333333334]\n", "")
 
 
 # ---- fuzzing ----

@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -30,6 +32,7 @@ from oracles import (
     floyd_warshall,
     minplus_matrix_to_grid,
     ref_find_shortest_path_closure,
+    round_float,
     shortest_path_dfs,
 )
 
@@ -304,9 +307,10 @@ def graphs_with_missing_edges(seed, count):
 
 
 def _distances_to(rows, goal, alg):
-    """The goal's column of the closure, by the label-setting kernel run on
-    the goal's unit column, as find_shortest_path runs it."""
-    unit = [alg.one().finite if v == goal else None for v in range(len(rows))]
+    """The goal's column of the closure, exact on the stored rows and over
+    their denominator, by the label-setting kernel run on the goal's unit
+    column, the int 0, as find_shortest_path runs it."""
+    unit = [0 if v == goal else None for v in range(len(rows))]
     return _label_setting(rows, [unit], alg)[0]
 
 
@@ -372,6 +376,8 @@ def test_path_query_costs_one_column_and_its_tight_tests():
 
 
 def test_float_paths_fold_to_their_distance():
+    # The distances are exact, so a path's weight, summed exactly, is its
+    # start's distance over the stored denominator.
     rng = random.Random(42)
     for _ in range(400):
         n = rng.randint(3, 9)
@@ -387,10 +393,8 @@ def test_float_paths_fold_to_their_distance():
                     continue
                 path = find_shortest_path(g, start, goal)
                 assert path[0] == start and path[-1] == goal and len(set(path)) == len(path)
-                total = 0.0
-                for u, v in reversed(list(zip(path, path[1:]))):
-                    total = rows[u][v] + total
-                assert total == column[start]
+                total = sum(Fraction(rows[u][v]) for u, v in zip(path, path[1:]))
+                assert total == Fraction(column[start], g.adjacency._den)
 
 
 def test_float_sum_that_overflows_is_no_path():
@@ -404,4 +408,46 @@ def test_float_sum_that_overflows_is_no_path():
     g = graph(rows, R64_MIN_PLUS)
     with pytest.raises(NoPath):
         find_shortest_path(g, 0, 2)
-    assert _distances_to(g.adjacency._raw, 2, R64_MIN_PLUS) == [None, big, 0.0, 3.0]
+    # Exact, the distance from 0 is 3e308, which rounds past the largest
+    # float to the infinite element.
+    assert _distances_to(g.adjacency._raw, 2, R64_MIN_PLUS) == [2 * int(big), int(big), 0, 3]
+    assert search_least_distances(g).get(0, 2) == POS_INF
+
+
+def _wide_graph(rng, n):
+    """An R64MinPlus graph on n vertices whose weights mix 0, 5e-324,
+    small values and the 1e308 scale, so that path sums pass the largest
+    float and lose low bits when rounded."""
+    pool = (0.0, 5e-324, 0.1, 1.5, 1e300, 4e307, 1e308, 1.5e308, sys.float_info.max)
+    density = rng.choice((0.2, 0.5, 0.9))
+    return graph([[0.0 if i == j else rng.choice(pool) if rng.random() < density else None
+                   for j in range(n)] for i in range(n)], R64_MIN_PLUS)
+
+
+def test_paths_and_distances_agree_on_weights_up_to_the_largest_float():
+    # find_shortest_path raises NoPath exactly where search_least_distances
+    # reads the infinite element, a distance past the largest float
+    # included, and otherwise walks a path whose exact weight rounds to the
+    # distance it reads.
+    rng = random.Random("wide graphs")
+    seen = Counter()
+    for _ in range(120):
+        g = _wide_graph(rng, rng.randint(1, 8))
+        dist = search_least_distances(g)
+        for start in range(g.order):
+            for goal in range(g.order):
+                d = dist.get(start, goal)
+                if d.inf_sign:
+                    with pytest.raises(NoPath):
+                        find_shortest_path(g, start, goal)
+                    unreached = _distances_to(g.adjacency._raw, goal, R64_MIN_PLUS)[start] is None
+                    seen["unreached" if unreached else "past the largest float"] += 1
+                    continue
+                path = find_shortest_path(g, start, goal)
+                assert path[0] == start and path[-1] == goal and len(set(path)) == len(path)
+                rows = g.adjacency.to_lists()
+                total = sum(Fraction(rows[u][v].finite) for u, v in zip(path, path[1:]))
+                assert round_float(total, R64_MIN_PLUS) == d, (start, goal)
+                seen["rounded" if Fraction(d.finite) != total else "path"] += 1
+    assert seen["past the largest float"] >= 50 and seen["unreached"] >= 200, seen
+    assert seen["rounded"] >= 200 and seen["path"] >= 500, seen

@@ -7,7 +7,6 @@ import tropalg.solvers
 from tropalg import (
     Algebra,
     AlgebraMismatch,
-    ClosureUndefined,
     DimensionMismatch,
     ExtScalar,
     NEG_INF,
@@ -36,9 +35,9 @@ from tropalg import (
     zero_matrix,
 )
 
-from tropalg.trmatrix import _least_solution
+from tropalg.trmatrix import _holds, _least_solution
 
-from oracles import rand_closure_friendly, rand_matrix
+from oracles import _ref_eliminate, exactly, rand_closure_friendly, rand_matrix, ref_mat_mul
 
 
 def s(v):
@@ -259,46 +258,45 @@ def test_inequality_solutions_dominate_on_random_instances():
 
 
 # a_12 = -3/7 improves on the unit, on no improving cycle, so A^x b is
-# eliminated, and over R64 min-plus its sums run in another order than
-# those of A x + b: x_2 = -1.7142857142857142, one step of x <- A x + b
-# gives -1.7142857142857144, and that step is a fixed point.
+# eliminated. Its exact x_2 rounds to -1.7142857142857142, while A x + b
+# recomputed in floats on the rounded answer gives -1.7142857142857144:
+# the answer is the exact least solution rounded once, checked before it
+# is rounded, and no step of x <- A x + b moves it.
 ROUNDED_A = [[0.0, 2 / 7, 2 / 7], [5 / 7, 0.0, -3 / 7], [2 / 3, 1.0, 0.0]]
 ROUNDED_B = [-1 / 3, -8 / 3, -1 / 3]
-ROUNDED_X = [[-2.380952380952381], [-2.6666666666666665], [-1.7142857142857144]]
+ROUNDED_X = [[-2.380952380952381], [-2.6666666666666665], [-1.7142857142857142]]
 
 
 @pytest.mark.parametrize("solve", [bellman_solve, bellman_inequality])
-def test_float_rounding_of_the_closure_is_refined_away(solve):
+def test_float_bellman_answers_are_the_exact_least_solution_rounded_once(solve):
     a, b = mk(ROUNDED_A, R64_MIN_PLUS), col(ROUNDED_B, R64_MIN_PLUS)
-    first = _least_solution(a, b)
-    assert first.to_lists()[2] == [s(-1.7142857142857142)]
-    assert mat_oplus(mat_mul(a, first), b) != first
+    exact = _least_solution(a, b)
+    assert _holds(a, exact, b, exact)[0]
     x = solve(a, b)
     assert [[e.finite for e in row] for row in x.to_lists()] == ROUNDED_X
-    assert mat_oplus(mat_mul(a, x), b) == x
+    assert x == exactly(lambda a, b: ref_mat_mul(_ref_eliminate(a), b))(a, b)
+    assert mat_oplus(mat_mul(a, x), b).to_lists()[2] == [s(-1.7142857142857144)]
 
 
 @pytest.mark.parametrize(
-    "solve, alg, one, error, counts",
+    "solve, alg, one, counts",
     [
-        (bellman_solve, R64_MAX_PLUS, 1.0, ClosureUndefined, (4, 2)),
-        (bellman_inequality, R64_MAX_PLUS, 1.0, ClosureUndefined, (6, 2)),
-        (bellman_solve, Z_MAX_PLUS, 1, AssertionError, (2, 1)),
-        (bellman_inequality, Z_MAX_PLUS, 1, AssertionError, (3, 1)),
+        (bellman_solve, R64_MAX_PLUS, 1.0, (2, 1)),
+        (bellman_inequality, R64_MAX_PLUS, 1.0, (3, 1)),
+        (bellman_solve, Z_MAX_PLUS, 1, (2, 1)),
+        (bellman_inequality, Z_MAX_PLUS, 1, (3, 1)),
     ],
     ids=["R64-equation", "R64-inequality", "Z-equation", "Z-inequality"],
 )
-def test_a_check_that_never_passes_is_refined_over_r64_only(solve, alg, one, error, counts,
-                                                            monkeypatch):
+def test_a_check_that_never_passes_raises_after_one_check(solve, alg, one, counts, monkeypatch):
     # A stand-in for A^x b with A = [[1]], which has no closure: x <- A x + b
-    # climbs by 1 each round. R64 pays the check and one round, n = 1; Z
-    # checks once. Each check costs A x + b, and the inequality's one more
-    # sum for <=; the stand-in itself costs nothing.
+    # would climb by 1 each round. Over R64 as over Z the solver checks the
+    # exact answer once and raises. The check costs A x + b, and the
+    # inequality's one more sum for <=; the stand-in itself costs nothing.
     a, b = mk([[one]], alg), col([one - one], alg)
     monkeypatch.setattr(tropalg.solvers, "_least_solution", lambda a, b: b)
-    with count_ops() as c, pytest.raises(error) as e:
+    with count_ops() as c, pytest.raises(AssertionError, match="^closure produced a "):
         solve(a, b)
-    assert ("float rounding" if error is ClosureUndefined else "closure produced") in str(e.value)
     assert (c.adds, c.muls) == counts
 
 
@@ -320,12 +318,10 @@ def test_bellman_checks_refuse_a_last_column_below_the_least_solution(alg, step,
     # to the infinite element. Every solution of X = A X + B, and of
     # A X + B <= X, lies above A^x B, so the column is neither. Each entry
     # of A is a step or more worse than the unit, so the moved entry, the
-    # one where b beats every a_ij x_j, still has A X <= X there. Over Z and
-    # Q both solvers raise their texts after one check of n n m
-    # multiplications; over R64 the step X <- A X + B climbs back to A^x B,
-    # exact on quarters, which they return after more checks. A^x B itself
-    # passes at once. So a check that reads column 0 only, ignores b, or
-    # takes < for <= fails here.
+    # one where b beats every a_ij x_j, still has A X <= X there. Over
+    # every domain both solvers raise their texts after one check of n n m
+    # multiplications, and A^x B itself passes at once. So a check that
+    # reads column 0 only, ignores b, or takes < for <= fails here.
     rng = random.Random(f"bellman check {alg.name} {change}")
     n, m = 8, 3
     worse = {Z_MAX_PLUS.domain: lambda: rng.randint(1, 9),
@@ -349,15 +345,9 @@ def test_bellman_checks_refuse_a_last_column_below_the_least_solution(alg, step,
                 assert solve(a, b) == least
             assert (c.adds, c.muls) == one
             patch.setattr(tropalg.solvers, "_least_solution", lambda a, b: wrong)
-            with count_ops() as c:
-                if alg.domain is R64_MAX_PLUS.domain:
-                    assert solve(a, b) == least
-                else:
-                    with pytest.raises(AssertionError, match=f"^{text}$"):
-                        solve(a, b)
-            checks = c.muls // one[1]
-            assert (c.adds, c.muls) == (checks * one[0], checks * one[1])
-            assert checks >= 2 if alg.domain is R64_MAX_PLUS.domain else checks == 1
+            with count_ops() as c, pytest.raises(AssertionError, match=f"^{text}$"):
+                solve(a, b)
+            assert (c.adds, c.muls) == one
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -57,18 +58,21 @@ from tropalg.trmatrix import _residuate
 from oracles import (
     SISTER,
     closure_iterative,
+    exact_bellman_homogeneous,
+    exact_solve_lae_tropic,
+    exact_solve_lai_tropic,
+    exactly,
     mirror_matrix,
     mirror_scalar,
     rand_closure_friendly,
     rand_matrix,
+    to_exact,
     _ref_eliminate,
-    ref_bellman_homogeneous,
     ref_closure_block,
     ref_mat_mul,
     ref_mat_oplus,
     ref_principal,
     ref_pseudo_inverse,
-    ref_solve_lae_tropic,
     ref_solve_lai_tropic,
 )
 
@@ -544,31 +548,30 @@ def _rounds_past_b(a, b):
 
 @pytest.mark.parametrize("alg", list(ALGEBRAS_BY_NAME.values()), ids=lambda a: a.name)
 def test_matrix_operations_match_the_per_entry_reference(alg):
+    # Over tropical R64 the reference is the exact one: the Q references on
+    # the operands' dyadic values, each entry rounded once, residuation's
+    # caps toward the infinite element. Classical R64 keeps the float folds.
     rng = random.Random(f"kernel {alg.name}")
     errors = set()
     for _ in range(200):
         n, m, p = (rng.randint(1, 4) for _ in range(3))
         a = _edge_matrix(rng, alg, n, m)
         cases = [
-            (mat_mul, ref_mat_mul, a, _edge_matrix(rng, alg, m, p)),
-            (mat_oplus, ref_mat_oplus, a, _edge_matrix(rng, alg, n, m)),
+            (mat_mul, exactly(ref_mat_mul), a, _edge_matrix(rng, alg, m, p)),
+            (mat_oplus, exactly(ref_mat_oplus), a, _edge_matrix(rng, alg, n, m)),
         ]
         if alg.is_tropical:
             k, closable = rng.randint(2, 6), rng.random() < 0.3
             sq = _edge_matrix(rng, alg, k, k, closable)
             _assert_the_split_agrees(rng, sq, closable)
-            cases += [
-                (pseudo_inverse, ref_pseudo_inverse, a),
-                (closure_block, _ref_eliminate, sq),
-                (bellman_homogeneous, ref_bellman_homogeneous, sq),
-            ]
             rhs = _edge_matrix(rng, alg, n, 1)
-            # The cases where float rounding applies have their own test.
-            if not _rounds_past_b(a, rhs):
-                cases += [
-                    (_lai, ref_solve_lai_tropic, a, rhs),
-                    (solve_lae_tropic, ref_solve_lae_tropic, a, rhs),
-                ]
+            cases += [
+                (pseudo_inverse, exactly(ref_pseudo_inverse), a),
+                (closure_block, exactly(_ref_eliminate), sq),
+                (bellman_homogeneous, exact_bellman_homogeneous, sq),
+                (_lai, exact_solve_lai_tropic, a, rhs),
+                (solve_lae_tropic, exact_solve_lae_tropic, a, rhs),
+            ]
         for fn, ref, *args in cases:
             got = _outcome(fn, *args)
             assert got == _outcome(ref, *args), (fn.__name__, args)
@@ -602,13 +605,14 @@ def _chain(rng, alg, n):
 
 
 def _assert_stored_real(m, walk, *operands):
-    """Every value m stores is None or real: finite over R64, and over Z
-    and Q at most walk times the operands' largest magnitude."""
+    """Every value m stores is None or real: over R64 an int over m's
+    denominator that is a finite float exactly, and over Z and Q at most
+    walk times the operands' largest magnitude."""
     bound = walk * max((abs(e.finite) for x in operands for e in x.entries if e.is_finite),
                        default=0)
     for x in (x for r in m._raw for x in r if x is not None):
         if m.alg.domain is Domain.F64:
-            assert type(x) is float and math.isfinite(x)
+            assert type(x) is int and Fraction(x / m._den) == Fraction(x, m._den)
         else:
             assert type(x) is int and abs(Fraction(x, m._den)) <= bound
 
@@ -630,10 +634,11 @@ def test_kernels_match_the_per_entry_reference_at_every_size_up_to_33(alg):
         # magnitude, where a sentinel too small would be taken for real.
         squares = [draw(rng, alg, n, n, closable=True),
                    _planted_cycle(rng, alg, n) if n % 2 and n > 1 else _chain(rng, alg, n)]
-        cases = [(mat_mul, ref_mat_mul, 2, a, draw(rng, alg, n, p)),
-                 (mat_mul, ref_mat_mul, 2, draw(rng, alg, p, n), a),
-                 (mat_oplus, ref_mat_oplus, 1, a, draw(rng, alg, n, n))]
-        cases += [(closure_block, _ref_eliminate, n, sq) for sq in squares]
+        # Over R64 the references are the exact ones, rounded once.
+        cases = [(mat_mul, exactly(ref_mat_mul), 2, a, draw(rng, alg, n, p)),
+                 (mat_mul, exactly(ref_mat_mul), 2, draw(rng, alg, p, n), a),
+                 (mat_oplus, exactly(ref_mat_oplus), 1, a, draw(rng, alg, n, n))]
+        cases += [(closure_block, exactly(_ref_eliminate), n, sq) for sq in squares]
         for sq, closable in zip(squares, (True, False)):
             _assert_the_split_agrees(rng, sq, closable)
         for fn, ref, walk, *args in cases:
@@ -853,15 +858,18 @@ def _bellman_outcomes(a, b):
             for solve in (bellman_solve, bellman_inequality)]
 
 
+def _exact_closure_times_b(a, b):
+    """A^x B by the exact reference, rounded once, or the closure's error."""
+    return exactly(lambda a, b: ref_mat_mul(_ref_eliminate(a), b))(a, b)
+
+
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
 def test_float_bellman_solves_keep_the_closure_times_b_outcome(alg):
-    # Quarter-integer sums are exact in any order, so the two routes agree
-    # by ==. On thirds and sevenths the sums round in another order than
-    # the closure's: the answers agree to a few ulps and every answer
-    # passes its check. A settled answer passes at once; some eliminated
-    # ones, of closable matrices shifted by a potential so that entries
-    # improve on the unit though no cycle does, pass only after a round of
-    # x <- A x + b.
+    # Quarter-integer sums are exact, so both routes agree with the closure
+    # times b by ==. On thirds and sevenths the exact sums round: every
+    # answer, settled or eliminated, is the exact A^x B rounded once, as
+    # the exact reference gives it, and A x + b recomputed on the rounded
+    # answer may miss it by an ulp.
     rng = random.Random(f"float bellman {alg.name}")
     seen = Counter()
     for n in range(1, 25):
@@ -878,21 +886,15 @@ def test_float_bellman_solves_keep_the_closure_times_b_outcome(alg):
                                        for e in r] for r in a.to_lists()], alg)
             if shift:
                 a = _shifted(rng, alg, a)
-            want = _closed_or_error(lambda a: _closure_times_b(a, b), a)
+            want = _closed_or_error(lambda a: _exact_closure_times_b(a, b), a)
             x, y = _bellman_outcomes(a, b)
+            assert x == y == want, (n, m)
             if not isinstance(want, TropMatrix):
-                assert x == y == want, (n, m)
                 continue
-            assert mat_oplus(mat_mul(a, x), b) == x and mat_le(mat_oplus(mat_mul(a, y), b), y)
-            for u, v in zip(x.entries, want.entries):
-                assert u.inf_sign == v.inf_sign and math.isclose(
-                    u.finite or 0.0, v.finite or 0.0, rel_tol=1e-12, abs_tol=1e-12)
-            first = trmatrix._least_solution(a, b)
-            passes = mat_oplus(mat_mul(a, first), b) == first
-            assert passes or _improves(a), (n, m)
-            seen["settled" if not _improves(a) else "refined" if not passes else "eliminated"] += 1
-    assert seen["answered"] >= 20 and seen["raised"] >= 5 and seen["refined"] >= 1
-    assert seen["settled"] >= 10
+            seen["eliminated" if _improves(a) else "settled"] += 1
+            seen["off by an ulp"] += mat_oplus(mat_mul(a, x), b) != x
+    assert seen["answered"] >= 20 and seen["raised"] >= 5, seen
+    assert seen["settled"] >= 10 and seen["eliminated"] >= 10 and seen["off by an ulp"] >= 1, seen
 
 
 SPARSE_SHAPES = ("lower", "split", "isolated", "chain", "sparse")
@@ -1058,10 +1060,10 @@ def test_settling_and_elimination_agree_where_no_entry_improves(alg, monkeypatch
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
 def test_a_settled_float_solve_passes_its_check_with_no_refinement(alg):
     # Weights uniform over [0, 60) toward the infinite element, a tenth of
-    # them missing, and a 0.0 diagonal: the eliminated A^x B fails the check
-    # A X + B here and needs rounds of X <- A X + B, while the settled one
-    # is a fixed point at once, so the solve costs the settling and one
-    # check of n n m multiplications, and n m more adds for its sum.
+    # them missing, and a 0.0 diagonal: A^x B settled and A^x B eliminated
+    # are the same exact value, rounded once, though A X + B recomputed on
+    # the rounded answer misses it. The solve costs the settling and one
+    # exact check of n n m multiplications, and n m more adds for its sum.
     rng = random.Random(f"settled floats {alg.name}")
     n = 32
     z = alg.zero()
@@ -1076,31 +1078,32 @@ def test_a_settled_float_solve_passes_its_check_with_no_refinement(alg):
         x = bellman_solve(a, b)
     settle = _settle_cost(a, x)
     assert (c.adds, c.muls) == (settle + n * n * n + n * n, settle + n * n * n)
-    for u, v in zip(x.entries, eliminated.entries):
-        assert u.inf_sign == v.inf_sign and math.isclose(
-            u.finite or 0.0, v.finite or 0.0, rel_tol=1e-12, abs_tol=1e-12)
+    assert x == eliminated
 
 
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
 def test_float_sums_that_overflow_fold_or_raise_as_the_reference_does(alg):
-    big = -alg.sign * 1e308  # sums of two overflow toward the infinite element
+    # Each operation rounds its exact entries once: one past the largest
+    # float toward the infinite element is that element, and one past it
+    # the other way raises IllegalElement, or names a divergent pivot's
+    # value that does.
+    big = -alg.sign * 1e308  # sums of two lie past the largest float
     toward = TropMatrix.from_rows([[big, 0.0], [alg.zero(), big]], alg)
     away = TropMatrix.from_rows([[0.0, -big], [-big, 0.0]], alg)
     z = alg.zero()
     path = TropMatrix.from_rows([[0.0, -big, z], [z, 0.0, -big], [z, z, 0.0]], alg)
-    assert mat_mul(toward, toward)._raw == ((None, big), (None, None))
-    assert closure_block(toward)._raw == ((0.0, 0.0), (None, 0.0))
+    assert mat_mul(toward, toward)._raw == ((None, int(big)), (None, None))
+    assert closure_block(toward)._raw == ((0, 0), (None, 0))
     for fn, ref, args in ((mat_mul, ref_mat_mul, (toward, toward)),
                           (mat_mul, ref_mat_mul, (away, away)),
                           (closure_block, _ref_eliminate, (toward,)),
                           (closure_block, _ref_eliminate, (away,)),
                           (closure_block, _ref_eliminate, (path,)),
                           (closure_block, ref_closure_block, (path,))):
-        assert _outcome(fn, *args) == _outcome(ref, *args)
-    # Pivot 0 adds the two off-diagonal entries into a_11, which overflows
-    # away from the infinite element, and pivot 1 reads it. The walk
-    # 0 -> 1 -> 2 of path overflows too, though no cycle improves and no
-    # pivot raises.
+        assert _outcome(fn, *args) == _outcome(exactly(ref), *args)
+    # Pivot 0 adds the two off-diagonal entries into a_11, 2e308 away from
+    # the infinite element, and pivot 1 names it. The walk 0 -> 1 -> 2 of
+    # path weighs 2e308 too, though no cycle improves and no pivot raises.
     assert _outcome(closure_block, away)[0] == _outcome(closure_block, path)[0] == "IllegalElement"
     # The Bellman solvers on a right-hand side of units fold or raise alike.
     for a, folds in ((toward, True), (away, False), (path, False)):
@@ -1108,24 +1111,22 @@ def test_float_sums_that_overflow_fold_or_raise_as_the_reference_does(alg):
         want = _closed_or_error(lambda a: _closure_times_b(a, b), a)
         assert isinstance(want, TropMatrix) is folds
         assert _bellman_outcomes(a, b) == [want] * 2
-        # The kernel raises itself, before any check A X + B sees its answer.
-        assert _closed_or_error(lambda a: trmatrix._least_solution(a, b), a) == want
-    # The elimination forms all of A^x, so it raises wherever the closure
-    # does: the overflowing walk 0 -> 1 -> 2 of path raises at a_02, though
-    # it leads to the infinite element of b.
+    # A^x B is one operation, rounded once: the walk 0 -> 1 -> 2 of path
+    # leads to the infinite element of b, so the solvers answer where the
+    # closure, which holds its 2e308, raises.
     b = TropMatrix.column([0.0, 0.0, z], alg)
-    want = _closed_or_error(lambda a: _closure_times_b(a, b), path)
-    assert want[0] == "IllegalElement"
+    assert _closed_or_error(lambda a: _closure_times_b(a, b), path)[0] == "IllegalElement"
+    want = _exact_closure_times_b(path, b)
+    assert want.to_lists() == [[s(-big)], [s(0.0)], [z]]
     assert _bellman_outcomes(path, b) == [want] * 2
-    # So does the walk 1 -> 0 -> 2 that pivot 0 adds into a_12, though x_2
-    # is the infinite element.
+    # So does the walk 1 -> 0 -> 2 that pivot 0 adds into a_12, as x_2 is
+    # the infinite element.
     formed = TropMatrix.from_rows([[0.0, z, -big], [-big, 0.0, z], [z, z, 0.0]], alg)
     b = TropMatrix.column([z, 0.0, z], alg)
-    for got in (_closed_or_error(lambda a: _closure_times_b(a, b), formed),
-                *_bellman_outcomes(formed, b)):
-        assert got[0] == "IllegalElement"
-    # An overflow in B's column alone leaves the divergent pivot's error,
-    # which the closure raises before any product by B.
+    assert _closed_or_error(lambda a: _closure_times_b(a, b), formed)[0] == "IllegalElement"
+    assert _bellman_outcomes(formed, b) == [_exact_closure_times_b(formed, b)] * 2
+    # A sum past the largest float in B's column alone leaves the divergent
+    # pivot's error, which the closure raises before any product by B.
     cycle = TropMatrix.from_rows([[0.0, big + alg.sign * 1e300], [-big, 0.0]], alg)
     b = TropMatrix.column([-big, z], alg)
     want = _closed_or_error(lambda a: _closure_times_b(a, b), cycle)
@@ -1159,6 +1160,74 @@ def test_float_residuation_never_rounds_past_b(alg):
     assert rounded > 10
 
 
+# Both ends of the float range: the least subnormal beside the largest
+# magnitudes, so that an exact value spans over 2000 bits.
+FLOAT_ENDS = (5e-324, -5e-324, 1e-300, -1e-300, 1.5e308, -1.5e308, 0.0)
+
+
+def _at_the_float_ends(rng, alg, rows, cols, side=None):
+    """An R64 matrix of FLOAT_ENDS and the infinite element. side "toward"
+    keeps every value at or toward the infinite element from 0, so that no
+    cycle improves; "tiny" also allows the subnormal and 1e-300 away from
+    it, so that no sum of two passes the largest float that way."""
+    keep = {None: lambda v: True, "toward": lambda v: alg.sign * v <= 0,
+            "tiny": lambda v: alg.sign * v < 1}[side]
+    pool = [v for v in FLOAT_ENDS if keep(v)]
+    return TropMatrix.from_rows([[alg.zero() if rng.random() < 0.2 else rng.choice(pool)
+                                  for _ in range(cols)] for _ in range(rows)], alg)
+
+
+@pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
+def test_values_at_both_ends_of_the_float_range_match_the_exact_reference(alg):
+    # The closure, A^x B settled by labels and eliminated on [A | B],
+    # products by 1 and 3 columns and residuation, on operands that mix
+    # 5e-324, 1e-300, +-1.5e308 and the infinite element, against the exact
+    # reference rounded once: entries with their types and counts, or the
+    # error. The packed fields hold values scaled by 2^1074.
+    rng = random.Random(f"float ends {alg.name}")
+    seen = Counter()
+
+    def check(fn, ref, *args, counts=True):
+        got, want = _outcome(fn, *args), _outcome(ref, *args)
+        assert (got if counts else got[:3]) == (want if counts else want[:3]), (fn.__name__, n)
+        seen[got[0] if len(got) == 2 else fn.__name__] += 1
+
+    for n in (1, 2, 9, 33):
+        sq = _at_the_float_ends(rng, alg, n, n, "toward")
+        check(closure_block, exactly(_ref_eliminate), sq)
+        for p in (1, 3):
+            check(mat_mul, exactly(ref_mat_mul), _at_the_float_ends(rng, alg, n, n, "tiny"),
+                  _at_the_float_ends(rng, alg, n, p))
+            check(mat_mul, exactly(ref_mat_mul), *(_at_the_float_ends(rng, alg, n, k)
+                                                   for k in (n, p)))
+        # Settled: no entry improves. Eliminated: column 0 loses its edges
+        # in, and a_01 = 1.5e308 improves on the unit on no cycle.
+        rows = sq.to_lists()
+        for r in rows:
+            r[0] = alg.zero()
+        if n > 1:
+            rows[0][1] = s(alg.sign * 1.5e308)
+        improving = TropMatrix.from_rows(rows, alg)
+        for a in (sq, improving):
+            assert _improves(a) == (a is improving and n > 1)
+            b = _at_the_float_ends(rng, alg, n, 2)
+            for solve in (bellman_solve, bellman_inequality):
+                check(solve, _exact_closure_times_b, a, b, counts=False)
+        a, b = _at_the_float_ends(rng, alg, n, n), _at_the_float_ends(rng, alg, n, 1)
+        check(_lai, exact_solve_lai_tropic, a, b)
+        check(solve_lae_tropic, exact_solve_lae_tropic, a, mat_mul(a, _at_the_float_ends(
+            rng, alg, n, 1, "tiny")) if rng.random() < 0.5 else b)
+    assert seen["closure_block"] >= 3 and seen["mat_mul"] >= 8, seen
+    assert seen["bellman_solve"] >= 6 and seen["_lai"] >= 3, seen
+    # One result past the largest float on each side: toward the infinite
+    # element it is that element, the other way it raises.
+    big = s(1.5e308)
+    toward, away = (TropMatrix.from_rows([[sign * big.finite]], alg) for sign in (-alg.sign, alg.sign))
+    assert mat_mul(toward, toward).entries == (alg.zero(),)
+    with pytest.raises(IllegalElement, match="^float overflow produced an illegal infinity$"):
+        mat_mul(away, away)
+
+
 def _public_check(a, x, b, target, le):
     """The verdict, the step A x + b (A x when b is None) and the counts of
     the route through the public operations: mat_mul, mat_oplus, and ==,
@@ -1187,10 +1256,11 @@ def _kernel_check(a, x, b, target, le):
 
 
 def _folds(a, x):
-    """Whether a float sum a_ik + x_kj overflows toward the infinite element."""
-    inf = -a.alg.sign * math.inf
-    return any(u is not None and v is not None and u + v == inf
-               for r in a._raw for c in zip(*x._raw) for u, v in zip(r, c))
+    """Whether a sum a_ik + x_kj of R64 values lies past the largest float
+    on the infinite element's side."""
+    big, sign = Fraction(sys.float_info.max), a.alg.sign
+    return any(u.is_finite and v.is_finite and -sign * (Fraction(u.finite) + Fraction(v.finite)) > big
+               for r in a.to_lists() for c in zip(*x.to_lists()) for u, v in zip(r, c))
 
 
 def _reference_step(a, x, b):
@@ -1201,13 +1271,16 @@ def _reference_step(a, x, b):
 
 @pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
 def test_the_check_kernel_answers_as_the_public_route_does(alg):
-    # Systems of edge values (10**400, -0.0, float sums that overflow either
-    # way) or of small ones, with 0, a quarter or 60 % of the entries
-    # infinite, so that columns of x with and without None both occur, and
-    # x over other denominators than A's over Q. The target is x, the
-    # public step itself, that step with one entry replaced, or drawn
-    # apart. Verdict, step with its entry types, and counts must agree, or
-    # the error and the counts before it.
+    # Systems of edge values (10**400, -0.0, R64 sums past the largest
+    # float on either side) or of small ones, with 0, a quarter or 60 % of
+    # the entries infinite, so that columns of x with and without None both
+    # occur, and x over other denominators than A's over Q. The target is
+    # x, the public step itself, that step with one entry replaced, or
+    # drawn apart. Verdict, step with its entry types, and counts must
+    # agree. Over R64 the check is exact: its verdict and counts are the
+    # public route's on the same values over Q, and its step, rounded once,
+    # is the exact reference's, or the IllegalElement of a value past the
+    # largest float away from the infinite element.
     rng = random.Random(f"check kernel {alg.name}")
     small = {Domain.Z: lambda: rng.randint(-9, 9),
              Domain.Q: lambda: Fraction(rng.randint(-12, 12), rng.choice((5, 7, 9))),
@@ -1221,7 +1294,7 @@ def test_the_check_kernel_answers_as_the_public_route_does(alg):
               for _ in range(cols)] for _ in range(rows)], alg)
 
     seen = Counter()
-    for _ in range(400):
+    for _ in range(450):
         n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
         edges = rng.random() < 0.5
         a, x = draw(n, k, edges), draw(k, m, edges)
@@ -1240,20 +1313,20 @@ def test_the_check_kernel_answers_as_the_public_route_does(alg):
         seen["other denominators"] += a._den != x._den
         # The check and the public route share _product and _oplus, so the
         # step is also judged by the reference, signs of zeros included.
-        reference = _outcome(_reference_step, a, x, b)[:3]
+        reference = _outcome(exactly(_reference_step), a, x, b)[:3]
+        exact = [to_exact(m) for m in (a, x, b, target)]
         for le in (False, True):
-            want = _public_check(a, x, b, target, le)
-            assert _kernel_check(a, x, b, target, le) == want, (a, x, b, target, le)
-            verdict = want[0][0]
-            if type(verdict) is str:
-                seen[verdict] += 1
-                continue
-            assert want[0][1] == reference, (a, x, b)
+            (verdict, step_exact), *counts = _public_check(*exact, le)
+            assert _kernel_check(a, x, b, target, le) == ((verdict, reference), *counts), (
+                a, x, b, target, le)
             seen[le, verdict] += 1
-            if le:
-                assert mat_le(step, target) is verdict
-            if alg.domain is Domain.F64:
-                seen["folded"] += _folds(a, x)
+            if alg.domain is not Domain.F64:
+                assert step_exact == reference
+                if le:
+                    assert mat_le(step, target) is verdict
+                continue
+            seen["IllegalElement"] += reference[0] == "IllegalElement"
+            seen["folded"] += _folds(a, x)
     assert all(seen[le, v] >= 100 for le in (False, True) for v in (False, True)), seen
     if alg.domain is Domain.F64:
         assert seen["IllegalElement"] >= 40 and seen["folded"] >= 20, seen
@@ -1279,7 +1352,7 @@ def test_the_order_is_the_sum_compared_with_its_right_operand(alg):
     # sign, coprime denominators) at every size up to 24, b over other
     # denominators than a's over Q. Random pairs are rarely ordered, so
     # half the cases take b = a + c, some with the signs of its zeros
-    # flipped: a tie, as 0.0 and -0.0 are.
+    # flipped, which over R64 are read as the int 0 on entry.
     rng = random.Random(f"order {alg.name}")
     pool = EDGE_VALUES[alg.domain]
 
@@ -1310,35 +1383,32 @@ def test_the_order_is_the_sum_compared_with_its_right_operand(alg):
     if alg.domain is Domain.Q:
         assert seen["other denominators"] >= 50, seen
     if alg.domain is Domain.F64:
-        assert seen["signed zeros"] >= 50, seen
+        # A zero of either sign is stored as the int 0 and read back as 0.0.
+        assert seen["signed zeros"] == 0, seen
 
 
 @pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
 def test_a_product_by_one_column_folds_and_a_wider_one_lifts(alg, monkeypatch):
     # mat_mul and the check kernel run one product: by one column a fold
-    # over the stored rows, with no lift and no packing, and by two or more
-    # columns the packed kernel over Z and Q, packed once, and the lifted
-    # kernel over R64, lifted once. Each answers as the per-entry reference
-    # does, entry types and zero signs included, with n k p adds and muls,
-    # or raises its error after counting them. Sizes 1-24; half the
+    # over the stored rows, with no packing, and by two or more columns the
+    # packed kernel, packed once, over every domain. Each answers as the
+    # per-entry reference does, exact and rounded once over R64, entry
+    # types included, with n k p adds and muls, or raises its error after
+    # counting them; the check, exact, finds A x equal to the public
+    # product wherever rounding left it as it was. Sizes 1-24; half the
     # operands hold edge values (10**400 beside small ints, float zeros of
-    # either sign that tie, float sums that overflow toward the infinite
+    # either sign, R64 sums past the largest float toward the infinite
     # element or away from it), and some rows and columns are wholly
     # infinite.
     rng = random.Random(f"product shapes {alg.name}")
     lifts = []
 
-    def spy(*args, lifted=trmatrix._lifted):
-        lifts.append(args[0].__name__)
-        return lifted(*args)
-
     def pack_spy(*args, packer=trmatrix._packer):
         lifts.append(f"packed, walk {args[0]}")
         return packer(*args)
 
-    monkeypatch.setattr(trmatrix, "_lifted", spy)
     monkeypatch.setattr(trmatrix, "_packer", pack_spy)
-    wider = ["_mul"] if alg.domain is Domain.F64 else ["packed, walk 2"]
+    wider = ["packed, walk 2"]
     small = {Domain.Z: lambda: rng.randint(-9, 9),
              Domain.Q: lambda: Fraction(rng.randint(-12, 12), rng.choice((5, 7, 9))),
              Domain.F64: lambda: rng.choice((0.0, -0.0, rng.randint(-40, 40) / 4))}[alg.domain]
@@ -1361,27 +1431,32 @@ def test_a_product_by_one_column_folds_and_a_wider_one_lifts(alg, monkeypatch):
         for p in (1, 1, 2, rng.randint(3, 24)):
             k, edges = rng.randint(1, 24), rng.random() < 0.5
             a, x = draw(n, k, edges), draw(k, p, edges)
-            want, work = _outcome(ref_mat_mul, a, x), n * k * p
+            want, work = _outcome(exactly(ref_mat_mul), a, x), n * k * p
             answered = len(want) > 2
             lifts.clear()
             assert _outcome(mat_mul, a, x) == want, (a, x)
             assert lifts == wider * (p > 1), (n, k, p)
             target = mat_mul(a, x) if answered else draw(n, p, edges)
+            exact = ref_mat_mul(to_exact(a), to_exact(x)) == to_exact(target)
             lifts.clear()
             got = _kernel_check(a, x, None, target, False)
             assert lifts == wider * (p > 1), (n, k, p)
-            assert got == ((True, want[:3]) if answered else want, work, work), (a, x)
+            assert got == ((exact, want[:3]), work, work), (a, x)
             if not answered:
                 seen[want[0]] += 1
                 continue
             assert want[3:] == (work, work)
             seen["by one column" if p == 1 else "wider"] += 1
+            seen["rounded"] += not exact
             seen["folded"] += alg.domain is Domain.F64 and _folds(a, x)
             seen["signed zeros"] += any(map(_negative_zero, target.entries))
     assert seen["by one column"] >= 25 and seen["wider"] >= 25, seen
+    assert seen["signed zeros"] == 0, seen
     if alg.domain is Domain.F64:
         assert seen["IllegalElement"] >= 10 and seen["folded"] >= 4, seen
-        assert seen["signed zeros"] >= 10, seen
+        assert seen["rounded"] >= 10, seen
+    else:
+        assert seen["rounded"] == 0, seen
 
 
 # ---- the stored form ----

@@ -1,16 +1,21 @@
 """Exact-rational linear programming and univariate linear inequalities.
 
-simplex_solve runs the textbook two-phase primal simplex on one tableau of
-Fractions. Problems are stated over nonnegative variables with three
-optional constraint groups A x <= b, A x = b and A x >= b. The tableau's
-rows are the <=, = and >= groups in input order, each negated when its
-right-hand side is negative, and the objective row comes last. Its columns
-are the variables, one slack per <= row, one surplus per >= row, the
-artificials (phase 1 only, one per row whose slack does not start basic),
-then the right-hand side. Pivot selection follows Bland's rule (smallest
-eligible index entering, smallest basic index leaving on ratio ties),
-which rules out cycling, so no perturbation and no epsilon appear
-anywhere; every comparison is exact.
+simplex_solve runs the textbook two-phase primal simplex on one integer
+tableau T whose true entries are T / d, d being the previous pivot
+(fraction-free pivoting: Edmonds 1967, Bareiss 1968). Every entry stays a
+minor of the starting tableau, so bit sizes stay polynomial and no gcd is
+taken; Fractions appear only at the boundary, in the problem read in and
+in the answer and reduced costs given back. Problems are stated over
+nonnegative variables with three optional constraint groups A x <= b,
+A x = b and A x >= b. The tableau's rows are the <=, = and >= groups in
+input order, each scaled to ints and negated when its right-hand side is
+negative, and the objective row comes last. Its columns are the
+variables, one slack per <= row, one surplus per >= row, the artificials
+(phase 1 only, one per row whose slack does not start basic), then the
+right-hand side. Pivot selection follows Bland's rule (smallest eligible
+index entering, smallest basic index leaving on ratio ties), which rules
+out cycling, so no perturbation and no epsilon appear anywhere; every
+comparison is exact.
 
 solve_univariate_linear intersects half-lines a*x + b REL 0 into a single
 interval with open or closed endpoints, or reports the empty set; every
@@ -20,6 +25,7 @@ relation is checked before an answer is given.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import ge, gt, le, lt
 
 from ._record import MutableRecord, Record
@@ -29,7 +35,6 @@ __all__ = ["LpProblem", "Optimal", "Infeasible", "Unbounded", "SimplexStats", "s
            "Interval", "solve_univariate_linear"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -105,46 +110,67 @@ class SimplexStats(MutableRecord):
 _PIVOT_LIMIT = 200_000
 
 
-def _pivot(tab, basis, r, j, stats):
-    piv = tab[r][j]
-    row = [v / piv for v in tab[r]]
-    tab[r] = row
-    for i in range(len(tab)):
+def _ints(values) -> tuple[list[int], int]:
+    """Fractions scaled to ints by the LCM of their denominators, and that LCM."""
+    m = lcm(*(v.denominator for v in values))
+    return [v.numerator * (m // v.denominator) for v in values], m
+
+
+def _pivot(tab, basis, r, j, d, stats):
+    """Pivot on (r, j) of the tableau tab / d; returns the new denominator, the pivot.
+
+    Row r stays as it is. Every other row, the objective row included and a
+    row with 0 in column j too, becomes (p*row - row[j]*tab[r]) // d, an
+    exact division, since each entry is a minor of the starting tableau.
+    """
+    prow = tab[r]
+    p = prow[j]
+    for i, line in enumerate(tab):
         if i != r:
-            f = tab[i][j]
-            if f:
-                tab[i] = [x - f * y for x, y in zip(tab[i], row)]
+            f = line[j]
+            tab[i] = [(p * x - f * y) // d for x, y in zip(line, prow)] if f else [p * x // d for x in line]
     basis[r] = j
     if stats is not None:
         stats.pivots += 1
+    return p
 
 
-def _priced(cost, tab, basis):
-    """The objective row of cost: every basic column priced out by its row."""
-    for r, bv in enumerate(basis):
+def _priced(cost, tab, basis, d):
+    """d times the objective row of cost: every basic column priced out by its row."""
+    z = [d * v for v in cost]
+    for line, bv in zip(tab, basis):
         f = cost[bv]
         if f:
-            cost = [x - f * y for x, y in zip(cost, tab[r])]
-    return cost
+            z = [x - f * y for x, y in zip(z, line)]
+    return z
 
 
-def _optimize(tab, basis, width, stats):
-    """Maximize with Bland's rule; tab[-1] holds reduced costs and -z last."""
+def _optimize(tab, basis, width, d, stats):
+    """Maximize with Bland's rule; tab[-1] / d holds reduced costs and -z last.
+
+    Returns the final denominator, or None when the objective is unbounded.
+    Every sign is read relative to d's, which a drive-out pivot can make
+    negative; the ratios b / a of the rows whose a has d's sign are compared
+    by cross-multiplication.
+    """
     for _ in range(_PIVOT_LIMIT):
+        pos = d > 0
         zrow = tab[-1]
-        enter = next((j for j in range(width) if zrow[j] > 0), None)
+        enter = next((j for j in range(width) if zrow[j] and (zrow[j] > 0) == pos), None)
         if enter is None:
-            return "optimal"
-        leave = best = None
+            return d
+        leave = None
         for r in range(len(basis)):
             a = tab[r][enter]
-            if a > 0:
-                ratio = tab[r][-1] / a
-                if leave is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
+            if a and (a > 0) == pos:
+                b = tab[r][-1]
+                if leave is not None:
+                    lhs, rhs = b * best_a, best_b * a
+                if leave is None or lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    best_b, best_a, leave = b, a, r
         if leave is None:
-            return "unbounded"
-        _pivot(tab, basis, leave, enter, stats)
+            return None
+        d = _pivot(tab, basis, leave, enter, d, stats)
     raise RuntimeError("pivot limit exceeded")
 
 
@@ -152,56 +178,65 @@ def simplex_solve(problem: LpProblem, stats: SimplexStats | None = None):
     """Solve an LpProblem exactly; returns Optimal, Infeasible or Unbounded."""
     n = len(problem.c)
     rows = _constraints(problem)
-    slacks = [_ZERO] * sum(1 for _, _, sign in rows if sign)
-    width = n + len(slacks)
+    nslack = sum(1 for _, _, sign in rows if sign)
+    width = n + nslack
 
-    # Each row gets its slack or surplus column and is negated when its rhs
-    # is negative. Its slack starts basic if that leaves it at +1; every
-    # other row gets an artificial column, numbered in row order.
-    tab, basis = [], []
-    col, arts = n, 0
+    # Each row is scaled to ints by its LCM, gets its slack or surplus column
+    # and is negated when its rhs is negative. A slack or artificial column
+    # has one nonzero entry, kept at +-1: its variable is scaled by the row's
+    # LCM, which `scale` records to undo. A slack starts basic if it is +1;
+    # every other row gets an artificial column, numbered in row order.
+    tab, basis, scale, arts = [], [], [1] * n, []
+    col = n
     for row, rhs, sign in rows:
-        line = [*row, *slacks, rhs]
+        line, m = _ints((*row, rhs))
+        line[-1:-1] = [0] * nslack
         if sign:
-            line[col] = _ONE if sign > 0 else -_ONE
+            line[col] = sign
+            scale.append(m)
             col += 1
         if rhs < 0:
             line = [-v for v in line]
         if sign and line[col - 1] == 1:
             basis.append(col - 1)
         else:
-            basis.append(width + arts)
-            arts += 1
+            basis.append(width + len(arts))
+            arts.append(m)
         tab.append(line)
     for line, bv in zip(tab, basis):
-        line[-1:-1] = [_ONE if j == bv else _ZERO for j in range(width, width + arts)]
+        line[-1:-1] = [int(j == bv) for j in range(width, width + len(arts))]
 
+    d = 1
     if arts:
-        tab.append(_priced([_ZERO] * width + [-_ONE] * arts + [_ZERO], tab, basis))
-        if _optimize(tab, basis, width + arts, stats) != "optimal":
+        m = lcm(*arts)
+        tab.append(_priced([0] * width + [-m // a for a in arts] + [0], tab, basis, d))
+        d = _optimize(tab, basis, width + len(arts), d, stats)
+        if d is None:
             raise RuntimeError("phase 1 objective is bounded by construction")
-        if tab[-1][-1] != 0:
+        if tab.pop()[-1]:
             return Infeasible()
         # Drive each artificial left basic at zero out of the basis; a row
         # with no other nonzero entry is redundant and is dropped, and so
-        # are the artificial columns and the phase-1 objective row.
+        # are the artificial columns.
         for r, bv in enumerate(basis):
             if bv >= width:
                 j = next((j for j in range(width) if tab[r][j]), None)
                 if j is not None:
-                    _pivot(tab, basis, r, j, stats)
+                    d = _pivot(tab, basis, r, j, d, stats)
         kept = [(line[:width] + line[-1:], bv) for line, bv in zip(tab, basis) if bv < width]
         tab, basis = [line for line, _ in kept], [bv for _, bv in kept]
 
-    cost = list(problem.c) if problem.sense == "max" else [-v for v in problem.c]
-    tab.append(_priced(cost + slacks + [_ZERO], tab, basis))
-    if _optimize(tab, basis, width, stats) == "unbounded":
+    c, m = _ints(problem.c)
+    tab.append(_priced((c if problem.sense == "max" else [-v for v in c]) + [0] * (nslack + 1),
+                       tab, basis, d))
+    d = _optimize(tab, basis, width, d, stats)
+    if d is None:
         return Unbounded()
 
     values = {bv: line[-1] for bv, line in zip(basis, tab)}
-    xs = tuple(values.get(j, _ZERO) for j in range(n))
+    xs = tuple(Fraction(values[j], d) if j in values else _ZERO for j in range(n))
     if stats is not None:
-        stats.reduced_costs = tuple(tab[-1][:width])
+        stats.reduced_costs = tuple(Fraction(z * s, d * m) for z, s in zip(tab[-1], scale))
     _check_solution(problem, xs)
     objective = sum((ci * xi for ci, xi in zip(problem.c, xs)), _ZERO)
     return Optimal(xs, objective)

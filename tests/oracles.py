@@ -6,11 +6,12 @@ trop_add and trop_mul, the defining power expansion for the Kleene
 closure, plain triple-loop relaxation for distances, depth-first search
 with backtracking and the tight-edge walk over the full closure for
 shortest-path witnesses, Gaussian elimination plus brute-force vertex
-enumeration for linear programs, and direct negation for the
-max-plus/min-plus mirror. Over tropical R64 the per-entry references run
-over Q on the operands' exact values, each entry rounded once through
-Decimal. Slow and obvious on purpose. A printer from the
-script AST back to source text lets the parser tests round-trip.
+enumeration for linear programs, the two-phase simplex on a tableau of
+Fractions, and direct negation for the max-plus/min-plus mirror. Over
+tropical R64 the per-entry references run over Q on the operands' exact
+values, each entry rounded once through Decimal. Slow and obvious on
+purpose. A printer from the script AST back to source text lets the
+parser tests round-trip.
 """
 
 from __future__ import annotations
@@ -26,15 +27,19 @@ from tropalg import (
     ExtScalar,
     IllegalElement,
     IndexOutOfRange,
+    Infeasible,
     LpProblem,
     NoPath,
     NoSolution,
+    Optimal,
     Q_MAX_PLUS,
     Q_MIN_PLUS,
     R64_MAX_PLUS,
     R64_MIN_PLUS,
     SemiringKind,
+    SimplexStats,
     TropMatrix,
+    Unbounded,
     Z_MAX_PLUS,
     Z_MIN_PLUS,
     identity,
@@ -45,6 +50,7 @@ from tropalg import (
     trop_mul,
     trop_neg,
 )
+from tropalg.lp import _check_solution, _constraints
 from tropalg.mathpar.parser import (
     Assign,
     BinOp,
@@ -499,6 +505,120 @@ def lp_oracle(p: LpProblem):
     return "optimal", best
 
 
+# ---- the Fraction simplex ----
+#
+# The two-phase simplex on one tableau of Fractions, each pivot dividing the
+# pivot row through and updating every other row: the same Bland's rule and
+# branches as simplex_solve without its integer tableau, so the answer, the
+# pivot count and the reduced costs must match it exactly.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_REF_PIVOT_LIMIT = 200_000
+
+
+def _ref_pivot(tab, basis, r, j, stats):
+    piv = tab[r][j]
+    row = [v / piv for v in tab[r]]
+    tab[r] = row
+    for i in range(len(tab)):
+        if i != r:
+            f = tab[i][j]
+            if f:
+                tab[i] = [x - f * y for x, y in zip(tab[i], row)]
+    basis[r] = j
+    if stats is not None:
+        stats.pivots += 1
+
+
+def _ref_priced(cost, tab, basis):
+    """The objective row of cost: every basic column priced out by its row."""
+    for r, bv in enumerate(basis):
+        f = cost[bv]
+        if f:
+            cost = [x - f * y for x, y in zip(cost, tab[r])]
+    return cost
+
+
+def _ref_optimize(tab, basis, width, stats):
+    """Maximize with Bland's rule; tab[-1] holds reduced costs and -z last."""
+    for _ in range(_REF_PIVOT_LIMIT):
+        zrow = tab[-1]
+        enter = next((j for j in range(width) if zrow[j] > 0), None)
+        if enter is None:
+            return "optimal"
+        leave = best = None
+        for r in range(len(basis)):
+            a = tab[r][enter]
+            if a > 0:
+                ratio = tab[r][-1] / a
+                if leave is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+        if leave is None:
+            return "unbounded"
+        _ref_pivot(tab, basis, leave, enter, stats)
+    raise RuntimeError("pivot limit exceeded")
+
+
+def ref_simplex_solve(problem: LpProblem, stats: SimplexStats | None = None):
+    """Solve an LpProblem exactly; returns Optimal, Infeasible or Unbounded."""
+    n = len(problem.c)
+    rows = _constraints(problem)
+    slacks = [_ZERO] * sum(1 for _, _, sign in rows if sign)
+    width = n + len(slacks)
+
+    # Each row gets its slack or surplus column and is negated when its rhs
+    # is negative. Its slack starts basic if that leaves it at +1; every
+    # other row gets an artificial column, numbered in row order.
+    tab, basis = [], []
+    col, arts = n, 0
+    for row, rhs, sign in rows:
+        line = [*row, *slacks, rhs]
+        if sign:
+            line[col] = _ONE if sign > 0 else -_ONE
+            col += 1
+        if rhs < 0:
+            line = [-v for v in line]
+        if sign and line[col - 1] == 1:
+            basis.append(col - 1)
+        else:
+            basis.append(width + arts)
+            arts += 1
+        tab.append(line)
+    for line, bv in zip(tab, basis):
+        line[-1:-1] = [_ONE if j == bv else _ZERO for j in range(width, width + arts)]
+
+    if arts:
+        tab.append(_ref_priced([_ZERO] * width + [-_ONE] * arts + [_ZERO], tab, basis))
+        if _ref_optimize(tab, basis, width + arts, stats) != "optimal":
+            raise RuntimeError("phase 1 objective is bounded by construction")
+        if tab[-1][-1] != 0:
+            return Infeasible()
+        # Drive each artificial left basic at zero out of the basis; a row
+        # with no other nonzero entry is redundant and is dropped, and so
+        # are the artificial columns and the phase-1 objective row.
+        for r, bv in enumerate(basis):
+            if bv >= width:
+                j = next((j for j in range(width) if tab[r][j]), None)
+                if j is not None:
+                    _ref_pivot(tab, basis, r, j, stats)
+        kept = [(line[:width] + line[-1:], bv) for line, bv in zip(tab, basis) if bv < width]
+        tab, basis = [line for line, _ in kept], [bv for _, bv in kept]
+
+    cost = list(problem.c) if problem.sense == "max" else [-v for v in problem.c]
+    tab.append(_ref_priced(cost + slacks + [_ZERO], tab, basis))
+    if _ref_optimize(tab, basis, width, stats) == "unbounded":
+        return Unbounded()
+
+    values = {bv: line[-1] for bv, line in zip(basis, tab)}
+    xs = tuple(values.get(j, _ZERO) for j in range(n))
+    if stats is not None:
+        stats.reduced_costs = tuple(tab[-1][:width])
+    _check_solution(problem, xs)
+    objective = sum((ci * xi for ci, xi in zip(problem.c, xs)), _ZERO)
+    return Optimal(xs, objective)
+
+
 # ---- random instances ----
 
 
@@ -529,6 +649,22 @@ def rand_lp_problem(rng) -> LpProblem:
         b_ge=tuple(b_ge),
         sense=rng.choice(["max", "min"]),
     )
+
+
+def rand_rational_lp_problem(rng) -> LpProblem:
+    """A program over up to 5 variables and 6 rows, each row in any group.
+
+    Entries are p/q with |p| <= 9 and 1 <= q <= 7. About 30 % of the
+    right-hand sides are 0, so degenerate vertices are common.
+    """
+    n = rng.randint(1, 5)
+    q = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    groups = ([], [], [])
+    for _ in range(rng.randint(0, 6)):
+        rhs = Fraction(0) if rng.random() < 0.3 else q()
+        rng.choice(groups).append((tuple(q() for _ in range(n)), rhs))
+    rows = [part for g in groups for part in (tuple(r for r, _ in g), tuple(b for _, b in g))]
+    return LpProblem(tuple(q() for _ in range(n)), *rows, sense=rng.choice(["max", "min"]))
 
 
 def rand_scalar(rng, alg, lo=-9, hi=9, p_inf=0.0) -> ExtScalar:

@@ -15,7 +15,8 @@ from tropalg import (
     solve_univariate_linear,
 )
 
-from oracles import lp_oracle, rand_lp_problem
+import tropalg.lp
+from oracles import lp_oracle, rand_lp_problem, rand_rational_lp_problem, ref_simplex_solve
 
 F = Fraction
 
@@ -220,6 +221,124 @@ def test_simplex_matches_vertex_enumeration():
             assert out.objective == best
         checked += 1
     assert checked == 120
+
+
+# ---- the integer tableau against the Fraction simplex ----
+
+
+def _agrees_with_the_fraction_simplex(p):
+    ours, ref = SimplexStats(), SimplexStats()
+    assert repr(simplex_solve(p, ours)) == repr(ref_simplex_solve(p, ref)), p
+    assert repr(ours) == repr(ref), p
+
+
+def test_random_programs_match_the_fraction_simplex():
+    rng = random.Random(3200)
+    for _ in range(3000):
+        _agrees_with_the_fraction_simplex(rand_rational_lp_problem(rng))
+
+
+def _q(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def _through(rng, p, point):
+    """p with each right-hand side moved so that point satisfies its row,
+    about half of the inequalities tightly."""
+    slack = lambda: abs(_q(rng)) if rng.random() < 0.5 else 0
+    rhs = lambda rows, sign: tuple(sum(a * x for a, x in zip(row, point)) + sign * slack() for row in rows)
+    return LpProblem(p.c, p.a_le, rhs(p.a_le, 1), p.a_eq, rhs(p.a_eq, 0), p.a_ge, rhs(p.a_ge, -1), p.sense)
+
+
+def _feasible(rng, extra_eq=lambda point: ()):
+    """A random program with the equality rows extra_eq(point) added, all of
+    it made feasible at a nonnegative point with about half its coordinates
+    0, so its vertex there is degenerate."""
+    p = rand_rational_lp_problem(rng)
+    point = [abs(_q(rng)) if rng.random() < 0.5 else 0 for _ in p.c]
+    rows = p.a_eq + tuple(extra_eq(point))
+    p = LpProblem(p.c, p.a_le, p.b_le, rows, (0,) * len(rows), p.a_ge, p.b_ge, p.sense)
+    return _through(rng, p, point)
+
+
+def _redundant_equalities(rng):
+    """Two equality rows and a rational combination of them, so phase 1
+    ends on a row it drops."""
+    def rows(point):
+        e1, e2 = (tuple(_q(rng) for _ in point) for _ in range(2))
+        lam, mu = _q(rng), _q(rng)
+        return [e1, e2, tuple(lam * u + mu * v for u, v in zip(e1, e2))]
+    return _feasible(rng, rows)
+
+
+def _nonpositive_equality(rng):
+    """An equality row with rhs 0 and negative entries where the point is 0:
+    no phase-1 pivot reaches its artificial, which the drive-out then pivots
+    out on a negative entry, so the denominator turns negative."""
+    return _feasible(rng, lambda point: [tuple(0 if x else -abs(_q(rng)) for x in point)])
+
+
+_EXTREMES = (10**400, -(10**400), F(1, 2**64 + 1), F(-1, 2**64 + 1))
+
+
+def _extreme_coefficients(rng):
+    """A feasible program with about one entry in five replaced by +-10^400
+    or +-1/(2^64 + 1), and right-hand sides through a point of such entries."""
+    p = rand_rational_lp_problem(rng)
+    pick = lambda v: rng.choice(_EXTREMES) if rng.random() < 0.2 else v
+    vec = lambda vs: tuple(map(pick, vs))
+    mat = lambda rows: tuple(map(vec, rows))
+    p = LpProblem(vec(p.c), mat(p.a_le), p.b_le, mat(p.a_eq), p.b_eq, mat(p.a_ge), p.b_ge, p.sense)
+    return _through(rng, p, [abs(pick(0)) for _ in p.c])
+
+
+@pytest.mark.parametrize("family", [_redundant_equalities, _nonpositive_equality, _extreme_coefficients])
+def test_degenerate_families_match_the_fraction_simplex(family, monkeypatch):
+    denominators, pivot = [], tropalg.lp._pivot
+
+    def recorded(*args):
+        denominators.append(pivot(*args))
+        return denominators[-1]
+
+    monkeypatch.setattr(tropalg.lp, "_pivot", recorded)
+    rng = random.Random(3201)
+    for _ in range(300):
+        _agrees_with_the_fraction_simplex(family(rng))
+    if family is _nonpositive_equality:  # the family must reach a negative denominator
+        assert sum(d < 0 for d in denominators) > 100
+
+
+# Beale's program as a minimum (its maximum is the pinned "cycling" case
+# above) and Chvatal's smaller variant: each cycles under the
+# largest-coefficient rule.
+@pytest.mark.parametrize("problem", [
+    LpProblem(c=(F(-3, 4), 150, F(-1, 50), 6),
+              a_le=((F(1, 4), -60, F(-1, 25), 9), (F(1, 2), -90, F(-1, 50), 3), (0, 0, 1, 0)),
+              b_le=(0, 0, 1), sense="min"),
+    LpProblem(c=(10, -57, -9, -24),
+              a_le=((F(1, 2), F(-11, 2), F(-5, 2), 9), (F(1, 2), F(-3, 2), F(-1, 2), 1), (1, 0, 0, 0)),
+              b_le=(0, 0, 1)),
+], ids=["beale-min", "chvatal"])
+def test_cycling_programs_match_the_fraction_simplex(problem):
+    _agrees_with_the_fraction_simplex(problem)
+
+
+def _klee_minty(n):
+    """max sum 2^(n-j) x_j subject to 2 sum_{j<i} 2^(i-j) x_j + x_i <= 5^i."""
+    a = tuple(tuple(2 ** (i - j + 1) if j < i else int(j == i) for j in range(n)) for i in range(n))
+    return LpProblem(c=tuple(2 ** (n - 1 - j) for j in range(n)), a_le=a,
+                     b_le=tuple(5 ** (i + 1) for i in range(n)))
+
+
+# Bland's rule visits exponentially many vertices of the Klee-Minty cube;
+# the counts pin that growth, and each pivot works on ints of polynomial size.
+@pytest.mark.parametrize("n, pivots", [(4, 9), (6, 25), (8, 67), (10, 177), (12, 465)])
+def test_klee_minty_pivot_counts_grow_exponentially(n, pivots):
+    stats = SimplexStats()
+    out = simplex_solve(_klee_minty(n), stats)
+    assert stats.pivots == pivots
+    assert out.objective == 5**n
+    assert out.x == (0,) * (n - 1) + (5**n,)
 
 
 # ---- univariate inequality systems ----

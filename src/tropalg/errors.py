@@ -51,4 +51,4 @@ class NoPath(TropalgError):
 
 
 class IndexOutOfRange(TropalgError, IndexError):
-    """A vertex index lies outside the graph."""
+    """A vertex index lies outside the graph, or an entry index outside the matrix."""

@@ -36,12 +36,14 @@ class WeightedGraph(Record):
             raise AlgebraMismatch("graphs are weighted over a min-plus algebra")
         if not a.is_square:
             raise InvalidGraph("the adjacency matrix must be square")
+        # The stored rows are max-plus rows of the negated weights, so a
+        # negative weight is a stored value above 0, the unit.
         for j, row in enumerate(a._raw):
             for k, w in enumerate(row):
                 if j == k:
                     if w != 0:
                         raise InvalidGraph(f"diagonal entry at {j} is {a.get(j, k)}, not 0")
-                elif w is not None and w < 0:
+                elif w is not None and w > 0:
                     raise InvalidGraph(f"negative edge weight {a.get(j, k)} at ({j}, {k})")
 
     @property
@@ -84,7 +86,7 @@ def find_shortest_path(g: WeightedGraph, start: int, goal: int) -> list[int]:
     rows, alg = adj._raw, adj.alg
     unit = [None] * n
     unit[goal] = 0
-    to_goal, = _label_setting(rows, [unit], alg)
+    to_goal, = _label_setting(rows, [unit])
     # The distance as search_least_distances reads it, rounded over R64.
     if _result([[to_goal[start]]], alg, adj._den)._raw[0][0] is None:
         raise NoPath(f"no path from {start} to {goal}")

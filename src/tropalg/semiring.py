@@ -10,10 +10,14 @@ arithmetic over Q and float64 sits behind the same entry points so matrix
 code and the interpreter can stay algebra-generic.
 
 The duality is one number, Algebra.sign: +1 for max-plus, -1 for
-min-plus, 0 for classical algebras. Every tropical rule in the library
-is written once, for max-plus, with its comparisons multiplied by sign,
-and the infinite element is the infinity of sign -sign. No result is
-computed on negated values: 0.0 + -0.0 is 0.0, but -((-0.0) + 0.0) is -0.0.
+min-plus, 0 for classical algebras. Each scalar rule here is written
+once, for max-plus, with its comparisons multiplied by sign, and the
+infinite element is the infinity of sign -sign. No ExtScalar result is
+computed on negated values: 0.0 + -0.0 is 0.0, but -((-0.0) + 0.0) is
+-0.0. trmatrix, whose stored values are all ints, takes the duality
+literally instead: it stores a min-plus matrix negated, as a max-plus
+one, negating once on the way in and once on the way out, and its
+kernels are written once, for max-plus, with no sign at all.
 
 Exact domains never round: max, min and + of ints and Fractions are
 exact, so no epsilon comparisons appear anywhere in the library.

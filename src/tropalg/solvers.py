@@ -4,8 +4,8 @@ For A x <= b residuation gives a principal solution: on a finite right
 hand side it is (b- A)- where minus denotes the pseudo-inverse, and in
 general each coordinate takes the tightest cap any row imposes on it.
 Each row with a finite a_jk caps x_k at b_j - a_jk; the cap least in the
-natural order wins, the last of equal caps in row order. Rows whose a_jk
-is the zero element never constrain x_k, and a coordinate no row touches
+natural order wins. Rows whose a_jk is the zero element never constrain
+x_k, and a coordinate no row touches
 is pinned at the zero element, the one value that keeps every product
 harmless. On a finite b this agrees with the negated-transpose product
 (b- A)-, but a zero entry of b forces its row's coordinates down to

@@ -3,27 +3,27 @@
 A TropMatrix is a plain value, safe to share between threads: a shape,
 an algebra and raw rows over a denominator L, a tuple of row tuples
 holding None for the algebra's infinite element and L x for each other
-entry x. Entries are checked once, by one reader, when a matrix is built
-from outside (the constructor, from_rows, column, diag); ExtScalars are
-built only at the boundary, by entries, get and to_lists on first use,
-and kept. The operations are the semiring matrix product, entrywise
-addition, the pseudo-inverse, and the closure A^x = I + A + ... +
-A^(n-1), the solution of I + A A^x = A^x = I + A^x A. The closure is
-Gauss-Jordan elimination, the algebraic path algorithm of Carre (1971)
-and Lehmann (1977), Floyd-Warshall over min-plus: pivot k sets a_kk to
-the unit and adds a_ik a_kj to every a_ij with i != k, n (n-1)
-multiplications a pivot, so an n x n closure costs C(n) = n^2 (n-1).
-A^x B, the least solution of the Bellman equation X = A X + B for an
-n x n A and an n x m B, never takes a separate product, by one of two
+entry x, or -L x over min-plus. Entries are checked once, by one reader,
+when a matrix is built from outside (the constructor, from_rows, column,
+diag); ExtScalars are built only at the boundary, by entries, get and
+to_lists on first use, and kept. The operations are the semiring matrix
+product, entrywise addition, the pseudo-inverse, and the closure A^x = I
++ A + ... + A^(n-1), the solution of I + A A^x = A^x = I + A^x A. The
+closure is Gauss-Jordan elimination, the algebraic path algorithm of
+Carre (1971) and Lehmann (1977), Floyd-Warshall over min-plus: pivot k
+sets a_kk to the unit and adds a_ik a_kj to every a_ij with i != k, n
+(n-1) multiplications a pivot, so an n x n closure costs C(n) = n^2
+(n-1). A^x B, the least solution of the Bellman equation X = A X + B for
+an n x n A and an n x m B, never takes a separate product, by one of two
 routes. When some real entry of A, its diagonal included, is better than
-the unit (a_ij > 0 over max-plus, a_ij < 0 over min-plus, on the stored
-rows, whose scaling by L keeps the sign), it is the closure's own
-elimination run on [A | B] (Carre 1971): the pivots are A's n columns,
-and B's m columns are carried along and never pivoted on, so the rows
-end as [A^x | A^x B]. A pivot costs (n-1) (n+m) multiplications, and
-A^x B n (n-1) (n+m): 13800 at n = 24, m = 1, against C(n) + n^2 m =
-13824 for the closure and then the product. The pivots are the
-closure's, so it raises at the same pivot with the same text.
+the unit (a stored a_ij > 0, as the scaling by L keeps the sign), it is
+the closure's own elimination run on [A | B] (Carre 1971): the pivots
+are A's n columns, and B's m columns are carried along and never pivoted
+on, so the rows end as [A^x | A^x B]. A pivot costs (n-1) (n+m)
+multiplications, and A^x B n (n-1) (n+m): 13800 at n = 24, m = 1,
+against C(n) + n^2 m = 13824 for the closure and then the product. The
+pivots are the closure's, so it raises at the same pivot with the same
+text.
 
 Without such an entry A^x B is settled by labels, by Dijkstra's method
 (1959), which Carre (1971) treats in the same algebra. For each
@@ -38,51 +38,53 @@ betters a settled x_u: each is final, and the answer is the
 elimination's exactly, over every domain. find_shortest_path runs the
 same kernel on the goal's unit column.
 
-Each operation runs one kernel (_product, _oplus for the sum, _below
-for the natural order, _closure, _residual, _closure or _label_setting
-for A^x B), shared by max-plus and min-plus through semiring's sign
-rule, on the stored rows, and keeps the rows it returns unchecked: a
-chain of operations converts nothing in between. The solvers' checks
-A x + b == x and A x + b <= x, b possibly absent, are _holds, which
-composes _product, _oplus and _below. Counts are tallied in bulk: an
-n x m by m x p product is n m p of each. The sum, the order and a
-tropical product by one column, _fold, skip None on the stored rows;
-_product picks that fold by the number of columns, and the packed
-kernel for a wider product.
+Min-plus is max-plus by the isomorphism x -> -x (Cuninghame-Green 1979),
+and every stored value is an int, so negation is exact: a min-plus
+matrix is stored as the max-plus matrix of its negated values. _checked
+negates each value once on the way in, and entries negates it back once
+on the way out; no kernel reads the orientation, and each is written
+once, for max-plus. Each operation runs one kernel (_product, _oplus for
+the sum, _below for the natural order, _closure, _residual, _closure or
+_label_setting for A^x B) on the stored rows, and keeps the rows it
+returns unchecked: a chain of operations converts nothing in between.
+The solvers' checks A x + b == x and A x + b <= x, b possibly absent,
+are _holds, which composes _product, _oplus and _below. Counts are
+tallied in bulk: an n x m by m x p product is n m p of each. The sum,
+the order and a tropical product by one column, _fold, skip None on the
+stored rows; _product picks that fold by the number of columns, and the
+packed kernel for a wider product.
 
 Tropical R64 is stored exactly, as Q is. Every float is a dyadic
 rational, so _checked reads each one through as_integer_ratio as an int
 over a power of two, L being the largest denominator among the entries
 (2^1074 at most), and every tropical kernel runs on ints in all six
 algebras. _result rounds each value of an R64 result once, to the
-nearest float: x / L, which Python's int division rounds correctly.
-One overflow rule, that of _finite_result, meets a value past the
-largest float: on the infinite element's side it is that element, and
-on the other side it raises IllegalElement, as a scalar float sum does.
-A rounded value is a multiple of 1/L again, as rounding moves a value
-only where the floats lie further apart than 1/L and their spacing is a
-power of two, so it is stored over L and the gcd pass reduces it. An
-int below 2^53 in magnitude is its own rounding. Residuation rounds its caps toward the infinite element
-instead, by _toward_infinite, so that A x <= b holds of the rounded
-answer. The solvers' checks run on the exact values: the Bellman
-solvers check the exact A^x B and then round it, so A x + b recomputed
-in floats on their answer may differ from it by an ulp. A zero's sign
-is not kept. Classical R64 keeps rows of floats over 1, where _settle
-rules a sum or product that overflows: an infinity, or the NaN where
-overflows of both signs meet, raises IllegalElement.
+nearest float: x / L, which Python's int division rounds correctly. One
+overflow rule, that of _finite_result, meets a value past the largest
+float: below, on the infinite element's side, it is that element, and
+above it raises IllegalElement, as a scalar float sum does. A rounded
+value is a multiple of 1/L again, as rounding moves a value only where
+the floats lie further apart than 1/L and their spacing is a power of
+two, so it is stored over L and the gcd pass reduces it. An int below
+2^53 in magnitude is its own rounding. Residuation rounds its caps down,
+toward the infinite element, instead, by _toward_infinite, so that A x
+<= b holds of the rounded answer. The solvers' checks run on the exact
+values: the Bellman solvers check the exact A^x B and then round it, so
+A x + b recomputed in floats on their answer may differ from it by an
+ulp. A zero's sign is not kept. Classical R64 keeps rows of floats over
+1, where _settle rules a sum or product that overflows: an infinity, or
+the NaN where overflows of both signs meet, raises IllegalElement.
 
 A tropical product by two or more columns and the closure never test
 for None, as their kernels outweigh converting the rows once. The rows
 are packed, after Lamport's multiple byte processing with full-word
 instructions (1975): _packer holds each row as one int of fixed-width
 fields, packed once on entry and unpacked once on exit, so a handful of
-big-int operations updates a whole row. Let M be the largest magnitude among the operands' values and
-w a bound on the edges of the walks a result optimises over (2 for a
-product, n for an n x n closure and for A^x B with A n x n). Min-plus
-values are negated on the way in and out, so one max kernel serves both
-semirings by duality. In the packed values the sentinel is S =
--(2 w M + 1) and the cut C = -(w M + 1); in the stored ones they are
--sign (2 w M + 1) and -sign (w M + 1). A stored value stays in [S, wM]: it is the maximum of
+big-int operations updates a whole row. Let M be the largest magnitude
+among the operands' values and w a bound on the edges of the walks a
+result optimises over (2 for a product, n for an n x n closure and for
+A^x B with A n x n). The sentinel is S = -(2 w M + 1) and the cut
+C = -(w M + 1). A stored value stays in [S, wM]: it is the maximum of
 values that were, and an optimum over walks of at most w edges (below).
 A temporary c + t, a_ik plus a stored a_kj, stays in [S - wM, 2wM],
 because a closure keeps row i whole when a_ik is at or below C, so the
@@ -109,51 +111,48 @@ the maximum of B_k + a_ik over the k where a_ik is real, starting from
 the row of sentinels, with no lift of A. A closure packs and unpacks
 once; pivot k reads a_ik from each row with a shift and a mask.
 
-Why no value derived from S is taken for a real one, over max-plus
-(min-plus mirrors it): give every missing edge of the operands' graph
-the weight S. A product entry is an optimum over walks of w edges. A
-closure computes on ints exactly, so only the values it decides on
-matter: a pivot, the best closed walk through its vertex, and an entry
-of the result. Each value a row update computes is an optimum over a
-set of walks between two vertices whose inner vertices lie in the set K
-of pivots already passed, a set holding every such walk without a
-repeated inner vertex; setting a_kk to the unit adds the empty walk at
-k. K has no improving cycle: one of real edges would have made a pivot
-raise, and one with an S edge weighs at most S + (n-1)M < 0. Removing a
-cycle within K never lowers a walk, and leaves a real walk real, so each
-optimum is reached on a walk of at most w edges. A value that is real
-without sentinels is therefore at least -wM > C; one over walks that
-all hold an S edge is at most S + (w-1)M = -(w+1)M - 1 <= C, and a walk
-through S never beats a real optimum. So each pivot sees a value <= 0
-exactly when it saw None or one <= 0, raises on the same value, and
-lowering gives every entry back exactly. The value at pivot k is the
-best closed walk through k over the pivots before it, the value a block
-recursion down to 1 x 1 blocks sees at k, so both raise at the same
-pivot, with the same text. For A^x B, give the graph one more vertex
-t_c for each column c of B, with an edge of weight b_ic from each vertex
-i and none out, and never pivot on it: [A | B] holds the edges out of
-A's vertices, and its elimination is the closure's on that graph,
+Why no value derived from S is taken for a real one: give every missing
+edge of the operands' graph the weight S. A product entry is an optimum
+over walks of w edges. A closure computes on ints exactly, so only the
+values it decides on matter: a pivot, the best closed walk through its
+vertex, and an entry of the result. Each value a row update computes is
+an optimum over a set of walks between two vertices whose inner vertices
+lie in the set K of pivots already passed, a set holding every such walk
+without a repeated inner vertex; setting a_kk to the unit adds the empty
+walk at k. K has no improving cycle: one of real edges would have made a
+pivot raise, and one with an S edge weighs at most S + (n-1)M < 0.
+Removing a cycle within K never lowers a walk, and leaves a real walk
+real, so each optimum is reached on a walk of at most w edges. A value
+that is real without sentinels is therefore at least -wM > C; one over
+walks that all hold an S edge is at most S + (w-1)M = -(w+1)M - 1 <= C,
+and a walk through S never beats a real optimum. So each pivot sees a
+value <= 0 exactly when it saw None or one <= 0, raises on the same
+value, and lowering gives every entry back exactly. The value at pivot k
+is the best closed walk through k over the pivots before it, the value a
+block recursion down to 1 x 1 blocks sees at k, so both raise at the
+same pivot, with the same text. For A^x B, give the graph one more
+vertex t_c for each column c of B, with an edge of weight b_ic from each
+vertex i and none out, and never pivot on it: [A | B] holds the edges
+out of A's vertices, and its elimination is the closure's on that graph,
 pivoting on A's vertices only, so its pivots are the closure's. Each
 x_ic is the optimum over all walks from i to t_c, reached, as no cycle
-improves, on one without a repeated vertex: at most n - 1 edges of A
-and one of B, so w = n bounds it as it bounds a pivot. No value from S
-equals a real one, so ties among equal real values still keep the
-first, signed zeros included.
+improves, on one without a repeated vertex: at most n - 1 edges of A and
+one of B, so w = n bounds it as it bounds a pivot.
 
 A row update of the closure keeps row i whole when its multiplier a_ik
-is at or beyond the cut. This is exact. Such an a_ik is an optimum over walks to k that each hold
-an S edge (a real one would make a_ik real), so every walk the update
-would add to row i holds one too, as None times x is None: the set of
-real walks each value optimises over does not change, and neither does
-a real value. A value at or beyond the cut stays there, as it is still
-an optimum over walks that each hold an S edge, only over fewer of
-them. So a pivot sees the same value where it is real and one that
-cannot raise where it is not, the elimination raises at the same pivot
-with the same text, and lowering gives back the same entries. The skip
-also keeps each packed temporary within its field. The tally
+is at or below the cut. This is exact. Such an a_ik is an optimum over
+walks to k that each hold an S edge (a real one would make a_ik real),
+so every walk the update would add to row i holds one too, as None times
+x is None: the set of real walks each value optimises over does not
+change, and neither does a real value. A value at or below the cut stays
+there, as it is still an optimum over walks that each hold an S edge,
+only over fewer of them. So a pivot sees the same value where it is real
+and one that cannot raise where it is not, the elimination raises at the
+same pivot with the same text, and lowering gives back the same entries.
+The skip also keeps each packed temporary within its field. The tally
 still counts (n-1) (n+m) multiply-adds a pivot, m = 0 for a closure:
-products by the zero element are counted, as the bulk tally of a
-product has always counted them.
+products by the zero element are counted, as the bulk tally of a product
+has always counted them.
 
 L is the least common multiple of the entries' denominators over Q and
 tropical R64, and 1 over Z and classical R64. For L > 0, x -> L x is an
@@ -177,9 +176,9 @@ from itertools import chain
 from operator import add, lshift, mul
 
 from ._record import Record
-from .errors import AlgebraMismatch, DimensionMismatch
+from .errors import AlgebraMismatch, DimensionMismatch, IndexOutOfRange
 from .semiring import (
-    Algebra, ExtScalar, _F64, _Q, _finite_result, _tally, trop_closure_scalar,
+    R64_MAX_PLUS, Algebra, ExtScalar, _F64, _Q, _finite_result, _tally, trop_closure_scalar,
 )
 
 __all__ = [
@@ -227,12 +226,15 @@ class TropMatrix(Record):
         """The entries row-major, as ExtScalars."""
         ext = getattr(self, "_entries", None)  # unset until first read
         if ext is None:
-            zero, den = self.alg.zero(), self._den
-            if self.alg.domain is _F64:
-                ext = tuple([zero if x is None else ExtScalar(x / den) for r in self._raw for x in r])
+            alg, den, raw = self.alg, self._den, self._raw
+            zero = alg.zero()
+            if alg.sign < 0:
+                raw = [[x if x is None else -x for x in r] for r in raw]
+            if alg.domain is _F64:
+                ext = tuple([zero if x is None else ExtScalar(x / den) for r in raw for x in r])
             else:
                 ext = tuple([zero if x is None else ExtScalar(x if den == 1 else Fraction(x, den)
-                             if x % den else x // den) for r in self._raw for x in r])
+                             if x % den else x // den) for r in raw for x in r])
             _set_entries(self, ext)
         return ext
 
@@ -241,6 +243,8 @@ class TropMatrix(Record):
         return self.rows == self.cols
 
     def get(self, j: int, k: int) -> ExtScalar:
+        if not (0 <= j < self.rows and 0 <= k < self.cols):
+            raise IndexOutOfRange(f"entry ({j}, {k}) is outside a {self.rows}x{self.cols} matrix")
         return self.entries[j * self.cols + k]
 
     def to_lists(self) -> list[list[ExtScalar]]:
@@ -291,18 +295,20 @@ def _checked(rows: list, alg: Algebra, m: TropMatrix | None = None) -> TropMatri
     if alg.domain is _Q:
         den = math.lcm(*{x.denominator for r in rows for x in r if type(x) is Fraction})
         rows = [[x if x is None else x.numerator * (den // x.denominator) for x in r] for r in rows]
-    elif alg.sign and alg.domain is _F64:
+    elif alg.is_tropical and alg.domain is _F64:
         rows = [[x if x is None else x.as_integer_ratio() for x in r] for r in rows]
         den = max([x[1] for r in rows for x in r if x is not None], default=1)
         rows = [[x if x is None else x[0] * (den // x[1]) for x in r] for r in rows]
+    if alg.sign < 0:
+        rows = [[x if x is None else -x for x in r] for r in rows]
     return _fill(m, rows, alg, den)
 
 
 def _result(rows: list, alg: Algebra, den: int = 1) -> TropMatrix:
     """A matrix on kernel rows over den, reduced to the least one; over
     tropical R64 each value is first rounded once, by _nearest."""
-    if alg.sign and alg.domain is _F64:
-        rows = [[x if x is None or -_EXACT < x < _EXACT else _nearest(x, den, alg) for x in r]
+    if alg.is_tropical and alg.domain is _F64:
+        rows = [[x if x is None or -_EXACT < x < _EXACT else _nearest(x, den) for x in r]
                 for r in rows]
     if den != 1:
         g = math.gcd(den, *[x for r in rows for x in r if x is not None])
@@ -353,46 +359,46 @@ def _settle(rows: list, alg: Algebra) -> list:
 _EXACT = 1 << 53
 
 
-def _nearest(x: int, den: int, alg: Algebra) -> int | None:
-    """The tropical R64 value x / den rounded to the nearest float and read
-    back over den, which the float's denominator divides; a value past the
-    largest float is the infinite element on its side, and raises
-    IllegalElement on the other, as _finite_result rules."""
+def _nearest(x: int, den: int) -> int | None:
+    """The stored tropical R64 value x / den rounded to the nearest float
+    and read back over den, which the float's denominator divides; a value
+    past the largest float is the infinite element below, and raises
+    IllegalElement above, as _finite_result rules over max-plus."""
     try:
         f = x / den
     except OverflowError:
-        return _finite_result(math.inf if x > 0 else -math.inf, alg).finite
+        return _finite_result(math.inf if x > 0 else -math.inf, R64_MAX_PLUS).finite
     p, q = f.as_integer_ratio()
     return p * (den // q)
 
 
-def _toward_infinite(x: int, den: int, alg: Algebra) -> int | None:
-    """x / den rounded as _nearest rounds it, then one float toward the
-    infinite element where that passed x: a residuation cap that never
-    rounds past b."""
-    y = _nearest(x, den, alg)
-    if y is None or alg.sign * (y - x) <= 0:
+def _toward_infinite(x: int, den: int) -> int | None:
+    """x / den rounded as _nearest rounds it, then one float down, toward
+    the infinite element, where that passed x: a residuation cap that
+    never rounds past b."""
+    y = _nearest(x, den)
+    if y is None or y <= x:
         return y
-    f = math.nextafter(y / den, -alg.sign * math.inf)
+    f = math.nextafter(y / den, -math.inf)
     if not math.isfinite(f):
         return None
     p, q = f.as_integer_ratio()
     return p * (den // q)
 
 
-def _packer(walk: int, sign: int, count: int, *operands: list) -> tuple:
+def _packer(walk: int, count: int, *operands: list) -> tuple:
     """Packed rows of count values, for a kernel on the raw tropical rows
     operands, ints, whose values are optima over walks of at most walk
     edges (see the module docstring): pack, unpack, spread, width, base
     and cut.
 
-    pack(r) is one int holding each value v of r, negated over min-plus,
-    as the field v + base, and each None as the field of the sentinel S.
+    pack(r) is one int holding each value v of r as the field v + base,
+    and each None as the field of the sentinel S.
     A field is width + 1 bits wide, its top bit a guard that stored rows
     leave clear, so field j of p is p >> j (width + 1) & (2^width - 1).
     spread(f) holds f, at most 2^(width + 1) - 1, in every field. A field
     at or below cut holds no real value, and unpack(p) gives it back as
-    None, every other field v + base as sign v.
+    None, every other field v + base as v.
     """
     real = set().union(*chain.from_iterable(operands)) - {None}
     wm = walk * max(max(real), -min(real)) if real else 0
@@ -402,10 +408,10 @@ def _packer(walk: int, sign: int, count: int, *operands: list) -> tuple:
 
     def pack(r):
         # S = -(2 wm + 1) is the field wm.
-        return sum(map(lshift, [wm if x is None else base + sign * x for x in r], shifts))
+        return sum(map(lshift, [wm if x is None else base + x for x in r], shifts))
 
     def unpack(p):
-        return [None if (f := p >> s & mask) <= cut else sign * (f - base) for s in shifts]
+        return [None if (f := p >> s & mask) <= cut else f - base for s in shifts]
 
     # f times ones passes over ones once for each digit of f, so a field
     # wider than a few digits is copied instead by doubling, a handful of
@@ -424,25 +430,21 @@ def _packer(walk: int, sign: int, count: int, *operands: list) -> tuple:
 
 
 def _oplus(a: list, b: list, alg: Algebra) -> list:
-    """Raw rows of the entrywise semiring sum of equal-shape raw rows: None
-    is the infinite element, and ties keep a's entry."""
+    """Raw rows of the entrywise semiring sum of equal-shape raw rows: the
+    tropical sum is the maximum, None being the infinite element."""
     _tally(len(a) * len(a[0]), 0)
-    if alg.sign > 0:
+    if alg.is_tropical:
         return [[y if y is not None and (x is None or y > x) else x for x, y in zip(r, s)]
-                for r, s in zip(a, b)]
-    if alg.sign < 0:
-        return [[y if y is not None and (x is None or y < x) else x for x, y in zip(r, s)]
                 for r, s in zip(a, b)]
     return _settle([[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], alg)
 
 
-def _fold(a: list, c: list, alg: Algebra) -> list:
+def _fold(a: list, c: list) -> list:
     """The raw column of the tropical product of n x k raw rows a by the
-    raw column c: each entry is the best of a_ij + c_j over the j where
-    both are real, the first of equals, and None where there is no such
-    j. Its n k multiply-adds cost less than packing the operands would."""
-    pick = max if alg.sign > 0 else min
-    out = [pick(t) if (t := [v + w for v, w in zip(r, c) if v is not None and w is not None])
+    raw column c: each entry is the maximum of a_ij + c_j over the j where
+    both are real, and None where there is no such j. Its n k multiply-adds
+    cost less than packing the operands would."""
+    out = [max(t) if (t := [v + w for v, w in zip(r, c) if v is not None and w is not None])
            else None for r in a]
     _tally(len(a) * len(c), len(a) * len(c))
     return out
@@ -452,23 +454,23 @@ def _product(a: list, b: list, alg: Algebra) -> list:
     """Raw rows of the semiring product of n x k and k x p raw rows.
 
     A tropical product by one column is _fold. A wider one folds packed
-    rows: out row i is the best of B_k + a_ik over the k where a_ik is
+    rows: out row i is the maximum of B_k + a_ik over the k where a_ik is
     real, starting from the row of sentinels, with one guard-bit maximum a
     term. A classical product adds left to right (reduce, not sum, which
     may compensate rounding), as a scalar fold does.
     """
-    sign, p = alg.sign, len(b[0])
-    if p == 1 and sign:
-        return [[x] for x in _fold(a, [r[0] for r in b], alg)]
+    tropical, p = alg.is_tropical, len(b[0])
+    if p == 1 and tropical:
+        return [[x] for x in _fold(a, [r[0] for r in b])]
     _tally(len(a) * len(b) * p, len(a) * len(b) * p)
-    if not sign:
+    if not tropical:
         zero = alg.zero().finite
         return _settle([[reduce(add, map(mul, r, c), zero) for c in zip(*b)] for r in a], alg)
-    pack, unpack, spread, width, base, _ = _packer(2, sign, p, a, b)
+    pack, unpack, spread, width, base, _ = _packer(2, p, a, b)
     guards, none, lower = spread(1 << width), pack([None] * p), spread(base)
     rows = [pack(r) - lower for r in b]
-    # a_ik, the field sign a_ik + base less base, in every field.
-    spreads = {x: spread(sign * x + base) for x in set().union(*a) - {None}}
+    # a_ik, the field a_ik + base less base, in every field.
+    spreads = {x: spread(x + base) for x in set().union(*a) - {None}}
     out = []
     for r in a:
         u = none
@@ -482,35 +484,28 @@ def _product(a: list, b: list, alg: Algebra) -> list:
     return out
 
 
-def _residual(a: list, b: list, alg: Algebra) -> list:
-    """Raw column of the principal solution of A x <= b (see solvers).
-
-    Ties keep the last of equal caps, as a fold that replaces its best on
-    a tie does. Each finite a_jk costs one multiplication and, after the
-    first in its column, one addition.
+def _residual(a: list, b: list) -> list:
+    """Raw column of the principal solution of A x <= b (see solvers): each
+    x_k is the least cap b_j - a_jk. Each finite a_jk costs one
+    multiplication and, after the first in its column, one addition.
     """
-    pick = min if alg.sign > 0 else max
     rhs = [r[0] for r in b]
     out = []
     muls = adds = 0
     for col in zip(*a):
         caps = [None if y is None else y - x for x, y in zip(col, rhs) if x is not None]
-        out.append([None if None in caps else pick(reversed(caps), default=None)])
+        out.append([None if None in caps else min(caps, default=None)])
         muls += len(caps)
         adds += max(len(caps) - 1, 0)
     _tally(adds, muls)
     return out
 
 
-def _below(p, q, sign: int) -> bool:
+def _below(p, q) -> bool:
     """Whether raw tropical rows p lie entrywise below raw rows q in the
     natural order, u <= v iff u + v == v, as _oplus sums: None, the
-    infinite element, lies below every value, and over min-plus the order
-    of numbers is reversed."""
-    if sign > 0:
-        return all(u is None or v is not None and u <= v
-                   for r, t in zip(p, q) for u, v in zip(r, t))
-    return all(u is None or v is not None and u >= v for r, t in zip(p, q) for u, v in zip(r, t))
+    infinite element, lies below every value."""
+    return all(u is None or v is not None and u <= v for r, t in zip(p, q) for u, v in zip(r, t))
 
 
 def _holds(a: TropMatrix, x: TropMatrix, b: TropMatrix | None, target: TropMatrix,
@@ -532,14 +527,14 @@ def _holds(a: TropMatrix, x: TropMatrix, b: TropMatrix | None, target: TropMatri
     alg = a.alg
     den = math.lcm(a._den, x._den, target._den, 1 if b is None else b._den)
     ra, rx = _scaled(a, den), _scaled(x, den)
-    step = ([_fold(ra, [r[0] for r in rx], alg)] if x.cols == 1
+    step = ([_fold(ra, [r[0] for r in rx])] if x.cols == 1
             else list(zip(*_product(ra, rx, alg))))
     if b is not None:
         step = _oplus(step, list(zip(*_scaled(b, den))), alg)
     targets = list(zip(*_scaled(target, den)))
     if le:
         _tally(a.rows * x.cols, 0)
-        verdict = _below(step, targets, alg.sign)
+        verdict = _below(step, targets)
     else:
         verdict = all(tuple(c) == t for c, t in zip(step, targets))
     return verdict, list(zip(*step))
@@ -553,7 +548,7 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
     # A classical product of rows over L_a and L_b is one over L_a L_b.
-    ra, rb, den = _common(a, b) if a.alg.sign else (a._raw, b._raw, a._den * b._den)
+    ra, rb, den = _common(a, b) if a.alg.is_tropical else (a._raw, b._raw, a._den * b._den)
     return _result(_product(ra, rb, a.alg), a.alg, den)
 
 
@@ -579,7 +574,7 @@ def mat_le(a: TropMatrix, b: TropMatrix) -> bool:
     _require_tropical(a, "the natural order")
     ra, rb, _ = _common(a, b)
     _tally(a.rows * a.cols, 0)
-    return _below(ra, rb, a.alg.sign)
+    return _below(ra, rb)
 
 
 def pseudo_inverse(a: TropMatrix) -> TropMatrix:
@@ -591,9 +586,9 @@ def pseudo_inverse(a: TropMatrix) -> TropMatrix:
 def _residuate(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """The principal solution of A x <= b, for a system the caller has checked."""
     ra, rb, den = _common(a, b)
-    rows = _residual(ra, rb, a.alg)
+    rows = _residual(ra, rb)
     if a.alg.domain is _F64:
-        rows = [[x if x is None else _toward_infinite(x, den, a.alg) for x in r] for r in rows]
+        rows = [[x if x is None else _toward_infinite(x, den) for x in r] for r in rows]
     return _result(rows, a.alg, den)
 
 
@@ -609,10 +604,10 @@ def _least_solution(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     ra, rb, den = _common(a, b)
     alg = a.alg
     real = set().union(*ra) - {None}
-    if real and (max(real) > 0 if alg.sign > 0 else min(real) < 0):
+    if real and max(real) > 0:
         rows = [r[a.rows:] for r in _closure([[*r, *s] for r, s in zip(ra, rb)], alg, den)]
     else:
-        rows = list(zip(*_label_setting(ra, list(zip(*rb)), alg)))
+        rows = list(zip(*_label_setting(ra, list(zip(*rb)))))
     return _fill(None, rows, alg, den)
 
 
@@ -640,12 +635,11 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
 
     Pivot k has a_kk* = one, then a_ij += a_ik a_kj for every row i != k
     and every column j, B's included: (n - 1) (n + m) multiply-adds a
-    pivot. A tie keeps a_ij, and a row whose a_ik is at or beyond the cut
-    is kept whole.
+    pivot. A row whose a_ik is at or below the cut is kept whole.
     """
-    sign, n = alg.sign, len(rows)
+    n = len(rows)
     work = (n - 1) * len(rows[0])
-    pack, unpack, spread, width, base, cut = _packer(n, sign, len(rows[0]), rows)
+    pack, unpack, spread, width, base, cut = _packer(n, len(rows[0]), rows)
     guards, mask, lower = spread(1 << width), (1 << width) - 1, spread(base)
     a = [pack(r) for r in rows]
     for k in range(n):
@@ -656,7 +650,7 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
             # Pivot k sees a value better than the unit, and the scalar
             # closure raises, naming it.
             _tally(k * work, k * work)
-            trop_closure_scalar(_result([[sign * x]], alg, den).entries[0], alg)
+            trop_closure_scalar(_result([[x]], alg, den).entries[0], alg)
         a[k] = rk = rk - (x << s)
         # Row i gains row k plus a_ik, its field f less base, in every
         # field; where u >= v the guard bit of u's field survives the
@@ -670,45 +664,37 @@ def _closure(rows: list, alg: Algebra, den: int) -> list:
     return [unpack(r) for r in a]
 
 
-def _label_setting(a: list, b: list, alg: Algebra) -> list:
+def _label_setting(a: list, b: list) -> list:
     """The raw columns of A^x B, for square raw rows a of which no real
     entry improves on the unit and the raw columns b of B, by Dijkstra's
     label-setting method, in the dense O(n^2) form, column by column.
 
-    x starts as the column of B, with -sign inf for the infinite element
-    while it runs. It settles the best unsettled vertex u, picked by max
-    (min over min-plus) over the unsettled set, stops when that one is
-    infinite, and relaxes the unsettled vertices through column u of A:
-    x_v gains a_vu x_u. Every finite off-diagonal a_vu of a settled u is
-    tallied as one addition and one multiplication, whether v is settled
-    or not, so a column costs the finite off-diagonal entries in the
-    columns of the vertices it reaches, whatever order they settle in.
-    Ints compare with inf exactly, however large.
+    x starts as the column of B, with -inf for the infinite element while
+    it runs. It settles the unsettled vertex u of greatest x_u, stops when
+    that one is infinite, and relaxes the unsettled vertices through
+    column u of A: x_v gains a_vu x_u. Every finite off-diagonal a_vu of
+    a settled u is tallied as one addition and one multiplication, whether
+    v is settled or not, so a column costs the finite off-diagonal entries
+    in the columns of the vertices it reaches, whatever order they settle
+    in. Ints compare with inf exactly, however large.
     """
-    sign, n = alg.sign, len(a)
-    zero = -sign * math.inf
-    pick = max if sign > 0 else min
+    n, zero = len(a), -math.inf
     into = list(zip(*a))
     out, relaxed = [], 0
     for c in b:
         x = [zero if v is None else v for v in c]
         unsettled = set(range(n))
         while unsettled:
-            u = pick(unsettled, key=x.__getitem__)
+            u = max(unsettled, key=x.__getitem__)
             xu = x[u]
             if xu == zero:
                 break
             unsettled.remove(u)
             col = into[u]
             relaxed += n - col.count(None) - (col[u] is not None)
-            if sign > 0:
-                for v in unsettled:
-                    if (w := col[v]) is not None and (d := w + xu) > x[v]:
-                        x[v] = d
-            else:
-                for v in unsettled:
-                    if (w := col[v]) is not None and (d := w + xu) < x[v]:
-                        x[v] = d
+            for v in unsettled:
+                if (w := col[v]) is not None and (d := w + xu) > x[v]:
+                    x[v] = d
         out.append([None if v == zero else v for v in x])
     _tally(relaxed, relaxed)
     return out

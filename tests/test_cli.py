@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -19,6 +20,8 @@ from tropalg.mathpar.interp import _COMMANDS, _Evaluator
 from tropalg.mathpar.parser import MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden"
+# The recorded block bank that the script-mix benchmark draws its scripts from.
+BANK = Path(__file__).resolve().parents[1] / "bench" / "data" / "script_blocks.json"
 
 
 def _load_differential():
@@ -51,6 +54,19 @@ def test_golden_scripts_match_their_fixtures(script, capsys):
     code, out, err = invoke(["run", str(script)], capsys)
     assert code == 0 and err == ""
     assert out == expected
+
+
+def test_the_recorded_script_bank_replays(capsys):
+    # Each block of the bank, run alone in process, prints its recorded
+    # output; each error block prints its recorded output up to the error
+    # (none for a syntax error) and stops there with the recorded message.
+    bank = json.loads(BANK.read_text())
+    for i, block in enumerate(bank["blocks"]):
+        assert invoke(["eval", block["text"]], capsys) == (0, block["stdout"], ""), i
+    for i, block in enumerate(bank["error_blocks"]):
+        error = f"error: {block['error_line']}:{block['error_col']}: {block['error_message']}\n"
+        assert invoke(["eval", block["text"]], capsys) == (1, block["stdout"], error), i
+    assert bank["blocks"] and bank["error_blocks"]
 
 
 def test_eval_mode(capsys):

@@ -306,12 +306,13 @@ def graphs_with_missing_edges(seed, count):
         yield graph(rows, alg), rows
 
 
-def _distances_to(rows, goal, alg):
+def _distances_to(rows, goal):
     """The goal's column of the closure, exact on the stored rows and over
     their denominator, by the label-setting kernel run on the goal's unit
-    column, the int 0, as find_shortest_path runs it."""
+    column, the int 0, as find_shortest_path runs it. A min-plus matrix
+    stores its values negated, so the column holds the negated distances."""
     unit = [0 if v == goal else None for v in range(len(rows))]
-    return _label_setting(rows, [unit], alg)[0]
+    return _label_setting(rows, [unit])[0]
 
 
 def relaxations(rows, goal):
@@ -333,9 +334,9 @@ def test_goal_column_is_the_closure_column():
         closure = closure_block(a).to_lists()
         for goal in range(g.order):
             with count_ops() as c:
-                column = _distances_to(a._raw, goal, a.alg)
-            # The stored rows are over the adjacency matrix's denominator.
-            assert [x if x is None or a._den == 1 else Fraction(x, a._den) for x in column] == [
+                column = _distances_to(a._raw, goal)
+            # The stored rows are negated, over the adjacency matrix's denominator.
+            assert [x if x is None else Fraction(-x, a._den) for x in column] == [
                 None if r[goal].inf_sign else r[goal].finite for r in closure]
             assert c.adds == c.muls == relaxations(rows, goal)
             unreachable += column.count(None)
@@ -385,7 +386,7 @@ def test_float_paths_fold_to_their_distance():
                  for j in range(n)] for i in range(n)]
         g = graph(rows, R64_MIN_PLUS)
         for goal in range(n):
-            column = _distances_to(g.adjacency._raw, goal, R64_MIN_PLUS)
+            column = _distances_to(g.adjacency._raw, goal)
             for start in range(n):
                 if column[start] is None:
                     with pytest.raises(NoPath):
@@ -394,7 +395,7 @@ def test_float_paths_fold_to_their_distance():
                 path = find_shortest_path(g, start, goal)
                 assert path[0] == start and path[-1] == goal and len(set(path)) == len(path)
                 total = sum(Fraction(rows[u][v]) for u, v in zip(path, path[1:]))
-                assert total == Fraction(column[start], g.adjacency._den)
+                assert total == Fraction(-column[start], g.adjacency._den)
 
 
 def test_float_sum_that_overflows_is_no_path():
@@ -408,9 +409,9 @@ def test_float_sum_that_overflows_is_no_path():
     g = graph(rows, R64_MIN_PLUS)
     with pytest.raises(NoPath):
         find_shortest_path(g, 0, 2)
-    # Exact, the distance from 0 is 3e308, which rounds past the largest
-    # float to the infinite element.
-    assert _distances_to(g.adjacency._raw, 2, R64_MIN_PLUS) == [2 * int(big), int(big), 0, 3]
+    # Exact, the distance from 0 is 3e308, stored negated, which rounds
+    # past the largest float to the infinite element.
+    assert _distances_to(g.adjacency._raw, 2) == [-2 * int(big), -int(big), 0, -3]
     assert search_least_distances(g).get(0, 2) == POS_INF
 
 
@@ -440,7 +441,7 @@ def test_paths_and_distances_agree_on_weights_up_to_the_largest_float():
                 if d.inf_sign:
                     with pytest.raises(NoPath):
                         find_shortest_path(g, start, goal)
-                    unreached = _distances_to(g.adjacency._raw, goal, R64_MIN_PLUS)[start] is None
+                    unreached = _distances_to(g.adjacency._raw, goal)[start] is None
                     seen["unreached" if unreached else "past the largest float"] += 1
                     continue
                 path = find_shortest_path(g, start, goal)

@@ -18,6 +18,7 @@ from tropalg import (
     DimensionMismatch,
     ExtScalar,
     IllegalElement,
+    IndexOutOfRange,
     IntervalBound,
     NEG_INF,
     NoSolution,
@@ -372,48 +373,81 @@ def _mirror(value):
 
 
 def _counted(f, *args):
-    """f(*args) with its operation counts; an undefined closure stands for
-    itself, since its message names the entry and the algebra."""
+    """f(*args) with its operation counts; an undefined closure, a system
+    with no solution and an illegal element each stand for themselves,
+    since a message may name an entry and the algebra."""
     with count_ops() as ops:
         try:
             value = f(*args)
-        except ClosureUndefined:
-            value = ClosureUndefined
+        except (ClosureUndefined, NoSolution, IllegalElement) as e:
+            value = type(e)
     return value, ops.adds, ops.muls
 
 
 def test_the_two_semirings_mirror_each_other():
     # x -> -x carries each max-plus algebra onto its min-plus sister and
-    # back, so every operation commutes with it, counts included.
+    # back, so every operation commutes with it, counts included. A
+    # min-plus matrix is stored as the max-plus matrix of its negated
+    # values, so a matrix and its mirror store the same rows.
     rng = random.Random(8)
+    huge = (1e308, 1.5e308, sys.float_info.max)
+
+    def value(alg, lo, hi):
+        if alg.domain is Domain.F64:
+            if rng.random() < 0.3:
+                # Near the largest float, on a side the range allows.
+                return rng.choice(huge) * rng.choice([side for side in (-1, 1) if lo <= side <= hi])
+            return rng.randint(lo, hi) / 4
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 4 if alg.domain is Domain.Q else 1))
 
     def matrix(alg, rows, cols, lo=-9, hi=9):
-        den = 4 if alg.domain is Domain.Q else 1
         return TropMatrix.from_rows(
-            [[alg.zero() if rng.random() < 0.2 else Fraction(rng.randint(lo, hi), rng.randint(1, den))
-              for _ in range(cols)] for _ in range(rows)],
+            [[alg.zero() if rng.random() < 0.2 else value(alg, lo, hi) for _ in range(cols)]
+             for _ in range(rows)],
             alg,
         )
 
-    for alg in (Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS):
+    seen = Counter()
+    for alg in (Z_MAX_PLUS, Z_MIN_PLUS, Q_MAX_PLUS, Q_MIN_PLUS, R64_MAX_PLUS, R64_MIN_PLUS):
         friendly = (-9, 0) if alg.kind is SemiringKind.MAX_PLUS else (0, 9)
         for _ in range(25):
             n, m, p = (rng.randint(1, 6) for _ in range(3))
             x, y = matrix(alg, 1, 2).entries
-            a = matrix(alg, n, m)
+            a, c = matrix(alg, n, m), matrix(alg, n, m)
             square = matrix(alg, n, n, *rng.choice([friendly, (-2, 2)]))
+            column = matrix(alg, n, 1)
+            # A right-hand side A x attains, where no sum overflows.
+            attained, _, _ = _counted(mat_mul, a, matrix(alg, m, 1))
+            if not isinstance(attained, TropMatrix):
+                attained = column
             for f, *args in [
                 (trop_add, x, y, alg),
                 (trop_mul, x, y, alg),
                 (trop_closure_scalar, x, alg),
                 (mat_mul, a, matrix(alg, m, p)),
-                (mat_oplus, a, matrix(alg, n, m)),
+                (mat_oplus, a, c),
+                (mat_le, a, c),
+                (mat_le, a, mat_oplus(a, c)),
+                (pseudo_inverse, a),
                 (closure_block, square),
-                (solve_lai_tropic, a, matrix(alg, n, 1)),
+                (solve_lai_tropic, a, column),
+                (solve_lae_tropic, a, column),
+                (solve_lae_tropic, a, attained),
+                (bellman_solve, square, matrix(alg, n, p)),
+                (bellman_inequality, square),
+                (bellman_inequality, square, matrix(alg, n, p)),
+                (bellman_homogeneous, square),
             ]:
-                value, adds, muls = _counted(f, *args)
+                got, adds, muls = _counted(f, *args)
                 mirrored = _counted(f, *map(_mirror, args))
-                assert mirrored == (_mirror(value), adds, muls), (f.__name__, args)
+                assert mirrored == (_mirror(got), adds, muls), (f.__name__, args)
+                for operand in (*args, got):
+                    if isinstance(operand, TropMatrix):
+                        twin = _mirror(operand)
+                        assert (twin._raw, twin._den) == (operand._raw, operand._den), f.__name__
+                seen[got if isinstance(got, type) else "answer"] += 1
+    assert seen[NoSolution] >= 100 and seen[ClosureUndefined] >= 50, seen
+    assert seen[IllegalElement] >= 10 and seen["answer"] >= 1500, seen
 
 
 # ---- isolated vertices ----
@@ -1039,7 +1073,7 @@ def test_settling_and_elimination_agree_where_no_entry_improves(alg, monkeypatch
                 b = _sparse(rng, alg, n, n, m, shape, False)
                 ra, rb, den = trmatrix._common(a, b)
                 settled = _outcome(trmatrix._result, list(
-                    zip(*trmatrix._label_setting(ra, list(zip(*rb)), alg))), alg, den)[:3]
+                    zip(*trmatrix._label_setting(ra, list(zip(*rb))))), alg, den)[:3]
                 assert settled == _outcome(_eliminated, a, b)[:3], (shape, n, m)
                 ran.clear()
                 assert _outcome(trmatrix._least_solution, a, b)[:3] == settled, (shape, n, m)
@@ -1092,7 +1126,8 @@ def test_float_sums_that_overflow_fold_or_raise_as_the_reference_does(alg):
     away = TropMatrix.from_rows([[0.0, -big], [-big, 0.0]], alg)
     z = alg.zero()
     path = TropMatrix.from_rows([[0.0, -big, z], [z, 0.0, -big], [z, z, 0.0]], alg)
-    assert mat_mul(toward, toward)._raw == ((None, int(big)), (None, None))
+    # Min-plus is stored negated, so both algebras store the same rows.
+    assert mat_mul(toward, toward)._raw == ((None, int(-1e308)), (None, None))
     assert closure_block(toward)._raw == ((0, 0), (None, 0))
     for fn, ref, args in ((mat_mul, ref_mat_mul, (toward, toward)),
                           (mat_mul, ref_mat_mul, (away, away)),
@@ -1525,10 +1560,22 @@ def test_equality_compares_the_algebra_and_the_raw_rows():
     assert zero == negative_zero and hash(zero) == hash(negative_zero)
 
 
+def test_get_refuses_an_index_outside_the_matrix():
+    # Row-major storage would read get(0, 5) of a 2 x 3 matrix as entry
+    # (1, 2), and get(-1, 0) as entry (1, 0).
+    m = mk([[1, 2, 3], [4, 5, 6]])
+    assert [m.get(j, k).finite for j in range(2) for k in range(3)] == [1, 2, 3, 4, 5, 6]
+    for j, k in ((0, 3), (0, 5), (2, 0), (-1, 0), (0, -1)):
+        with pytest.raises(IndexOutOfRange, match=rf"entry \({j}, {k}\) is outside a 2x3 matrix"):
+            m.get(j, k)
+
+
 def _least_form(m):
-    """The least common denominator of m's entries, and its rows scaled by it."""
+    """The least common denominator of m's entries, and its rows scaled by
+    it, negated over min-plus, as a min-plus matrix stores them."""
     den = math.lcm(*(e.finite.denominator for e in m.entries if e.is_finite))
-    return den, tuple(tuple(None if e.inf_sign else int(e.finite * den) for e in r)
+    scale = -den if m.alg.kind is SemiringKind.MIN_PLUS else den
+    return den, tuple(tuple(None if e.inf_sign else int(e.finite * scale) for e in r)
                       for r in m.to_lists())
 
 

@@ -57,8 +57,12 @@ SPACE_FORMS = [
 NEAR_MAX = "1" + "0" * 308 + ".0"  # 1e308
 MAX_FLOAT = "17976931348623157" + "0" * 292 + ".0"  # the largest float
 NINES = "9" * 4300  # the longest int Python converts to text by default
+# Spellings the lexer reads alike: the Unicode minus, spaces around a
+# sign and a slash, the three infinities, leading zeros, and an int one
+# digit past what int() reads from text by default.
 SCALARS = ["0", "1", "-2", "3", "1/2", "-7/3", "0.5", "-0.3", NEAR_MAX, "-" + NEAR_MAX,
-           MAX_FLOAT, f"{NINES} * {NINES}", "\\infty", "-\\infty"]
+           MAX_FLOAT, f"{NINES} * {NINES}", "\\infty", "-\\infty", "\u2212 3", "3 / 4",
+           "- \\infty", "inf", "\u221e", "007", "1" + "0" * 4300]
 INEQUALITIES = ["x <= 1", "2*x - 1 > x", "1/2 >= -x", "x * x < 0", "1 <= 2", "y < x", "x > 1",
                 "0 * x >= 1"]
 ANY = ["scalar", "matrix", "list", "empty", "inequalities", "index"]

@@ -11,6 +11,7 @@ __all__ = [
     "InvalidGraph",
     "NoPath",
     "IndexOutOfRange",
+    "SizeLimit",
 ]
 
 
@@ -52,3 +53,7 @@ class NoPath(TropalgError):
 
 class IndexOutOfRange(TropalgError, IndexError):
     """A vertex index lies outside the graph, or an entry index outside the matrix."""
+
+
+class SizeLimit(TropalgError):
+    """A computation would pass a fixed bound on its work, such as the simplex's pivot limit."""

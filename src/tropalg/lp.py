@@ -29,7 +29,7 @@ from math import lcm
 from operator import ge, gt, le, lt
 
 from ._record import MutableRecord, Record
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SizeLimit
 
 __all__ = ["LpProblem", "Optimal", "Infeasible", "Unbounded", "SimplexStats", "simplex_solve",
            "Interval", "solve_univariate_linear"]
@@ -171,7 +171,7 @@ def _optimize(tab, basis, width, d, stats):
         if leave is None:
             return None
         d = _pivot(tab, basis, leave, enter, d, stats)
-    raise RuntimeError("pivot limit exceeded")
+    raise SizeLimit(f"the simplex exceeded its limit of {_PIVOT_LIMIT} pivots")
 
 
 def simplex_solve(problem: LpProblem, stats: SimplexStats | None = None):

@@ -8,9 +8,11 @@ side is a command call, so `x = \\SimplexMax(A, b, c);` shows the answer
 while plain data bindings like `A = [[1, 2], [3, 0]];` stay quiet.
 
 Operators use the library's scalar and matrix operations in every space:
-negation is trop_neg, entry by entry for a matrix, and `a - b` is
-a * (-b) tropically; a classical scalar difference is settled like every
-classical sum, so a float overflow is an error there too. Library errors
+negation is trop_neg, and `a - b` is a * (-b) tropically; a classical
+scalar difference is settled like every classical sum, so a float
+overflow is an error there too. A matrix is negated, multiplied by a
+scalar and printed on its raw rows, by trmatrix's _negated, _times and
+_values, with no ExtScalar per entry. Library errors
 and the evaluator's own checks raise a plain TropalgError, which becomes
 a script error in one place, the single try of _Evaluator.eval,
 positioned at the node being evaluated or at the operator of a chain.
@@ -24,7 +26,10 @@ answers it. One dispatch in eval checks a call's name, its arity and its
 space, in that order, then evaluates the arguments left to right, each
 checked by its reader, which positions its error at the argument, and
 runs the call; an error of the call as a whole is positioned at the call.
-The entries of a matrix or list literal are read alike, by _ENTRY.
+The entries of a matrix or list literal are read alike, by _ENTRY,
+save a number literal: _number, the one reader of a literal's text,
+gives it as the plain number the matrix stores, an int, a Fraction or a
+float, and raises its errors positioned at it.
 Commands answer with library values: a shortest path is the vertex list,
 \\solveLAITropic's answer its tuple of bounds, and a simplex optimum the
 library's Optimal, its point converted to a column and its objective to a
@@ -57,6 +62,7 @@ from ..semiring import (
     ExtScalar,
     Q_CLASSICAL,
     _F64,
+    _Q,
     _Z,
     _finite_result,
     _number_text,
@@ -72,7 +78,7 @@ from ..solvers import (
     solve_lae_tropic,
     solve_lai_tropic,
 )
-from ..trmatrix import TropMatrix, closure_block, mat_mul, mat_oplus
+from ..trmatrix import TropMatrix, _negated, _times, _values, closure_block, mat_mul, mat_oplus
 from .errors import ArityError, EvalError, MathparError, UnknownCommand, UnknownSpace
 from .parser import (
     Assign,
@@ -194,11 +200,9 @@ class _Evaluator:
             if isinstance(node, EmptyLit):
                 return EmptyMatrix()
             if isinstance(node, MatrixLit):
-                rows = [[_ENTRY(self.eval(e), e) for e in row] for row in node.rows]
-                return TropMatrix.from_rows(rows, self.session.algebra)
+                return TropMatrix.from_rows(map(self.entries, node.rows), self.session.algebra)
             if isinstance(node, ListLit):
-                values = [_ENTRY(self.eval(e), e) for e in node.items]
-                return TropMatrix.column(values, self.session.algebra)
+                return TropMatrix.column(self.entries(node.items), self.session.algebra)
             if isinstance(node, (UnaryNeg, BinOp)):
                 leaf, ops = _unwind(node)
                 value = self.eval(leaf)
@@ -235,16 +239,17 @@ class _Evaluator:
         raise TypeError(f"not an expression node: {node!r}")
 
     def scalar_literal(self, node: ScalarLit) -> ExtScalar:
+        return ExtScalar.of(_number(node, self.session.algebra.domain))
+
+    def entries(self, nodes) -> list:
+        """The entries of a matrix row or a list literal: a number literal's
+        plain number, any other entry's scalar, checked by _ENTRY. A loop,
+        not a comprehension, keeps a level of nesting to two frames."""
         domain = self.session.algebra.domain
-        if domain is _Z and node.kind != "int":
-            raise TropalgError(f"{node.value} is not an element of an integer space")
-        value = _exact(node.value)
-        if domain is _F64:
-            try:
-                value = float(Fraction(value))
-            except OverflowError:
-                raise TropalgError(f"{node.value} is not in the number domain {_F64.value}") from None
-        return ExtScalar.of(value)
+        values = []
+        for e in nodes:
+            values.append(_number(e, domain) if type(e) is ScalarLit else _ENTRY(self.eval(e), e))
+        return values
 
     def infinity_literal(self, node: InfinityLit) -> ExtScalar:
         alg = self.session.algebra
@@ -269,8 +274,7 @@ class _Evaluator:
         if isinstance(value, ExtScalar):
             return trop_neg(value)
         if isinstance(value, TropMatrix):
-            entries = tuple(trop_neg(e) for e in value.entries)
-            return TropMatrix(value.rows, value.cols, entries, value.alg)
+            return _negated(value)
         raise TropalgError("cannot negate this value")
 
     def binop(self, op: str, left, right):
@@ -290,9 +294,9 @@ class _Evaluator:
             if matrix_l and matrix_r:
                 return mat_mul(left, right)
             if scalar_l and matrix_r:
-                return self.scale(left, right)
+                return _times(left, right)
             if matrix_l and scalar_r:
-                return self.scale(right, left)
+                return _times(right, left)
         elif op == "-":
             if scalar_l and scalar_r:
                 if alg.is_tropical:
@@ -303,11 +307,6 @@ class _Evaluator:
                     raise TropalgError("matrix subtraction is not defined in a tropical space")
                 return mat_oplus(left, self.negate(right))
         raise TropalgError(f"operator {op!r} does not apply to these operands")
-
-    def scale(self, scalar: ExtScalar, matrix: TropMatrix) -> TropMatrix:
-        alg = self.session.algebra
-        entries = tuple(trop_mul(scalar, e, alg) for e in matrix.entries)
-        return TropMatrix(matrix.rows, matrix.cols, entries, alg)
 
     # ---- commands ----
 
@@ -386,7 +385,7 @@ class _Evaluator:
         """Reduce an expression to (a, b, var) meaning a*var + b."""
         zero = Fraction(0)
         if isinstance(node, ScalarLit):
-            return zero, Fraction(_exact(node.value)), None
+            return zero, Fraction(_number(node, _Q)), None
         if isinstance(node, Var):
             binding = self.binding(node)
             if binding is not None:
@@ -432,7 +431,7 @@ class _Evaluator:
 
 
 def _rational_rows(m: TropMatrix):
-    return tuple(tuple(Fraction(e.finite) for e in row) for row in m.to_lists())
+    return tuple(tuple(map(Fraction, row)) for row in _values(m))
 
 
 def _rational_column(m: TropMatrix):
@@ -525,20 +524,35 @@ _COMMANDS = {
 }
 
 
-def _exact(text: str) -> int | Fraction:
-    """The exact value of a number literal's text, of any length.
+def _number(node: ScalarLit, domain) -> int | Fraction | float:
+    """The plain number of a literal in a number domain: an int, a Fraction
+    over Q, a float over F64. A literal the domain does not hold raises an
+    EvalError positioned at it.
 
-    int() and Fraction() refuse text of more digits than
-    sys.get_int_max_str_digits() allows, a process-wide limit left alone
-    here; Decimal reads any length, as it writes any length in
-    semiring._number_text.
+    The value is exact, of any length: int() refuses text of more digits
+    than sys.get_int_max_str_digits() allows, a process-wide limit left
+    alone here, and Decimal reads any length, as it writes any length in
+    semiring._number_text. Over F64 the exact value is rounded once.
     """
-    num, _, den = text.partition("/")
-    if den:
-        return Fraction(int(Decimal(num)), int(Decimal(den)))
-    if "." in num:
-        return Fraction(Decimal(num))
-    return int(Decimal(num))
+    text = node.value
+    if node.kind == "int":
+        try:
+            value = int(text)
+        except ValueError:
+            value = int(Decimal(text))
+    elif domain is _Z:
+        raise EvalError(f"{text} is not an element of an integer space", node.line, node.col)
+    else:
+        num, _, den = text.partition("/")
+        value = Fraction(int(Decimal(num)), int(Decimal(den))) if den else Fraction(Decimal(num))
+    if domain is _F64:
+        try:
+            return float(value)
+        except OverflowError:
+            raise EvalError(
+                f"{text} is not in the number domain {_F64.value}", node.line, node.col
+            ) from None
+    return value
 
 
 def _unwind(node):
@@ -565,7 +579,10 @@ def _render_scalar(e: ExtScalar) -> str:
         return "-\\infty"
     if e.inf_sign > 0:
         return "\\infty"
-    v = e.finite
+    return _render_number(e.finite)
+
+
+def _render_number(v) -> str:
     if isinstance(v, float):
         if v.is_integer():
             return _number_text(int(v))
@@ -583,9 +600,12 @@ def render(value, options: RenderOptions | None = None) -> str:
     if isinstance(value, UndefinedClosure):
         return "\\infty" if value.sign > 0 else "-\\infty"
     if isinstance(value, TropMatrix):
-        return _render_matrix(value.to_lists(), value.cols == 1, options)
+        zero = _render_scalar(value.alg.zero())
+        cells = [[zero if x is None else _render_number(x) for x in r] for r in _values(value)]
+        return _render_matrix(cells, value.cols == 1, options)
     if isinstance(value, tuple):  # solve_lai_tropic's bounds
-        return _render_matrix([(b.lower, b.upper) for b in value], False, options)
+        cells = [[_render_scalar(b.lower), _render_scalar(b.upper)] for b in value]
+        return _render_matrix(cells, False, options)
     if isinstance(value, list):  # a shortest path
         return "[" + ", ".join(map(str, value)) + "]"
     if isinstance(value, _lp.Optimal):
@@ -599,8 +619,7 @@ def render(value, options: RenderOptions | None = None) -> str:
     raise TypeError(f"no rendering for {value!r}")
 
 
-def _render_matrix(rows, flat: bool, options: RenderOptions) -> str:
-    cells = [[_render_scalar(e) for e in row] for row in rows]
+def _render_matrix(cells, flat: bool, options: RenderOptions) -> str:
     if options.fmt == "latex":
         body = " \\\\ ".join(" & ".join(row) for row in cells)
         return "\\begin{pmatrix} " + body + " \\end{pmatrix}"
@@ -612,8 +631,8 @@ def _render_matrix(rows, flat: bool, options: RenderOptions) -> str:
 def _render_interval(v: _lp.Interval) -> str:
     if v.is_empty:
         return "\\emptyset"
-    lo = "-\\infty" if v.lo is None else _render_scalar(ExtScalar.of(v.lo))
-    hi = "\\infty" if v.hi is None else _render_scalar(ExtScalar.of(v.hi))
+    lo = "-\\infty" if v.lo is None else _render_number(v.lo)
+    hi = "\\infty" if v.hi is None else _render_number(v.hi)
     open_b = "[" if v.lo_closed else "("
     close_b = "]" if v.hi_closed else ")"
     return f"{open_b}{lo}, {hi}{close_b}"

@@ -10,7 +10,10 @@ Every node class derives from `Node`, whose `__eq__` is the only one; it
 walks both trees with an explicit stack, so trees of any depth compare.
 Chains of `+`, `-` and `*` and runs of prefix minus signs are folded in
 loops, so only parentheses and brackets cost stack depth, and those may
-nest at most MAX_NESTING deep.
+nest at most MAX_NESTING deep. A bracket of number and infinity literals
+alone, each after at most one minus sign, is read in one loop that builds
+the nodes and positions the general route would; at any other token it
+gives way to that route, having consumed nothing.
 """
 
 from __future__ import annotations
@@ -264,23 +267,17 @@ class _Parser:
     def parse_operand(self) -> Expr:
         """An atom after any number of prefix minus signs.
 
-        The signs are collected in a loop and applied innermost first. A
-        sign applied directly to a number or infinity literal folds into
-        the literal.
+        The signs are collected in a loop and applied innermost first, each
+        by _negate.
         """
         signs = []
         while self.peek().kind is _MINUS:
             signs.append(self.next())
         tok = self.peek()
         kind = tok.kind
-        if kind is _INTEGER or kind is _RATIONAL or kind is _DECIMAL:
+        node = _literal(tok)
+        if node is not None:
             self.next()
-            node = ScalarLit(
-                tok.value.replace(" ", ""), _LITERAL_KINDS[kind._value_], line=tok.line, col=tok.col
-            )
-        elif kind is _INFINITY:
-            self.next()
-            node = InfinityLit(1, line=tok.line, col=tok.col)
         elif kind is _IDENT:
             self.next()
             node = Var(tok.value, line=tok.line, col=tok.col)
@@ -302,12 +299,7 @@ class _Parser:
                 tok.col,
             )
         for sign in reversed(signs):
-            if isinstance(node, ScalarLit) and not node.value.startswith("-"):
-                node = ScalarLit("-" + node.value, node.kind, line=sign.line, col=sign.col)
-            elif isinstance(node, InfinityLit):
-                node = InfinityLit(-node.sign, line=sign.line, col=sign.col)
-            else:
-                node = UnaryNeg(node, line=sign.line, col=sign.col)
+            node = _negate(node, sign)
         return node
 
     def parse_bracket(self) -> Expr:
@@ -330,21 +322,51 @@ class _Parser:
                         tok.col,
                     )
             return MatrixLit(tuple(rows), line=tok.line, col=tok.col)
-        items = [self.parse_expr()]
-        while self.peek().kind is _COMMA:
-            self.next()
-            items.append(self.parse_expr())
-        self.close_group(_RBRACKET, "']'")
-        return ListLit(tuple(items), line=tok.line, col=tok.col)
+        return ListLit(self.parse_items(), line=tok.line, col=tok.col)
 
     def parse_row(self) -> tuple:
         self.open_group(_LBRACKET, "'['")
+        return self.parse_items()
+
+    def parse_items(self) -> tuple:
+        """The comma-separated items of a bracket just opened, and its ']'."""
+        items = self.number_row()
+        if items is not None:
+            return items
         items = [self.parse_expr()]
         while self.peek().kind is _COMMA:
             self.next()
             items.append(self.parse_expr())
         self.close_group(_RBRACKET, "']'")
         return tuple(items)
+
+    def number_row(self) -> tuple | None:
+        """The items of a bracket just opened and its ']', read in one loop
+        when each item is a number or infinity literal after at most one
+        minus sign; None, having consumed nothing, at any other token.
+
+        The nodes are those the general route builds, at the same positions.
+        """
+        tokens, i = self.tokens, self.i
+        items = []
+        while True:
+            sign = tokens[i]
+            if sign.kind is _MINUS:
+                i += 1
+            else:
+                sign = None
+            node = _literal(tokens[i])
+            if node is None:
+                return None
+            items.append(node if sign is None else _negate(node, sign))
+            kind = tokens[i + 1].kind
+            i += 2
+            if kind is _RBRACKET:
+                self.i = i
+                self.depth -= 1
+                return tuple(items)
+            if kind is not _COMMA:
+                return None
 
     def parse_call(self) -> Call:
         tok = self.next()  # COMMAND
@@ -357,6 +379,35 @@ class _Parser:
                 args.append(self.parse_expr())
         self.close_group(_RPAREN, "')'")
         return Call(tok.value, tuple(args), line=tok.line, col=tok.col)
+
+
+def _literal(tok: Token) -> ScalarLit | InfinityLit | None:
+    """The node of a number or infinity literal token, None for any other."""
+    kind = tok.kind
+    if kind is _INTEGER or kind is _RATIONAL or kind is _DECIMAL:
+        return ScalarLit(
+            tok.value.replace(" ", ""), _LITERAL_KINDS[kind._value_], line=tok.line, col=tok.col
+        )
+    if kind is _INFINITY:
+        return InfinityLit(1, line=tok.line, col=tok.col)
+    return None
+
+
+def _negate(node: Expr, sign: Token) -> Expr:
+    """The minus sign applied to node, positioned at the sign.
+
+    It folds into a number literal not yet negative and into an infinity
+    literal; node, just built and held by no other node, is changed in
+    place. Any other node becomes the operand of a UnaryNeg.
+    """
+    if type(node) is ScalarLit and node.value[0] != "-":
+        node.value = "-" + node.value
+    elif type(node) is InfinityLit:
+        node.sign = -node.sign
+    else:
+        return UnaryNeg(node, line=sign.line, col=sign.col)
+    node.line, node.col = sign.line, sign.col
+    return node
 
 
 def parse(text: str) -> list[Stmt]:

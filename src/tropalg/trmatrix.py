@@ -5,8 +5,9 @@ an algebra and raw rows over a denominator L, a tuple of row tuples
 holding None for the algebra's infinite element and L x for each other
 entry x, or -L x over min-plus. Entries are checked once, by one reader,
 when a matrix is built from outside (the constructor, from_rows, column,
-diag); ExtScalars are built only at the boundary, by entries, get and
-to_lists on first use, and kept. The operations are the semiring matrix
+diag), and leave by one reader, _values, as plain numbers; ExtScalars are
+built from those only at the boundary, by entries, get and to_lists on
+first use, and kept. The operations are the semiring matrix
 product, entrywise addition, the pseudo-inverse, and the closure A^x = I
 + A + ... + A^(n-1), the solution of I + A A^x = A^x = I + A^x A. The
 closure is Gauss-Jordan elimination, the algebraic path algorithm of
@@ -176,7 +177,7 @@ from itertools import chain
 from operator import add, lshift, mul
 
 from ._record import Record
-from .errors import AlgebraMismatch, DimensionMismatch, IndexOutOfRange
+from .errors import AlgebraMismatch, DimensionMismatch, IndexOutOfRange, NoInverse
 from .semiring import (
     R64_MAX_PLUS, Algebra, ExtScalar, _F64, _Q, _finite_result, _tally, trop_closure_scalar,
 )
@@ -226,15 +227,8 @@ class TropMatrix(Record):
         """The entries row-major, as ExtScalars."""
         ext = getattr(self, "_entries", None)  # unset until first read
         if ext is None:
-            alg, den, raw = self.alg, self._den, self._raw
-            zero = alg.zero()
-            if alg.sign < 0:
-                raw = [[x if x is None else -x for x in r] for r in raw]
-            if alg.domain is _F64:
-                ext = tuple([zero if x is None else ExtScalar(x / den) for r in raw for x in r])
-            else:
-                ext = tuple([zero if x is None else ExtScalar(x if den == 1 else Fraction(x, den)
-                             if x % den else x // den) for r in raw for x in r])
+            zero = self.alg.zero()
+            ext = tuple([zero if x is None else ExtScalar(x) for r in _values(self) for x in r])
             _set_entries(self, ext)
         return ext
 
@@ -275,12 +269,29 @@ def _fill(m: TropMatrix | None, rows, alg: Algebra, den: int) -> TropMatrix:
     return m
 
 
+def _values(m: TropMatrix) -> list:
+    """The rows of m as plain numbers, the one way out of the raw rows: ints,
+    Fractions over Q in lowest terms and floats over R64, and None for the
+    infinite element."""
+    den, raw = m._den, m._raw
+    if m.alg.sign < 0:
+        raw = [[x if x is None else -x for x in r] for r in raw]
+    if m.alg.domain is _F64:
+        return [[x if x is None else x / den for x in r] for r in raw]
+    if den == 1:
+        return raw
+    return [[x if x is None else Fraction(x, den) if x % den else x // den for x in r] for r in raw]
+
+
 def _entry(v, alg: Algebra):
-    """An entry given from outside, raw: an int, or a Fraction over Q, is read
-    directly, anything else as ExtScalar.of and Algebra.require_member read it."""
+    """An entry given from outside, raw: an int, a Fraction over Q or a finite
+    float over F64 is read directly, anything else as ExtScalar.of and
+    Algebra.require_member read it."""
     t, d = type(v), alg.domain
     if t is int and d is not _F64 or t is Fraction and d is _Q:
         return v if t is int or v.denominator != 1 else v.numerator
+    if t is float and d is _F64 and math.isfinite(v):
+        return v
     e = alg.require_member(ExtScalar.of(v))
     return None if e.inf_sign else e.finite
 
@@ -581,6 +592,38 @@ def pseudo_inverse(a: TropMatrix) -> TropMatrix:
     """The negated transpose; the infinite element maps to itself."""
     _require_tropical(a, "the pseudo-inverse")
     return _result([[None if x is None else -x for x in c] for c in zip(*a._raw)], a.alg, a._den)
+
+
+def _negated(a: TropMatrix) -> TropMatrix:
+    """-A entrywise, over every algebra: the pseudo-inverse without the
+    transpose, save that an infinite entry, which has no inverse, raises
+    NoInverse. Negation is exact and keeps the least L."""
+    if any(None in r for r in a._raw):
+        raise NoInverse("the infinite element has no multiplicative inverse")
+    return _fill(None, [[-x for x in r] for r in a._raw], a.alg, a._den)
+
+
+def _times(s: ExtScalar, a: TropMatrix) -> TropMatrix:
+    """s A for a scalar s of A's algebra, each entry times s as trop_mul
+    multiplies it, rounded once; it tallies one multiplication an entry.
+
+    Tropically the infinite s gives the zero matrix, and a real s = p / q
+    adds L s to every real stored value over L, the lcm of A's L and q,
+    negated over min-plus. Classically each stored value is multiplied by
+    p over L q, or by s over classical R64, where an overflow raises.
+    """
+    alg = a.alg
+    _tally(0, a.rows * a.cols)
+    if s.inf_sign:
+        return _fill(None, [[None] * a.cols] * a.rows, alg, 1)
+    if alg.domain is _F64 and not alg.is_tropical:
+        return _fill(None, _settle([[x * s.finite for x in r] for r in a._raw], alg), alg, 1)
+    p, q = s.finite.as_integer_ratio()
+    if not alg.is_tropical:
+        return _result([[x * p for x in r] for r in a._raw], alg, a._den * q)
+    den = math.lcm(a._den, q)
+    t = alg.sign * p * (den // q)
+    return _result([[x if x is None else x + t for x in r] for r in _scaled(a, den)], alg, den)
 
 
 def _residuate(a: TropMatrix, b: TropMatrix) -> TropMatrix:

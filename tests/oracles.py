@@ -7,9 +7,11 @@ closure, plain triple-loop relaxation for distances, depth-first search
 with backtracking and the tight-edge walk over the full closure for
 shortest-path witnesses, Gaussian elimination plus brute-force vertex
 enumeration for linear programs, the two-phase simplex on a tableau of
-Fractions, and direct negation for the max-plus/min-plus mirror. Over
-tropical R64 the per-entry references run over Q on the operands' exact
-values, each entry rounded once through Decimal. Slow and obvious on
+Fractions, direct negation for the max-plus/min-plus mirror, and the
+evaluator's former routes, one ExtScalar an entry, for negating, scaling
+and printing matrices and for reading literals. Over tropical R64 the
+per-entry references run over Q on the operands' exact values, each
+entry rounded once through Decimal. Slow and obvious on
 purpose. A printer from the script AST back to source text lets the
 parser tests round-trip.
 """
@@ -24,6 +26,7 @@ from itertools import combinations
 
 from tropalg import (
     ClosureUndefined,
+    Domain,
     ExtScalar,
     IllegalElement,
     IndexOutOfRange,
@@ -51,6 +54,7 @@ from tropalg import (
     trop_neg,
 )
 from tropalg.lp import _check_solution, _constraints
+from tropalg.semiring import _number_text
 from tropalg.mathpar.parser import (
     Assign,
     BinOp,
@@ -711,6 +715,77 @@ def mirror_matrix(m: TropMatrix) -> TropMatrix:
     """Negate every entry and move the matrix to the dual semiring."""
     rows = [[mirror_scalar(e) for e in row] for row in m.to_lists()]
     return TropMatrix.from_rows(rows, SISTER[m.alg])
+
+
+# ---- the per-entry routes out of a matrix ----
+#
+# The evaluator negates a matrix, multiplies it by a scalar and prints it
+# on its raw rows. These are the routes it took before, one ExtScalar an
+# entry: the entries read off the raw rows, then trop_neg, trop_mul or
+# the scalar printer on each.
+
+
+def ref_entries(m: TropMatrix) -> tuple:
+    """The entries row-major as ExtScalars, read off the raw rows directly."""
+    den, raw, zero = m._den, m._raw, m.alg.zero()
+    if m.alg.sign < 0:
+        raw = [[x if x is None else -x for x in r] for r in raw]
+    if m.alg.domain is Domain.F64:
+        return tuple(zero if x is None else ExtScalar(x / den) for r in raw for x in r)
+    return tuple(zero if x is None else ExtScalar(Fraction(x, den) if x % den else x // den)
+                 for r in raw for x in r)
+
+
+def ref_negate(m: TropMatrix) -> TropMatrix:
+    return TropMatrix(m.rows, m.cols, tuple(trop_neg(e) for e in ref_entries(m)), m.alg)
+
+
+def ref_scale(s: ExtScalar, m: TropMatrix) -> TropMatrix:
+    return TropMatrix(m.rows, m.cols, tuple(trop_mul(s, e, m.alg) for e in ref_entries(m)), m.alg)
+
+
+def ref_render_scalar(e: ExtScalar) -> str:
+    if e.inf_sign:
+        return "-\\infty" if e.inf_sign < 0 else "\\infty"
+    v = e.finite
+    if isinstance(v, float):
+        if v.is_integer():
+            return _number_text(int(v))
+        text = repr(v)
+        return format(Decimal(text), "f") if "e" in text else text
+    return _number_text(v)
+
+
+def ref_render_matrix(m: TropMatrix, fmt: str) -> str:
+    e = ref_entries(m)
+    rows = [[ref_render_scalar(x) for x in e[i * m.cols : (i + 1) * m.cols]] for i in range(m.rows)]
+    if fmt == "latex":
+        return "\\begin{pmatrix} " + " \\\\ ".join(map(" & ".join, rows)) + " \\end{pmatrix}"
+    if m.cols == 1:
+        return "[" + ", ".join(r[0] for r in rows) + "]"
+    return "[" + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]"
+
+
+def ref_rational_rows(m: TropMatrix) -> tuple:
+    e = ref_entries(m)
+    return tuple(tuple(Fraction(x.finite) for x in e[i * m.cols : (i + 1) * m.cols])
+                 for i in range(m.rows))
+
+
+def ref_literal(text: str, kind: str, domain: Domain):
+    """A number literal's scalar in a domain, through Decimal, or the text
+    of the error it raises."""
+    if domain is Domain.Z and kind != "int":
+        return f"{text} is not an element of an integer space"
+    num, _, den = text.partition("/")
+    value = (Fraction(int(Decimal(num)), int(Decimal(den))) if den
+             else Fraction(Decimal(num)) if "." in num else int(Decimal(num)))
+    if domain is Domain.F64:
+        try:
+            value = float(Fraction(value))
+        except OverflowError:
+            return f"{text} is not in the number domain F64"
+    return ExtScalar.of(value)
 
 
 # ---- script printer ----

@@ -306,6 +306,27 @@ def test_golden_scripts_keep_their_operation_counts(script, capsys):
             "1:20: 1" + "0" * 400 + " is not in the number domain F64",
         ),
         ("SPACE = Q[]; [1, \\infty];", "1:18: space Q has no infinite elements"),
+        # Literal entries of plain number rows and lists, read in one loop.
+        ("SPACE = ZMinPlus[]; [1, -2.5];", "1:25: -2.5 is not an element of an integer space"),
+        ("SPACE = ZMaxPlus[]; [[0, 1], [3 / 4, 0]];", "1:31: 3/4 is not an element of an integer space"),
+        ("SPACE = ZMaxPlus[]; [[0, \\infty]];", "1:26: +infinity is not an element of a max-plus algebra"),
+        ("SPACE = QMaxPlus[]; [1, \u221e];", "1:25: +infinity is not an element of a max-plus algebra"),
+        (
+            "SPACE = R64MinPlus[]; [[0], [-\\infty]];",
+            "1:30: -infinity is not an element of a min-plus algebra",
+        ),
+        ("SPACE = ZMinPlus[]; [2, \u2212 inf];", "1:25: -infinity is not an element of a min-plus algebra"),
+        ("SPACE = Q[]; [[0, -\\infty]];", "1:19: space Q has no infinite elements"),
+        ("SPACE = R64[]; [[1], [\\infty]];", "1:23: space R64 has no infinite elements"),
+        (
+            "SPACE = R64[]; [1, -1" + "0" * 400 + "];",
+            "1:20: -1" + "0" * 400 + " is not in the number domain F64",
+        ),
+        (
+            "SPACE = R64MaxPlus[]; [[0, 1" + "0" * 400 + "]];",
+            "1:28: 1" + "0" * 400 + " is not in the number domain F64",
+        ),
+        ("SPACE = ZMaxPlus[]; x = 2; [[1, x], [0.5, 2]];", "1:38: 0.5 is not an element of an integer space"),
         ("SPACE = Q[]; -();", "1:14: cannot negate this value"),
         (
             "SPACE = ZMaxPlus[]; [[1]] - [[2]];",
@@ -627,6 +648,7 @@ def test_each_nesting_level_costs_the_evaluator_at_most_four_frames(
 
 
 SEVENS = "7" * 3000
+FIVES = "5" * 5000
 TWICE_NINES = "1" + "9" * 4299 + "8"  # NINES + NINES
 
 
@@ -637,6 +659,10 @@ TWICE_NINES = "1" + "9" * 4299 + "8"  # NINES + NINES
         (f"x = {SEVENS}; x * x;", (0, str(Decimal(int(SEVENS) ** 2)) + "\n", "")),
         (f"SPACE = ZMaxPlus[]; x = {NINES}; \\closure(x * x);", (0, "\\infty\n", "")),
         (
+            f"SPACE = ZMaxPlus[]; [[{FIVES}, -{FIVES}, -\\infty]];",
+            (0, f"[[{FIVES}, -{FIVES}, -\\infty]]\n", ""),
+        ),
+        (
             f"SPACE = ZMinPlus[]; x = {NINES}; "
             "\\findTheShortestPath([[0, 1], [1, 0]], 0, x * x);",
             (1, "", f"error: 1:{len(NINES) + 27}: vertex {TWICE_NINES} is outside 0..1\n"),
@@ -646,7 +672,7 @@ TWICE_NINES = "1" + "9" * 4299 + "8"  # NINES + NINES
             (1, "", "error: 1:5: rational literal with zero denominator\n"),
         ),
     ],
-    ids=["tropical-product", "rational-square", "closure", "path-vertex", "zero-denominator"],
+    ids=["tropical-product", "rational-square", "closure", "row", "path-vertex", "zero-denominator"],
 )
 def test_numbers_of_any_length_print(script, want, capsys):
     assert invoke(["eval", script], capsys) == want

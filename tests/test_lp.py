@@ -10,12 +10,14 @@ from tropalg import (
     LpProblem,
     Optimal,
     SimplexStats,
+    SizeLimit,
     Unbounded,
     simplex_solve,
     solve_univariate_linear,
 )
 
 import tropalg.lp
+from tropalg.mathpar.cli import run_cli
 from oracles import lp_oracle, rand_lp_problem, rand_rational_lp_problem, ref_simplex_solve
 
 F = Fraction
@@ -339,6 +341,19 @@ def test_klee_minty_pivot_counts_grow_exponentially(n, pivots):
     assert stats.pivots == pivots
     assert out.objective == 5**n
     assert out.x == (0,) * (n - 1) + (5**n,)
+
+
+def test_the_pivot_limit_is_a_typed_error_positioned_at_the_call(monkeypatch, capsys):
+    # Klee-Minty at n = 8 takes 67 pivots, more than a limit of 50.
+    monkeypatch.setattr(tropalg.lp, "_PIVOT_LIMIT", 50)
+    problem = _klee_minty(8)
+    with pytest.raises(SizeLimit, match="^the simplex exceeded its limit of 50 pivots$"):
+        simplex_solve(problem)
+    rows = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in problem.a_le)
+    script = (f"A = [{rows}];\nb = [{', '.join(map(str, problem.b_le))}];\n"
+              f"c = [{', '.join(map(str, problem.c))}];\n  \\SimplexMax(A, b, c);")
+    assert run_cli(["eval", script]) == 1
+    assert capsys.readouterr() == ("", "error: 4:3: the simplex exceeded its limit of 50 pivots\n")
 
 
 # ---- univariate inequality systems ----

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropalg import ALGEBRAS_BY_NAME, ExtScalar, TropMatrix
+from tropalg import ALGEBRAS_BY_NAME, ExtScalar, TropalgError, TropMatrix, count_ops
 from tropalg.mathpar import (
     ArityError,
     EvalError,
@@ -22,7 +22,9 @@ from tropalg.mathpar import (
     render,
     tokenize,
 )
+from tropalg.mathpar.interp import _Evaluator, _rational_rows
 from tropalg.mathpar.parser import (
+    MAX_NESTING,
     Assign,
     BinOp,
     Call,
@@ -37,7 +39,15 @@ from tropalg.mathpar.parser import (
     Var,
 )
 
-from oracles import unparse
+from oracles import (
+    ref_entries,
+    ref_literal,
+    ref_negate,
+    ref_rational_rows,
+    ref_render_matrix,
+    ref_scale,
+    unparse,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -439,6 +449,64 @@ def test_equality_ignores_positions_and_compares_every_field():
     assert parse("1 + " + deep + ";") != parse("2 + " + deep + ";")
 
 
+# Entry spellings of the number row loop: both minus signs, spaces around a
+# sign and a slash, the three infinities, leading zeros and an int one digit
+# past what int() reads from text; and entries on which it gives way.
+NUMBER_ENTRIES = ["3", "-3", "\u2212 3", "- 3", "3 / 4", "-3/4", "0.25", "-0.5", "007", "-00.10",
+                  "\\infty", "-\\infty", "inf", "- inf", "\u221e", "\u2212\u221e", "1" + "0" * 4300]
+OTHER_ENTRIES = ["--3", "(1)", "2*x", "x", "1 + 2", "-(3)", "\\closure(1)", "4 < 5"]
+
+
+def _rand_bracket(rng, wrap):
+    """A random list or matrix literal of entry spellings, each passed
+    through wrap, with line breaks among its separators; and its spellings."""
+    entries = []
+
+    def row(cols):
+        picked = [rng.choice(OTHER_ENTRIES if rng.random() < 0.04 else NUMBER_ENTRIES)
+                  for _ in range(cols)]
+        entries.extend(picked)
+        seps = [rng.choice([", ", ",", " ,\n  ", ",\t"]) for _ in picked]
+        return "[" + wrap(picked[0]) + "".join(map("".join, zip(seps, map(wrap, picked[1:])))) + "]"
+
+    cols = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        return row(cols), entries
+    return "[" + ",\n ".join(row(cols) for _ in range(rng.randint(1, 3))) + "]", entries
+
+
+def test_number_rows_parse_as_the_general_route_does():
+    rng = random.Random(34)
+    for _ in range(400):
+        state = rng.getstate()
+        text, entries = _rand_bracket(rng, lambda e: e)
+        rng.setstate(state)
+        parenthesised, _ = _rand_bracket(rng, lambda e: f"({e})")
+        (stmt,) = parse(f"x = {text};")
+        assert [stmt] == parse(f"x = {parenthesised};"), text
+        # Each literal entry sits at its first token.
+        tokens = tokenize(f"x = {text};")
+        firsts = [tokens[i + 1] for i, t in enumerate(tokens)
+                  if t.kind in (TokenKind.LBRACKET, TokenKind.COMMA)
+                  and tokens[i + 1].kind is not TokenKind.LBRACKET]
+        expr = stmt.expr
+        nodes = [n for r in expr.rows for n in r] if isinstance(expr, MatrixLit) else expr.items
+        assert len(nodes) == len(firsts) == len(entries)
+        for node, tok, entry in zip(nodes, firsts, entries):
+            if entry in NUMBER_ENTRIES:
+                assert (node.line, node.col) == (tok.line, tok.col), (text, entry)
+
+
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ("(", ")")], ids=["rows", "parentheses"])
+def test_a_number_row_past_the_nesting_limit_raises_at_its_bracket(opening, closing):
+    prefix = "x = " + opening * (MAX_NESTING - 1)
+    assert parse(prefix + "[1, -2]" + closing * (MAX_NESTING - 1) + ";")
+    prefix += opening
+    with pytest.raises(ParseError) as e:
+        parse(prefix + "[1, -2]" + closing * MAX_NESTING + ";")
+    assert str(e.value) == f"1:{len(prefix) + 1}: nesting deeper than 200 levels"
+
+
 # ---- evaluation ----
 
 
@@ -654,6 +722,81 @@ def test_small_floats_print_positionally_and_read_back(space):
     _, session = run(f"SPACE = {space}[]; z = 0;")
     zero = session.bindings["z"].value.finite
     assert zero == -0.0 and math.copysign(1, zero) == 1
+
+
+HUGE = 10**5000  # printed through Decimal
+# Plain entries by domain: floats below 1e-4 print positionally, and sums
+# and products of +-1e308 fold onto the infinite element or overflow.
+ENTRY_POOLS = {
+    "Z": [0, 1, -2, 7, HUGE, -HUGE],
+    "Q": [0, 1, -2, Fraction(7, 3), Fraction(-1, 2), Fraction(HUGE, 3), -HUGE],
+    "F64": [0.0, 1.0, -2.5, 0.1, 1.5e-7, -3e-5, 1e308, -1e308, 1.7976931348623157e308, 5e-324],
+}
+
+
+def _same_outcome(ours, ref):
+    """Run both under count_ops: the same error type and text, or equal
+    matrices that print alike with equal counts. The per-entry route
+    tallies up to the entry that raises, the raw rows all at once, so the
+    counts of an error are not compared; no count is printed on one."""
+    outcomes = []
+    for route in (ours, ref):
+        with count_ops() as counts:
+            try:
+                value = route()
+            except TropalgError as e:
+                value = (type(e), str(e))
+        outcomes.append((value, counts.adds, counts.muls))
+    (a, *counts_a), (b, *counts_b) = outcomes
+    if isinstance(b, tuple):
+        assert a == b
+    else:
+        assert a == b and render(a) == ref_render_matrix(b, "plain") and counts_a == counts_b
+
+
+@pytest.mark.parametrize("space", [f"{name}[]" for name in ALGEBRAS_BY_NAME] + ["Q[x]"])
+def test_matrices_negate_scale_and_print_as_the_per_entry_routes_did(space):
+    _, session = run(f"SPACE = {space};")
+    alg, ev = session.algebra, _Evaluator(session)
+    pool = ENTRY_POOLS[alg.domain.value] + ([alg.zero()] if alg.is_tropical else [])
+    rng = random.Random(space)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        m = TropMatrix.from_rows([[rng.choice(pool) for _ in range(cols)] for _ in range(rows)], alg)
+        s = ExtScalar.of(rng.choice(pool))
+        assert m.entries == ref_entries(m)
+        for fmt in ("plain", "latex"):
+            assert render(m, RenderOptions(fmt=fmt)) == ref_render_matrix(m, fmt)
+        if not alg.is_tropical:
+            assert _rational_rows(m) == ref_rational_rows(m)
+        _same_outcome(lambda: ev.negate(m), lambda: ref_negate(m))
+        _same_outcome(lambda: ev.binop("*", s, m), lambda: ref_scale(s, m))
+        _same_outcome(lambda: ev.binop("*", m, s), lambda: ref_scale(s, m))
+
+
+# Literal spellings: the largest float and the halfway point past it, where
+# rounding overflows; an int past int()'s default text limit; leading zeros.
+MAX_HALF = 2**1024 - 2**970
+LITERALS = [("0", "int"), ("-7", "int"), ("007", "int"), ("-3/4", "rat"), ("8/4", "rat"),
+            ("0.1", "dec"), ("-2.50", "dec"), ("0.00001", "dec"), ("1" + "0" * 4300, "int"),
+            (str(MAX_HALF), "int"), (str(MAX_HALF - 1), "int"), (f"-{MAX_HALF}", "int"),
+            (f"{MAX_HALF}/1", "rat"), (f"{MAX_HALF - 1}.0", "dec")]
+
+
+@pytest.mark.parametrize("space", ["ZMaxPlus", "QMinPlus", "R64MaxPlus", "Q", "R64"])
+def test_literals_read_as_the_decimal_route_did(space):
+    alg = ALGEBRAS_BY_NAME[space]
+    for text, kind in LITERALS:
+        want = ref_literal(text, kind, alg.domain)
+        for code in (f"{text};", f"[[{text}]];"):
+            try:
+                (got,) = output(f"SPACE = {space}[]; {code}")
+            except EvalError as e:
+                assert isinstance(want, str) and e.message == want
+                assert (e.line, e.col) == (1, code.index(text) + len(space) + 13)
+            else:
+                value = want if code[0] != "[" else TropMatrix.from_rows([[want]], alg)
+                assert got == render(value)
 
 
 def test_latex_format_wraps_matrices():

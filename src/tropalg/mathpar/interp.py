@@ -176,9 +176,12 @@ class _Evaluator:
         if name not in ALGEBRAS_BY_NAME:
             raise UnknownSpace(f"unknown space {name}", stmt.line, stmt.col)
         if stmt.vars:
-            raise EvalError(
-                f"space {name} does not take variables", stmt.line, stmt.col
+            message = (
+                f"space Q takes at most one variable, {len(stmt.vars)} given"
+                if name == "Q"
+                else f"space {name} does not take variables"
             )
+            raise EvalError(message, stmt.line, stmt.col)
         self.session.space_name = name
         self.session.algebra = ALGEBRAS_BY_NAME[name]
         self.session.poly_var = None
@@ -382,23 +385,26 @@ class _Evaluator:
         return a or b
 
     def linear_form(self, node):
-        """Reduce an expression to (a, b, var) meaning a*var + b."""
-        zero = Fraction(0)
+        """Reduce an expression to (a, b, var) meaning a*var + b.
+
+        a and b stay the ints and Fractions of the space Q; the solver
+        converts each once.
+        """
         if isinstance(node, ScalarLit):
-            return zero, Fraction(_number(node, _Q)), None
+            return 0, _number(node, _Q), None
         if isinstance(node, Var):
             binding = self.binding(node)
             if binding is not None:
                 value = binding.value
                 if isinstance(value, ExtScalar) and value.is_finite:
-                    return zero, Fraction(value.finite), None
+                    return 0, value.finite, None
                 raise EvalError(
                     f"variable {node.name!r} is not a finite scalar",
                     node.line,
                     node.col,
                 )
             if self.session.poly_var is None or node.name == self.session.poly_var:
-                return Fraction(1), zero, node.name
+                return 1, 0, node.name
             raise EvalError(f"undefined variable {node.name!r}", node.line, node.col)
         if isinstance(node, (UnaryNeg, BinOp)):
             leaf, ops = _unwind(node)

@@ -60,6 +60,11 @@ class Token(NamedTuple):
     _EQUALS, _SEMICOLON, _COMMA, _LBRACKET, _RBRACKET, _LPAREN, _RPAREN, _RELOP, _EOF,
 ) = TokenKind
 
+# A token is built as tuple.__new__(Token, fields): the same Token, with no
+# Python frame for NamedTuple's generated __new__ on each of the thousands
+# of tokens a script has.
+_token = tuple.__new__
+
 _NUMBER = re.compile(r"\d+\.\d+|\d+ */ *\d+|\d+", re.ASCII)
 _WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -91,7 +96,7 @@ def tokenize(text: str) -> list[Token]:
         ch = text[i]
         kind = _SINGLE.get(ch)
         if kind is not None:
-            append(Token(kind, ch, ch, line, i - line_start + 1, i))
+            append(_token(Token, (kind, ch, ch, line, i - line_start + 1, i)))
             i += 1
             continue
         if ch == " ":
@@ -116,9 +121,9 @@ def tokenize(text: str) -> list[Token]:
                 raise LexError("expected a command name after backslash", line, col)
             word = m.group(0)
             if word == "infty":
-                append(Token(_INFINITY, "\\infty", 1, line, col, i))
+                append(_token(Token, (_INFINITY, "\\infty", 1, line, col, i)))
             else:
-                append(Token(_COMMAND, "\\" + word, word, line, col, i))
+                append(_token(Token, (_COMMAND, "\\" + word, word, line, col, i)))
             i = m.end()
             continue
         if ch.isascii() and ch.isdigit():
@@ -133,35 +138,35 @@ def tokenize(text: str) -> list[Token]:
                     raise LexError("rational literal with zero denominator", line, col)
             else:
                 kind = _INTEGER
-            append(Token(kind, lexeme, lexeme, line, col, i))
+            append(_token(Token, (kind, lexeme, lexeme, line, col, i)))
             i = m.end()
             continue
         if ch.isascii() and ch.isalpha() or ch == "_":
             m = _WORD.match(text, i)
             word = m.group(0)
             if word == "inf":
-                append(Token(_INFINITY, word, 1, line, col, i))
+                append(_token(Token, (_INFINITY, word, 1, line, col, i)))
             else:
-                append(Token(_IDENT, word, word, line, col, i))
+                append(_token(Token, (_IDENT, word, word, line, col, i)))
             i = m.end()
             continue
         if ch in "<>":
             if i + 1 < n and text[i + 1] == "=":
-                append(Token(_RELOP, text[i : i + 2], text[i : i + 2], line, col, i))
+                append(_token(Token, (_RELOP, text[i : i + 2], text[i : i + 2], line, col, i)))
                 i += 2
             else:
-                append(Token(_RELOP, ch, ch, line, col, i))
+                append(_token(Token, (_RELOP, ch, ch, line, col, i)))
                 i += 1
             continue
         if ch == "∞":
-            append(Token(_INFINITY, ch, 1, line, col, i))
+            append(_token(Token, (_INFINITY, ch, 1, line, col, i)))
         elif ch == "≤":
-            append(Token(_RELOP, ch, "<=", line, col, i))
+            append(_token(Token, (_RELOP, ch, "<=", line, col, i)))
         elif ch == "≥":
-            append(Token(_RELOP, ch, ">=", line, col, i))
+            append(_token(Token, (_RELOP, ch, ">=", line, col, i)))
         else:
             raise LexError(f"unexpected character {ch!r}", line, col)
         i += 1
 
-    append(Token(_EOF, "", None, line, n - line_start + 1, n))
+    append(_token(Token, (_EOF, "", None, line, n - line_start + 1, n)))
     return tokens

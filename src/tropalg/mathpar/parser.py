@@ -56,17 +56,15 @@ MAX_NESTING = 200
 class Node:
     """Base of every AST node.
 
-    A subclass lists its fields in `__slots__`, and the constructor takes
-    them positionally in that order; the source position is keyword-only.
+    A subclass lists its fields in `__slots__`, and its own constructor
+    takes them positionally in that order, with the source position
+    keyword-only. Each constructor is written out by hand, for the reason
+    `tropalg._record` gives, and assigns its fields directly, so it checks
+    its field count as any function does: a missing or an extra field
+    raises TypeError.
     """
 
     __slots__ = ("line", "col")
-
-    def __init__(self, *fields, line=0, col=0):
-        for name, value in zip(self.__slots__, fields):
-            setattr(self, name, value)
-        self.line = line
-        self.col = col
 
     def __eq__(self, other):
         """Same node types and field values all the way down, positions aside."""
@@ -93,41 +91,96 @@ class Node:
 class ScalarLit(Node):
     __slots__ = ("value", "kind")  # kind: "int" | "rat" | "dec"
 
+    def __init__(self, value, kind, *, line=0, col=0):
+        self.value = value
+        self.kind = kind
+        self.line = line
+        self.col = col
+
 
 class InfinityLit(Node):
     __slots__ = ("sign",)
+
+    def __init__(self, sign, *, line=0, col=0):
+        self.sign = sign
+        self.line = line
+        self.col = col
 
 
 class Var(Node):
     __slots__ = ("name",)
 
+    def __init__(self, name, *, line=0, col=0):
+        self.name = name
+        self.line = line
+        self.col = col
+
 
 class EmptyLit(Node):
     __slots__ = ()
+
+    def __init__(self, *, line=0, col=0):
+        self.line = line
+        self.col = col
 
 
 class MatrixLit(Node):
     __slots__ = ("rows",)
 
+    def __init__(self, rows, *, line=0, col=0):
+        self.rows = rows
+        self.line = line
+        self.col = col
+
 
 class ListLit(Node):
     __slots__ = ("items",)
+
+    def __init__(self, items, *, line=0, col=0):
+        self.items = items
+        self.line = line
+        self.col = col
 
 
 class BinOp(Node):
     __slots__ = ("op", "left", "right")  # op: "+" | "-" | "*"
 
+    def __init__(self, op, left, right, *, line=0, col=0):
+        self.op = op
+        self.left = left
+        self.right = right
+        self.line = line
+        self.col = col
+
 
 class UnaryNeg(Node):
     __slots__ = ("operand",)
+
+    def __init__(self, operand, *, line=0, col=0):
+        self.operand = operand
+        self.line = line
+        self.col = col
 
 
 class Call(Node):
     __slots__ = ("command", "args")
 
+    def __init__(self, command, args, *, line=0, col=0):
+        self.command = command
+        self.args = args
+        self.line = line
+        self.col = col
+
 
 class Ineq(Node):
     __slots__ = ("left", "op", "right")  # op: "<" | "<=" | ">" | ">="
+
+    def __init__(self, left, op, right, *, line=0, col=0):
+        self.left = left
+        self.op = op
+        self.right = right
+        self.line = line
+        self.col = col
 
 
 Expr = Union[
@@ -138,13 +191,30 @@ Expr = Union[
 class SpaceDecl(Node):
     __slots__ = ("name", "vars")
 
+    def __init__(self, name, vars, *, line=0, col=0):
+        self.name = name
+        self.vars = vars
+        self.line = line
+        self.col = col
+
 
 class Assign(Node):
     __slots__ = ("name", "expr")
 
+    def __init__(self, name, expr, *, line=0, col=0):
+        self.name = name
+        self.expr = expr
+        self.line = line
+        self.col = col
+
 
 class ExprStmt(Node):
     __slots__ = ("expr",)
+
+    def __init__(self, expr, *, line=0, col=0):
+        self.expr = expr
+        self.line = line
+        self.col = col
 
 
 Stmt = Union[SpaceDecl, Assign, ExprStmt]

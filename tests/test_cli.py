@@ -244,6 +244,7 @@ def test_golden_scripts_keep_their_operation_counts(script, capsys):
     "script, err",
     [
         ("\\frobnicate(1);", "1:1: unknown command \\frobnicate"),
+        ("SPACE = Q[x, y];", "1:1: space Q takes at most one variable, 2 given"),
         ("SPACE = ZMaxPlus[]; \\closure(1, 2);", "1:21: \\closure takes 1 argument(s), got 2"),
         (
             "SPACE = ZMaxPlus[]; \\BellmanEquation([[0]], [0], [0]);",

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropalg import ALGEBRAS_BY_NAME, ExtScalar, TropalgError, TropMatrix, count_ops
+from tropalg.lp import Interval
 from tropalg.mathpar import (
     ArityError,
     EvalError,
@@ -23,6 +25,7 @@ from tropalg.mathpar import (
     tokenize,
 )
 from tropalg.mathpar.interp import _Evaluator, _rational_rows
+from tropalg.mathpar.lexer import Token
 from tropalg.mathpar.parser import (
     MAX_NESTING,
     Assign,
@@ -33,6 +36,7 @@ from tropalg.mathpar.parser import (
     InfinityLit,
     ListLit,
     MatrixLit,
+    Node,
     ScalarLit,
     SpaceDecl,
     UnaryNeg,
@@ -50,6 +54,8 @@ from oracles import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+# The recorded block bank that the script-mix benchmark draws its scripts from.
+BANK = Path(__file__).resolve().parents[1] / "bench" / "data" / "script_blocks.json"
 
 
 def run(code, options=None):
@@ -449,6 +455,47 @@ def test_equality_ignores_positions_and_compares_every_field():
     assert parse("1 + " + deep + ";") != parse("2 + " + deep + ";")
 
 
+@pytest.mark.parametrize("cls", Node.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_node_constructors_take_exactly_their_fields(cls):
+    fields = cls.__slots__
+    node = cls(*fields, line=4, col=5)
+    assert [getattr(node, f) for f in fields] == list(fields)
+    assert (node.line, node.col) == (4, 5)
+    assert repr(node) == f"{cls.__name__}({', '.join(map(repr, fields))})"
+    assert node == cls(*fields)
+    with pytest.raises(TypeError):
+        cls(*fields, "extra")
+    if fields:
+        with pytest.raises(TypeError):
+            cls(*fields[:-1])
+
+
+def test_the_recorded_bank_lexes_to_tokens_and_parses_to_complete_nodes():
+    bank = json.loads(BANK.read_text())
+    parsed = 0
+    for block in bank["blocks"] + bank["error_blocks"]:
+        try:
+            tokens = tokenize(block["text"])
+        except LexError:
+            continue
+        for tok in tokens:
+            assert type(tok) is Token and tok == Token(*tok), tok
+        try:
+            stack = parse(block["text"])
+        except ParseError:
+            continue
+        parsed += 1
+        while stack:
+            item = stack.pop()
+            if isinstance(item, tuple):
+                stack.extend(item)
+            elif isinstance(item, Node):
+                for name in ("line", "col") + type(item).__slots__:
+                    assert hasattr(item, name), (type(item).__name__, name)
+                    stack.append(getattr(item, name))
+    assert parsed >= len(bank["blocks"])
+
+
 # Entry spellings of the number row loop: both minus signs, spaces around a
 # sign and a slash, the three infinities, leading zeros and an int one digit
 # past what int() reads from text; and entries on which it gives way.
@@ -684,6 +731,13 @@ def test_solve_interval_shapes():
     assert output("SPACE = Q[x]; \\solve([2 * x - 1 > 0]);") == ["(1/2, \\infty)"]
     assert output("SPACE = Q[x]; \\solve(x > 1);") == ["(1, \\infty)"]
     assert output("SPACE = Q[x]; \\solve(-x < 1);") == ["(-1, \\infty)"]
+
+
+def test_solve_ends_are_exact_rationals_from_any_literal():
+    _, session = run("SPACE = Q[]; k = 3; i = \\solve([2 * x - k >= 0, x + 0.5 < 7/2, 0 * x < 1]);")
+    interval = session.bindings["i"].value
+    assert interval == Interval(Fraction(3, 2), Fraction(3), True, False)
+    assert type(interval.lo) is Fraction and type(interval.hi) is Fraction
 
 
 def test_solve_refuses_a_bound_matrix_at_its_position():

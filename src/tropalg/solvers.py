@@ -36,27 +36,28 @@ it by an ulp.
 
 Every solver re-verifies its defining identity before returning:
 A X + B == X for bellman_solve, A X + B <= X for bellman_inequality,
-A x <= b for solve_lai_tropic and A x == b for solve_lae_tropic. Each
-runs trmatrix's check, the covering test of Cuninghame-Green (1979) and
-Butkovic (2010): A x, or A x + b, by the kernels of mat_mul and
-mat_oplus on the stored rows, compared with x or b by == or by the
-natural order, building no matrix. A x by one column is a fold over
-the rows of A with no packing, as every product by one column is. The
-check reads only A, x and b, nothing the solve computed, and tallies
-what the product, the sum and the comparison count. Over R64 it reads
-the exact values, so solve_lae_tropic finds A x = b only where it holds
-exactly on the floats of x, not where a float sum would absorb the
-difference. bellman_homogeneous
-picks the columns of A^x that A A^x keeps, a selection rather than a
-check, so it multiplies.
+A G == G for bellman_homogeneous, A x <= b for solve_lai_tropic and
+A x == b for solve_lae_tropic. Each runs trmatrix's check, the covering
+test of Cuninghame-Green (1979) and Butkovic (2010): A x, or A x + b,
+by the kernels of mat_mul and mat_oplus on the stored rows, compared
+with x or b by == or by the natural order, building no matrix. A x by
+one column is a fold over the rows of A with no packing, as every
+product by one column is. The check reads only A, x and b, nothing the
+solve computed, and tallies what the product, the sum and the
+comparison count. Over R64 it reads the exact values, so
+solve_lae_tropic finds A x = b only where it holds exactly on the floats
+of x, not where a float sum would absorb the difference.
+bellman_homogeneous keeps the columns k of the exact A^x whose (A A^x)_kk
+is the unit, n^2 multiplications beyond the closure, and checks them
+before it rounds them.
 """
 
 from __future__ import annotations
 
 from ._record import Record
 from .errors import AlgebraMismatch, DimensionMismatch, NoSolution
-from .trmatrix import (TropMatrix, _common, _holds, _least_solution, _result, _residuate,
-                       closure_block, mat_mul)
+from .trmatrix import (TropMatrix, _fixed_columns, _holds, _least_solution, _reduced,
+                       _residuate, closure_block, mat_mul)  # mat_mul: bench/test_bench.py traces it
 
 __all__ = [
     "IntervalBound",
@@ -150,12 +151,10 @@ def bellman_homogeneous(a: TropMatrix) -> TropMatrix:
     raised when none qualifies.
     """
     _require_system(a, None, "bellman_homogeneous")
-    closed = closure_block(a)
-    moved, fixed, _ = _common(mat_mul(a, closed), closed)
-    kept = [k for k in range(a.cols) if all(r[k] == s[k] for r, s in zip(moved, fixed))]
-    if not kept:
+    g = _fixed_columns(a)
+    if g is None:
         raise NoSolution("no column of the closure solves A x = x")
-    return _result([[r[k] for k in kept] for r in closed._raw], a.alg, closed._den)
+    return _verified(a, None, g, False, "non-fixed-point")
 
 
 def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix:
@@ -171,9 +170,9 @@ def bellman_inequality(a: TropMatrix, b: TropMatrix | None = None) -> TropMatrix
     return _verified(a, b, _least_solution(a, b), True, "non-solution of the inequality")
 
 
-def _verified(a: TropMatrix, b: TropMatrix, x: TropMatrix, le: bool, failure: str) -> TropMatrix:
-    """x = A^x b, exact, once the check kernel finds A x + b == x, or
-    A x + b <= x when le is set; then reduced, and over R64 rounded once."""
+def _verified(a: TropMatrix, b, x: TropMatrix, le: bool, failure: str) -> TropMatrix:
+    """x, exact, once the check kernel finds A x + b == x, or A x + b <= x
+    when le is set, b possibly None; then reduced, and over R64 rounded once."""
     if not _holds(a, x, b, x, le)[0]:
         raise AssertionError(f"closure produced a {failure}")
-    return _result(x._raw, a.alg, x._den)
+    return _reduced(x)

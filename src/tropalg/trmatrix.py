@@ -36,24 +36,25 @@ This is exact. No entry improves, so no cycle does: A^x exists and
 nothing raises. Every walk weighs no more than its own suffix, so the
 settled values never get better in settle order and no later relaxation
 betters a settled x_u: each is final, and the answer is the
-elimination's exactly, over every domain. find_shortest_path runs the
-same kernel on the goal's unit column.
+elimination's exactly, over every domain. _path_query runs the same
+kernel on the goal's unit column for find_shortest_path.
 
 Min-plus is max-plus by the isomorphism x -> -x (Cuninghame-Green 1979),
 and every stored value is an int, so negation is exact: a min-plus
 matrix is stored as the max-plus matrix of its negated values. _checked
-negates each value once on the way in, and entries negates it back once
-on the way out; no kernel reads the orientation, and each is written
-once, for max-plus. Each operation runs one kernel (_product, _oplus for
-the sum, _below for the natural order, _closure, _residual, _closure or
-_label_setting for A^x B) on the stored rows, and keeps the rows it
-returns unchecked: a chain of operations converts nothing in between.
-The solvers' checks A x + b == x and A x + b <= x, b possibly absent,
-are _holds, which composes _product, _oplus and _below. Counts are
-tallied in bulk: an n x m by m x p product is n m p of each. The sum,
-the order and a tropical product by one column, _fold, skip None on the
-stored rows; _product picks that fold by the number of columns, and the
-packed kernel for a wider product.
+negates each value once on the way in, _values negates it back once on
+the way out, and _times negates the scalar it adds; no kernel and no
+other module reads the orientation or the stored rows, and each kernel
+is written once, for max-plus. Each operation runs one kernel (_product,
+_oplus for the sum, _below for the natural order, _closure, _residual,
+_closure or _label_setting for A^x B) on the stored rows, and keeps the
+rows it returns unchecked: a chain of operations converts nothing in
+between. The solvers' checks A x + b == x and A x + b <= x, b possibly
+absent, are _holds, which composes _product, _oplus and _below. Counts
+are tallied in bulk: an n x m by m x p product is n m p of each. The
+sum, the order and a tropical product by one column, _fold, skip None on
+the stored rows; _product picks that fold by the number of columns, and
+the packed kernel for a wider product.
 
 Tropical R64 is stored exactly, as Q is. Every float is a dyadic
 rational, so _checked reads each one through as_integer_ratio as an int
@@ -70,8 +71,8 @@ two, so it is stored over L and the gcd pass reduces it. An int below
 2^53 in magnitude is its own rounding. Residuation rounds its caps down,
 toward the infinite element, instead, by _toward_infinite, so that A x
 <= b holds of the rounded answer. The solvers' checks run on the exact
-values: the Bellman solvers check the exact A^x B and then round it, so
-A x + b recomputed in floats on their answer may differ from it by an
+values: the Bellman solvers check their exact answer and then round it,
+so A x + b recomputed in floats on their answer may differ from it by an
 ulp. A zero's sign is not kept. Classical R64 keeps rows of floats over
 1, where _settle rules a sum or product that overflows: an infinity, or
 the NaN where overflows of both signs meet, raises IllegalElement.
@@ -654,6 +655,26 @@ def _least_solution(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     return _fill(None, rows, alg, den)
 
 
+def _fixed_columns(a: TropMatrix) -> TropMatrix | None:
+    """The exact columns of A^x that solve A x = x, or None. As A A^x <=
+    A^x, and a closed walk of weight unit at k lifts every walk into k,
+    column k does exactly when (A A^x)_kk is the unit (Butkovic 2010,
+    4.3): n^2 multiplications beyond the closure."""
+    if not a.is_square:
+        raise DimensionMismatch("the closure is defined for square matrices only")
+    n, rows = a.rows, a._raw
+    closed = _closure(rows, a.alg, a._den)
+    _tally(n * n, n * n)
+    kept = [k for k, (r, c) in enumerate(zip(rows, zip(*closed)))
+            if max([x + y for x, y in zip(r, c) if None not in (x, y)], default=None) == 0]
+    return _fill(None, [[r[k] for k in kept] for r in closed], a.alg, a._den) if kept else None
+
+
+def _reduced(x: TropMatrix) -> TropMatrix:
+    """x, on a kernel's exact rows, reduced and over R64 rounded once."""
+    return _result(x._raw, x.alg, x._den)
+
+
 def diag(values, alg: Algebra) -> TropMatrix:
     """Square matrix with the given diagonal, zero elsewhere."""
     values, zero = list(values), alg.zero()
@@ -741,6 +762,27 @@ def _label_setting(a: list, b: list) -> list:
         out.append([None if v == zero else v for v in x])
     _tally(relaxed, relaxed)
     return out
+
+
+def _path_query(a: TropMatrix, start: int, goal: int) -> tuple:
+    """For a graph's adjacency matrix a: the goal's exact column of A^x,
+    stored values to compare by == only; whether start reaches the goal
+    once its distance is rounded as closure_block rounds it; and tight(u,
+    v), w(u, v) + dist(v) == dist(u), one multiplication a real edge."""
+    rows = a._raw
+    unit = [None] * len(rows)
+    unit[goal] = 0
+    dist, = _label_setting(rows, [unit])
+    reached = _result([[dist[start]]], a.alg, a._den)._raw[0][0] is not None
+
+    def tight(u: int, v: int) -> bool:
+        w, d = rows[u][v], dist[v]
+        if w is None:
+            return False
+        _tally(0, 1)
+        return d is not None and w + d == dist[u]
+
+    return dist, reached, tight
 
 
 def closure_block(a: TropMatrix) -> TropMatrix:

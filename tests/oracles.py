@@ -156,11 +156,11 @@ def _ref_eliminate(a: TropMatrix) -> TropMatrix:
     return TropMatrix(a.rows, a.cols, tuple(e for row in rows for e in row), a.alg)
 
 
-def ref_bellman_homogeneous(a: TropMatrix, eliminate=_ref_eliminate, mul=ref_mat_mul) -> TropMatrix:
+def ref_bellman_homogeneous(a: TropMatrix) -> TropMatrix:
     """Columns of the closure kept one column product at a time."""
-    closed = eliminate(a)
+    closed = _ref_eliminate(a)
     columns = (TropMatrix.column(closed.entries[k :: a.cols], a.alg) for k in range(a.cols))
-    kept = [c for c in columns if mul(a, c) == c]
+    kept = [c for c in columns if ref_mat_mul(a, c) == c]
     if not kept:
         raise NoSolution("no column of the closure solves A x = x")
     ent = tuple(c.entries[j] for j in range(a.rows) for c in kept)
@@ -276,10 +276,9 @@ def exact_solve_lae_tropic(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     return x
 
 
-def exact_bellman_homogeneous(a: TropMatrix) -> TropMatrix:
-    """ref_bellman_homogeneous over R64: the rounded closure, its columns
-    kept by rounded products, as the library composes them."""
-    return ref_bellman_homogeneous(a, exactly(_ref_eliminate), exactly(ref_mat_mul))
+# ref_bellman_homogeneous over R64: the exact closure, its columns kept by
+# exact products, each entry rounded once.
+exact_bellman_homogeneous = exactly(ref_bellman_homogeneous)
 
 
 # ---- closure oracle ----

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 from collections import Counter
@@ -25,7 +26,7 @@ from tropalg import (
     find_shortest_path,
     search_least_distances,
 )
-from tropalg.trmatrix import _label_setting
+from tropalg.trmatrix import _path_query
 
 from oracles import (
     INF,
@@ -84,13 +85,24 @@ def test_adjacency_must_be_square():
 
 
 def test_diagonal_must_be_zero():
-    with pytest.raises(InvalidGraph):
-        graph([[0, 1], [1, 5]])
+    for alg, rows, text in [
+        (Z_MIN_PLUS, [[0, 1], [1, 5]], "diagonal entry at 1 is 5, not 0"),
+        (Q_MIN_PLUS, [[Fraction(1, 3), 1], [1, 0]], "diagonal entry at 0 is 1/3, not 0"),
+        (R64_MIN_PLUS, [[0.0, 1.0], [1.0, None]], "diagonal entry at 1 is inf, not 0"),
+    ]:
+        with pytest.raises(InvalidGraph, match=f"^{re.escape(text)}$"):
+            graph(rows, alg)
 
 
 def test_negative_weights_are_rejected():
-    with pytest.raises(InvalidGraph):
-        graph([[0, -1], [1, 0]])
+    # The texts show the weights as given; a min-plus matrix stores them negated.
+    for alg, rows, text in [
+        (Z_MIN_PLUS, [[0, -1], [1, 0]], "negative edge weight -1 at (0, 1)"),
+        (Q_MIN_PLUS, [[0, 1], [Fraction(-1, 2), 0]], "negative edge weight -1/2 at (1, 0)"),
+        (R64_MIN_PLUS, [[-0.0, -0.5], [1.0, 0.0]], "negative edge weight -0.5 at (0, 1)"),
+    ]:
+        with pytest.raises(InvalidGraph, match=f"^{re.escape(text)}$"):
+            graph(rows, alg)
 
 
 def test_vertex_indices_are_checked():
@@ -306,13 +318,12 @@ def graphs_with_missing_edges(seed, count):
         yield graph(rows, alg), rows
 
 
-def _distances_to(rows, goal):
+def _distances_to(a, goal):
     """The goal's column of the closure, exact on the stored rows and over
-    their denominator, by the label-setting kernel run on the goal's unit
-    column, the int 0, as find_shortest_path runs it. A min-plus matrix
-    stores its values negated, so the column holds the negated distances."""
-    unit = [0 if v == goal else None for v in range(len(rows))]
-    return _label_setting(rows, [unit])[0]
+    their denominator, from the path query find_shortest_path runs. A
+    min-plus matrix stores its values negated, so the column holds the
+    negated distances."""
+    return _path_query(a, goal, goal)[0]
 
 
 def relaxations(rows, goal):
@@ -334,7 +345,7 @@ def test_goal_column_is_the_closure_column():
         closure = closure_block(a).to_lists()
         for goal in range(g.order):
             with count_ops() as c:
-                column = _distances_to(a._raw, goal)
+                column = _distances_to(a, goal)
             # The stored rows are negated, over the adjacency matrix's denominator.
             assert [x if x is None else Fraction(-x, a._den) for x in column] == [
                 None if r[goal].inf_sign else r[goal].finite for r in closure]
@@ -386,7 +397,7 @@ def test_float_paths_fold_to_their_distance():
                  for j in range(n)] for i in range(n)]
         g = graph(rows, R64_MIN_PLUS)
         for goal in range(n):
-            column = _distances_to(g.adjacency._raw, goal)
+            column = _distances_to(g.adjacency, goal)
             for start in range(n):
                 if column[start] is None:
                     with pytest.raises(NoPath):
@@ -411,7 +422,8 @@ def test_float_sum_that_overflows_is_no_path():
         find_shortest_path(g, 0, 2)
     # Exact, the distance from 0 is 3e308, stored negated, which rounds
     # past the largest float to the infinite element.
-    assert _distances_to(g.adjacency._raw, 2) == [-2 * int(big), -int(big), 0, -3]
+    assert _distances_to(g.adjacency, 2) == [-2 * int(big), -int(big), 0, -3]
+    assert not _path_query(g.adjacency, 0, 2)[1] and _path_query(g.adjacency, 1, 2)[1]
     assert search_least_distances(g).get(0, 2) == POS_INF
 
 
@@ -441,7 +453,9 @@ def test_paths_and_distances_agree_on_weights_up_to_the_largest_float():
                 if d.inf_sign:
                     with pytest.raises(NoPath):
                         find_shortest_path(g, start, goal)
-                    unreached = _distances_to(g.adjacency._raw, goal)[start] is None
+                    column, reached, _ = _path_query(g.adjacency, start, goal)
+                    assert not reached
+                    unreached = column[start] is None
                     seen["unreached" if unreached else "past the largest float"] += 1
                     continue
                 path = find_shortest_path(g, start, goal)

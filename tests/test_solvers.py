@@ -233,6 +233,30 @@ def test_homogeneous_identity_keeps_all_columns():
     assert bellman_homogeneous(i) == i
 
 
+def test_homogeneous_keeps_a_float_column_that_is_an_exact_fixed_point():
+    # Vertex 0 has a unit loop, so column 0 of A* solves A x = x exactly.
+    # Rounded, A*_20 is 0.30000000000000004, and -0.1 plus it rounds to
+    # 0.20000000000000004, above A*_30 = 0.2: a comparison of rounded
+    # columns rejects it. The columns are kept and checked exactly, each
+    # entry rounded once.
+    i = R64_MAX_PLUS.zero()
+    a = mk([[0.0, i, i, i], [0.1, i, i, i], [i, 0.2, i, i], [0.2, i, -0.1, i]], R64_MAX_PLUS)
+    g = bellman_homogeneous(a)
+    assert (g.rows, g.cols) == (4, 1)
+    assert [e.finite for e in g.entries] == [0.0, 0.1, 0.30000000000000004, 0.2]
+
+
+def test_the_homogeneous_check_refuses_a_column_that_is_not_a_fixed_point(monkeypatch):
+    # A* = [[0, -1], [-2, 0]]; A moves its column 1 to (-1, -1), since no
+    # cycle through vertex 1 weighs the unit. A stand-in that keeps every
+    # column of A* fails the check of A G == G.
+    a = mk([[0, -1], [-2, -1]])
+    assert bellman_homogeneous(a) == col([0, -2])
+    monkeypatch.setattr(tropalg.solvers, "_fixed_columns", closure_block)
+    with pytest.raises(AssertionError, match="^closure produced a non-fixed-point$"):
+        bellman_homogeneous(a)
+
+
 def test_homogeneous_with_no_finite_generator_raises():
     with pytest.raises(NoSolution):
         bellman_homogeneous(mk([[-1]]))

@@ -16,6 +16,10 @@ or 4 to 9 in one script in ten, whose square operands have closures,
 and 1 to 3 columns. An operand may be negated, parenthesised or joined
 to another by +, - or *, and a scalar is at times wrapped in
 parentheses up to the parser's nesting limit or one level past it. The
+entries and rows of a matrix or list are separated by a comma with or
+without blanks, a tab or a line break after it, or now and then a
+comment, so that the lexer reads a bracket of literals as one ROW token
+in some scripts and character by character in others. The
 (command, arity, space) triples are dealt in a seeded order, so N of 234
 or more covers every one. Each
 tree answers every script in one long-lived worker process, once per
@@ -63,6 +67,10 @@ NINES = "9" * 4300  # the longest int Python converts to text by default
 SCALARS = ["0", "1", "-2", "3", "1/2", "-7/3", "0.5", "-0.3", NEAR_MAX, "-" + NEAR_MAX,
            MAX_FLOAT, f"{NINES} * {NINES}", "\\infty", "-\\infty", "\u2212 3", "3 / 4",
            "- \\infty", "inf", "\u221e", "007", "1" + "0" * 4300]
+# Separators of the entries and rows of a bracket; a line break or a
+# comment in a bracket makes the lexer read it character by character.
+SEPARATORS = [", ", ",", ",\t", " ,\n  "]
+COMMENT = ", # entry\n  "
 INEQUALITIES = ["x <= 1", "2*x - 1 > x", "1/2 >= -x", "x * x < 0", "1 <= 2", "y < x", "x > 1",
                 "0 * x >= 1"]
 ANY = ["scalar", "matrix", "list", "empty", "inequalities", "index"]
@@ -154,15 +162,19 @@ def _script(rng: random.Random, command: str, k: int, space: str) -> str:
         p = MAX_NESTING - depth + rng.randint(0, 1)
         return "(" * p + text + ")" * p
 
+    def bracket(items):
+        """The items in a bracket, each after the first led by a separator."""
+        items = list(items)
+        seps = [COMMENT if rng.random() < 0.02 else rng.choice(SEPARATORS) for _ in items[1:]]
+        return "[" + items[0] + "".join(map(str.__add__, seps, items[1:])) + "]"
+
     def matrix(depth, rows, cols, diagonal=None, pool=None):
         def entry(i, j):
             if i == j and diagonal:
                 return diagonal
             return rng.choice(pool) if pool else term("scalar", depth + 2)
 
-        return "[" + ", ".join(
-            "[" + ", ".join(entry(i, j) for j in range(cols)) + "]" for i in range(rows)
-        ) + "]"
+        return bracket(bracket(entry(i, j) for j in range(cols)) for i in range(rows))
 
     def operand(shape, depth):
         if shape == "any":
@@ -181,7 +193,7 @@ def _script(rng: random.Random, command: str, k: int, space: str) -> str:
             # One list in ten has a row too many, so that the solvers'
             # row-count checks are compared too.
             length = m if shape == "objective" else n + (rng.random() < 0.1)
-            return "[" + ", ".join(term("scalar", depth + 1) for _ in range(length)) + "]"
+            return bracket(term("scalar", depth + 1) for _ in range(length))
         if shape == "empty":
             return "()"
         return "[" + ", ".join(rng.choices(INEQUALITIES, k=rng.randint(1, 3))) + "]"

@@ -27,9 +27,12 @@ space, in that order, then evaluates the arguments left to right, each
 checked by its reader, which positions its error at the argument, and
 runs the call; an error of the call as a whole is positioned at the call.
 The entries of a matrix or list literal are read alike, by _ENTRY,
-save a number literal: _number, the one reader of a literal's text,
-gives it as the plain number the matrix stores, an int, a Fraction or a
-float, and raises its errors positioned at it.
+save those of a NumberRow, which are read from their text to the plain
+numbers the matrix stores, ints, Fractions or floats, and to the
+infinite element: a row of ints by one map(int, ...), any other entry by
+_number, the one reader of a literal's text and kind, which a scalar
+literal goes through too. An entry that raises is positioned at the node
+NumberRow.nodes builds for it, as the general route would position it.
 Commands answer with library values: a shortest path is the vertex list,
 \\solveLAITropic's answer its tuple of bounds, and a simplex optimum the
 library's Optimal, its point converted to a column and its objective to a
@@ -89,6 +92,7 @@ from .parser import (
     InfinityLit,
     ListLit,
     MatrixLit,
+    NumberRow,
     ScalarLit,
     SpaceDecl,
     UnaryNeg,
@@ -194,7 +198,7 @@ class _Evaluator:
             if isinstance(node, ScalarLit):
                 return self.scalar_literal(node)
             if isinstance(node, InfinityLit):
-                return self.infinity_literal(node)
+                return self.infinity(node.sign)
             if isinstance(node, Var):
                 binding = self.binding(node)
                 if binding is None:
@@ -242,23 +246,49 @@ class _Evaluator:
         raise TypeError(f"not an expression node: {node!r}")
 
     def scalar_literal(self, node: ScalarLit) -> ExtScalar:
-        return ExtScalar.of(_number(node, self.session.algebra.domain))
+        return ExtScalar.of(_number(node.value, node.kind, self.session.algebra.domain))
 
-    def entries(self, nodes) -> list:
-        """The entries of a matrix row or a list literal: a number literal's
-        plain number, any other entry's scalar, checked by _ENTRY. A loop,
-        not a comprehension, keeps a level of nesting to two frames."""
-        domain = self.session.algebra.domain
+    def entries(self, row) -> list:
+        """The entries of a matrix row or a list literal: a NumberRow's
+        numbers, or each expression's scalar, checked by _ENTRY. A loop, not
+        a comprehension, keeps a level of nesting to two frames."""
+        if type(row) is NumberRow:
+            return self.numbers(row)
         values = []
-        for e in nodes:
-            values.append(_number(e, domain) if type(e) is ScalarLit else _ENTRY(self.eval(e), e))
+        for e in row:
+            values.append(_ENTRY(self.eval(e), e))
         return values
 
-    def infinity_literal(self, node: InfinityLit) -> ExtScalar:
+    def numbers(self, row: NumberRow) -> list:
+        """The entries of a NumberRow as the plain numbers of the domain and
+        the infinite element. A row with no decimal point, slash or
+        infinity holds ints only, read by one map(int, ...)."""
+        domain = self.session.algebra.domain
+        text = row.text
+        if "." not in text and "/" not in text and "f" not in text and "\u221e" not in text:
+            try:
+                values = list(map(int, row.entries))
+                return list(map(float, values)) if domain is _F64 else values
+            except (ValueError, OverflowError):
+                pass  # an int too long for int() or for a float: read each below
+        values = []
+        try:
+            for t in row.entries:
+                if t[-1] == "f":
+                    values.append(self.infinity(-1 if t[0] == "-" else 1))
+                else:
+                    kind = "rat" if "/" in t else "dec" if "." in t else "int"
+                    values.append(_number(t, kind, domain))
+        except TropalgError as e:
+            node = row.nodes()[len(values)]
+            raise EvalError(str(e), node.line, node.col) from e
+        return values
+
+    def infinity(self, sign: int) -> ExtScalar:
         alg = self.session.algebra
         if not alg.is_tropical:
             raise TropalgError(f"space {self.session.space_name} has no infinite elements")
-        return alg.require_legal(POS_INF if node.sign > 0 else NEG_INF)
+        return alg.require_legal(POS_INF if sign > 0 else NEG_INF)
 
     def binding(self, node: Var) -> Binding | None:
         """The binding of a variable, None when it has none; a binding made
@@ -360,6 +390,8 @@ class _Evaluator:
     def solve(self, arg):
         if isinstance(arg, ListLit):
             items = arg.items
+            if type(items) is NumberRow:
+                items = items.nodes()
         elif isinstance(arg, Ineq):
             items = (arg,)
         else:
@@ -391,7 +423,7 @@ class _Evaluator:
         converts each once.
         """
         if isinstance(node, ScalarLit):
-            return 0, _number(node, _Q), None
+            return 0, _number(node.value, node.kind, _Q), None
         if isinstance(node, Var):
             binding = self.binding(node)
             if binding is not None:
@@ -530,24 +562,32 @@ _COMMANDS = {
 }
 
 
-def _number(node: ScalarLit, domain) -> int | Fraction | float:
-    """The plain number of a literal in a number domain: an int, a Fraction
-    over Q, a float over F64. A literal the domain does not hold raises an
-    EvalError positioned at it.
+def _number(text: str, kind: str, domain) -> int | Fraction | float:
+    """The plain number of a literal's text, of kind "int", "rat" or "dec",
+    in a number domain: an int, a Fraction over Q, a float over F64. A
+    literal the domain does not hold raises a TropalgError.
 
     The value is exact, of any length: int() refuses text of more digits
     than sys.get_int_max_str_digits() allows, a process-wide limit left
     alone here, and Decimal reads any length, as it writes any length in
-    semiring._number_text. Over F64 the exact value is rounded once.
+    semiring._number_text. Over F64 the exact value is rounded once:
+    float() rounds a decimal's text as float() rounds its Fraction, save
+    that it keeps the sign of a zero, which the exact value drops, and
+    gives an infinity past the largest float, so those two take the exact
+    route.
     """
-    text = node.value
-    if node.kind == "int":
+    if kind == "int":
         try:
             value = int(text)
         except ValueError:
             value = int(Decimal(text))
     elif domain is _Z:
-        raise EvalError(f"{text} is not an element of an integer space", node.line, node.col)
+        raise TropalgError(f"{text} is not an element of an integer space")
+    elif kind == "dec" and domain is _F64:
+        value = float(text)
+        if value and value - value == 0:
+            return value
+        value = Fraction(Decimal(text))
     else:
         num, _, den = text.partition("/")
         value = Fraction(int(Decimal(num)), int(Decimal(den))) if den else Fraction(Decimal(num))
@@ -555,9 +595,7 @@ def _number(node: ScalarLit, domain) -> int | Fraction | float:
         try:
             return float(value)
         except OverflowError:
-            raise EvalError(
-                f"{text} is not in the number domain {_F64.value}", node.line, node.col
-            ) from None
+            raise TropalgError(f"{text} is not in the number domain {_F64.value}") from None
     return value
 
 

@@ -10,6 +10,15 @@ domain. Names and numbers are ASCII: any other letter or digit, such as
 normalised here: the words `inf` and `∞` and the command `\\infty` all
 become one INFINITY token, the Unicode minus sign U+2212 becomes MINUS,
 and `≤` / `≥` become the two-character relation operators.
+
+A bracket holding only number and infinity literals, each after at most
+one minus sign, on one line and with no comment, is one ROW token: one
+compiled pattern matches it at its `[`, and its value is the tuple of its
+entries spelled alike, with no blanks, `-` for the minus sign and `inf`
+for every infinity (`["-3/4", "inf"]` for `[− 3 / 4, \\infty]`). Any
+other bracket, a zero denominator included, is read character by
+character, so every LexError keeps its text and position; _row_tokens
+gives the tokens that route reads in a ROW token's text.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ class TokenKind(Enum):
     RATIONAL = "RATIONAL"
     DECIMAL = "DECIMAL"
     INFINITY = "INFINITY"
+    ROW = "ROW"
     PLUS = "PLUS"
     STAR = "STAR"
     MINUS = "MINUS"
@@ -56,7 +66,7 @@ class Token(NamedTuple):
 # The members as module names, in the class's order, read once: an Enum
 # member read off its class costs about 165 ns. The parser imports them.
 (
-    _IDENT, _COMMAND, _INTEGER, _RATIONAL, _DECIMAL, _INFINITY, _PLUS, _STAR, _MINUS,
+    _IDENT, _COMMAND, _INTEGER, _RATIONAL, _DECIMAL, _INFINITY, _ROW, _PLUS, _STAR, _MINUS,
     _EQUALS, _SEMICOLON, _COMMA, _LBRACKET, _RBRACKET, _LPAREN, _RPAREN, _RELOP, _EOF,
 ) = TokenKind
 
@@ -67,6 +77,14 @@ _token = tuple.__new__
 
 _NUMBER = re.compile(r"\d+\.\d+|\d+ */ *\d+|\d+", re.ASCII)
 _WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+# One entry of a ROW: a literal as _NUMBER, inf, \infty or ∞ read it, after
+# at most one minus sign, with blanks around; a rational's denominator is
+# not all zeros, and a word ends where _WORD ends it.
+_ENTRY = (r"[ \t]*(?:[-\u2212][ \t]*)?"
+          r"(?:[0-9]+(?:\.[0-9]+| */ *0*[1-9][0-9]*)?|(?:inf|\\infty)(?![A-Za-z_0-9])|\u221e)"
+          r"[ \t]*")
+_ROW_TEXT = re.compile(rf"\[{_ENTRY}(?:,{_ENTRY})*\]")
 
 # Tokens of one character whose value is that character.
 _SINGLE = {
@@ -96,6 +114,18 @@ def tokenize(text: str) -> list[Token]:
         ch = text[i]
         kind = _SINGLE.get(ch)
         if kind is not None:
+            if kind is _LBRACKET:
+                m = _ROW_TEXT.match(text, i)
+                if m is not None:
+                    lexeme = m.group()
+                    row = lexeme[1:-1]
+                    if "\t" in row or "\\" in row or not row.isascii():
+                        row = (row.replace("\t", "").replace("\u2212", "-")
+                               .replace("\\infty", "inf").replace("\u221e", "inf"))
+                    entries = tuple(row.replace(" ", "").split(","))
+                    append(_token(Token, (_ROW, lexeme, entries, line, i - line_start + 1, i)))
+                    i = m.end()
+                    continue
             append(_token(Token, (kind, ch, ch, line, i - line_start + 1, i)))
             i += 1
             continue
@@ -170,3 +200,13 @@ def tokenize(text: str) -> list[Token]:
 
     append(_token(Token, (_EOF, "", None, line, n - line_start + 1, n)))
     return tokens
+
+
+def _row_tokens(text: str, line: int, col: int, offset: int) -> list[Token]:
+    """The tokens, EOF last, that the per-character route reads in the text
+    of a ROW token at (line, col) and offset: the text is on one line, and
+    past its '[' it holds no other."""
+    return [_token(Token, (_LBRACKET, "[", "[", line, col, offset))] + [
+        _token(Token, (t.kind, t.lexeme, t.value, line, col + t.col, offset + 1 + t.offset))
+        for t in tokenize(text[1:])
+    ]

@@ -10,10 +10,17 @@ Every node class derives from `Node`, whose `__eq__` is the only one; it
 walks both trees with an explicit stack, so trees of any depth compare.
 Chains of `+`, `-` and `*` and runs of prefix minus signs are folded in
 loops, so only parentheses and brackets cost stack depth, and those may
-nest at most MAX_NESTING deep. A bracket of number and infinity literals
-alone, each after at most one minus sign, is read in one loop that builds
-the nodes and positions the general route would; at any other token it
-gives way to that route, having consumed nothing.
+nest at most MAX_NESTING deep.
+
+A ROW token, a bracket of number and infinity literals alone, each after
+at most one minus sign, becomes one NumberRow: a list literal's items, or
+one row of a matrix literal, whose width is its count of entries and whose
+bracket is one level of nesting. It keeps the entries as the lexer spelled
+them alike, which equality compares, and its text, which like a position
+it ignores; NumberRow.nodes builds from that text the ScalarLit and
+InfinityLit nodes of the general route, at their positions, when an entry
+needs one. Where the parser wants some other token, a ROW token is split
+back into the tokens of its characters, so every ParseError is unchanged.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from typing import Union
 from .errors import ParseError
 from .lexer import (
     _COMMA, _COMMAND, _DECIMAL, _EOF, _EQUALS, _IDENT, _INFINITY, _INTEGER, _LBRACKET, _LPAREN,
-    _MINUS, _PLUS, _RATIONAL, _RBRACKET, _RELOP, _RPAREN, _SEMICOLON, _STAR, Token, TokenKind,
-    tokenize,
+    _MINUS, _PLUS, _RATIONAL, _RBRACKET, _RELOP, _ROW, _RPAREN, _SEMICOLON, _STAR, Token,
+    TokenKind, _row_tokens, tokenize,
 )
 
 __all__ = [
@@ -36,6 +43,7 @@ __all__ = [
     "InfinityLit",
     "MatrixLit",
     "ListLit",
+    "NumberRow",
     "EmptyLit",
     "Var",
     "BinOp",
@@ -61,20 +69,23 @@ class Node:
     keyword-only. Each constructor is written out by hand, for the reason
     `tropalg._record` gives, and assigns its fields directly, so it checks
     its field count as any function does: a missing or an extra field
-    raises TypeError.
+    raises TypeError. The fields a subclass names in `_layout` record, like
+    the position, how its source was written.
     """
 
     __slots__ = ("line", "col")
+    _layout = ()
 
     def __eq__(self, other):
-        """Same node types and field values all the way down, positions aside."""
+        """Same node types and field values all the way down, layout aside."""
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
             if type(a) is not type(b):
                 return False
             if isinstance(a, Node):
-                stack.extend((getattr(a, f), getattr(b, f)) for f in a.__slots__)
+                stack.extend((getattr(a, f), getattr(b, f))
+                             for f in a.__slots__ if f not in a._layout)
             elif isinstance(a, tuple):
                 if len(a) != len(b):
                     return False
@@ -134,12 +145,35 @@ class MatrixLit(Node):
 
 
 class ListLit(Node):
-    __slots__ = ("items",)
+    __slots__ = ("items",)  # items: a tuple of expressions or a NumberRow
 
     def __init__(self, items, *, line=0, col=0):
         self.items = items
         self.line = line
         self.col = col
+
+
+class NumberRow(Node):
+    """The entries of a ROW token, as its value spells them, and its text.
+
+    A MatrixLit's rows are tuples of expressions or NumberRows.
+    """
+
+    __slots__ = ("entries", "text")
+    _layout = ("text",)
+
+    def __init__(self, entries, text, *, line=0, col=0):
+        self.entries = entries
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def nodes(self) -> tuple:
+        """The entries as the general route reads them from the text: a
+        ScalarLit or InfinityLit each, at its position."""
+        parser = _Parser(_row_tokens(self.text, self.line, self.col, 0))
+        parser.next()  # '['
+        return parser.parse_items()
 
 
 class BinOp(Node):
@@ -186,6 +220,7 @@ class Ineq(Node):
 Expr = Union[
     ScalarLit, InfinityLit, Var, EmptyLit, MatrixLit, ListLit, BinOp, UnaryNeg, Call, Ineq
 ]
+Row = Union[tuple, NumberRow]
 
 
 class SpaceDecl(Node):
@@ -243,6 +278,12 @@ class _Parser:
     def expect(self, kind: TokenKind, what: str) -> Token:
         tok = self.peek()
         if tok.kind is not kind:
+            if tok.kind is _ROW:
+                # Its '[' is the token found: split the row back into the
+                # tokens of its characters and look again.
+                row = _row_tokens(tok.lexeme, tok.line, tok.col, tok.offset)
+                self.tokens[self.i : self.i + 1] = row[:-1]
+                return self.expect(kind, what)
             raise ParseError(
                 f"expected {what}, found {tok.lexeme or 'end of input'!r}",
                 tok.line,
@@ -360,6 +401,8 @@ class _Parser:
             else:
                 node = self.parse_expr()
             self.close_group(_RPAREN, "')'")
+        elif kind is _ROW:
+            node = ListLit(self.parse_number_row(), line=tok.line, col=tok.col)
         elif kind is _LBRACKET:
             node = self.parse_bracket()
         else:
@@ -374,35 +417,35 @@ class _Parser:
 
     def parse_bracket(self) -> Expr:
         tok = self.open_group(_LBRACKET, "'['")
-        if self.peek().kind is _RBRACKET:
+        kind = self.peek().kind
+        if kind is _RBRACKET:
             self.close_group(_RBRACKET, "']'")
             return EmptyLit(line=tok.line, col=tok.col)
-        if self.peek().kind is _LBRACKET:
+        if kind is _LBRACKET or kind is _ROW:
             rows = [self.parse_row()]
             while self.peek().kind is _COMMA:
                 self.next()
                 rows.append(self.parse_row())
             self.close_group(_RBRACKET, "']'")
-            w = len(rows[0])
+            w = _width(rows[0])
             for row in rows:
-                if len(row) != w:
+                if _width(row) != w:
                     raise ParseError(
-                        f"matrix rows have {w} and {len(row)} entries",
+                        f"matrix rows have {w} and {_width(row)} entries",
                         tok.line,
                         tok.col,
                     )
             return MatrixLit(tuple(rows), line=tok.line, col=tok.col)
         return ListLit(self.parse_items(), line=tok.line, col=tok.col)
 
-    def parse_row(self) -> tuple:
+    def parse_row(self) -> Row:
+        if self.peek().kind is _ROW:
+            return self.parse_number_row()
         self.open_group(_LBRACKET, "'['")
         return self.parse_items()
 
     def parse_items(self) -> tuple:
         """The comma-separated items of a bracket just opened, and its ']'."""
-        items = self.number_row()
-        if items is not None:
-            return items
         items = [self.parse_expr()]
         while self.peek().kind is _COMMA:
             self.next()
@@ -410,33 +453,12 @@ class _Parser:
         self.close_group(_RBRACKET, "']'")
         return tuple(items)
 
-    def number_row(self) -> tuple | None:
-        """The items of a bracket just opened and its ']', read in one loop
-        when each item is a number or infinity literal after at most one
-        minus sign; None, having consumed nothing, at any other token.
-
-        The nodes are those the general route builds, at the same positions.
-        """
-        tokens, i = self.tokens, self.i
-        items = []
-        while True:
-            sign = tokens[i]
-            if sign.kind is _MINUS:
-                i += 1
-            else:
-                sign = None
-            node = _literal(tokens[i])
-            if node is None:
-                return None
-            items.append(node if sign is None else _negate(node, sign))
-            kind = tokens[i + 1].kind
-            i += 2
-            if kind is _RBRACKET:
-                self.i = i
-                self.depth -= 1
-                return tuple(items)
-            if kind is not _COMMA:
-                return None
+    def parse_number_row(self) -> NumberRow:
+        """The NumberRow of a ROW token, whose bracket is one level deeper."""
+        tok = self.next()
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        return NumberRow(tok.value, tok.lexeme, line=tok.line, col=tok.col)
 
     def parse_call(self) -> Call:
         tok = self.next()  # COMMAND
@@ -449,6 +471,10 @@ class _Parser:
                 args.append(self.parse_expr())
         self.close_group(_RPAREN, "')'")
         return Call(tok.value, tuple(args), line=tok.line, col=tok.col)
+
+
+def _width(row: Row) -> int:
+    return len(row.entries) if type(row) is NumberRow else len(row)
 
 
 def _literal(tok: Token) -> ScalarLit | InfinityLit | None:

@@ -65,6 +65,7 @@ from tropalg.mathpar.parser import (
     InfinityLit,
     ListLit,
     MatrixLit,
+    NumberRow,
     ScalarLit,
     SpaceDecl,
     UnaryNeg,
@@ -671,9 +672,12 @@ def rand_rational_lp_problem(rng) -> LpProblem:
 
 
 def rand_scalar(rng, alg, lo=-9, hi=9, p_inf=0.0) -> ExtScalar:
+    """An int in [lo, hi], or over R64 that many tenths; the algebra's zero
+    with probability p_inf."""
     if p_inf and rng.random() < p_inf:
         return alg.zero()
-    return ExtScalar.of(rng.randint(lo, hi))
+    v = rng.randint(lo, hi)
+    return ExtScalar.of(v / 10 if alg.domain is Domain.F64 else v)
 
 
 def rand_matrix(rng, alg, rows, cols, lo=-9, hi=9, p_inf=0.0) -> TropMatrix:
@@ -804,12 +808,9 @@ def unparse_expr(node, parent_prec: int = 0) -> str:
     if isinstance(node, EmptyLit):
         return "[]"
     if isinstance(node, MatrixLit):
-        rows = ", ".join(
-            "[" + ", ".join(unparse_expr(e) for e in row) + "]" for row in node.rows
-        )
-        return f"[{rows}]"
+        return "[" + ", ".join(map(_unparse_items, node.rows)) + "]"
     if isinstance(node, ListLit):
-        return "[" + ", ".join(unparse_expr(e) for e in node.items) + "]"
+        return _unparse_items(node.items)
     if isinstance(node, UnaryNeg):
         signs = 0
         while isinstance(node, UnaryNeg):
@@ -838,6 +839,13 @@ def unparse_expr(node, parent_prec: int = 0) -> str:
     if isinstance(node, Ineq):
         return f"{unparse_expr(node.left)} {node.op} {unparse_expr(node.right)}"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _unparse_items(items) -> str:
+    """A bracket of expressions, or of a NumberRow's entries as spelled."""
+    if isinstance(items, NumberRow):
+        return "[" + ", ".join(items.entries) + "]"
+    return "[" + ", ".join(unparse_expr(e) for e in items) + "]"
 
 
 def unparse(stmt) -> str:

@@ -471,6 +471,35 @@ def test_closure_opcount_script_runs_as_its_usage_line_says():
     assert all(float(ms) > 0 for _, _, ms, *_ in rows)
 
 
+def test_layers_script_times_two_trees_as_its_usage_line_says(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    script = "scripts/layers.py"
+    assert f"python3 {script} [--base REF] [--out FILE]" in (root / script).read_text()
+    out = tmp_path / "layers.json"
+    result = subprocess.run(
+        [sys.executable, script, "--quick", "--base", "HEAD", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    data = json.loads(out.read_text())
+    meta, rows = data["meta"], data["rows"]
+    assert meta["k"] == 3 and meta["quick"] and meta["head"].startswith("src tree ")
+    assert meta["base"]["revision"] == "HEAD" and len(meta["base"]["commit"]) == 40
+    names = [row["name"] for row in rows]
+    assert names[:4] == ["script.tokenize", "script.parse", "script.evaluate", "script.run_cli"]
+    assert "closure_block ZMaxPlus n=9" in names and "simplex_solve 5x5" in names
+    for row in rows:
+        for side in ("head", "base"):
+            assert 0 < row[side]["best_s"] <= row[side]["median_s"], row
+            assert type(row[side]["adds"]) is int and type(row[side]["muls"]) is int
+        assert type(row["same_result"]) is bool
+    # One line a row, after the header.
+    assert len(result.stdout.splitlines()) == len(rows) + 1
+
+
 def test_differential_script_runs_generated_scripts_as_the_calculator_answers_them():
     scripts = differential.generate(30, seed=1)
     assert scripts == differential.generate(30, seed=1)

@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from tropalg.mathpar import (
     ArityError,
     EvalError,
     LexError,
+    MathparError,
     ParseError,
     RenderOptions,
     Session,
@@ -37,6 +39,7 @@ from tropalg.mathpar.parser import (
     ListLit,
     MatrixLit,
     Node,
+    NumberRow,
     ScalarLit,
     SpaceDecl,
     UnaryNeg,
@@ -84,9 +87,12 @@ def test_token_kinds_of_a_space_declaration():
 
 
 def test_command_and_infinity_tokens():
-    toks = tokenize("\\closure(A); [[0, 1, \\infty]]")
+    toks = tokenize("\\closure(A); [[0, 1, \\infty]]; [x, \\infty]")
     assert toks[0].kind is TokenKind.COMMAND and toks[0].value == "closure"
-    assert any(t.kind is TokenKind.INFINITY for t in toks)
+    # A bracket of literals alone is one ROW token, its infinity spelled inf;
+    # in any other bracket \\infty is an INFINITY token.
+    assert [t.value for t in toks if t.kind is TokenKind.ROW] == [("0", "1", "inf")]
+    assert [t.lexeme for t in toks if t.kind is TokenKind.INFINITY] == ["\\infty"]
 
 
 def test_infinity_aliases_and_unicode_operators():
@@ -257,9 +263,49 @@ def test_lexemes_reconstruct_the_source_via_offsets():
                 ("EOF", "", None, 3, 3, 7),
             ],
         ),
+        (
+            "[1, \u2212 3 / 4,\t\\infty] [inf,x]",
+            [
+                ("ROW", "[1, \u2212 3 / 4,\t\\infty]", ("1", "-3/4", "inf"), 1, 1, 0),
+                ("LBRACKET", "[", "[", 1, 22, 21),
+                ("INFINITY", "inf", 1, 1, 23, 22),
+                ("COMMA", ",", ",", 1, 26, 25),
+                ("IDENT", "x", "x", 1, 27, 26),
+                ("RBRACKET", "]", "]", 1, 28, 27),
+                ("EOF", "", None, 1, 29, 28),
+            ],
+        ),
+        (
+            "[[0, -1],[2.5, \u221e]]",
+            [
+                ("LBRACKET", "[", "[", 1, 1, 0),
+                ("ROW", "[0, -1]", ("0", "-1"), 1, 2, 1),
+                ("COMMA", ",", ",", 1, 9, 8),
+                ("ROW", "[2.5, \u221e]", ("2.5", "inf"), 1, 10, 9),
+                ("RBRACKET", "]", "]", 1, 18, 17),
+                ("EOF", "", None, 1, 19, 18),
+            ],
+        ),
+        (
+            # A line break or a comment in a bracket: character by character.
+            "[1,\n2] [3 # c\n] [-1/2]",
+            [
+                ("LBRACKET", "[", "[", 1, 1, 0),
+                ("INTEGER", "1", "1", 1, 2, 1),
+                ("COMMA", ",", ",", 1, 3, 2),
+                ("INTEGER", "2", "2", 2, 1, 4),
+                ("RBRACKET", "]", "]", 2, 2, 5),
+                ("LBRACKET", "[", "[", 2, 4, 7),
+                ("INTEGER", "3", "3", 2, 5, 8),
+                ("RBRACKET", "]", "]", 3, 1, 14),
+                ("ROW", "[-1/2]", ("-1/2",), 3, 3, 16),
+                ("EOF", "", None, 3, 9, 22),
+            ],
+        ),
     ],
     ids=["lt-at-end", "gt-at-end", "two-char-relops", "unicode-relops", "infinities",
-         "crlf-and-tab", "comment-at-end", "empty", "trailing-lines"],
+         "crlf-and-tab", "comment-at-end", "empty", "trailing-lines", "a-row", "matrix-rows",
+         "rows-read-by-character"],
 )
 def test_exact_tokens(text, expected):
     # Every field of every token: kind, lexeme, value, line, col, offset.
@@ -353,6 +399,16 @@ def test_golden_scripts_round_trip_through_unparse():
         assert again == stmts
 
 
+def _parsed_items(items):
+    """items as the parser reads them back: a NumberRow when each is a
+    number or infinity literal, spelled as a ROW token spells it."""
+    if all(type(e) in (ScalarLit, InfinityLit) for e in items):
+        spell = {1: "inf", -1: "-inf"}
+        return NumberRow(tuple(e.value if type(e) is ScalarLit else spell[e.sign] for e in items),
+                         "")
+    return items
+
+
 def _rand_scalar_lit(rng):
     shape = rng.randrange(3)
     sign = "-" if rng.random() < 0.3 else ""
@@ -402,13 +458,15 @@ def _rand_expr(rng, depth, bracket_ok=True):
         r, c = rng.randint(1, 3), rng.randint(1, 3)
         return MatrixLit(
             tuple(
-                tuple(_rand_expr(rng, depth - 1, bracket_ok=False) for _ in range(c))
+                _parsed_items(
+                    tuple(_rand_expr(rng, depth - 1, bracket_ok=False) for _ in range(c))
+                )
                 for _ in range(r)
             )
         )
     head = _rand_expr(rng, depth - 1, bracket_ok=False)
     rest = tuple(_rand_expr(rng, depth - 1) for _ in range(rng.randint(0, 2)))
-    return ListLit((head,) + rest)
+    return ListLit(_parsed_items((head,) + rest))
 
 
 def test_random_statements_round_trip_through_unparse():
@@ -496,52 +554,73 @@ def test_the_recorded_bank_lexes_to_tokens_and_parses_to_complete_nodes():
     assert parsed >= len(bank["blocks"])
 
 
-# Entry spellings of the number row loop: both minus signs, spaces around a
-# sign and a slash, the three infinities, leading zeros and an int one digit
-# past what int() reads from text; and entries on which it gives way.
-NUMBER_ENTRIES = ["3", "-3", "\u2212 3", "- 3", "3 / 4", "-3/4", "0.25", "-0.5", "007", "-00.10",
-                  "\\infty", "-\\infty", "inf", "- inf", "\u221e", "\u2212\u221e", "1" + "0" * 4300]
+# Entry spellings of a ROW token: both minus signs, spaces around a sign and
+# a slash, the three infinities, leading zeros, signed zeros, an int one
+# digit past what int() reads from text, a decimal past the largest float
+# and one below the least; and entries that make a bracket fall back.
+NUMBER_ENTRIES = ["3", "-3", "\u2212 3", "- 3", "3 / 4", "-3/4", "7/02", "0.25", "-0.5", "007",
+                  "-00.10", "-0", "-0.0", "\\infty", "-\\infty", "inf", "- inf", "\u221e",
+                  "\u2212\u221e", "1" + "0" * 4300, "1" + "0" * 400 + ".5", "-0." + "0" * 330 + "1"]
 OTHER_ENTRIES = ["--3", "(1)", "2*x", "x", "1 + 2", "-(3)", "\\closure(1)", "4 < 5"]
+# Separators of entries; a line break or a comment in a bracket makes the
+# lexer read it character by character.
+SEPARATORS = [", ", ",", ",\t", ", ", ",", " ,\n  ", " , # c\n "]
 
 
 def _rand_bracket(rng, wrap):
     """A random list or matrix literal of entry spellings, each passed
-    through wrap, with line breaks among its separators; and its spellings."""
-    entries = []
+    through wrap; and the offset in it where each entry starts."""
+    parts, starts = [], []
 
     def row(cols):
-        picked = [rng.choice(OTHER_ENTRIES if rng.random() < 0.04 else NUMBER_ENTRIES)
-                  for _ in range(cols)]
-        entries.extend(picked)
-        seps = [rng.choice([", ", ",", " ,\n  ", ",\t"]) for _ in picked]
-        return "[" + wrap(picked[0]) + "".join(map("".join, zip(seps, map(wrap, picked[1:])))) + "]"
+        parts.append("[")
+        for j in range(cols):
+            if j:
+                parts.append(rng.choice(SEPARATORS))
+            starts.append(sum(map(len, parts)))
+            parts.append(wrap(rng.choice(OTHER_ENTRIES if rng.random() < 0.04 else NUMBER_ENTRIES)))
+        parts.append("]")
 
     cols = rng.randint(1, 4)
     if rng.random() < 0.5:
-        return row(cols), entries
-    return "[" + ",\n ".join(row(cols) for _ in range(rng.randint(1, 3))) + "]", entries
+        row(cols)
+    else:
+        parts.append("[")
+        for i in range(rng.randint(1, 3)):
+            if i:
+                parts.append(",\n ")
+            row(cols)
+        parts.append("]")
+    return "".join(parts), starts
 
 
-def test_number_rows_parse_as_the_general_route_does():
-    rng = random.Random(34)
-    for _ in range(400):
+@pytest.mark.parametrize("space", [f"{name}[]" for name in ALGEBRAS_BY_NAME] + ["Q[x]"])
+def test_number_rows_read_as_their_parenthesised_entries_do(space):
+    # A bracket, read as ROW tokens where the lexer can, prints what the
+    # same bracket with each entry parenthesised prints through the general
+    # route, or raises the same error at the same place in the same entry.
+    rng = random.Random(f"number rows {space}")
+    prefix = f"SPACE = {space}; x = "
+    rows = 0
+    for _ in range(120):
         state = rng.getstate()
-        text, entries = _rand_bracket(rng, lambda e: e)
+        text, starts = _rand_bracket(rng, lambda e: e)
         rng.setstate(state)
-        parenthesised, _ = _rand_bracket(rng, lambda e: f"({e})")
-        (stmt,) = parse(f"x = {text};")
-        assert [stmt] == parse(f"x = {parenthesised};"), text
-        # Each literal entry sits at its first token.
-        tokens = tokenize(f"x = {text};")
-        firsts = [tokens[i + 1] for i, t in enumerate(tokens)
-                  if t.kind in (TokenKind.LBRACKET, TokenKind.COMMA)
-                  and tokens[i + 1].kind is not TokenKind.LBRACKET]
-        expr = stmt.expr
-        nodes = [n for r in expr.rows for n in r] if isinstance(expr, MatrixLit) else expr.items
-        assert len(nodes) == len(firsts) == len(entries)
-        for node, tok, entry in zip(nodes, firsts, entries):
-            if entry in NUMBER_ENTRIES:
-                assert (node.line, node.col) == (tok.line, tok.col), (text, entry)
+        wrapped, wrapped_starts = _rand_bracket(rng, lambda e: f"({e})")
+        rows += sum(t.kind is TokenKind.ROW for t in tokenize(text))
+        outcomes = []
+        for t, entry_starts, shift in ((text, starts, 0), (wrapped, wrapped_starts, 1)):
+            code = prefix + t + "; x;"
+            try:
+                outcomes.append(output(code))
+            except MathparError as e:
+                lines = code.split("\n")
+                offset = sum(len(line) + 1 for line in lines[: e.line - 1]) + e.col - 1
+                k = bisect.bisect_right(entry_starts, offset - len(prefix)) - 1
+                at = offset - len(prefix) - entry_starts[k] - shift
+                outcomes.append((type(e), e.message, k, at))
+        assert outcomes[0] == outcomes[1], (space, text)
+    assert rows >= 80
 
 
 @pytest.mark.parametrize("opening, closing", [("[", "]"), ("(", ")")], ids=["rows", "parentheses"])
@@ -776,6 +855,48 @@ def test_small_floats_print_positionally_and_read_back(space):
     _, session = run(f"SPACE = {space}[]; z = 0;")
     zero = session.bindings["z"].value.finite
     assert zero == -0.0 and math.copysign(1, zero) == 1
+
+
+def _read_back_pool(rng, alg):
+    """Plain values of alg's domain: ints of 400 digits, fractions, floats
+    from the largest to the least subnormal, -0.0, and the infinite
+    element of a tropical algebra; some fixed, some drawn."""
+    if alg.domain.value == "F64":
+        pool = [0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, -5e-324, 1.5e-7, 1e308, -1.7976931348623157e308]
+        pool += [rng.uniform(-1, 1) * 10.0 ** rng.randint(-323, 307) for _ in range(12)]
+    else:
+        pool = [0, 1, -2, 10**400, -(10**400) - 1] + [rng.randint(-10**30, 10**30) for _ in range(6)]
+        if alg.domain.value == "Q":
+            pool += [Fraction(7, 3), Fraction(-1, 2), Fraction(10**400 + 1, 3)]
+            pool += [Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(6)]
+    return pool + ([alg.zero()] if alg.is_tropical else [])
+
+
+@pytest.mark.parametrize("space", [f"{name}[]" for name in ALGEBRAS_BY_NAME] + ["Q[x]"])
+def test_printed_values_read_back_as_equal_values(space):
+    # What render prints, evaluate reads back in the same space as an equal
+    # value: scalars, matrices and lists, a one-column matrix printing as a
+    # list. Two printed forms are not values of the space, and are left out:
+    # an undefined scalar closure prints the infinity the space lacks, and
+    # intervals, verdicts and the latex format are no literals. One value
+    # loses a property: R64 prints -0.0 as 0, which reads back equal but
+    # with the sign of zero lost, as the last check shows.
+    _, session = run(f"SPACE = {space};")
+    alg = session.algebra
+    rng = random.Random(f"read back {space}")
+    pool = _read_back_pool(rng, alg)
+    values = [ExtScalar.of(v) for v in pool]
+    for _ in range(80):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        values.append(TropMatrix.from_rows(
+            [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)], alg))
+    texts = [render(v) for v in values]
+    _, back = run(f"SPACE = {space}; " + " ".join(f"x{i} = {t};" for i, t in enumerate(texts)))
+    for i, (value, text) in enumerate(zip(values, texts)):
+        assert back.bindings[f"x{i}"].value == value, text
+    if alg.domain.value == "F64":
+        assert math.copysign(1, values[1].finite) == -1
+        assert math.copysign(1, back.bindings["x1"].value.finite) == 1
 
 
 HUGE = 10**5000  # printed through Decimal

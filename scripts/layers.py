@@ -31,7 +31,16 @@ the same result. The rows:
   check (trmatrix._holds) apart;
 - solve_lae_tropic at n = 24, find_shortest_path on a min-plus graph of
   24 vertices, and simplex_solve on one program of 20 constraints in 20
-  unknowns.
+  unknowns;
+- classical mat_mul at n = 4, 8 and 16 on floats drawn uniformly from
+  [-1, 1), over R64 and, on the same dyadic values, over Q, where each
+  product is the exact dot product, over R64 rounded once;
+- closure_block at n = 8, 16 and 32 on ZMaxPlus with entries in [-9, 0],
+  whose muls are the elimination's n^2 (n - 1): n (n - 1) at each of its
+  n pivots, 448, 3840 and 31744. The often-quoted 5/6 n^3 would need a
+  block recursion that joins the closures of two halves by five
+  products, which returns wrong closures on easy instances; a correct
+  join takes six, n^3 - n multiplications in all.
 
 --out writes the rows and a meta block: the Python version, nproc, the
 seeds, k, the base revision and the timed trees, named by the git tree
@@ -39,9 +48,10 @@ hash of each src/ (for the working tree, computed from the files as they
 are, so that an uncommitted change is named too), and the run time.
 --against FILE, a file made with the same --quick setting, prints for
 each row it shares with that file the ratio of this run's best to that
-file's. --quick runs small sizes only, with
-k = 3, as a smoke test. It is a measuring tool: it checks nothing and
-its exit status is 0 whatever the ratios.
+file's. --quick runs small sizes only (the classical products at n = 4
+and the closures at n = 8), with k = 3, as a smoke test. It is a
+measuring tool: it checks nothing and its exit status is 0 whatever the
+ratios.
 """
 
 from __future__ import annotations
@@ -301,6 +311,29 @@ def kernel_rows(quick: bool) -> list[Row]:
         return (lambda: pkg.simplex_solve(problem)), repr
 
     rows.append(Row(f"simplex_solve {m}x{m}", 2, simplex))
+
+    # New names: the rows above read a, b and n when they are made.
+    for size in (4,) if quick else (4, 8, 16):
+        left, right = ([[rng.uniform(-1, 1) for _ in range(size)] for _ in range(size)]
+                       for _ in range(2))
+        for alg, read in (("R64", float), ("Q", Fraction)):
+            def classical(pkg, alg=alg, operands=[[[read(x) for x in r] for r in left],
+                                                  [[read(x) for x in r] for r in right]]):
+                ma, mb = (tm(pkg, alg, x) for x in operands)
+                return (lambda: pkg.mat_mul(ma, mb)), lists
+
+            rows.append(Row(f"mat_mul {alg} n={size} uniform", {4: 100, 8: 40, 16: 10}[size],
+                            classical))
+
+    for size in (8,) if quick else (8, 16, 32):
+        closing = matrix(rng, "ZMaxPlus", size, size, -9, 0, 0.1)
+
+        def counted(pkg, closing=closing):
+            m = tm(pkg, "ZMaxPlus", closing)
+            return (lambda: pkg.closure_block(m)), lists
+
+        rows.append(Row(f"closure_block ZMaxPlus n={size}", {8: 100, 16: 40, 32: 5}[size],
+                        counted))
     return rows
 
 

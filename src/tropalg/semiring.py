@@ -32,11 +32,10 @@ the innermost counter open in the calling thread. An outer counter
 misses what a counter nested in it receives, and no counter sees
 another thread's work. With no counter open, a tally costs one
 attribute read. The complexity assertions in the test suite measure
-work through it. The matrix kernel in trmatrix computes on plain
-numbers, exact ints for every tropical algebra, tallies a whole product
-or sum at once through _tally, and rules float overflow through
-_finite_result: on an R64 result rounded once per operation, and on each
-classical R64 sum or product.
+work through it. The matrix kernel in trmatrix computes on exact ints in
+every algebra, tallies a whole product or sum at once through _tally,
+and rules float overflow through _finite_result on each R64 result,
+rounded once per operation.
 """
 
 from __future__ import annotations

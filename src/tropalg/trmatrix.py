@@ -56,26 +56,27 @@ sum, the order and a tropical product by one column, _fold, skip None on
 the stored rows; _product picks that fold by the number of columns, and
 the packed kernel for a wider product.
 
-Tropical R64 is stored exactly, as Q is. Every float is a dyadic
-rational, so _checked reads each one through as_integer_ratio as an int
-over a power of two, L being the largest denominator among the entries
-(2^1074 at most), and every tropical kernel runs on ints in all six
-algebras. _result rounds each value of an R64 result once, to the
-nearest float: x / L, which Python's int division rounds correctly. One
-overflow rule, that of _finite_result, meets a value past the largest
-float: below, on the infinite element's side, it is that element, and
-above it raises IllegalElement, as a scalar float sum does. A rounded
-value is a multiple of 1/L again, as rounding moves a value only where
-the floats lie further apart than 1/L and their spacing is a power of
-two, so it is stored over L and the gcd pass reduces it. An int below
-2^53 in magnitude is its own rounding. Residuation rounds its caps down,
-toward the infinite element, instead, by _toward_infinite, so that A x
-<= b holds of the rounded answer. The solvers' checks run on the exact
-values: the Bellman solvers check their exact answer and then round it,
-so A x + b recomputed in floats on their answer may differ from it by an
-ulp. A zero's sign is not kept. Classical R64 keeps rows of floats over
-1, where _settle rules a sum or product that overflows: an infinity, or
-the NaN where overflows of both signs meet, raises IllegalElement.
+R64 is stored exactly, as Q is, tropical and classical alike. Every
+float is a dyadic rational, so _checked reads each one through
+as_integer_ratio as an int over a power of two, L being the largest
+denominator among the entries (2^1074 at most), and every kernel runs on
+ints in all eight algebras. _result rounds each value of an R64 result
+once, to the nearest float: x / L, which Python's int division rounds
+correctly. So a classical R64 product is the exact dot product rounded
+once (Kulisch and Miranker 1981), whatever the order of its terms. A
+value past the largest float raises IllegalElement, as _finite_result
+rules a float sum that overflows, save one below over a tropical
+algebra, on the infinite element's side, which is that element. A
+rounded value is a multiple of 1/L again, as rounding moves a value only
+where the floats lie further apart than 1/L and their spacing is a power
+of two, so it is stored over L and the gcd pass reduces it. An int below
+2^53 in magnitude is its own rounding while L is 2^1074 at most; a
+classical product's L_a L_b may reach 2^2148. Residuation rounds its
+caps down, toward the infinite element, instead, by _toward_infinite, so
+that A x <= b holds of the rounded answer. The solvers' checks run on
+the exact values: the Bellman solvers check their exact answer and then
+round it, so A x + b recomputed in floats on their answer may differ
+from it by an ulp. A zero's sign is not kept.
 
 A tropical product by two or more columns and the closure never test
 for None, as their kernels outweigh converting the rows once. The rows
@@ -156,11 +157,10 @@ still counts (n-1) (n+m) multiply-adds a pivot, m = 0 for a closure:
 products by the zero element are counted, as the bulk tally of a product
 has always counted them.
 
-L is the least common multiple of the entries' denominators over Q and
-tropical R64, and 1 over Z and classical R64. For L > 0, x -> L x is an
-automorphism of max-plus and min-plus, so the tropical kernels run on
-ints: an operation on two
-matrices rescales the one whose L differs from their least common
+L is the least common multiple of the entries' denominators, 1 over Z
+and a power of two over R64. For L > 0, x -> L x is an automorphism of
+max-plus and min-plus, so the tropical kernels run on ints: an operation
+on two matrices rescales the one whose L differs from their least common
 multiple, and one gcd pass reduces the result to its least L. The map
 does not preserve classical products, and none needs it: a product of
 rows over L_a and L_b is a sum of integer products over L_a L_b, which
@@ -173,9 +173,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
-from operator import add, lshift, mul
+from operator import lshift, mul
 
 from ._record import Record
 from .errors import AlgebraMismatch, DimensionMismatch, IndexOutOfRange, NoInverse
@@ -307,7 +306,7 @@ def _checked(rows: list, alg: Algebra, m: TropMatrix | None = None) -> TropMatri
     if alg.domain is _Q:
         den = math.lcm(*{x.denominator for r in rows for x in r if type(x) is Fraction})
         rows = [[x if x is None else x.numerator * (den // x.denominator) for x in r] for r in rows]
-    elif alg.is_tropical and alg.domain is _F64:
+    elif alg.domain is _F64:
         rows = [[x if x is None else x.as_integer_ratio() for x in r] for r in rows]
         den = max([x[1] for r in rows for x in r if x is not None], default=1)
         rows = [[x if x is None else x[0] * (den // x[1]) for x in r] for r in rows]
@@ -318,9 +317,10 @@ def _checked(rows: list, alg: Algebra, m: TropMatrix | None = None) -> TropMatri
 
 def _result(rows: list, alg: Algebra, den: int = 1) -> TropMatrix:
     """A matrix on kernel rows over den, reduced to the least one; over
-    tropical R64 each value is first rounded once, by _nearest."""
-    if alg.is_tropical and alg.domain is _F64:
-        rows = [[x if x is None or -_EXACT < x < _EXACT else _nearest(x, den) for x in r]
+    R64 each value is first rounded once, by _nearest."""
+    if alg.domain is _F64:
+        exact = _EXACT if den <= _FINEST else 0
+        rows = [[x if x is None or -exact < x < exact else _nearest(x, den, alg) for x in r]
                 for r in rows]
     if den != 1:
         g = math.gcd(den, *[x for r in rows for x in r if x is not None])
@@ -358,28 +358,21 @@ def _require_tropical(a: TropMatrix, what: str):
         raise AlgebraMismatch(f"{what} is defined over tropical algebras only")
 
 
-def _settle(rows: list, alg: Algebra) -> list:
-    """Raw classical rows, where an infinity or NaN, the overflow of a
-    classical R64 sum or product, raises IllegalElement as a scalar fold
-    would; left to a later step, it could turn into a NaN."""
-    if alg.domain is not _F64:
-        return rows
-    return [[x if math.isfinite(x) else _finite_result(x, alg).finite for x in r] for r in rows]
-
-
 # An int below 2^53 in magnitude over a power of two up to 2^1074 is a float exactly.
-_EXACT = 1 << 53
+_EXACT, _FINEST = 1 << 53, 1 << 1074
 
 
-def _nearest(x: int, den: int) -> int | None:
-    """The stored tropical R64 value x / den rounded to the nearest float
-    and read back over den, which the float's denominator divides; a value
-    past the largest float is the infinite element below, and raises
-    IllegalElement above, as _finite_result rules over max-plus."""
+def _nearest(x: int, den: int, alg: Algebra = R64_MAX_PLUS) -> int | None:
+    """The stored R64 value x / den of alg rounded to the nearest float and
+    read back over den, which the float's denominator divides, den being a
+    power of two. A value past the largest float raises IllegalElement,
+    save one below over a tropical algebra, which is the infinite element:
+    _finite_result rules it over max-plus, as a tropical value is stored."""
     try:
         f = x / den
     except OverflowError:
-        return _finite_result(math.inf if x > 0 else -math.inf, R64_MAX_PLUS).finite
+        rule = R64_MAX_PLUS if alg.is_tropical else alg
+        return _finite_result(math.inf if x > 0 else -math.inf, rule).finite
     p, q = f.as_integer_ratio()
     return p * (den // q)
 
@@ -448,7 +441,7 @@ def _oplus(a: list, b: list, alg: Algebra) -> list:
     if alg.is_tropical:
         return [[y if y is not None and (x is None or y > x) else x for x, y in zip(r, s)]
                 for r, s in zip(a, b)]
-    return _settle([[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], alg)
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
 
 
 def _fold(a: list, c: list) -> list:
@@ -468,16 +461,15 @@ def _product(a: list, b: list, alg: Algebra) -> list:
     A tropical product by one column is _fold. A wider one folds packed
     rows: out row i is the maximum of B_k + a_ik over the k where a_ik is
     real, starting from the row of sentinels, with one guard-bit maximum a
-    term. A classical product adds left to right (reduce, not sum, which
-    may compensate rounding), as a scalar fold does.
+    term. A classical product sums exact int products, so over R64 it is
+    rounded once, by _result.
     """
     tropical, p = alg.is_tropical, len(b[0])
     if p == 1 and tropical:
         return [[x] for x in _fold(a, [r[0] for r in b])]
     _tally(len(a) * len(b) * p, len(a) * len(b) * p)
     if not tropical:
-        zero = alg.zero().finite
-        return _settle([[reduce(add, map(mul, r, c), zero) for c in zip(*b)] for r in a], alg)
+        return [[sum(map(mul, r, c)) for c in zip(*b)] for r in a]
     pack, unpack, spread, width, base, _ = _packer(2, p, a, b)
     guards, none, lower = spread(1 << width), pack([None] * p), spread(base)
     rows = [pack(r) - lower for r in b]
@@ -610,15 +602,12 @@ def _times(s: ExtScalar, a: TropMatrix) -> TropMatrix:
 
     Tropically the infinite s gives the zero matrix, and a real s = p / q
     adds L s to every real stored value over L, the lcm of A's L and q,
-    negated over min-plus. Classically each stored value is multiplied by
-    p over L q, or by s over classical R64, where an overflow raises.
+    negated over min-plus. Classically each stored value times p is over L q.
     """
     alg = a.alg
     _tally(0, a.rows * a.cols)
     if s.inf_sign:
         return _fill(None, [[None] * a.cols] * a.rows, alg, 1)
-    if alg.domain is _F64 and not alg.is_tropical:
-        return _fill(None, _settle([[x * s.finite for x in r] for r in a._raw], alg), alg, 1)
     p, q = s.finite.as_integer_ratio()
     if not alg.is_tropical:
         return _result([[x * p for x in r] for r in a._raw], alg, a._den * q)

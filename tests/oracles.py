@@ -35,8 +35,10 @@ from tropalg import (
     NoPath,
     NoSolution,
     Optimal,
+    Q_CLASSICAL,
     Q_MAX_PLUS,
     Q_MIN_PLUS,
+    R64_CLASSICAL,
     R64_MAX_PLUS,
     R64_MIN_PLUS,
     SemiringKind,
@@ -209,17 +211,19 @@ def ref_solve_lae_tropic(a: TropMatrix, b: TropMatrix, x: TropMatrix | None = No
 
 # ---- the exact R64 reference ----
 #
-# A tropical R64 matrix operation is its exact value on the operands'
-# dyadic values, rounded once per entry. These run the Q references on
-# those values over QMaxPlus or QMinPlus and round each entry of the
+# An R64 matrix operation, tropical or classical, is its exact value on
+# the operands' dyadic values, rounded once per entry: a classical
+# product is the exact dot product rounded once (Kulisch and Miranker
+# 1981), not a float fold. These run the Q references on those values
+# over QMaxPlus, QMinPlus or classical Q and round each entry of the
 # answer through Decimal, whose decimal string float() reads correctly
 # rounded, a route apart from the library's int division.
 
-EXACT_OF = {R64_MAX_PLUS: Q_MAX_PLUS, R64_MIN_PLUS: Q_MIN_PLUS}
+EXACT_OF = {R64_MAX_PLUS: Q_MAX_PLUS, R64_MIN_PLUS: Q_MIN_PLUS, R64_CLASSICAL: Q_CLASSICAL}
 
 
 def to_exact(m: TropMatrix) -> TropMatrix:
-    """A tropical R64 matrix as the Q matrix of the same values; any other
+    """An R64 matrix as the Q matrix of the same values; any other
     matrix, or None, as it is."""
     if m is None or m.alg not in EXACT_OF:
         return m
@@ -231,7 +235,8 @@ def round_float(v: Fraction, alg, toward: bool = False) -> ExtScalar:
     """The dyadic v rounded to the nearest float, or when toward is set to
     the nearest float on the infinite element's side of v. A value past the
     largest float is the infinite element on that side and illegal on the
-    other, as a float sum that overflows is."""
+    other, and illegal on both sides over classical R64, as a float sum
+    that overflows is."""
     k = v.denominator.bit_length() - 1
     f = float(Decimal(f"{v.numerator * 5 ** k}E-{k}"))
     if toward and math.isfinite(f) and alg.sign * (Fraction(f) - v) > 0:
@@ -244,10 +249,10 @@ def round_float(v: Fraction, alg, toward: bool = False) -> ExtScalar:
 
 
 def exactly(ref, toward: bool = False):
-    """ref as it stands over Z, Q and the classical algebras; over tropical
-    R64 ref run on the exact values, each entry of its answer rounded once
-    by round_float. A ClosureUndefined names the exact pivot, and is raised
-    again naming its float, or IllegalElement where that overflows."""
+    """ref as it stands over Z and Q; over R64 ref run on the exact
+    values, each entry of its answer rounded once by round_float. A
+    ClosureUndefined names the exact pivot, and is raised again naming its
+    float, or IllegalElement where that overflows."""
     def run(*args):
         alg = args[0].alg
         if alg not in EXACT_OF:

@@ -451,24 +451,24 @@ def test_cli_import_loads_no_code_generation_machinery():
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
-def test_closure_opcount_script_runs_as_its_usage_line_says():
+def test_layers_script_records_the_closure_count_n2_n_minus_1(tmp_path):
+    # The elimination's n (n - 1) multiplications at each of n pivots, as
+    # the --quick run's closure row at n = 8 counts them, beside its time.
     root = Path(__file__).resolve().parents[1]
-    script = "scripts/closure_opcount.py"
-    assert f"PYTHONPATH=src python3 {script}" in (root / script).read_text()
+    out = tmp_path / "layers.json"
     result = subprocess.run(
-        [sys.executable, script, "--sizes", "8,9"],
+        [sys.executable, "scripts/layers.py", "--quick", "--out", str(out)],
         capture_output=True,
         text=True,
         cwd=root,
-        env=dict(os.environ, PYTHONPATH="src"),
-        timeout=60,
+        timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    header, _, *rows = (line.split() for line in result.stdout.splitlines())
-    assert header[:3] == ["n", "muls", "ms"]
-    assert [(n, muls) for n, muls, *_ in rows] == [("8", "448"), ("9", "648")]
-    # The wall time of each closure stands beside its count.
-    assert all(float(ms) > 0 for _, _, ms, *_ in rows)
+    rows = {row["name"]: row for row in json.loads(out.read_text())["rows"]}
+    head = rows["closure_block ZMaxPlus n=8"]["head"]
+    assert (head["adds"], head["muls"]) == (448, 448) == (8 * 8 * 7,) * 2
+    assert head["best_s"] > 0
+    assert "base" not in rows["closure_block ZMaxPlus n=8"]
 
 
 def test_layers_script_times_two_trees_as_its_usage_line_says(tmp_path):

@@ -56,7 +56,7 @@ from tropalg import (
     zero_matrix,
 )
 from tropalg import trmatrix
-from tropalg.trmatrix import _residuate
+from tropalg.trmatrix import _residuate, _times
 
 from oracles import (
     SISTER,
@@ -584,9 +584,10 @@ def _rounds_past_b(a, b):
 
 @pytest.mark.parametrize("alg", list(ALGEBRAS_BY_NAME.values()), ids=lambda a: a.name)
 def test_matrix_operations_match_the_per_entry_reference(alg):
-    # Over tropical R64 the reference is the exact one: the Q references on
-    # the operands' dyadic values, each entry rounded once, residuation's
-    # caps toward the infinite element. Classical R64 keeps the float folds.
+    # Over R64 the reference is the exact one: the Q references on the
+    # operands' dyadic values, each entry rounded once, residuation's caps
+    # toward the infinite element. Classical R64 too: its product is the
+    # exact dot product rounded once, not a float fold in some order.
     rng = random.Random(f"kernel {alg.name}")
     errors = set()
     for _ in range(200):
@@ -621,6 +622,8 @@ def test_matrix_operations_match_the_per_entry_reference(alg):
             assert got == want, (fn.__name__, args)
             if len(got) == 2:
                 errors.add(got[0])
+            elif fn in (mat_mul, mat_oplus):
+                _assert_stored_real(fn(*args), 1 + (fn is mat_mul), *args)
     if alg.domain is Domain.F64:
         assert "IllegalElement" in errors
     if alg.is_tropical:
@@ -649,16 +652,18 @@ def _chain(rng, alg, n):
 
 
 def _assert_stored_real(m, walk, *operands):
-    """Every value m stores is None or real: over R64 an int over m's
-    denominator that is a finite float exactly, and over Z and Q at most
-    walk times the operands' largest magnitude."""
+    """Every value m stores is an int, or None over a tropical algebra: over
+    R64, tropical or classical, an int over m's denominator that is a finite
+    float exactly, and over tropical Z and Q at most walk times the
+    operands' largest magnitude."""
     bound = walk * max((abs(e.finite) for x in operands for e in x.entries if e.is_finite),
                        default=0)
-    for x in (x for r in m._raw for x in r if x is not None):
+    for x in (x for r in m._raw for x in r if x is not None or not m.alg.is_tropical):
+        assert type(x) is int
         if m.alg.domain is Domain.F64:
-            assert type(x) is int and Fraction(x / m._den) == Fraction(x, m._den)
-        else:
-            assert type(x) is int and abs(Fraction(x, m._den)) <= bound
+            assert Fraction(x / m._den) == Fraction(x, m._den)
+        elif m.alg.is_tropical:
+            assert abs(Fraction(x, m._den)) <= bound
 
 
 @pytest.mark.parametrize("alg", list(SISTER), ids=lambda a: a.name)
@@ -1177,6 +1182,40 @@ def test_float_sums_that_overflow_fold_or_raise_as_the_reference_does(alg):
     want = _closed_or_error(lambda a: _closure_times_b(a, b), cycle)
     assert want[0] == "ClosureUndefined"
     assert _bellman_outcomes(cycle, b) == [want] * 2
+
+
+def test_a_classical_float_product_is_the_exact_dot_product_rounded_once():
+    # The rule of Kulisch and Miranker (1981), which tropical R64 follows
+    # too: the exact value on the operands' dyadic values, rounded once,
+    # whatever the order of the terms. A float fold left to right reads
+    # 2^-54 on the first product, the rounding of 0.1 + 0.2, and overflows
+    # on the second's first term, as a scalar chain, which rounds after
+    # each operation, still does.
+    def m(*rows):
+        return TropMatrix.from_rows(rows, R64_CLASSICAL)
+
+    assert mat_mul(m([0.1, 0.2, 0.3]), m([1.0], [1.0], [-1.0])) == m([2.0 ** -55])
+    assert 2.0 ** -55 == 2.7755575615628914e-17
+    chain = [s(0.1), s(0.2), s(-0.3)]
+    assert trop_add(trop_add(*chain[:2], R64_CLASSICAL), chain[2], R64_CLASSICAL) == s(2.0 ** -54)
+    assert mat_mul(m([1e308, 1e308]), m([1e308], [-1e308])) == m([0.0])
+    # A value past the largest float raises on either side, with the text
+    # of a scalar float product that overflows.
+    for sign in (1.0, -1.0):
+        for fn, args in ((mat_mul, (m([1e308, 1e308]), m([sign * 1e308], [sign * 1e308]))),
+                         (mat_oplus, (m([sign * 1e308]), m([sign * 1e308]))),
+                         (_times, (s(1e308), m([sign * 1e308])))):
+            with pytest.raises(IllegalElement) as e:
+                fn(*args)
+            assert str(e.value) == "float overflow produced an illegal infinity"
+    with pytest.raises(IllegalElement, match="^float overflow produced an illegal infinity$"):
+        trop_mul(s(1e308), s(1e308), R64_CLASSICAL)
+    # A product of two denominators of 2^1074 is no float's: every value
+    # over it is rounded, here to 0.0, whose stored form is 0 over 1.
+    tiny = m([5e-324])
+    for got in (mat_mul(tiny, tiny), _times(s(5e-324), tiny)):
+        assert got == m([0.0]) and (got._raw, got._den) == (((0,),), 1)
+    assert mat_mul(m([2.0 ** -537]), m([2.0 ** -537])) == tiny
 
 
 @pytest.mark.parametrize("alg", [R64_MAX_PLUS, R64_MIN_PLUS], ids=lambda a: a.name)
